@@ -28,16 +28,16 @@ from .calibrators import (
     membership_matrix,
     model_to_json,
 )
-from .data import Dataset, SplitSpec, assign_problem_splits, load_records, parse_record
+from .data import Dataset, SplitSpec, assign_problem_splits, parse_record
 from .errors import ConvertError, DataError, RecordError
 from .groups import GroupingConfig, GroupingModel
 from .metrics import NEG_INF, EvalReport, evaluate
-from .scoring import ConfidenceMethod, load_scored, save_scored, score_dataset
+from .scoring import METHOD_NAMES as SCORE_METHODS
+from .scoring import ConfidenceMethod, load_scored, score_file
 from .svg import group_chart, reliability_chart
 
 METHOD_NAMES = ("platt", "histogram", "gcur_linear", "gcur_logistic", "ighb", "iglb")
 GROUPLESS_METHODS = ("platt", "histogram")
-SCORE_METHODS = ("avg_prob", "code_prob", "tail_prob")
 
 EXIT_IO = 3
 EXIT_DATA = 4
@@ -58,8 +58,28 @@ def _guarded(fn):
     return wrapper
 
 
+def _config_value(ctx: click.Context, param: click.Parameter, value):
+    """Convert a config value as click converts the same value given as a flag.
+
+    Flags take only JSON booleans; null stands only for a null default.
+    """
+    flag = isinstance(param.type, click.types.BoolParamType)
+    if flag != isinstance(value, bool):
+        need = "a JSON boolean" if flag else f"a {param.type.name}, not a JSON boolean"
+        raise DataError(f"config value {param.name}={value!r} must be {need}")
+    if flag or (value is None and param.default is None):
+        return value
+    try:
+        return param.type_cast_value(ctx, value if isinstance(value, str) else json.dumps(value))
+    except click.BadParameter as exc:
+        raise DataError(f"config value {param.name}={value!r}: {exc.message}") from exc
+
+
 def _merge_config(ctx: click.Context, config_path: str | None, values: dict) -> dict:
-    """Fill defaulted parameters from a JSON config file; flags win."""
+    """Fill defaulted parameters from a JSON config file; flags win.
+
+    Every config value is type-checked, also one that a flag overrides.
+    """
     if not config_path:
         return values
     with open(config_path, "r", encoding="utf-8") as fh:
@@ -72,8 +92,10 @@ def _merge_config(ctx: click.Context, config_path: str | None, values: dict) -> 
     unknown = sorted(set(data) - set(values))
     if unknown:
         raise DataError(f"unknown config keys: {', '.join(unknown)}")
+    params = {param.name: param for param in ctx.command.params}
     merged = dict(values)
     for key, value in data.items():
+        value = _config_value(ctx, params[key], value)
         if ctx.get_parameter_source(key) == ParameterSource.DEFAULT:
             merged[key] = value
     return merged
@@ -137,19 +159,16 @@ def main() -> None:
 @click.option("--config", "config_path", default=None, help="JSON config; flags take precedence.")
 @click.pass_context
 @_guarded
-def score(ctx, input_path, output_path, method, tail_k, skip_missing, config_path) -> None:
-    """Attach a raw confidence score to every record."""
-    values = _merge_config(
-        ctx,
-        config_path,
-        {"method": method, "tail_k": tail_k, "skip_missing": skip_missing},
-    )
-    _check_choice(values["method"], SCORE_METHODS, "scoring method")
-    dataset = load_records(input_path)
-    conf = ConfidenceMethod(values["method"], tail_tokens=int(values["tail_k"]))
-    scored, skipped = score_dataset(dataset, conf, skip_missing=bool(values["skip_missing"]))
-    save_scored(scored, output_path)
-    click.echo(f"scored {len(scored)} samples, skipped {skipped}", err=True)
+def score(ctx, input_path, output_path, config_path, **options) -> None:
+    """Attach a raw confidence score to every record.
+
+    Each input line is kept as it is, unknown keys and key order
+    included, with "method" and "p_hat" appended.
+    """
+    values = _merge_config(ctx, config_path, options)
+    conf = ConfidenceMethod(values["method"], tail_tokens=values["tail_k"])
+    scored, skipped = score_file(input_path, output_path, conf, values["skip_missing"])
+    click.echo(f"scored {scored} samples, skipped {skipped}", err=True)
 
 
 @main.command()
@@ -203,26 +222,31 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
 
 def _grouping_from_values(values: dict) -> GroupingConfig:
     return GroupingConfig(
-        use_language=bool(values["language"]),
+        use_language=values["language"],
         length_metrics=_parse_length_metrics(values["length_metrics"]),
-        complexity_source=_check_choice(
-            values["complexity"],
-            ("none", "difficulty_label", "branch_heuristic"),
-            "complexity source",
-        ),
-        always_on=bool(values["all_group"]),
+        complexity_source=values["complexity"],
+        always_on=values["all_group"],
     )
 
 
-def _load_split(path: str):
-    scored = load_scored(path)
-    dataset = Dataset([item.sample for item in scored], provenance=path)
-    p = np.array([item.p_hat for item in scored])
-    y = np.array([item.sample.label for item in scored])
-    return dataset, p, y
+def _load_splits(*paths: str) -> list:
+    """Load scored splits as (dataset, p_hat, labels); all must share one scoring method."""
+    loaded = []
+    methods: set[str] = set()
+    for path in paths:
+        scored = load_scored(path)
+        methods.update(item.method for item in scored)
+        dataset = Dataset([item.sample for item in scored], provenance=path)
+        p = np.array([item.p_hat for item in scored])
+        y = np.array([item.sample.label for item in scored])
+        loaded.append((dataset, p, y))
+        del scored  # free this split's wrappers before the next split loads
+    if len(methods) > 1:
+        raise DataError(f"splits were scored by different methods: {', '.join(sorted(methods))}")
+    return loaded
 
 
-def _fit_one(name, grid, tp, ty, vp, vy, train_groups, val_groups, alpha, epsilon, ls_loss):
+def _fit_one(name, grid, values, tp, ty, vp, vy, train_groups, val_groups):
     if name == "platt":
         return fit_platt(tp, ty)
     if name == "histogram":
@@ -232,9 +256,17 @@ def _fit_one(name, grid, tp, ty, vp, vy, train_groups, val_groups, alpha, epsilo
     if name == "gcur_logistic":
         return fit_gcur_logistic(tp, ty, train_groups)
     if name == "ighb":
-        return fit_ighb(tp, ty, train_groups, grid, alpha=alpha)
+        return fit_ighb(tp, ty, train_groups, grid, alpha=values["alpha"])
     return fit_iglb(
-        tp, ty, vp, vy, train_groups, val_groups, grid, epsilon=epsilon, ls_loss=ls_loss
+        tp,
+        ty,
+        vp,
+        vy,
+        train_groups,
+        val_groups,
+        grid,
+        epsilon=values["epsilon"],
+        ls_loss=values["ls_loss"],
     )
 
 
@@ -300,44 +332,14 @@ def _with_options(options):
 @click.pass_context
 @_guarded
 def fit_eval(
-    ctx,
-    train_path,
-    val_path,
-    test_path,
-    methods,
-    grid_m,
-    alpha,
-    epsilon,
-    ls_loss,
-    language,
-    length_metrics,
-    complexity,
-    all_group,
-    config_path,
-    output_dir,
+    ctx, train_path, val_path, test_path, config_path, output_dir, **options
 ) -> None:
     """Fit requested calibrators on train and evaluate them on test."""
-    values = _merge_config(
-        ctx,
-        config_path,
-        {
-            "methods": methods,
-            "grid_m": grid_m,
-            "alpha": alpha,
-            "epsilon": epsilon,
-            "ls_loss": ls_loss,
-            "language": language,
-            "length_metrics": length_metrics,
-            "complexity": complexity,
-            "all_group": all_group,
-        },
-    )
+    values = _merge_config(ctx, config_path, options)
     method_list = _parse_methods(values["methods"])
-    grid = BinGrid(int(values["grid_m"]))
-    _check_choice(values["ls_loss"], ("ce", "brier"), "ls-loss")
-    train_ds, tp, ty = _load_split(train_path)
-    val_ds, vp, vy = _load_split(val_path)
-    test_ds, sp, sy = _load_split(test_path)
+    grid = BinGrid(values["grid_m"])
+    splits = _load_splits(train_path, val_path, test_path)
+    (train_ds, tp, ty), (val_ds, vp, vy), (test_ds, sp, sy) = splits
     grouping = GroupingModel.fit(train_ds, _grouping_from_values(values))
     train_groups = grouping.apply(train_ds)
     val_groups = grouping.apply(val_ds)
@@ -365,19 +367,7 @@ def fit_eval(
     )
     for name in method_list:
         try:
-            model = _fit_one(
-                name,
-                grid,
-                tp,
-                ty,
-                vp,
-                vy,
-                train_groups,
-                val_groups,
-                values["alpha"],
-                float(values["epsilon"]),
-                values["ls_loss"],
-            )
+            model = _fit_one(name, grid, values, tp, ty, vp, vy, train_groups, val_groups)
             calibrated = _apply_model(model, sp, test_groups)
         except DataError as exc:
             click.echo(f"{name} failed: {exc}", err=True)
@@ -413,41 +403,12 @@ def fit_eval(
 @click.pass_context
 @_guarded
 def ablate(
-    ctx,
-    train_path,
-    val_path,
-    test_path,
-    methods,
-    grid_m,
-    alpha,
-    epsilon,
-    ls_loss,
-    language,
-    length_metrics,
-    complexity,
-    all_group,
-    config_path,
-    output_path,
+    ctx, train_path, val_path, test_path, config_path, output_path, **options
 ) -> None:
     """Test BSS per method for every non-empty subset of group categories."""
-    values = _merge_config(
-        ctx,
-        config_path,
-        {
-            "methods": methods,
-            "grid_m": grid_m,
-            "alpha": alpha,
-            "epsilon": epsilon,
-            "ls_loss": ls_loss,
-            "language": language,
-            "length_metrics": length_metrics,
-            "complexity": complexity,
-            "all_group": all_group,
-        },
-    )
+    values = _merge_config(ctx, config_path, options)
     method_list = _parse_methods(values["methods"])
-    grid = BinGrid(int(values["grid_m"]))
-    _check_choice(values["ls_loss"], ("ce", "brier"), "ls-loss")
+    grid = BinGrid(values["grid_m"])
     base_cfg = _grouping_from_values(values)
     categories = []
     if base_cfg.complexity_source != "none":
@@ -463,9 +424,8 @@ def ablate(
         subsets.extend(itertools.combinations(sorted(categories), size))
     subsets.sort(key=lambda subset: "+".join(subset))
 
-    train_ds, tp, ty = _load_split(train_path)
-    val_ds, vp, vy = _load_split(val_path)
-    test_ds, sp, sy = _load_split(test_path)
+    splits = _load_splits(train_path, val_path, test_path)
+    (train_ds, tp, ty), (val_ds, vp, vy), (test_ds, sp, sy) = splits
 
     rows = []
     for subset in subsets:
@@ -481,19 +441,7 @@ def ablate(
         test_groups = grouping.apply(test_ds)
         for name in method_list:
             try:
-                model = _fit_one(
-                    name,
-                    grid,
-                    tp,
-                    ty,
-                    vp,
-                    vy,
-                    train_groups,
-                    val_groups,
-                    values["alpha"],
-                    float(values["epsilon"]),
-                    values["ls_loss"],
-                )
+                model = _fit_one(name, grid, values, tp, ty, vp, vy, train_groups, val_groups)
                 calibrated = _apply_model(model, sp, test_groups)
                 report = evaluate(calibrated, sy, grid)
                 bss = _format_metric(report.bss)

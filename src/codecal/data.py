@@ -18,6 +18,7 @@ __all__ = [
     "Sample",
     "Dataset",
     "SplitSpec",
+    "iter_records",
     "load_records",
     "save_records",
     "extract_code_span",
@@ -26,6 +27,8 @@ __all__ = [
 ]
 
 _REQUIRED_KEYS = ("problem_id", "sample_id", "language", "token_logprobs", "label")
+_FLOAT = frozenset({float})
+_FLOAT_OR_INT = frozenset({float, int})
 
 
 @dataclass
@@ -91,6 +94,38 @@ class SplitSpec:
             )
 
 
+def _token_logprobs(lps, line: int | None, sid: str) -> list[float]:
+    """Validated float copy of a record's ``token_logprobs`` value.
+
+    Plain float/int lists are checked in bulk: a list whose maximum is
+    <= 0 and whose sum is finite holds no NaN, infinity or positive
+    value.  Any other list goes through the per-value checks, which
+    pick the error message.
+    """
+    kinds = set(map(type, lps)) if isinstance(lps, list) else None
+    if kinds is None or not (
+        kinds <= _FLOAT_OR_INT
+        or all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in lps)
+    ):
+        raise RecordError("token_logprobs must be a list of numbers", line=line, sample_id=sid)
+    if kinds <= _FLOAT:
+        lps = lps[:]
+    else:
+        try:
+            lps = [float(v) for v in lps]
+        except OverflowError:
+            raise RecordError(
+                "token logprob integer is too large for a float", line=line, sample_id=sid
+            ) from None
+    if lps and (max(lps) > 0.0 or not math.isfinite(sum(lps))):
+        for v in lps:
+            if not math.isfinite(v) or v > 0.0:
+                raise RecordError(
+                    f"token logprob {v!r} must be finite and <= 0", line=line, sample_id=sid
+                )
+    return lps
+
+
 def parse_record(obj: dict, line: int | None = None) -> Sample:
     """Validate one decoded JSON object and build a Sample.
 
@@ -112,17 +147,7 @@ def parse_record(obj: dict, line: int | None = None) -> Sample:
     if not isinstance(lang, str) or not lang:
         raise RecordError("language must be a non-empty string", line=line, sample_id=sid)
 
-    lps = obj["token_logprobs"]
-    if not isinstance(lps, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in lps
-    ):
-        raise RecordError("token_logprobs must be a list of numbers", line=line, sample_id=sid)
-    lps = [float(v) for v in lps]
-    for v in lps:
-        if not math.isfinite(v) or v > 0.0:
-            raise RecordError(
-                f"token logprob {v!r} must be finite and <= 0", line=line, sample_id=sid
-            )
+    lps = _token_logprobs(obj["token_logprobs"], line, sid)
 
     label = obj["label"]
     if isinstance(label, bool) or label not in (0, 1):
@@ -164,14 +189,14 @@ def parse_record(obj: dict, line: int | None = None) -> Sample:
     )
 
 
-def load_records(path: str, provenance: str | None = None) -> Dataset:
-    """Load a line-delimited JSON file of samples.
+def iter_records(path: str):
+    """Yield ``(lineno, raw_line, obj, sample)`` for each record line of a JSONL file.
 
     Blank lines are skipped.  Malformed JSON, schema violations, and
     duplicate sample ids raise :class:`RecordError` naming the offending
-    line.
+    line.  ``obj`` is the decoded JSON object, so callers can read keys
+    beyond the record schema.
     """
-    samples: list[Sample] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -183,11 +208,14 @@ def load_records(path: str, provenance: str | None = None) -> Dataset:
                 raise RecordError(f"malformed JSON: {exc.msg}", line=lineno) from exc
             sample = parse_record(obj, line=lineno)
             if sample.sample_id in seen:
-                raise RecordError(
-                    "duplicate sample_id", line=lineno, sample_id=sample.sample_id
-                )
+                raise RecordError("duplicate sample_id", line=lineno, sample_id=sample.sample_id)
             seen.add(sample.sample_id)
-            samples.append(sample)
+            yield lineno, raw, obj, sample
+
+
+def load_records(path: str, provenance: str | None = None) -> Dataset:
+    """Load a line-delimited JSON file of samples; errors as in :func:`iter_records`."""
+    samples = [sample for _, _, _, sample in iter_records(path)]
     return Dataset(samples, provenance=provenance if provenance is not None else path)
 
 

@@ -6,11 +6,13 @@ token window: the whole sequence, only the extracted code span, or only
 the trailing tokens.
 """
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
-from .data import Dataset, Sample, parse_record
+from .data import Dataset, Sample, iter_records
 from .errors import DataError, MissingCodeError, RecordError
 
 __all__ = [
@@ -18,7 +20,7 @@ __all__ = [
     "ScoredSample",
     "score_sample",
     "score_dataset",
-    "save_scored",
+    "score_file",
     "load_scored",
 ]
 
@@ -93,41 +95,60 @@ def score_dataset(
     return scored, skipped
 
 
-def save_scored(scored: list[ScoredSample], path: str) -> None:
-    """Write scored samples as record lines augmented with p_hat and method."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in scored:
-            obj = item.sample.to_dict()
-            obj["p_hat"] = item.p_hat
-            obj["method"] = item.method
-            fh.write(json.dumps(obj, sort_keys=True))
-            fh.write("\n")
+def score_file(
+    input_path: str, output_path: str, method: ConfidenceMethod, skip_missing: bool = False
+) -> tuple[int, int]:
+    """Score a record JSONL file line by line; returns the scored and skipped counts.
+
+    Each output line is its input line with ``"method"`` and ``"p_hat"``
+    appended, so unknown keys, key order and the token array's text
+    pass through untouched.  A line that already carries either key is
+    re-encoded with both replaced.  Skipping works as in
+    :func:`score_dataset`.  The output is written to a temporary file
+    beside ``output_path`` and moved into place only when every line
+    succeeded, so a failed run leaves ``output_path`` as it was.
+    """
+    head, tail = os.path.split(output_path)
+    tmp_path = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    name_json = json.dumps(method.name)
+    scored = skipped = 0
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as out:
+            for _, raw, obj, sample in iter_records(input_path):
+                try:
+                    p_hat = score_sample(sample, method)
+                except DataError:
+                    if not skip_missing:
+                        raise
+                    skipped += 1
+                    continue
+                if "p_hat" in obj or "method" in obj:
+                    obj.update(p_hat=p_hat, method=method.name)
+                    line = json.dumps(obj, sort_keys=True)
+                else:
+                    line = f'{raw.rstrip()[:-1]}, "method": {name_json}, "p_hat": {p_hat!r}}}'
+                out.write(line + "\n")
+                scored += 1
+        os.replace(tmp_path, output_path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp_path)
+        raise
+    return scored, skipped
 
 
 def load_scored(path: str) -> list[ScoredSample]:
-    """Load records previously written by :func:`save_scored`."""
+    """Load records previously written by :func:`score_file`."""
     out: list[ScoredSample] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"malformed JSON: {exc.msg}", line=lineno) from exc
-            sample = parse_record(obj, line=lineno)
-            if sample.sample_id in seen:
-                raise RecordError("duplicate sample_id", line=lineno, sample_id=sample.sample_id)
-            seen.add(sample.sample_id)
-            p_hat = obj.get("p_hat")
-            if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool):
-                raise RecordError("missing or non-numeric p_hat", line=lineno, sample_id=sample.sample_id)
-            p_hat = float(p_hat)
-            if not 0.0 <= p_hat <= 1.0 or not math.isfinite(p_hat):
-                raise RecordError(f"p_hat {p_hat!r} outside [0, 1]", line=lineno, sample_id=sample.sample_id)
-            method = obj.get("method")
-            if not isinstance(method, str):
-                raise RecordError("missing method", line=lineno, sample_id=sample.sample_id)
-            out.append(ScoredSample(sample, p_hat, method))
+    for lineno, _, obj, sample in iter_records(path):
+        p_hat = obj.get("p_hat")
+        if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool):
+            raise RecordError("missing or non-numeric p_hat", line=lineno, sample_id=sample.sample_id)
+        p_hat = float(p_hat)
+        if not 0.0 <= p_hat <= 1.0 or not math.isfinite(p_hat):
+            raise RecordError(f"p_hat {p_hat!r} outside [0, 1]", line=lineno, sample_id=sample.sample_id)
+        method = obj.get("method")
+        if not isinstance(method, str):
+            raise RecordError("missing method", line=lineno, sample_id=sample.sample_id)
+        out.append(ScoredSample(sample, p_hat, method))
     return out

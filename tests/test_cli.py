@@ -124,6 +124,57 @@ class TestScoreCommand:
         result = run(["score", "--input", str(bad), "--output", str(tmp_path / "o")])
         assert result.exit_code == 4
 
+    def test_failure_names_line_and_keeps_previous_output(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        write_synth(records, n=10)
+        lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+        huge = '"token_logprobs": [-' + "9" * 400 + ", "
+        lines[6] = lines[6].replace('"token_logprobs": [', huge)
+        records.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "scored.jsonl"
+        out.write_bytes(b"previous output\n")
+        result = run(["score", "--input", str(records), "--output", str(out)])
+        assert result.exit_code == 4
+        assert "too large for a float [line 7," in result.output
+        assert out.read_bytes() == b"previous output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl", "scored.jsonl"]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"tail_k": "x"},
+            {"tail_k": 2.5},
+            {"tail_k": None},
+            {"tail_k": True},
+            {"skip_missing": "false"},
+            {"skip_missing": 0},
+            {"method": 3},
+        ],
+    )
+    def test_mistyped_config_value_is_data_error(self, tmp_path, config):
+        records = tmp_path / "records.jsonl"
+        write_synth(records, n=10)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        args = ["score", "--input", str(records), "--config", str(cfg)]
+        result = run([*args, "--output", str(out)])
+        assert result.exit_code == 4
+        assert "config value" in result.output
+        assert not out.exists()
+
+    def test_config_values_convert_like_flags(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        write_synth(records, n=10)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "tail_prob", "tail_k": "3", "skip_missing": False}))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        flags = ["--method", "tail_prob", "--tail-k", "3"]
+        args = ["score", "--input", str(records), "--config", str(cfg)]
+        assert run([*args, "--output", str(a)]).exit_code == 0
+        assert run(["score", "--input", str(records), "--output", str(b), *flags]).exit_code == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestSplitCommand:
     def test_partition_and_determinism(self, tmp_path):
@@ -290,6 +341,38 @@ class TestFitEvalCommand:
         assert rows["histogram"] != ["failed"] * 4
         assert rows["uncalibrated"][0] in ("-inf", "1.0")
         assert not (outdir / "model_platt.json").exists()
+
+    def test_config_alpha_string_matches_flag(self, pipeline, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": "0.1", "methods": "ighb", "grid_m": 10}))
+        from_config, from_flags = tmp_path / "c", tmp_path / "f"
+        assert run(fit_eval_args(pipeline, from_config, ("--config", str(cfg)))).exit_code == 0
+        flags = ("--alpha", "0.1", "--methods", "ighb", "--grid-m", "10")
+        assert run(fit_eval_args(pipeline, from_flags, flags)).exit_code == 0
+        for name in sorted(p.name for p in from_flags.iterdir()):
+            assert (from_config / name).read_bytes() == (from_flags / name).read_bytes(), name
+
+    @pytest.mark.parametrize("config", [{"language": "false"}, {"alpha": "x"}, {"grid_m": []}])
+    def test_mistyped_config_value_is_data_error(self, pipeline, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = run(fit_eval_args(pipeline, tmp_path / "out", ("--config", str(cfg))))
+        assert result.exit_code == 4
+        assert "config value" in result.output
+
+    @pytest.mark.parametrize("command", ["fit-eval", "ablate"])
+    def test_mixed_scoring_methods_rejected(self, pipeline, tmp_path, command):
+        tail_test = tmp_path / "test.jsonl"
+        rescore = ["score", "--input", str(pipeline / "test.jsonl"), "--output", str(tail_test)]
+        assert run([*rescore, "--method", "tail_prob"]).exit_code == 0
+        args = fit_eval_args(pipeline, tmp_path / "out", ("--methods", "platt"))
+        args[0] = command
+        args[args.index(str(pipeline / "test.jsonl"))] = str(tail_test)
+        if command == "ablate":
+            args[args.index("--output-dir")] = "--output"
+        result = run(args)
+        assert result.exit_code == 4
+        assert "different methods: avg_prob, tail_prob" in result.output
 
     def test_unknown_method_list_rejected(self, pipeline, tmp_path):
         result = run(

@@ -1,6 +1,9 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from codecal.data import (
     Dataset,
@@ -8,7 +11,9 @@ from codecal.data import (
     SplitSpec,
     assign_problem_splits,
     extract_code_span,
+    iter_records,
     load_records,
+    parse_record,
     save_records,
     split_by_problem,
 )
@@ -108,6 +113,85 @@ class TestLoadRecords:
         path = tmp_path / "r.jsonl"
         path.write_text("\n" + json.dumps(GOOD) + "\n\n")
         assert len(load_records(str(path))) == 1
+
+
+def reference_logprobs(lps, line, sid):
+    """Per-value token checks: the reference for parse_record's bulk path."""
+    if not isinstance(lps, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in lps
+    ):
+        raise RecordError("token_logprobs must be a list of numbers", line=line, sample_id=sid)
+    try:
+        lps = [float(v) for v in lps]
+    except OverflowError:
+        raise RecordError(
+            "token logprob integer is too large for a float", line=line, sample_id=sid
+        ) from None
+    for v in lps:
+        if not math.isfinite(v) or v > 0.0:
+            raise RecordError(
+                f"token logprob {v!r} must be finite and <= 0", line=line, sample_id=sid
+            )
+    return lps
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except RecordError as exc:
+        return "error", str(exc)
+
+
+token_values = st.one_of(
+    st.floats(max_value=0.0),
+    st.floats(),
+    st.integers(min_value=-(10**6), max_value=3),
+    st.sampled_from([-(10**400), 10**400, -(2**1024), -(2**1023)]),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1e308, -0.0]),
+    st.floats(max_value=0.0, allow_nan=False).map(np.float64),
+)
+
+
+class TestTokenLogprobs:
+    @given(st.lists(token_values, max_size=12))
+    def test_bulk_path_matches_per_value_checks(self, lps):
+        got = outcome(lambda: parse_record(dict(GOOD, token_logprobs=lps), line=7).token_logprobs)
+        assert got == outcome(lambda: reference_logprobs(lps, 7, "s1"))
+        if got[0] == "ok":
+            assert all(type(v) is float for v in got[1])
+
+    @pytest.mark.parametrize("lps", ["-0.5", None, {"a": -0.5}, -0.5, [[-0.5]], ["-0.5"]])
+    def test_non_number_lists_rejected(self, lps):
+        with pytest.raises(RecordError, match="list of numbers"):
+            parse_record(dict(GOOD, token_logprobs=lps), line=1)
+
+    def test_integer_too_large_for_float(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text(
+            json.dumps(GOOD) + "\n" + json.dumps(dict(GOOD, sample_id="big")).replace(
+                "[-0.5, -0.1]", "[-0.5, -" + "9" * 400 + "]"
+            ) + "\n"
+        )
+        with pytest.raises(RecordError, match=r"too large.*line 2, sample_id='big'"):
+            load_records(str(path))
+
+    def test_parsed_list_is_a_copy(self):
+        lps = [-0.5, -0.1]
+        sample = parse_record(dict(GOOD, token_logprobs=lps))
+        assert sample.token_logprobs == lps and sample.token_logprobs is not lps
+
+
+class TestIterRecords:
+    def test_yields_line_numbers_raw_lines_and_objects(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        second = dict(GOOD, sample_id="s2", extra=[1, 2])
+        path.write_text(json.dumps(GOOD) + "\n\n" + json.dumps(second) + "\n")
+        rows = list(iter_records(str(path)))
+        assert [row[0] for row in rows] == [1, 3]
+        assert [row[1] for row in rows] == [json.dumps(GOOD) + "\n", json.dumps(second) + "\n"]
+        assert [row[2] for row in rows] == [GOOD, second]
+        assert [row[3].sample_id for row in rows] == ["s1", "s2"]
 
 
 class TestExtractCodeSpan:
