@@ -1,3 +1,7 @@
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,8 @@ from codecal.calibrators import (
     sigmoid,
 )
 from codecal.errors import DataError, FitError
-from codecal.groups import GroupSet
+from codecal.groups import GroupSet, assemble, build_language_groups
+from codecal.synthgen import Block, SynthSpec, generate
 
 
 def ones_groups(n):
@@ -337,6 +342,114 @@ class TestIglb:
         p, y, groups = self.fixture()
         with pytest.raises(DataError):
             fit_iglb(p, y, p, y, groups, groups, BinGrid(10), epsilon=1.5)
+
+
+# (accuracy, lowest score) of eight planted blocks, each 0.05 wide.  Block
+# b3 is never correct, so every region of its group holds one label class.
+PINNED_BLOCKS = (
+    (0.9, 0.3), (0.7, 0.5), (0.4, 0.6), (0.0, 0.55), (0.6, 0.2), (0.8, 0.6), (0.3, 0.4), (0.5, 0.65)
+)
+
+
+def pinned_split(n, seed):
+    """Scores, labels and 13 overlapping groups: ALL, eight blocks, four languages."""
+    blocks = tuple(
+        Block(f"b{i}", 1 / 8, acc, ("uniform", lo, lo + 0.05))
+        for i, (acc, lo) in enumerate(PINNED_BLOCKS)
+    )
+    languages = ("c", "go", "py", "rs")
+    dataset, block_groups = generate(
+        SynthSpec(blocks=blocks, n_samples=n, seed=seed, languages=languages)
+    )
+    groups = assemble([block_groups, build_language_groups(dataset, list(languages))])
+    p = np.array([math.exp(s.token_logprobs[0]) for s in dataset])
+    y = np.array([s.label for s in dataset], dtype=float)
+    return p, y, groups
+
+
+class TestPinnedPatchSequences:
+    """Exact patch sequences on a many-group fixture at m=100.
+
+    Any change to how the iterative fitters compute their per-(group,
+    cell) statistics or order their candidates must leave these
+    sequences bit-for-bit unchanged.
+    """
+
+    def test_ighb_patch_sequence(self):
+        p, y, groups = pinned_split(2000, 11)
+        assert len(groups.names) == 13
+        model = fit_ighb(p, y, groups, BinGrid(100), alpha=0.004)
+        assert model.converged
+        assert model.stop_reason == "error_budget"
+        got = [(patch["group"], patch["cell"], patch["delta"]) for patch in model.patches]
+        assert got == [
+            (0, 57, -0.5700000000000002),
+            (0, 31, 0.5847368421052637),
+            (0, 56, -0.5599999999999996),
+            (0, 33, 0.5756603773584913),
+            (0, 59, -0.59),
+            (0, 58, -0.5799999999999994),
+            (0, 34, 0.4901886792452831),
+            (0, 35, 0.5710526315789473),
+            (0, 23, 0.4551851851851848),
+            (0, 32, 0.5092682926829266),
+            (0, 20, 0.574193548387097),
+            (4, 60, -0.5999999999999998),
+            (0, 24, 0.42666666666666686),
+            (0, 30, 0.6411764705882352),
+            (3, 64, -0.33642857142857163),
+            (0, 22, 0.36695652173913035),
+            (4, 55, -0.5499999999999999),
+            (6, 62, 0.3015686274509807),
+            (0, 62, -0.2999999999999996),
+            (0, 25, 0.39285714285714285),
+            (0, 21, 0.31272727272727247),
+            (0, 66, -0.2926530612244899),
+            (6, 63, 0.3018181818181816),
+            (2, 52, 0.2558620689655176),
+            (0, 54, 0.2524528301886797),
+            (0, 63, -0.2411111111111114),
+            (6, 61, 0.2233333333333334),
+            (10, 67, -0.2906896551724138),
+            (11, 70, -0.557142857142857),
+            (0, 51, 0.19588235294117662),
+            (0, 50, 0.2826086956521739),
+            (0, 41, -0.19723404255319152),
+            (0, 68, -0.20499999999999993),
+            (0, 53, 0.17370370370370367),
+            (0, 55, 0.36666666666666675),
+            (6, 64, 0.16357142857142862),
+        ]
+
+    def test_iglb_patch_sequence(self):
+        p, y, groups = pinned_split(2000, 11)
+        vp, vy, vgroups = pinned_split(1000, 12)
+        model = fit_iglb(p, y, vp, vy, groups, vgroups, BinGrid(100), epsilon=0.05)
+        assert model.converged
+        assert model.stop_reason == "mass_threshold"
+        got = [
+            (patch["group"], patch["bin"], patch["side"], patch["alpha"], patch["beta"])
+            for patch in model.patches
+        ]
+        assert got == [
+            (0, 35, 'le', 3.6797685294296665, 2.4546946554680367),
+            (0, 55, 'ge', -1.1195237360778856, 1.7990717381350654),
+            (6, 48, 'le', 2.247759571992276, 2.446138657585475),
+            (0, 41, 'le', -1.7043469505332998, -0.1570626175644614),
+            (2, 1, 'ge', 1.1598107991960855, -0.7041151145411828),
+        ]
+        skips = model.skipped_regions
+        assert len(skips) == 201
+        assert sum(s["iteration"] == 1 for s in skips) == 102
+        assert sum(s["iteration"] == 3 for s in skips) == 99
+        assert all(s["group"] == 4 for s in skips)
+        assert skips[:2] == [
+            {"iteration": 1, "group": 4, "bin": 1, "side": "ge"},
+            {"iteration": 1, "group": 4, "bin": 2, "side": "ge"},
+        ]
+        assert skips[-1] == {"iteration": 3, "group": 4, "bin": 38, "side": "le"}
+        digest = hashlib.sha256(json.dumps(skips, sort_keys=True).encode()).hexdigest()
+        assert digest == "43e71eadebb4951976af21bc7ea0c2781a1a1334c509415de658ec5f0bedfda0"
 
 
 class TestSerialization:
