@@ -19,7 +19,8 @@ __all__ = [
     "assign_bins",
     "round_to_grid",
     "round_to_grid_index",
-    "one_sided_indices",
+    "member_pairs",
+    "cell_sums",
 ]
 
 
@@ -37,12 +38,6 @@ class BinGrid:
     def values(self) -> np.ndarray:
         """Grid values ``i/m`` for ``i = 1..m``."""
         return np.arange(1, self.m + 1) / self.m
-
-    def value(self, index: int) -> float:
-        """Grid value for a 1-based index."""
-        if not 1 <= index <= self.m:
-            raise DataError(f"grid index {index} outside 1..{self.m}")
-        return index / self.m
 
 
 def _check_unit_range(p: np.ndarray) -> None:
@@ -83,27 +78,43 @@ def round_to_grid_index(scores, grid: BinGrid) -> np.ndarray:
     return np.clip(idx, 1, grid.m)
 
 
-def round_to_grid(scores, grid: BinGrid):
-    """Nearest grid value per score, ties rounding up."""
-    idx = round_to_grid_index(scores, grid)
-    out = idx / grid.m
-    if np.isscalar(scores) or np.asarray(scores).ndim == 0:
+def _match_scalar(template, out):
+    """``out`` as a Python float when ``template`` is a scalar, else unchanged."""
+    if np.isscalar(template) or np.asarray(template).ndim == 0:
         return float(out[()] if out.ndim == 0 else out)
     return out
 
 
-def one_sided_indices(scores, grid: BinGrid, bin_index: int, side: str) -> np.ndarray:
-    """Indices of scores at or below (``"le"``) / at or above (``"ge"``) ``bin_index/m``.
+def round_to_grid(scores, grid: BinGrid):
+    """Nearest grid value per score, ties rounding up."""
+    idx = round_to_grid_index(scores, grid)
+    return _match_scalar(scores, idx / grid.m)
 
-    Both comparisons are closed, so the two sides overlap on the boundary
-    value itself.
+
+def member_pairs(membership) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(k, group, row)`` for the nonzero entries of an ``(n, k)`` membership matrix.
+
+    Pairs are group-major and rows ascend within each group, so sums
+    built from them add every group's members in row order.
     """
-    if not 1 <= bin_index <= grid.m:
-        raise DataError(f"bin index {bin_index} outside 1..{grid.m}")
-    if side not in ("le", "ge"):
-        raise DataError(f"side must be 'le' or 'ge', got {side!r}")
-    p = np.asarray(scores, dtype=float)
-    _check_unit_range(p)
-    threshold = grid.value(bin_index)
-    mask = p <= threshold if side == "le" else p >= threshold
-    return np.flatnonzero(mask)
+    g = np.asarray(membership)
+    group, row = np.nonzero(g.T)
+    return g.shape[1], group, row
+
+
+def cell_sums(cells, m: int, pairs, *weights) -> tuple[np.ndarray, ...]:
+    """Per-(group, cell) member counts, then one sum per per-row weight, each ``(k, m)``.
+
+    ``cells`` are 1-based; ``pairs`` comes from :func:`member_pairs`, and
+    ``None`` stands for one group holding every row.
+    """
+    cells = np.asarray(cells)
+    if pairs is None:
+        k, flat, rows = 1, cells - 1, slice(None)
+    else:
+        k, group, rows = pairs
+        flat = group * m + cells[rows] - 1
+    tables = [np.bincount(flat, minlength=k * m)]
+    for w in weights:
+        tables.append(np.bincount(flat, weights=np.asarray(w, dtype=float)[rows], minlength=k * m))
+    return tuple(table.reshape(k, m) for table in tables)

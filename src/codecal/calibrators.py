@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import BinGrid, round_to_grid_index
-from .errors import DataError, FitError
+from .binning import BinGrid, _match_scalar, cell_sums, member_pairs, round_to_grid_index
+from .errors import DataError, FitError, schema_fields
 from .groups import GroupSet
 
 __all__ = [
@@ -64,9 +64,7 @@ def sigmoid(z):
     out[pos] = 1.0 / (1.0 + np.exp(-z_arr[pos]))
     ez = np.exp(z_arr[np.logical_not(pos)])
     out[np.logical_not(pos)] = ez / (1.0 + ez)
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return float(out[()] if out.ndim == 0 else out)
-    return out
+    return _match_scalar(z, out)
 
 
 def clamped_logit(p):
@@ -77,10 +75,7 @@ def clamped_logit(p):
     """
     p_arr = np.asarray(p, dtype=float)
     q = np.clip(p_arr, LOGIT_CLAMP, 1.0 - LOGIT_CLAMP)
-    out = np.log(q) - np.log1p(-q)
-    if np.isscalar(p) or np.asarray(p).ndim == 0:
-        return float(out[()] if out.ndim == 0 else out)
-    return out
+    return _match_scalar(p, np.log(q) - np.log1p(-q))
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:
@@ -269,21 +264,28 @@ class IterativePatchModel:
         g = _check_membership(membership, p.size, len(self.group_names))
         cells = round_to_grid_index(p, grid)
         for patch in self.patches:
-            if self.method == "ighb":
-                members = g[:, patch["group"]] & (cells == patch["cell"])
-                if not members.any():
-                    continue
-                value = patch["cell"] / grid.m + patch["delta"]
-                value = min(max(value, 1.0 / grid.m), 1.0)
-                cells[members] = int(round_to_grid_index(value, grid)[()])
-            else:
-                side_ok = cells <= patch["bin"] if patch["side"] == "le" else cells >= patch["bin"]
-                members = g[:, patch["group"]] & side_ok
-                if not members.any():
-                    continue
-                z = patch["alpha"] + patch["beta"] * clamped_logit(cells[members] / grid.m)
-                cells[members] = round_to_grid_index(sigmoid(z), grid)
+            cells = _apply_patch(self.method, cells, g, patch, grid)
         return cells / grid.m
+
+
+def _region(cells: np.ndarray, g: np.ndarray, patch: dict) -> np.ndarray:
+    """Rows an iglb patch refits: its group's cells on one side of its bin."""
+    side = cells <= patch["bin"] if patch["side"] == "le" else cells >= patch["bin"]
+    return g[:, patch["group"]] & side
+
+
+def _apply_patch(method: str, cells: np.ndarray, g: np.ndarray, patch: dict, grid: BinGrid):
+    """Grid cells after one ighb or iglb patch; ``cells`` itself is left as it is."""
+    out = cells.copy()
+    if method == "ighb":
+        members = g[:, patch["group"]] & (cells == patch["cell"])
+        value = min(max(patch["cell"] / grid.m + patch["delta"], 1.0 / grid.m), 1.0)
+        out[members] = int(round_to_grid_index(value, grid)[()])
+    else:
+        members = _region(cells, g, patch)
+        z = patch["alpha"] + patch["beta"] * clamped_logit(cells[members] / grid.m)
+        out[members] = round_to_grid_index(sigmoid(z), grid)
+    return out
 
 
 def fit_platt(scores, labels) -> PlattModel:
@@ -367,19 +369,6 @@ def fit_gcur_logistic(scores, labels, groups: GroupSet) -> GcurModel:
     )
 
 
-def _cell_stats(cells: np.ndarray, y: np.ndarray, g: np.ndarray, m: int):
-    """Per (group, cell) member counts and residual sums against cell values."""
-    k = g.shape[1]
-    counts = np.zeros((k, m))
-    rsums = np.zeros((k, m))
-    residual = y - cells / m
-    for j in range(k):
-        sel = g[:, j]
-        counts[j] = np.bincount(cells[sel] - 1, minlength=m)
-        rsums[j] = np.bincount(cells[sel] - 1, weights=residual[sel], minlength=m)
-    return counts, rsums
-
-
 def fit_ighb(
     scores,
     labels,
@@ -407,13 +396,14 @@ def fit_ighb(
     if not kept:
         raise FitError("every group is empty, nothing to fit")
     g = membership_matrix(groups, kept).astype(bool)
+    pairs = member_pairs(g)
     n = p.size
     cells = round_to_grid_index(p, grid)
     patches: list[dict] = []
     converged = False
     reason = "max_iters"
     for _ in range(max_iters):
-        counts, rsums = _cell_stats(cells, y, g, grid.m)
+        counts, rsums = cell_sums(cells, grid.m, pairs, y - cells / grid.m)
         deltas = rsums / np.maximum(counts, 1.0)
         weights = counts / n * deltas * deltas
         if weights.sum(axis=1).max() <= alpha:
@@ -424,13 +414,9 @@ def fit_ighb(
         # group index and then the lowest cell index.
         flat = int(np.argmax(weights))
         j, cell0 = divmod(flat, grid.m)
-        cell = cell0 + 1
-        delta = float(deltas[j, cell0])
-        members = g[:, j] & (cells == cell)
-        value = cell / grid.m + delta
-        value = min(max(value, 1.0 / grid.m), 1.0)
-        cells[members] = int(round_to_grid_index(value, grid)[()])
-        patches.append({"group": j, "cell": cell, "delta": delta})
+        patch = {"group": j, "cell": cell0 + 1, "delta": float(deltas[j, cell0])}
+        cells = _apply_patch("ighb", cells, g, patch, grid)
+        patches.append(patch)
     return IterativePatchModel(
         method="ighb",
         grid_m=grid.m,
@@ -441,6 +427,25 @@ def fit_ighb(
         dropped_groups=dropped,
         alpha=alpha,
     )
+
+
+def _ranked_regions(counts, rsums, lsums, n: int):
+    """Flat indices ``(j * m + b - 1) * 2 + side`` of the one-sided regions, heaviest first.
+
+    Also returns each region's count and whether it holds one label class.
+    The stable sort breaks weight ties by group, then bin, then "le" first.
+    """
+
+    def both_sides(table):
+        le = np.cumsum(table, axis=1)
+        ge = np.cumsum(table[:, ::-1], axis=1)[:, ::-1]
+        return np.stack([le, ge], axis=2).ravel()
+
+    cnt, rsum, lsum = both_sides(counts), both_sides(rsums), both_sides(lsums)
+    delta = rsum / np.maximum(cnt, 1)
+    weight = cnt / n * delta * delta
+    single = (lsum == 0.0) | (lsum == cnt)
+    return np.argsort(-weight, kind="stable"), cnt, single
 
 
 def fit_iglb(
@@ -480,8 +485,8 @@ def fit_iglb(
         raise FitError("every group is empty on the training split, nothing to fit")
     gt = membership_matrix(train_groups, kept).astype(bool)
     gv = membership_matrix(val_groups, kept).astype(bool)
+    pairs = member_pairs(gt)
     n = tp.size
-    k = len(kept)
     tcells = round_to_grid_index(tp, grid)
     vcells = round_to_grid_index(vp, grid)
 
@@ -494,73 +499,38 @@ def fit_iglb(
     converged = False
     reason = "max_iters"
     for iteration in range(max_iters):
-        counts, rsums = _cell_stats(tcells, ty, gt, grid.m)
-        lsums = np.zeros((k, grid.m))
-        for j in range(k):
-            sel = gt[:, j]
-            lsums[j] = np.bincount(tcells[sel] - 1, weights=ty[sel], minlength=grid.m)
-        candidates = []
-        for j in range(k):
-            c_le = np.cumsum(counts[j])
-            r_le = np.cumsum(rsums[j])
-            l_le = np.cumsum(lsums[j])
-            c_ge = np.cumsum(counts[j][::-1])[::-1]
-            r_ge = np.cumsum(rsums[j][::-1])[::-1]
-            l_ge = np.cumsum(lsums[j][::-1])[::-1]
-            for m0 in range(grid.m):
-                for side, c, r, lbl in (("le", c_le, r_le, l_le), ("ge", c_ge, r_ge, l_ge)):
-                    cnt = c[m0]
-                    if cnt == 0:
-                        weight = 0.0
-                        single = True
-                    else:
-                        delta = r[m0] / cnt
-                        weight = cnt / n * delta * delta
-                        single = lbl[m0] == 0.0 or lbl[m0] == cnt
-                    candidates.append((weight, j, m0 + 1, side, cnt, single))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2], 0 if c[3] == "le" else 1))
-        chosen = None
-        stop = None
-        for weight, j, m, side, cnt, single in candidates:
-            if cnt / n < epsilon:
+        sums = cell_sums(tcells, grid.m, pairs, ty - tcells / grid.m, ty)
+        order, counts, single = _ranked_regions(*sums, n)
+        patch = None
+        stop = "all_regions_skipped"
+        for flat in order.tolist():
+            if counts[flat] / n < epsilon:
                 stop = "mass_threshold"
                 break
-            if single:
-                skips.append({"iteration": iteration, "group": j, "bin": m, "side": side})
-                continue
-            chosen = (j, m, side)
-            break
-        if stop is not None:
+            j, rest = divmod(flat, 2 * grid.m)
+            m0, side = divmod(rest, 2)
+            region = {"group": j, "bin": m0 + 1, "side": ("le", "ge")[side]}
+            if not single[flat]:
+                patch = region
+                break
+            skips.append({"iteration": iteration, **region})
+        if patch is None:
             converged = True
             reason = stop
             break
-        if chosen is None:
-            converged = True
-            reason = "all_regions_skipped"
-            break
-        j, m, side = chosen
-        t_members = gt[:, j] & (tcells <= m if side == "le" else tcells >= m)
+        t_members = _region(tcells, gt, patch)
         x = clamped_logit(tcells[t_members] / grid.m)
         w, _ = _newton_fit(np.column_stack([np.ones_like(x), x]), ty[t_members], loss=ls_loss)
-        a, b = float(w[0]), float(w[1])
-        new_tcells = tcells.copy()
-        new_tcells[t_members] = round_to_grid_index(
-            sigmoid(a + b * clamped_logit(tcells[t_members] / grid.m)), grid
-        )
-        v_members = gv[:, j] & (vcells <= m if side == "le" else vcells >= m)
-        new_vcells = vcells.copy()
-        if v_members.any():
-            new_vcells[v_members] = round_to_grid_index(
-                sigmoid(a + b * clamped_logit(vcells[v_members] / grid.m)), grid
-            )
+        patch.update(alpha=float(w[0]), beta=float(w[1]))
+        new_vcells = _apply_patch("iglb", vcells, gv, patch, grid)
         candidate_brier = val_brier(new_vcells)
         if candidate_brier >= history[-1]:
             converged = True
             reason = "val_brier"
             break
-        tcells = new_tcells
+        tcells = _apply_patch("iglb", tcells, gt, patch, grid)
         vcells = new_vcells
-        patches.append({"group": j, "bin": m, "side": side, "alpha": a, "beta": b})
+        patches.append(patch)
         history.append(candidate_brier)
     return IterativePatchModel(
         method="iglb",
@@ -625,49 +595,50 @@ def model_to_json(model) -> str:
 
 def model_from_json(text: str):
     """Rebuild a calibrator from :func:`model_to_json` output."""
-    payload = json.loads(text)
-    if payload.get("schema_version") != 1:
-        raise DataError(f"unsupported model schema version {payload.get('schema_version')!r}")
-    method = payload.get("method")
-    params = payload.get("params", {})
-    if method == "platt":
-        return PlattModel(
-            a=params["a"], b=params["b"], convergence=payload.get("convergence", {})
-        )
-    if method == "histogram":
-        return HistogramBinningModel(grid_m=payload["grid_m"], deltas=list(params["deltas"]))
-    if method == "gcur_linear":
-        return GcurModel(
-            variant="linear",
-            group_names=list(payload["group_names"]),
-            lambdas=list(params["lambdas"]),
-            dropped_groups=list(payload.get("dropped_groups", [])),
-            dependent_columns=list(params.get("dependent_columns", [])),
-        )
-    if method == "gcur_logistic":
-        return GcurModel(
-            variant="logistic",
-            group_names=list(payload["group_names"]),
-            intercept=params["intercept"],
-            score_coef=params["score_coef"],
-            group_coefs=list(params["group_coefs"]),
-            dropped_groups=list(payload.get("dropped_groups", [])),
-            convergence=payload.get("convergence", {}),
-        )
-    if method in ("ighb", "iglb"):
-        conv = payload.get("convergence", {})
-        return IterativePatchModel(
-            method=method,
-            grid_m=payload["grid_m"],
-            group_names=list(payload["group_names"]),
-            patches=list(params["patches"]),
-            converged=bool(conv.get("converged", False)),
-            stop_reason=conv.get("stop_reason", ""),
-            dropped_groups=list(payload.get("dropped_groups", [])),
-            alpha=params.get("alpha"),
-            epsilon=params.get("epsilon"),
-            ls_loss=params.get("ls_loss"),
-            val_brier_history=list(params.get("val_brier_history", [])),
-            skipped_regions=list(params.get("skipped_regions", [])),
-        )
-    raise DataError(f"unknown model method {method!r}")
+    with schema_fields("model"):
+        payload = json.loads(text)
+        if payload.get("schema_version") != 1:
+            raise DataError(f"unsupported model schema version {payload.get('schema_version')!r}")
+        method = payload.get("method")
+        params = payload.get("params", {})
+        if method == "platt":
+            return PlattModel(
+                a=params["a"], b=params["b"], convergence=payload.get("convergence", {})
+            )
+        if method == "histogram":
+            return HistogramBinningModel(grid_m=payload["grid_m"], deltas=list(params["deltas"]))
+        if method == "gcur_linear":
+            return GcurModel(
+                variant="linear",
+                group_names=list(payload["group_names"]),
+                lambdas=list(params["lambdas"]),
+                dropped_groups=list(payload.get("dropped_groups", [])),
+                dependent_columns=list(params.get("dependent_columns", [])),
+            )
+        if method == "gcur_logistic":
+            return GcurModel(
+                variant="logistic",
+                group_names=list(payload["group_names"]),
+                intercept=params["intercept"],
+                score_coef=params["score_coef"],
+                group_coefs=list(params["group_coefs"]),
+                dropped_groups=list(payload.get("dropped_groups", [])),
+                convergence=payload.get("convergence", {}),
+            )
+        if method in ("ighb", "iglb"):
+            conv = payload.get("convergence", {})
+            return IterativePatchModel(
+                method=method,
+                grid_m=payload["grid_m"],
+                group_names=list(payload["group_names"]),
+                patches=list(params["patches"]),
+                converged=bool(conv.get("converged", False)),
+                stop_reason=conv.get("stop_reason", ""),
+                dropped_groups=list(payload.get("dropped_groups", [])),
+                alpha=params.get("alpha"),
+                epsilon=params.get("epsilon"),
+                ls_loss=params.get("ls_loss"),
+                val_brier_history=list(params.get("val_brier_history", [])),
+                skipped_regions=list(params.get("skipped_regions", [])),
+            )
+        raise DataError(f"unknown model method {method!r}")

@@ -29,7 +29,7 @@ from .calibrators import (
     model_to_json,
 )
 from .data import Dataset, SplitSpec, assign_problem_splits, parse_record
-from .errors import ConvertError, DataError, RecordError
+from .errors import ConvertError, DataError, RecordError, schema_fields
 from .groups import GroupingConfig, GroupingModel
 from .metrics import NEG_INF, EvalReport, evaluate
 from .scoring import METHOD_NAMES as SCORE_METHODS
@@ -466,13 +466,16 @@ def report(report_path, output_dir) -> None:
     with open(report_path, "r", encoding="utf-8") as fh:
         parsed = EvalReport.from_json(fh.read())
     stem = Path(report_path).stem
+    with schema_fields("report"):
+        reliability = reliability_chart(parsed, title=f"{stem}: accuracy per confidence bin")
+        groups = group_chart(parsed, title=f"{stem}: group confidence vs accuracy")
     os.makedirs(output_dir, exist_ok=True)
     rel_path = os.path.join(output_dir, f"{stem}_reliability.svg")
     with open(rel_path, "w", encoding="utf-8") as fh:
-        fh.write(reliability_chart(parsed, title=f"{stem}: accuracy per confidence bin"))
+        fh.write(reliability)
     grp_path = os.path.join(output_dir, f"{stem}_groups.svg")
     with open(grp_path, "w", encoding="utf-8") as fh:
-        fh.write(group_chart(parsed, title=f"{stem}: group confidence vs accuracy"))
+        fh.write(groups)
     click.echo(f"wrote {rel_path} and {grp_path}", err=True)
 
 

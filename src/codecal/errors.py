@@ -5,6 +5,8 @@ Grouping errors under two roots keeps the CLI exit-status mapping simple:
 while IO problems surface as the usual ``OSError`` family.
 """
 
+from contextlib import contextmanager
+
 
 class CodecalError(Exception):
     """Base class for all errors raised by this package."""
@@ -50,3 +52,14 @@ class FitError(DataError):
 
 class ConvertError(DataError):
     """A source dataset layout could not be mapped to the record schema."""
+
+
+@contextmanager
+def schema_fields(what: str):
+    """Raise ``DataError`` for invalid JSON or a missing or mistyped field of a ``what``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataError(f"{what} is missing field {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"malformed {what}: {exc}") from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, DegenerateGroupError, RecordError
+from .errors import DataError, DegenerateGroupError, RecordError, schema_fields
 
 __all__ = [
     "GroupSet",
@@ -366,21 +366,22 @@ class GroupingModel:
 
     @classmethod
     def from_json(cls, text: str) -> "GroupingModel":
-        payload = json.loads(text)
-        if payload.get("schema_version") != 1:
-            raise DataError(f"unsupported grouping schema version {payload.get('schema_version')!r}")
-        cfg = payload["config"]
-        return cls(
-            config=GroupingConfig(
-                use_language=cfg["use_language"],
-                length_metrics=tuple(cfg["length_metrics"]),
-                length_quantiles=tuple(cfg["length_quantiles"]),
-                complexity_source=cfg["complexity_source"],
-                complexity_quantiles=tuple(cfg["complexity_quantiles"]),
-                always_on=cfg["always_on"],
-            ),
-            languages=list(payload["languages"]),
-            length_cutpoints={k: list(v) for k, v in payload["length_cutpoints"].items()},
-            difficulty_labels=list(payload["difficulty_labels"]),
-            complexity_cutpoints=list(payload["complexity_cutpoints"]),
-        )
+        with schema_fields("grouping"):
+            payload = json.loads(text)
+            if payload.get("schema_version") != 1:
+                raise DataError(f"unsupported grouping schema version {payload.get('schema_version')!r}")
+            cfg = payload["config"]
+            return cls(
+                config=GroupingConfig(
+                    use_language=cfg["use_language"],
+                    length_metrics=tuple(cfg["length_metrics"]),
+                    length_quantiles=tuple(cfg["length_quantiles"]),
+                    complexity_source=cfg["complexity_source"],
+                    complexity_quantiles=tuple(cfg["complexity_quantiles"]),
+                    always_on=cfg["always_on"],
+                ),
+                languages=list(payload["languages"]),
+                length_cutpoints={k: list(v) for k, v in payload["length_cutpoints"].items()},
+                difficulty_labels=list(payload["difficulty_labels"]),
+                complexity_cutpoints=list(payload["complexity_cutpoints"]),
+            )

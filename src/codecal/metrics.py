@@ -2,7 +2,9 @@
 
 All metrics take parallel arrays of confidence scores in [0, 1] and
 binary outcome labels.  Binned quantities use the uniform grid from
-:mod:`codecal.binning`; empty bins contribute nothing.
+:mod:`codecal.binning`; empty bins contribute nothing.  The binned
+metrics read per-(group, bin) counts, residual sums ``sum(y - p)`` and
+label sums from :func:`binning.cell_sums`, one call for all groups.
 """
 
 import json
@@ -10,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import BinGrid, assign_bins
-from .errors import DataError, DegenerateGroupError
+from .binning import BinGrid, assign_bins, cell_sums, member_pairs
+from .errors import DataError, DegenerateGroupError, schema_fields
 from .groups import GroupSet
 
 __all__ = [
@@ -61,16 +63,9 @@ def ece(scores, labels, grid: BinGrid) -> float:
     Empty bins contribute 0.
     """
     p, y = _as_scores_labels(scores, labels)
-    bins = assign_bins(p, grid)
-    total = 0.0
-    for b in range(1, grid.m + 1):
-        mask = bins == b
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        gap = abs(float(y[mask].mean()) - float(p[mask].mean()))
-        total += count / p.size * gap
-    return total
+    # |B_b|/n * |acc - conf| is |sum of the residuals in b| / n.
+    _, rsums = cell_sums(assign_bins(p, grid), grid.m, None, y - p)
+    return float(np.sum(np.abs(rsums)) / p.size)
 
 
 def brier(scores, labels) -> float:
@@ -134,19 +129,17 @@ def gasce(scores, labels, member_mask, grid: BinGrid) -> float:
     g = np.asarray(member_mask).astype(bool)
     if g.shape != p.shape:
         raise DataError("member mask must parallel the scores")
-    n_g = int(g.sum())
-    if n_g == 0:
+    if not g.any():
         raise DegenerateGroupError("gasce of an empty group is undefined")
-    bins = assign_bins(p, grid)
-    total = 0.0
-    for b in range(1, grid.m + 1):
-        mask = g & (bins == b)
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        delta = float(np.mean(y[mask] - p[mask]))
-        total += count / n_g * delta * delta
-    return total
+    sums = cell_sums(assign_bins(p[g], grid), grid.m, None, y[g] - p[g])
+    return float(_gasce(*sums)[0])
+
+
+def _gasce(counts, rsums) -> np.ndarray:
+    """gASCE per row of ``(k, m)`` cell sums; rows without members give 0."""
+    delta = rsums / np.maximum(counts, 1)
+    share = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+    return np.sum(share * delta * delta, axis=1)
 
 
 def multicalibration_check(
@@ -162,15 +155,15 @@ def multicalibration_check(
         raise DataError("group set covers a different number of samples")
     if not alpha > 0.0:
         raise DataError(f"alpha must be positive, got {alpha}")
+    pairs = member_pairs(groups.membership)
+    counts, rsums = cell_sums(assign_bins(p, grid), grid.m, pairs, y - p)
     result: dict[str, dict] = {}
-    for name in groups.names:
-        mask = groups.column(name).astype(bool)
-        mass = float(mask.mean())
-        if mass == 0.0:
+    for name, count, err in zip(groups.names, counts.sum(axis=1), _gasce(counts, rsums)):
+        if count == 0:
             result[name] = {"pass": True, "vacuous": True, "mass": 0.0, "weighted_gasce": None}
             continue
-        err = gasce(p, y, mask, grid)
-        weighted = mass * err
+        mass = float(count / p.size)
+        weighted = float(mass * err)
         result[name] = {
             "pass": bool(weighted < alpha),
             "vacuous": False,
@@ -183,15 +176,13 @@ def multicalibration_check(
 def reliability_table(scores, labels, grid: BinGrid) -> list[tuple[int, int, float, float]]:
     """Rows ``(bin, count, conf, acc)`` for every occupied bin, ascending."""
     p, y = _as_scores_labels(scores, labels)
-    bins = assign_bins(p, grid)
-    rows = []
-    for b in range(1, grid.m + 1):
-        mask = bins == b
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        rows.append((b, count, float(p[mask].mean()), float(y[mask].mean())))
-    return rows
+    sums = cell_sums(assign_bins(p, grid), grid.m, None, y - p, y)
+    counts, rsums, ysums = (table[0].tolist() for table in sums)
+    return [
+        (b, c, (sy - sr) / c, sy / c)
+        for b, c, sr, sy in zip(range(1, grid.m + 1), counts, rsums, ysums)
+        if c
+    ]
 
 
 @dataclass
@@ -231,26 +222,31 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":
-        if payload.get("schema_version") != 1:
-            raise DataError(f"unsupported report schema version {payload.get('schema_version')!r}")
-        bss = payload["bss"]
-        return cls(
-            n_samples=payload["n_samples"],
-            grid_m=payload["grid_m"],
-            ece=payload["ece"],
-            brier=payload["brier"],
-            brier_ref=payload["brier_ref"],
-            bss=NEG_INF if bss == "-inf" else float(bss),
-            accuracy=payload["accuracy"],
-            base_rate=payload["base_rate"],
-            per_group_gasce=dict(payload["per_group_gasce"]),
-            group_summary=dict(payload["group_summary"]),
-            reliability=[tuple(row) for row in payload["reliability"]],
-        )
+        with schema_fields("report"):
+            if payload.get("schema_version") != 1:
+                raise DataError(f"unsupported report schema version {payload.get('schema_version')!r}")
+            reliability = [tuple(row) for row in payload["reliability"]]
+            if any(len(row) != 4 for row in reliability):
+                raise DataError("report reliability rows must be [bin, count, conf, acc]")
+            bss = payload["bss"]
+            return cls(
+                n_samples=payload["n_samples"],
+                grid_m=payload["grid_m"],
+                ece=payload["ece"],
+                brier=payload["brier"],
+                brier_ref=payload["brier_ref"],
+                bss=NEG_INF if bss == "-inf" else float(bss),
+                accuracy=payload["accuracy"],
+                base_rate=payload["base_rate"],
+                per_group_gasce=dict(payload["per_group_gasce"]),
+                group_summary=dict(payload["group_summary"]),
+                reliability=reliability,
+            )
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        return cls.from_dict(json.loads(text))
+        with schema_fields("report"):
+            return cls.from_dict(json.loads(text))
 
 
 def evaluate(scores, labels, grid: BinGrid, groups: GroupSet | None = None) -> EvalReport:
@@ -265,17 +261,18 @@ def evaluate(scores, labels, grid: BinGrid, groups: GroupSet | None = None) -> E
     if groups is not None:
         if groups.n_samples != p.size:
             raise DataError("group set covers a different number of samples")
-        for name in groups.names:
-            mask = groups.column(name).astype(bool)
-            count = int(mask.sum())
+        pairs = member_pairs(groups.membership)
+        counts, rsums, ysums = cell_sums(assign_bins(p, grid), grid.m, pairs, y - p, y)
+        totals = zip(counts.sum(axis=1).tolist(), rsums.sum(axis=1), ysums.sum(axis=1))
+        for name, (count, rsum, ysum), err in zip(groups.names, totals, _gasce(counts, rsums)):
             if count == 0:
                 summary[name] = {"count": 0, "mean_conf": None, "accuracy": None, "degenerate": True}
                 continue
-            per_group[name] = gasce(p, y, mask, grid)
+            per_group[name] = float(err)
             summary[name] = {
                 "count": count,
-                "mean_conf": float(p[mask].mean()),
-                "accuracy": float(y[mask].mean()),
+                "mean_conf": float((ysum - rsum) / count),
+                "accuracy": float(ysum / count),
                 "degenerate": False,
             }
     return EvalReport(

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from codecal.binning import (
     BinGrid,
     assign_bin,
     assign_bins,
-    one_sided_indices,
+    cell_sums,
+    member_pairs,
     round_to_grid,
     round_to_grid_index,
 )
@@ -101,38 +103,56 @@ class TestRoundToGrid:
         np.testing.assert_allclose(idx / grid.m, round_to_grid(scores, grid))
 
 
-class TestOneSided:
-    def test_closed_on_both_sides(self):
-        grid = BinGrid(10)
-        scores = [0.1, 0.5, 0.5, 0.9]
-        le = one_sided_indices(scores, grid, 5, "le")
-        ge = one_sided_indices(scores, grid, 5, "ge")
-        np.testing.assert_array_equal(le, [0, 1, 2])
-        np.testing.assert_array_equal(ge, [1, 2, 3])
+def per_group_bincount(membership, cells, m, weights):
+    """Reference: one bincount per group over that group's rows, in row order."""
+    k = membership.shape[1]
+    counts = np.zeros((k, m), dtype=np.int64)
+    sums = [np.zeros((k, m)) for _ in weights]
+    for j in range(k):
+        sel = membership[:, j].astype(bool)
+        counts[j] = np.bincount(cells[sel] - 1, minlength=m)
+        for table, w in zip(sums, weights):
+            table[j] = np.bincount(cells[sel] - 1, weights=w[sel], minlength=m)
+    return counts, sums
 
-    def test_extremes_cover_everything(self):
-        grid = BinGrid(10)
-        scores = np.linspace(0.05, 1.0, 20)
-        assert len(one_sided_indices(scores, grid, 10, "le")) == 20
-        # The grid has no zero point, so the lowest ge region starts at 1/m
-        # and 0.05 falls outside it.
-        assert len(one_sided_indices(scores, grid, 1, "ge")) == 19
-        assert len(one_sided_indices(np.linspace(0.1, 1.0, 19), grid, 1, "ge")) == 19
 
-    def test_nesting(self):
-        grid = BinGrid(10)
-        rng = np.random.default_rng(3)
-        scores = rng.random(50)
-        prev: set = set()
-        for m in range(1, 11):
-            current = set(one_sided_indices(scores, grid, m, "le").tolist())
-            assert prev <= current
-            prev = current
+@st.composite
+def memberships(draw):
+    """Random (n, k) memberships with some groups forced empty, cells and two weights."""
+    n = draw(st.integers(0, 40))
+    k = draw(st.integers(0, 6))
+    m = draw(st.integers(2, 12))
+    membership = draw(arrays(np.int8, (n, k), elements=st.integers(0, 1)))
+    membership[:, draw(arrays(np.bool_, k))] = 0
+    cells = draw(arrays(np.int64, n, elements=st.integers(1, m)))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    weights = [draw(arrays(np.float64, n, elements=finite)) for _ in range(2)]
+    return membership, cells, m, weights
 
-    def test_bad_side(self):
-        with pytest.raises(DataError):
-            one_sided_indices([0.5], BinGrid(10), 5, "above")
 
-    def test_bad_bin(self):
-        with pytest.raises(DataError):
-            one_sided_indices([0.5], BinGrid(10), 0, "le")
+class TestCellSums:
+    @given(memberships())
+    def test_matches_per_group_bincount(self, case):
+        membership, cells, m, weights = case
+        counts, *sums = cell_sums(cells, m, member_pairs(membership), *weights)
+        ref_counts, ref_sums = per_group_bincount(membership, cells, m, weights)
+        assert counts.shape == (membership.shape[1], m)
+        assert np.array_equal(counts, ref_counts)
+        for got, want in zip(sums, ref_sums):
+            assert np.array_equal(got, want)
+
+    @given(memberships())
+    def test_no_pairs_is_one_group_of_all_rows(self, case):
+        _, cells, m, weights = case
+        everyone = np.ones((cells.size, 1), dtype=np.int8)
+        got = cell_sums(cells, m, None, *weights)
+        want = cell_sums(cells, m, member_pairs(everyone), *weights)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_pairs_are_group_major(self):
+        membership = np.array([[1, 1], [0, 1], [1, 0]])
+        k, group, row = member_pairs(membership)
+        assert k == 2
+        assert group.tolist() == [0, 0, 1, 1]
+        assert row.tolist() == [0, 2, 0, 1]

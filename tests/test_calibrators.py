@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from codecal.binning import BinGrid, round_to_grid_index
 from codecal.calibrators import (
+    _ranked_regions,
     GcurModel,
     HistogramBinningModel,
     IterativePatchModel,
@@ -344,6 +347,77 @@ class TestIglb:
             fit_iglb(p, y, p, y, groups, groups, BinGrid(10), epsilon=1.5)
 
 
+def tuple_sorted_regions(counts, rsums, lsums, n):
+    """Reference region ranking: every (group, bin, side) as a tuple, sorted.
+
+    Sort key is weight descending, then group, then bin, then "le"
+    before "ge"; rows are ``(group, bin, side, count, single_class)``.
+    """
+    k, m = counts.shape
+    candidates = []
+    for j in range(k):
+        c_le = np.cumsum(counts[j])
+        r_le = np.cumsum(rsums[j])
+        l_le = np.cumsum(lsums[j])
+        c_ge = np.cumsum(counts[j][::-1])[::-1]
+        r_ge = np.cumsum(rsums[j][::-1])[::-1]
+        l_ge = np.cumsum(lsums[j][::-1])[::-1]
+        for m0 in range(m):
+            for side, c, r, lbl in (("le", c_le, r_le, l_le), ("ge", c_ge, r_ge, l_ge)):
+                cnt = c[m0]
+                if cnt == 0:
+                    weight = 0.0
+                    single = True
+                else:
+                    delta = r[m0] / cnt
+                    weight = cnt / n * delta * delta
+                    single = lbl[m0] == 0.0 or lbl[m0] == cnt
+                candidates.append((weight, j, m0 + 1, side, cnt, single))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2], 0 if c[3] == "le" else 1))
+    return [(j, b, side, cnt, bool(single)) for _, j, b, side, cnt, single in candidates]
+
+
+@st.composite
+def cell_tables(draw):
+    """Per-(group, cell) counts, residual sums and label sums with forced ties.
+
+    Some cells and groups are empty, a group may sit in a single cell
+    (equal weights along both sides), and some groups copy another.
+    """
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 8))
+    counts = draw(arrays(np.int64, (k, m), elements=st.integers(0, 6)))
+    counts[draw(arrays(np.bool_, (k, m)))] = 0
+    for j in range(k):
+        if draw(st.booleans()):
+            only = draw(st.integers(0, m - 1))
+            counts[j, np.arange(m) != only] = 0
+    fraction = draw(arrays(np.float64, (k, m), elements=st.sampled_from([0.0, 0.5, 1.0])))
+    lsums = np.floor(counts * fraction)
+    rsums = lsums - counts * (np.arange(1, m + 1) / m)
+    for j in range(1, k):
+        if draw(st.booleans()):
+            source = draw(st.integers(0, j - 1))
+            for table in (counts, rsums, lsums):
+                table[j] = table[source]
+    n = int(counts.sum(axis=1).max()) + draw(st.integers(1, 5))
+    return counts, rsums, lsums, n
+
+
+class TestRankedRegions:
+    @given(cell_tables())
+    def test_matches_tuple_sort(self, tables):
+        counts, rsums, lsums, n = tables
+        order, cnt, single = _ranked_regions(counts, rsums, lsums, n)
+        m = counts.shape[1]
+        got = []
+        for flat in order.tolist():
+            j, rest = divmod(flat, 2 * m)
+            m0, side = divmod(rest, 2)
+            got.append((j, m0 + 1, ("le", "ge")[side], cnt[flat], bool(single[flat])))
+        assert got == tuple_sorted_regions(counts.astype(float), rsums, lsums, n)
+
+
 # (accuracy, lowest score) of eight planted blocks, each 0.05 wide.  Block
 # b3 is never correct, so every region of its group holds one label class.
 PINNED_BLOCKS = (
@@ -497,3 +571,19 @@ class TestSerialization:
     def test_unknown_schema_rejected(self):
         with pytest.raises(DataError):
             model_from_json('{"schema_version": 2, "method": "platt", "params": {}}')
+
+    def test_missing_param_is_data_error(self):
+        payload = json.loads(model_to_json(PlattModel(a=1.0, b=0.0)))
+        del payload["params"]["a"]
+        with pytest.raises(DataError, match="missing field 'a'"):
+            model_from_json(json.dumps(payload))
+
+    def test_missing_grid_is_data_error(self):
+        payload = json.loads(model_to_json(HistogramBinningModel(grid_m=10, deltas=[0.0] * 10)))
+        del payload["grid_m"]
+        with pytest.raises(DataError, match="missing field 'grid_m'"):
+            model_from_json(json.dumps(payload))
+
+    def test_non_object_document_is_data_error(self):
+        with pytest.raises(DataError, match="malformed model"):
+            model_from_json("[1, 2]")

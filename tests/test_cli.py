@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from codecal.binning import BinGrid
 from codecal.cli import main
 from codecal.data import load_records, save_records
+from codecal.metrics import evaluate
 from codecal.scoring import load_scored
 from codecal.synthgen import Block, SynthSpec, generate
 
@@ -461,6 +463,47 @@ class TestReportCommand:
             ["report", "--report", str(tmp_path / "nope.json"), "--output-dir", str(tmp_path)]
         )
         assert result.exit_code == 3
+
+    def render_broken(self, tmp_path, text):
+        path = tmp_path / "broken.json"
+        path.write_text(text, encoding="utf-8")
+        return run(["report", "--report", str(path), "--output-dir", str(tmp_path / "charts")])
+
+    def valid_report(self):
+        return json.loads(evaluate([0.2, 0.7, 0.9], [0, 1, 1], BinGrid(10)).to_json())
+
+    def test_missing_reliability_is_data_error(self, tmp_path):
+        payload = self.valid_report()
+        del payload["reliability"]
+        result = self.render_broken(tmp_path, json.dumps(payload))
+        assert result.exit_code == 4
+        assert "error: report is missing field 'reliability'" in result.output
+
+    def test_malformed_json_is_data_error(self, tmp_path):
+        result = self.render_broken(tmp_path, '{"schema_version": 1, "ece": ')
+        assert result.exit_code == 4
+        assert "error: malformed report:" in result.output
+
+    def test_short_reliability_row_is_data_error(self, tmp_path):
+        payload = self.valid_report()
+        payload["reliability"][0] = payload["reliability"][0][:2]
+        result = self.render_broken(tmp_path, json.dumps(payload))
+        assert result.exit_code == 4
+        assert "error: report reliability rows must be [bin, count, conf, acc]" in result.output
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"grid_m": "x"},
+            {"group_summary": {"a": {}}},
+            {"reliability": [["a", "b", "c", "d"]]},
+        ],
+    )
+    def test_mistyped_values_are_data_errors(self, tmp_path, change):
+        result = self.render_broken(tmp_path, json.dumps({**self.valid_report(), **change}))
+        assert result.exit_code == 4
+        assert "error: " in result.output
+        assert not (tmp_path / "charts").exists()
 
 
 class TestConvertCommand:

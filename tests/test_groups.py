@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,13 @@ class TestGroupingModel:
         b = restored.apply(ds)
         assert a.names == b.names
         np.testing.assert_array_equal(a.membership, b.membership)
+
+    def test_missing_config_is_data_error(self):
+        model = GroupingModel.fit(self.make_ds(), GroupingConfig())
+        payload = json.loads(model.to_json())
+        del payload["config"]
+        with pytest.raises(DataError, match="missing field 'config'"):
+            GroupingModel.from_json(json.dumps(payload))
 
     def test_same_group_list_across_datasets(self):
         ds = self.make_ds()
