@@ -19,6 +19,7 @@ and every patch round-trips through the same rounding, so replaying a
 serialized model reproduces training outputs bit for bit.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ import numpy as np
 from .binning import BinGrid, _match_scalar, cell_sums, member_pairs, round_to_grid_index
 from .errors import DataError, FitError, schema_fields
 from .groups import GroupSet
+from .metrics import _as_scores_labels
 
 __all__ = [
     "LOGIT_CLAMP",
@@ -55,6 +57,8 @@ NEWTON_MAX_ITER = 100
 PATCH_MAX_ITERS = 1000
 DEFAULT_EPSILON = 0.05
 
+_check_scores_labels = functools.partial(_as_scores_labels, empty="need at least one sample to fit")
+
 
 def sigmoid(z):
     """Numerically stable logistic function."""
@@ -80,20 +84,6 @@ def clamped_logit(p):
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, LOGIT_CLAMP))
-
-
-def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if p.ndim != 1 or p.shape != y.shape:
-        raise DataError(f"scores and labels must be parallel 1-d arrays, got {p.shape} and {y.shape}")
-    if p.size == 0:
-        raise DataError("need at least one sample to fit")
-    if not np.all(np.isfinite(p)) or np.min(p) < 0.0 or np.max(p) > 1.0:
-        raise DataError("scores must lie in [0, 1]")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise DataError("labels must be 0 or 1")
-    return p, y
 
 
 def _newton_fit(X: np.ndarray, y: np.ndarray, loss: str) -> tuple[np.ndarray, dict]:
@@ -312,6 +302,27 @@ def fit_histogram_binning(scores, labels, grid: BinGrid) -> HistogramBinningMode
     return HistogramBinningModel(grid_m=grid.m, deltas=deltas.tolist())
 
 
+def _dependent_columns(cross: np.ndarray) -> list[int]:
+    """Indices of columns in the span of the columns before them, from ``G = g.T @ g``.
+
+    Symmetric elimination of ``G`` in column order yields the squared
+    diagonal of the R factor of ``g``; a pivot at or below 1e-10 of the
+    largest diagonal entry of ``G`` marks a dependent column, which is
+    then left out of the elimination.
+    """
+    a = np.array(cross, dtype=float)
+    tol = 1e-10 * a.diagonal().max()
+    dependent = []
+    for j in range(a.shape[0]):
+        pivot = a[j, j]
+        if pivot <= tol:
+            dependent.append(j)
+            continue
+        row = a[j, j + 1 :]
+        a[j + 1 :, j + 1 :] -= np.outer(row, row) / pivot
+    return dependent
+
+
 def fit_gcur_linear(scores, labels, groups: GroupSet) -> GcurModel:
     """One additive offset per group, least squares on the raw residuals.
 
@@ -327,13 +338,9 @@ def fit_gcur_linear(scores, labels, groups: GroupSet) -> GcurModel:
     if not kept:
         raise FitError("every group is empty, nothing to fit")
     g = membership_matrix(groups, kept).astype(float)
-    gram = g.T @ g + TIKHONOV * np.eye(len(kept))
-    lam = np.linalg.solve(gram, g.T @ (y - p))
-    dependent: list[str] = []
-    if len(kept) > 1:
-        diag = np.abs(np.diag(np.linalg.qr(g, mode="r")))
-        tol = diag.max() * 1e-10 if diag.size else 0.0
-        dependent = [name for name, d in zip(kept, diag) if d <= tol]
+    cross = g.T @ g
+    lam = np.linalg.solve(cross + TIKHONOV * np.eye(len(kept)), g.T @ (y - p))
+    dependent = [kept[j] for j in _dependent_columns(cross)]
     return GcurModel(
         variant="linear",
         group_names=kept,

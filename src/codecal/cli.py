@@ -13,7 +13,6 @@ import os
 from pathlib import Path
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from .binning import BinGrid
@@ -28,7 +27,7 @@ from .calibrators import (
     membership_matrix,
     model_to_json,
 )
-from .data import Dataset, SplitSpec, assign_problem_splits, parse_record
+from .data import SplitSpec, assign_problem_splits, atomic_outputs, parse_record
 from .errors import ConvertError, DataError, RecordError, schema_fields
 from .groups import GroupingConfig, GroupingModel
 from .metrics import NEG_INF, EvalReport, evaluate
@@ -183,10 +182,12 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     """Split records into train/val/test along problem boundaries.
 
     Lines pass through untouched, so already scored records keep their
-    extra fields.
+    extra fields.  The input is read twice, once for the problem ids and
+    once to copy its lines, and the three outputs replace their targets
+    only when every line is written.
     """
     spec = SplitSpec(train=train, val=val, test=test, seed=seed)
-    lines: list[tuple[str, str]] = []
+    problem_ids: list[str] = []
     with open(input_path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -198,23 +199,31 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
             pid = obj.get("problem_id") if isinstance(obj, dict) else None
             if not isinstance(pid, str) or not pid:
                 raise RecordError("missing problem_id", line=lineno)
-            lines.append((pid, raw.rstrip("\n")))
-    assignment = assign_problem_splits((pid for pid, _ in lines), spec)
+            problem_ids.append(pid)
+    assignment = assign_problem_splits(problem_ids, spec)
     os.makedirs(output_dir, exist_ok=True)
-    handles = {}
-    counts = {"train": 0, "val": 0, "test": 0}
-    try:
-        for name in ("train", "val", "test"):
-            handles[name] = open(
-                os.path.join(output_dir, f"{name}.jsonl"), "w", encoding="utf-8"
+    names = ("train", "val", "test")
+    counts = dict.fromkeys(names, 0)
+    # Outputs replace their targets only at the end, so an input inside
+    # --output-dir is never truncated while it is read.
+    paths = [os.path.join(output_dir, f"{name}.jsonl") for name in names]
+    with atomic_outputs(*paths) as handles:
+        out = dict(zip(names, handles))
+        seen = 0
+        with open(input_path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                if not raw.strip():
+                    continue
+                if seen < len(problem_ids):
+                    name = assignment[problem_ids[seen]]
+                    out[name].write(raw.rstrip("\n") + "\n")
+                    counts[name] += 1
+                seen += 1
+        if seen != len(problem_ids):
+            raise DataError(
+                f"{input_path} changed while it was being split: "
+                f"{len(problem_ids)} records on the first read, {seen} on the second"
             )
-        for pid, line in lines:
-            name = assignment[pid]
-            handles[name].write(line + "\n")
-            counts[name] += 1
-    finally:
-        for fh in handles.values():
-            fh.close()
     click.echo(
         f"train={counts['train']} val={counts['val']} test={counts['test']}", err=True
     )
@@ -230,23 +239,16 @@ def _grouping_from_values(values: dict) -> GroupingConfig:
 
 
 def _load_splits(*paths: str) -> list:
-    """Load scored splits as (dataset, p_hat, labels); all must share one scoring method."""
-    loaded = []
-    methods: set[str] = set()
-    for path in paths:
-        scored = load_scored(path)
-        methods.update(item.method for item in scored)
-        dataset = Dataset([item.sample for item in scored], provenance=path)
-        p = np.array([item.p_hat for item in scored])
-        y = np.array([item.sample.label for item in scored])
-        loaded.append((dataset, p, y))
-        del scored  # free this split's wrappers before the next split loads
+    """Load scored splits as columns; all must share one scoring method."""
+    splits = [load_scored(path) for path in paths]
+    methods = sorted(set().union(*(split.methods for split in splits)))
     if len(methods) > 1:
-        raise DataError(f"splits were scored by different methods: {', '.join(sorted(methods))}")
-    return loaded
+        raise DataError(f"splits were scored by different methods: {', '.join(methods)}")
+    return splits
 
 
-def _fit_one(name, grid, values, tp, ty, vp, vy, train_groups, val_groups):
+def _fit_one(name, grid, values, train, val, train_groups, val_groups):
+    tp, ty = train.p_hat, train.labels
     if name == "platt":
         return fit_platt(tp, ty)
     if name == "histogram":
@@ -260,8 +262,8 @@ def _fit_one(name, grid, values, tp, ty, vp, vy, train_groups, val_groups):
     return fit_iglb(
         tp,
         ty,
-        vp,
-        vy,
+        val.p_hat,
+        val.labels,
         train_groups,
         val_groups,
         grid,
@@ -338,12 +340,12 @@ def fit_eval(
     values = _merge_config(ctx, config_path, options)
     method_list = _parse_methods(values["methods"])
     grid = BinGrid(values["grid_m"])
-    splits = _load_splits(train_path, val_path, test_path)
-    (train_ds, tp, ty), (val_ds, vp, vy), (test_ds, sp, sy) = splits
-    grouping = GroupingModel.fit(train_ds, _grouping_from_values(values))
-    train_groups = grouping.apply(train_ds)
-    val_groups = grouping.apply(val_ds)
-    test_groups = grouping.apply(test_ds)
+    train, val, test = _load_splits(train_path, val_path, test_path)
+    sp, sy = test.p_hat, test.labels
+    grouping = GroupingModel.fit(train.columns, _grouping_from_values(values))
+    train_groups = grouping.apply(train.columns)
+    val_groups = grouping.apply(val.columns)
+    test_groups = grouping.apply(test.columns)
 
     os.makedirs(output_dir, exist_ok=True)
     with open(os.path.join(output_dir, "grouping.json"), "w", encoding="utf-8") as fh:
@@ -367,7 +369,7 @@ def fit_eval(
     )
     for name in method_list:
         try:
-            model = _fit_one(name, grid, values, tp, ty, vp, vy, train_groups, val_groups)
+            model = _fit_one(name, grid, values, train, val, train_groups, val_groups)
             calibrated = _apply_model(model, sp, test_groups)
         except DataError as exc:
             click.echo(f"{name} failed: {exc}", err=True)
@@ -424,8 +426,8 @@ def ablate(
         subsets.extend(itertools.combinations(sorted(categories), size))
     subsets.sort(key=lambda subset: "+".join(subset))
 
-    splits = _load_splits(train_path, val_path, test_path)
-    (train_ds, tp, ty), (val_ds, vp, vy), (test_ds, sp, sy) = splits
+    train, val, test = _load_splits(train_path, val_path, test_path)
+    sp, sy = test.p_hat, test.labels
 
     rows = []
     for subset in subsets:
@@ -435,13 +437,13 @@ def ablate(
             complexity_source=base_cfg.complexity_source if "complexity" in subset else "none",
             always_on=base_cfg.always_on,
         )
-        grouping = GroupingModel.fit(train_ds, cfg)
-        train_groups = grouping.apply(train_ds)
-        val_groups = grouping.apply(val_ds)
-        test_groups = grouping.apply(test_ds)
+        grouping = GroupingModel.fit(train.columns, cfg)
+        train_groups = grouping.apply(train.columns)
+        val_groups = grouping.apply(val.columns)
+        test_groups = grouping.apply(test.columns)
         for name in method_list:
             try:
-                model = _fit_one(name, grid, values, tp, ty, vp, vy, train_groups, val_groups)
+                model = _fit_one(name, grid, values, train, val, train_groups, val_groups)
                 calibrated = _apply_model(model, sp, test_groups)
                 report = evaluate(calibrated, sy, grid)
                 bss = _format_metric(report.bss)

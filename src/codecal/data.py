@@ -7,10 +7,12 @@ the problem level so that no problem contributes samples to more than
 one of train/val/test.
 """
 
+import contextlib
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 from .errors import AlignmentError, RecordError, SplitError
 
@@ -21,6 +23,7 @@ __all__ = [
     "iter_records",
     "load_records",
     "save_records",
+    "atomic_outputs",
     "extract_code_span",
     "assign_problem_splits",
     "split_by_problem",
@@ -225,6 +228,30 @@ def save_records(dataset: Dataset, path: str) -> None:
         for sample in dataset:
             fh.write(json.dumps(sample.to_dict(), sort_keys=True))
             fh.write("\n")
+
+
+@contextlib.contextmanager
+def atomic_outputs(*paths: str):
+    """Yield text files for writing that replace ``paths`` only if the block succeeds.
+
+    Each file is written beside its target under a temporary name and
+    moved into place with ``os.replace`` once every file is closed; on
+    any error the temporary files are deleted, so the targets keep
+    their previous contents.
+    """
+    tmp_paths = [
+        os.path.join(head, f".{tail}.{os.getpid()}.tmp") for head, tail in map(os.path.split, paths)
+    ]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield tuple(stack.enter_context(open(tmp, "w", encoding="utf-8")) for tmp in tmp_paths)
+        for tmp, path in zip(tmp_paths, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmp_paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
 
 
 def extract_code_span(text: str, token_offsets: list[tuple[int, int]]) -> tuple[int, int] | None:

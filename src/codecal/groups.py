@@ -5,6 +5,12 @@ GroupSet is one binary membership indicator, and columns from different
 builders may overlap.  Anything fitted (length cutpoints, complexity
 terciles, the language list) is fitted on one dataset and can then be
 applied to another, so thresholds never leak out of the training split.
+
+Grouping reads four per-sample fields, held column-wise in a
+:class:`GroupColumns` table that caches every feature derived from
+them, so several groupings fitted and applied to one split walk its
+code texts once.  Functions taking samples accept such a table or a
+:class:`~codecal.data.Dataset`, which is converted on entry.
 """
 
 import json
@@ -13,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
 from .errors import DataError, DegenerateGroupError, RecordError, schema_fields
 
 __all__ = [
+    "GroupColumns",
     "GroupSet",
     "GroupingConfig",
     "GroupingModel",
@@ -145,50 +151,131 @@ def _one_hot(indices: np.ndarray, n_cols: int) -> np.ndarray:
     return out
 
 
-def build_language_groups(dataset: Dataset, languages: list[str] | None = None) -> GroupSet:
+class GroupColumns:
+    """The per-sample fields grouping reads, one list per field.
+
+    ``difficulties`` and ``code_texts`` hold None where a sample lacks
+    the field.  Features derived from the fields (lengths, the
+    known-text mask, branch counts, category codes) are computed on
+    first use and cached, so each is computed at most once per table.
+    """
+
+    def __init__(
+        self,
+        sample_ids: list[str],
+        languages: list[str],
+        difficulties: list[str | None],
+        code_texts: list[str | None],
+    ) -> None:
+        n = len(sample_ids)
+        if not len(languages) == len(difficulties) == len(code_texts) == n:
+            raise DataError("group columns must hold one entry per sample")
+        self.sample_ids = sample_ids
+        self.languages = languages
+        self.difficulties = difficulties
+        self.code_texts = code_texts
+        self._cache: dict = {}
+
+    @classmethod
+    def from_samples(cls, samples) -> "GroupColumns":
+        """Columns of a Dataset or any iterable of Samples."""
+        samples = list(samples)
+        return cls(
+            [s.sample_id for s in samples],
+            [s.language for s in samples],
+            [s.difficulty for s in samples],
+            [s.code_text for s in samples],
+        )
+
+    def __len__(self) -> int:
+        return len(self.sample_ids)
+
+    def _cached(self, key: str, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+    def require(self, name: str, message: str) -> None:
+        """Raise RecordError naming the first sample whose field ``name`` is None."""
+        values = getattr(self, name)
+        if None in values:
+            raise RecordError(message, sample_id=self.sample_ids[values.index(None)])
+
+    def codes(self, name: str) -> tuple[list, np.ndarray]:
+        """(distinct values in first-seen order, per-sample index into them) of a field."""
+
+        def compute():
+            index: dict = {}
+            codes = [index.setdefault(v, len(index)) for v in getattr(self, name)]
+            return list(index), np.array(codes, dtype=np.intp)
+
+        return self._cached(name, compute)
+
+    @property
+    def known(self) -> np.ndarray:
+        """True where the sample has code_text."""
+        return self._cached(
+            "known", lambda: np.array([t is not None for t in self.code_texts], dtype=bool)
+        )
+
+    def length(self, metric: str) -> np.ndarray:
+        """Length of each code_text in characters or lines; 0 where it is missing."""
+
+        def compute():
+            size = len if metric == "chars" else lambda text: len(text.splitlines())
+            return np.array([0 if t is None else size(t) for t in self.code_texts], dtype=float)
+
+        return self._cached(metric, compute)
+
+    def branch_counts(self) -> np.ndarray:
+        """:func:`branch_count` of each code_text; every sample must have one."""
+
+        def compute():
+            self.require("code_texts", "code_text required for the branch heuristic")
+            return np.array([branch_count(t) for t in self.code_texts], dtype=float)
+
+        return self._cached("branches", compute)
+
+
+def _as_columns(data) -> GroupColumns:
+    return data if isinstance(data, GroupColumns) else GroupColumns.from_samples(data)
+
+
+def _label_membership(columns: GroupColumns, name: str, labels: list) -> np.ndarray:
+    """One column per label; a sample whose field value is not a label gets a zero row."""
+    vocab, codes = columns.codes(name)
+    position = {label: j for j, label in enumerate(labels)}
+    lookup = np.array([position.get(v, -1) for v in vocab], dtype=np.intp)
+    cols = lookup[codes]
+    rows = np.flatnonzero(cols >= 0)
+    out = np.zeros((codes.size, len(labels)), dtype=np.int8)
+    out[rows, cols[rows]] = 1
+    return out
+
+
+def build_language_groups(dataset, languages: list[str] | None = None) -> GroupSet:
     """One group per language; defaults to the sorted distinct languages seen.
 
     With an explicit ``languages`` list, samples in other languages get
     all-zero rows, so a language fitted elsewhere never silently absorbs
-    strangers.
+    strangers.  ``dataset`` is a GroupColumns table or a Dataset.
     """
+    columns = _as_columns(dataset)
     if languages is None:
-        languages = sorted({s.language for s in dataset})
-    index = {lang: j for j, lang in enumerate(languages)}
-    membership = np.zeros((len(dataset), len(languages)), dtype=np.int8)
-    for i, sample in enumerate(dataset):
-        j = index.get(sample.language)
-        if j is not None:
-            membership[i, j] = 1
-    return GroupSet(list(languages), membership)
+        languages = sorted(columns.codes("languages")[0])
+    return GroupSet(list(languages), _label_membership(columns, "languages", languages))
 
 
-def _length_values(dataset: Dataset, metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """(values, known_mask); samples without code_text get value 0 and mask 0."""
-    values = np.zeros(len(dataset))
-    known = np.zeros(len(dataset), dtype=bool)
-    for i, sample in enumerate(dataset):
-        if sample.code_text is None:
-            continue
-        known[i] = True
-        if metric == "chars":
-            values[i] = len(sample.code_text)
-        else:
-            values[i] = len(sample.code_text.splitlines())
-    return values, known
-
-
-def build_length_groups(
-    dataset: Dataset, cfg: GroupingConfig, fit_on: Dataset | None = None
-) -> GroupSet:
+def build_length_groups(dataset, cfg: GroupingConfig, fit_on=None) -> GroupSet:
     """Length bands per configured metric, cut at fit_on quantiles.
 
     Cutpoints come from ``fit_on`` (default: ``dataset`` itself) so the
     same thresholds can be reused across splits.  Samples lacking
     code_text fall into a shared ``len_unknown`` group.
     """
+    columns = _as_columns(dataset)
     model = GroupingModel.fit(
-        fit_on if fit_on is not None else dataset,
+        columns if fit_on is None else fit_on,
         GroupingConfig(
             use_language=False,
             length_metrics=cfg.length_metrics,
@@ -197,17 +284,16 @@ def build_length_groups(
             always_on=False,
         ),
     )
-    return model.apply(dataset)
+    return model.apply(columns)
 
 
-def build_complexity_groups(
-    dataset: Dataset, cfg: GroupingConfig, fit_on: Dataset | None = None
-) -> GroupSet:
+def build_complexity_groups(dataset, cfg: GroupingConfig, fit_on=None) -> GroupSet:
     """Complexity groups from difficulty labels or the branch heuristic."""
     if cfg.complexity_source == "none":
         raise DataError("complexity_source is 'none', nothing to build")
+    columns = _as_columns(dataset)
     model = GroupingModel.fit(
-        fit_on if fit_on is not None else dataset,
+        columns if fit_on is None else fit_on,
         GroupingConfig(
             use_language=False,
             length_metrics=(),
@@ -216,7 +302,7 @@ def build_complexity_groups(
             always_on=False,
         ),
     )
-    return model.apply(dataset)
+    return model.apply(columns)
 
 
 def assemble(parts: list[GroupSet], always_on: bool = True) -> GroupSet:
@@ -255,94 +341,66 @@ class GroupingModel:
     complexity_cutpoints: list[float] = field(default_factory=list)
 
     @classmethod
-    def fit(cls, fit_on: Dataset, config: GroupingConfig) -> "GroupingModel":
+    def fit(cls, fit_on, config: GroupingConfig) -> "GroupingModel":
+        """Fit on a GroupColumns table or a Dataset."""
+        columns = _as_columns(fit_on)
         model = cls(config=config)
         if config.use_language:
-            model.languages = sorted({s.language for s in fit_on})
+            model.languages = sorted(columns.codes("languages")[0])
         for metric in config.length_metrics:
-            values, known = _length_values(fit_on, metric)
+            known = columns.known
             if not known.any():
                 raise DataError(
                     f"no sample in the fitting data has code_text, cannot cut {metric!r}"
                 )
+            values = columns.length(metric)[known]
             model.length_cutpoints[metric] = [
-                nearest_rank_quantile(values[known], q) for q in config.length_quantiles
+                nearest_rank_quantile(values, q) for q in config.length_quantiles
             ]
         if config.complexity_source == "difficulty_label":
-            labels = set()
-            for sample in fit_on:
-                if sample.difficulty is None:
-                    raise RecordError(
-                        "difficulty label required for complexity groups",
-                        sample_id=sample.sample_id,
-                    )
-                labels.add(sample.difficulty)
-            model.difficulty_labels = sorted(labels)
+            columns.require("difficulties", "difficulty label required for complexity groups")
+            model.difficulty_labels = sorted(columns.codes("difficulties")[0])
         elif config.complexity_source == "branch_heuristic":
-            counts = []
-            for sample in fit_on:
-                if sample.code_text is None:
-                    raise RecordError(
-                        "code_text required for the branch heuristic",
-                        sample_id=sample.sample_id,
-                    )
-                counts.append(branch_count(sample.code_text))
+            counts = columns.branch_counts()
             model.complexity_cutpoints = [
                 nearest_rank_quantile(counts, q) for q in config.complexity_quantiles
             ]
         return model
 
-    def apply(self, dataset: Dataset) -> GroupSet:
+    def apply(self, dataset) -> GroupSet:
+        """Group a GroupColumns table or a Dataset."""
+        columns = _as_columns(dataset)
         parts: list[GroupSet] = []
         if self.config.use_language:
-            parts.append(build_language_groups(dataset, languages=self.languages))
+            parts.append(build_language_groups(columns, languages=self.languages))
         for metric in self.config.length_metrics:
             cuts = self.length_cutpoints[metric]
             prefix = "len" if metric == "chars" else "loc"
-            values, known = _length_values(dataset, metric)
-            bands = _band_membership(values, cuts)
-            cols = _one_hot(bands, len(cuts) + 1)
-            cols[~known, :] = 0
+            cols = _one_hot(_band_membership(columns.length(metric), cuts), len(cuts) + 1)
+            cols[~columns.known, :] = 0
             parts.append(GroupSet(_band_names(prefix, len(cuts) + 1), cols))
         if self.config.length_metrics:
             # Single shared home for samples without code_text, kept even
             # when empty so the group list is identical across splits.
-            _, known = _length_values(dataset, "chars")
-            unknown = (~known).astype(np.int8)[:, None]
+            unknown = (~columns.known).astype(np.int8)[:, None]
             parts.append(GroupSet([UNKNOWN_LENGTH_GROUP], unknown))
         if self.config.complexity_source == "difficulty_label":
-            index = {label: j for j, label in enumerate(self.difficulty_labels)}
-            membership = np.zeros((len(dataset), len(self.difficulty_labels)), dtype=np.int8)
-            for i, sample in enumerate(dataset):
-                if sample.difficulty is None:
-                    raise RecordError(
-                        "difficulty label required for complexity groups",
-                        sample_id=sample.sample_id,
-                    )
-                j = index.get(sample.difficulty)
-                if j is not None:
-                    membership[i, j] = 1
+            columns.require("difficulties", "difficulty label required for complexity groups")
+            membership = _label_membership(columns, "difficulties", self.difficulty_labels)
             parts.append(
                 GroupSet([f"cx_{label}" for label in self.difficulty_labels], membership)
             )
         elif self.config.complexity_source == "branch_heuristic":
-            counts = np.zeros(len(dataset))
-            for i, sample in enumerate(dataset):
-                if sample.code_text is None:
-                    raise RecordError(
-                        "code_text required for the branch heuristic",
-                        sample_id=sample.sample_id,
-                    )
-                counts[i] = branch_count(sample.code_text)
-            bands = _band_membership(counts, self.complexity_cutpoints)
+            bands = _band_membership(columns.branch_counts(), self.complexity_cutpoints)
             names = _band_names("cx", len(self.complexity_cutpoints) + 1)
             parts.append(GroupSet(names, _one_hot(bands, len(names))))
         if not parts:
+            n = len(columns)
             return GroupSet(
                 [ALL_GROUP] if self.config.always_on else [],
-                np.ones((len(dataset), 1), dtype=np.int8)
+                np.ones((n, 1), dtype=np.int8)
                 if self.config.always_on
-                else np.zeros((len(dataset), 0), dtype=np.int8),
+                else np.zeros((n, 0), dtype=np.int8),
             )
         return assemble(parts, always_on=self.config.always_on)
 

@@ -37,13 +37,19 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
-def _as_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+def _as_scores_labels(
+    scores, labels, empty: str = "need at least one sample"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated float arrays of parallel scores and labels.
+
+    ``empty`` is the message for zero samples.
+    """
     p = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
     if p.shape != y.shape or p.ndim != 1:
         raise DataError(f"scores and labels must be parallel 1-d arrays, got {p.shape} and {y.shape}")
     if p.size == 0:
-        raise DataError("need at least one sample")
+        raise DataError(empty)
     if not np.all(np.isfinite(p)) or np.min(p) < 0.0 or np.max(p) > 1.0:
         raise DataError("scores must lie in [0, 1]")
     if not np.all((y == 0.0) | (y == 1.0)):

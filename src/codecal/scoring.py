@@ -6,18 +6,20 @@ token window: the whole sequence, only the extracted code span, or only
 the trailing tokens.
 """
 
-import contextlib
 import json
 import math
-import os
 from dataclasses import dataclass
 
-from .data import Dataset, Sample, iter_records
+import numpy as np
+
+from .data import Dataset, Sample, atomic_outputs, iter_records
 from .errors import DataError, MissingCodeError, RecordError
+from .groups import GroupColumns
 
 __all__ = [
     "ConfidenceMethod",
     "ScoredSample",
+    "ScoredSplit",
     "score_sample",
     "score_dataset",
     "score_file",
@@ -49,6 +51,20 @@ class ScoredSample:
     sample: Sample
     p_hat: float
     method: str
+
+
+@dataclass
+class ScoredSplit:
+    """One scored split as columns: what calibration reads of each record.
+
+    ``methods`` lists the distinct scoring methods of the records,
+    sorted; a file written by :func:`score_file` has exactly one.
+    """
+
+    p_hat: np.ndarray
+    labels: np.ndarray
+    methods: tuple[str, ...]
+    columns: GroupColumns
 
 
 def score_sample(sample: Sample, method: ConfidenceMethod) -> float:
@@ -108,38 +124,41 @@ def score_file(
     beside ``output_path`` and moved into place only when every line
     succeeded, so a failed run leaves ``output_path`` as it was.
     """
-    head, tail = os.path.split(output_path)
-    tmp_path = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     name_json = json.dumps(method.name)
     scored = skipped = 0
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as out:
-            for _, raw, obj, sample in iter_records(input_path):
-                try:
-                    p_hat = score_sample(sample, method)
-                except DataError:
-                    if not skip_missing:
-                        raise
-                    skipped += 1
-                    continue
-                if "p_hat" in obj or "method" in obj:
-                    obj.update(p_hat=p_hat, method=method.name)
-                    line = json.dumps(obj, sort_keys=True)
-                else:
-                    line = f'{raw.rstrip()[:-1]}, "method": {name_json}, "p_hat": {p_hat!r}}}'
-                out.write(line + "\n")
-                scored += 1
-        os.replace(tmp_path, output_path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp_path)
-        raise
+    with atomic_outputs(output_path) as (out,):
+        for _, raw, obj, sample in iter_records(input_path):
+            try:
+                p_hat = score_sample(sample, method)
+            except DataError:
+                if not skip_missing:
+                    raise
+                skipped += 1
+                continue
+            if "p_hat" in obj or "method" in obj:
+                obj.update(p_hat=p_hat, method=method.name)
+                line = json.dumps(obj, sort_keys=True)
+            else:
+                line = f'{raw.rstrip()[:-1]}, "method": {name_json}, "p_hat": {p_hat!r}}}'
+            out.write(line + "\n")
+            scored += 1
     return scored, skipped
 
 
-def load_scored(path: str) -> list[ScoredSample]:
-    """Load records previously written by :func:`score_file`."""
-    out: list[ScoredSample] = []
+def load_scored(path: str) -> ScoredSplit:
+    """Load a file written by :func:`score_file` as columns.
+
+    Every line is validated as in :func:`~codecal.data.iter_records`,
+    but only ``p_hat``, the label and the grouping fields outlive it, so
+    memory does not grow with the number of tokens per record.
+    """
+    p_hats: list[float] = []
+    labels: list[int] = []
+    methods: set[str] = set()
+    ids: list[str] = []
+    languages: list[str] = []
+    difficulties: list[str | None] = []
+    code_texts: list[str | None] = []
     for lineno, _, obj, sample in iter_records(path):
         p_hat = obj.get("p_hat")
         if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool):
@@ -150,5 +169,16 @@ def load_scored(path: str) -> list[ScoredSample]:
         method = obj.get("method")
         if not isinstance(method, str):
             raise RecordError("missing method", line=lineno, sample_id=sample.sample_id)
-        out.append(ScoredSample(sample, p_hat, method))
-    return out
+        p_hats.append(p_hat)
+        labels.append(sample.label)
+        methods.add(method)
+        ids.append(sample.sample_id)
+        languages.append(sample.language)
+        difficulties.append(sample.difficulty)
+        code_texts.append(sample.code_text)
+    return ScoredSplit(
+        p_hat=np.array(p_hats, dtype=float),
+        labels=np.array(labels, dtype=np.int64),
+        methods=tuple(sorted(methods)),
+        columns=GroupColumns(ids, languages, difficulties, code_texts),
+    )

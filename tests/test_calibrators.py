@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from codecal.binning import BinGrid, round_to_grid_index
@@ -189,6 +189,59 @@ class TestGcurLinear:
         model = GcurModel(variant="linear", group_names=["ALL"], lambdas=[0.1])
         with pytest.raises(DataError):
             model.apply(np.array([0.5]))
+
+
+def rank_dependent_columns(g, names):
+    """Reference: columns that do not raise the rank of the columns before them."""
+    ranks = [0] + [np.linalg.matrix_rank(g[:, : j + 1].astype(float)) for j in range(len(names))]
+    return [name for j, name in enumerate(names) if ranks[j + 1] == ranks[j]]
+
+
+@st.composite
+def memberships_with_dependencies(draw):
+    """0/1 columns where some are copies, complements or disjoint unions of earlier ones."""
+    n = draw(st.integers(2, 40))
+    cols = [np.ones(n, dtype=np.int8)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(1, 8))):
+        kinds = ["random", "copy", "complement", "union"] if cols else ["random"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "random":
+            bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+            cols.append(np.array(bits, dtype=np.int8))
+            continue
+        a = cols[draw(st.integers(0, len(cols) - 1))]
+        if kind == "copy":
+            cols.append(a.copy())
+        elif kind == "complement":
+            cols.append(1 - a)
+        else:
+            b = cols[draw(st.integers(0, len(cols) - 1))]
+            cols.append(a | b if not np.any(a & b) else a.copy())
+    membership = np.column_stack(cols)
+    return GroupSet([f"g{j}" for j in range(membership.shape[1])], membership)
+
+
+class TestDependentColumns:
+    @given(memberships_with_dependencies())
+    def test_matches_rank_reference(self, groups):
+        assume(groups.membership.any())
+        n = groups.n_samples
+        model = fit_gcur_linear(np.full(n, 0.5), np.arange(n) % 2, groups)
+        kept = model.group_names
+        want = rank_dependent_columns(membership_matrix(groups, kept), kept)
+        assert model.dependent_columns == (want if len(kept) > 1 else [])
+
+    def test_independent_column_after_copies(self):
+        # A column one row away from an earlier one, behind four exact
+        # copies of it: the R diagonal of an unpivoted QR of g was
+        # rounding noise for it too, so it was listed as dependent.
+        base = np.zeros(24, dtype=np.int8)
+        base[[4, 7, 8, 9, 12, 13, 14, 15, 16, 19, 22, 23]] = 1
+        near = base.copy()
+        near[3] = 1
+        groups = GroupSet(list("abcdef"), np.column_stack([base] * 5 + [near]))
+        model = fit_gcur_linear(np.full(24, 0.5), np.arange(24) % 2, groups)
+        assert model.dependent_columns == list("bcde")
 
 
 class TestGcurLogistic:

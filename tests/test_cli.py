@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from codecal.binning import BinGrid
+import codecal.cli as cli_module
 from codecal.cli import main
 from codecal.data import load_records, save_records
 from codecal.metrics import evaluate
@@ -50,8 +51,8 @@ class TestScoreCommand:
         result = run(["score", "--input", str(records), "--output", str(out)])
         assert result.exit_code == 0
         scored = load_scored(str(out))
-        assert len(scored) == 240
-        assert all(item.method == "avg_prob" for item in scored)
+        assert scored.p_hat.size == 240
+        assert scored.methods == ("avg_prob",)
 
     def test_bad_method_flag_is_usage_error(self, tmp_path):
         records = tmp_path / "records.jsonl"
@@ -87,7 +88,7 @@ class TestScoreCommand:
         cfg.write_text(json.dumps({"method": "code_prob"}))
         from_config = tmp_path / "a.jsonl"
         run(["score", "--input", str(records), "--output", str(from_config), "--config", str(cfg)])
-        assert all(item.method == "code_prob" for item in load_scored(str(from_config)))
+        assert load_scored(str(from_config)).methods == ("code_prob",)
         from_flag = tmp_path / "b.jsonl"
         run(
             [
@@ -102,7 +103,7 @@ class TestScoreCommand:
                 "avg_prob",
             ]
         )
-        assert all(item.method == "avg_prob" for item in load_scored(str(from_flag)))
+        assert load_scored(str(from_flag)).methods == ("avg_prob",)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         records = tmp_path / "records.jsonl"
@@ -219,6 +220,54 @@ class TestSplitCommand:
             routed.update((out / f"{name}.jsonl").read_text().splitlines())
         assert routed == original
 
+    def test_input_inside_output_dir_is_not_clobbered(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        write_synth(records, n=60)
+        out = tmp_path / "splits"
+        out.mkdir()
+        original = records.read_bytes()
+        (out / "train.jsonl").write_bytes(original)
+        result = run(["split", "--input", str(out / "train.jsonl"), "--output-dir", str(out)])
+        assert result.exit_code == 0
+        routed = b"".join((out / f"{name}.jsonl").read_bytes() for name in ("train", "val", "test"))
+        assert sorted(routed.splitlines()) == sorted(original.splitlines())
+        assert sorted(p.name for p in out.iterdir()) == ["test.jsonl", "train.jsonl", "val.jsonl"]
+
+    def test_failure_names_line_and_keeps_previous_outputs(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        write_synth(records, n=30)
+        lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = "{not json\n"
+        records.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "splits"
+        out.mkdir()
+        for name in ("train", "val", "test"):
+            (out / f"{name}.jsonl").write_text(f"old {name}\n", encoding="utf-8")
+        result = run(["split", "--input", str(records), "--output-dir", str(out)])
+        assert result.exit_code == 4
+        assert "malformed JSON" in result.output and "[line 5]" in result.output
+        for name in ("train", "val", "test"):
+            assert (out / f"{name}.jsonl").read_text(encoding="utf-8") == f"old {name}\n"
+        assert len(list(out.iterdir())) == 3
+
+    def test_input_changed_between_reads(self, tmp_path, monkeypatch):
+        records = tmp_path / "records.jsonl"
+        write_synth(records, n=30)
+        extra = records.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        real = cli_module.assign_problem_splits
+
+        def append_then_assign(problem_ids, spec):
+            with open(records, "a", encoding="utf-8") as fh:
+                fh.write(extra)
+            return real(problem_ids, spec)
+
+        monkeypatch.setattr(cli_module, "assign_problem_splits", append_then_assign)
+        out = tmp_path / "splits"
+        result = run(["split", "--input", str(records), "--output-dir", str(out)])
+        assert result.exit_code == 4
+        assert "changed while it was being split: 30 records on the first read, 31" in result.output
+        assert list(out.iterdir()) == []
+
     def test_bad_fractions_rejected(self, tmp_path):
         records = tmp_path / "records.jsonl"
         write_synth(records, n=30)
@@ -266,6 +315,16 @@ def fit_eval_args(splits, outdir, extra=()):
         str(outdir),
         *extra,
     ]
+
+
+def swapped_split_args(command, splits, outdir, name, path):
+    """fit-eval or ablate arguments over ``splits`` with split ``name`` read from ``path``."""
+    args = fit_eval_args(splits, outdir, ("--methods", "platt"))
+    args[0] = command
+    args[args.index(str(splits / f"{name}.jsonl"))] = str(path)
+    if command == "ablate":
+        args[args.index("--output-dir")] = "--output"
+    return args
 
 
 class TestFitEvalCommand:
@@ -367,14 +426,23 @@ class TestFitEvalCommand:
         tail_test = tmp_path / "test.jsonl"
         rescore = ["score", "--input", str(pipeline / "test.jsonl"), "--output", str(tail_test)]
         assert run([*rescore, "--method", "tail_prob"]).exit_code == 0
-        args = fit_eval_args(pipeline, tmp_path / "out", ("--methods", "platt"))
-        args[0] = command
-        args[args.index(str(pipeline / "test.jsonl"))] = str(tail_test)
-        if command == "ablate":
-            args[args.index("--output-dir")] = "--output"
-        result = run(args)
+        result = run(swapped_split_args(command, pipeline, tmp_path / "out", "test", tail_test))
         assert result.exit_code == 4
         assert "different methods: avg_prob, tail_prob" in result.output
+
+    @pytest.mark.parametrize("command", ["fit-eval", "ablate"])
+    def test_invalid_record_names_line(self, pipeline, tmp_path, command):
+        lines = (pipeline / "val.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        obj = json.loads(lines[6])
+        obj["token_logprobs"][0] = 0.5
+        lines[6] = json.dumps(obj) + "\n"
+        bad_val = tmp_path / "val.jsonl"
+        bad_val.write_text("".join(lines), encoding="utf-8")
+        result = run(swapped_split_args(command, pipeline, tmp_path / "out", "val", bad_val))
+        assert result.exit_code == 4
+        sid = obj["sample_id"]
+        message = f"token logprob 0.5 must be finite and <= 0 [line 7, sample_id={sid!r}]"
+        assert message in result.output
 
     def test_unknown_method_list_rejected(self, pipeline, tmp_path):
         result = run(

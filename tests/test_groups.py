@@ -2,10 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codecal.data import Dataset, Sample
 from codecal.errors import DataError, RecordError
 from codecal.groups import (
+    ALL_GROUP,
+    UNKNOWN_LENGTH_GROUP,
+    GroupColumns,
     GroupingConfig,
     GroupingModel,
     GroupSet,
@@ -239,3 +243,224 @@ class TestGroupingModel:
         model = GroupingModel.fit(ds, GroupingConfig(complexity_source="difficulty_label"))
         other = Dataset([make_sample(9, language="lua", difficulty="easy")])
         assert model.apply(other).names == model.apply(ds).names
+
+
+# Per-sample reference for GroupingModel.fit/apply: one Python walk over
+# the samples per feature, as grouping worked before it read columns.
+
+
+def reference_length_values(samples, metric):
+    values = np.zeros(len(samples))
+    known = np.zeros(len(samples), dtype=bool)
+    for i, sample in enumerate(samples):
+        if sample.code_text is None:
+            continue
+        known[i] = True
+        if metric == "chars":
+            values[i] = len(sample.code_text)
+        else:
+            values[i] = len(sample.code_text.splitlines())
+    return values, known
+
+
+def reference_band_columns(values, cutpoints):
+    bands = np.zeros(values.shape, dtype=int)
+    for cut in cutpoints:
+        bands += (values >= cut).astype(int)
+    cols = np.zeros((values.size, len(cutpoints) + 1), dtype=np.int8)
+    cols[np.arange(values.size), bands] = 1
+    return cols
+
+
+def _reference_band_names(n_bands):
+    if n_bands == 2:
+        return ["low", "high"]
+    if n_bands == 3:
+        return ["low", "mid", "high"]
+    return [f"b{i}" for i in range(n_bands)]
+
+
+def reference_fit(samples, config):
+    model = GroupingModel(config=config)
+    if config.use_language:
+        model.languages = sorted({s.language for s in samples})
+    for metric in config.length_metrics:
+        values, known = reference_length_values(samples, metric)
+        if not known.any():
+            raise DataError(f"no sample in the fitting data has code_text, cannot cut {metric!r}")
+        model.length_cutpoints[metric] = [
+            nearest_rank_quantile(values[known], q) for q in config.length_quantiles
+        ]
+    if config.complexity_source == "difficulty_label":
+        labels = set()
+        for sample in samples:
+            if sample.difficulty is None:
+                raise RecordError(
+                    "difficulty label required for complexity groups", sample_id=sample.sample_id
+                )
+            labels.add(sample.difficulty)
+        model.difficulty_labels = sorted(labels)
+    elif config.complexity_source == "branch_heuristic":
+        counts = []
+        for sample in samples:
+            if sample.code_text is None:
+                raise RecordError(
+                    "code_text required for the branch heuristic", sample_id=sample.sample_id
+                )
+            counts.append(branch_count(sample.code_text))
+        model.complexity_cutpoints = [
+            nearest_rank_quantile(counts, q) for q in config.complexity_quantiles
+        ]
+    return model
+
+
+def reference_apply(model, samples):
+    n = len(samples)
+    names, parts = [], []
+    if model.config.always_on:
+        names.append(ALL_GROUP)
+        parts.append(np.ones((n, 1), dtype=np.int8))
+    if model.config.use_language:
+        cols = np.zeros((n, len(model.languages)), dtype=np.int8)
+        index = {lang: j for j, lang in enumerate(model.languages)}
+        for i, sample in enumerate(samples):
+            if sample.language in index:
+                cols[i, index[sample.language]] = 1
+        names += model.languages
+        parts.append(cols)
+    for metric in model.config.length_metrics:
+        cuts = model.length_cutpoints[metric]
+        values, known = reference_length_values(samples, metric)
+        cols = reference_band_columns(values, cuts)
+        cols[~known, :] = 0
+        prefix = "len" if metric == "chars" else "loc"
+        names += [f"{prefix}_{band}" for band in _reference_band_names(len(cuts) + 1)]
+        parts.append(cols)
+    if model.config.length_metrics:
+        _, known = reference_length_values(samples, "chars")
+        names.append(UNKNOWN_LENGTH_GROUP)
+        parts.append((~known).astype(np.int8)[:, None])
+    if model.config.complexity_source == "difficulty_label":
+        cols = np.zeros((n, len(model.difficulty_labels)), dtype=np.int8)
+        index = {label: j for j, label in enumerate(model.difficulty_labels)}
+        for i, sample in enumerate(samples):
+            if sample.difficulty is None:
+                raise RecordError(
+                    "difficulty label required for complexity groups", sample_id=sample.sample_id
+                )
+            if sample.difficulty in index:
+                cols[i, index[sample.difficulty]] = 1
+        names += [f"cx_{label}" for label in model.difficulty_labels]
+        parts.append(cols)
+    elif model.config.complexity_source == "branch_heuristic":
+        counts = np.zeros(n)
+        for i, sample in enumerate(samples):
+            if sample.code_text is None:
+                raise RecordError(
+                    "code_text required for the branch heuristic", sample_id=sample.sample_id
+                )
+            counts[i] = branch_count(sample.code_text)
+        cuts = model.complexity_cutpoints
+        names += [f"cx_{band}" for band in _reference_band_names(len(cuts) + 1)]
+        parts.append(reference_band_columns(counts, cuts))
+    return names, np.hstack(parts) if parts else np.zeros((n, 0), dtype=np.int8)
+
+
+def _outcome(fn, *args):
+    """Result of ``fn``, or the type and message of the DataError it raised."""
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+_CODE = st.one_of(
+    st.none(),
+    st.just(""),
+    st.text(alphabet="if or x&|?\n\r\x0b\u2028", max_size=30),
+)
+_RECORD = st.tuples(
+    st.sampled_from(["python", "rust", "go", "lua", "cobol"]),
+    st.one_of(st.none(), st.sampled_from(["easy", "mid", "hard"])),
+    _CODE,
+)
+_CONFIG = st.builds(
+    GroupingConfig,
+    use_language=st.booleans(),
+    length_metrics=st.sampled_from([(), ("chars",), ("loc",), ("chars", "loc"), ("loc", "chars")]),
+    length_quantiles=st.sampled_from([(0.5,), (0.25, 0.75), (0.2, 0.5, 0.9)]),
+    complexity_source=st.sampled_from(["none", "difficulty_label", "branch_heuristic"]),
+    complexity_quantiles=st.sampled_from([(1 / 3, 2 / 3), (0.5,)]),
+    always_on=st.booleans(),
+)
+
+
+def _samples(records, prefix):
+    return [
+        Sample(
+            problem_id="p",
+            sample_id=f"{prefix}{i}",
+            language=language,
+            token_logprobs=[-0.1],
+            label=0,
+            difficulty=difficulty,
+            code_text=code_text,
+        )
+        for i, (language, difficulty, code_text) in enumerate(records)
+    ]
+
+
+class TestColumnGroupingMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        config=_CONFIG,
+        fit_records=st.lists(_RECORD.filter(lambda r: r[0] != "cobol"), max_size=12),
+        target_records=st.lists(_RECORD, max_size=12),
+    )
+    def test_fit_and_apply(self, config, fit_records, target_records):
+        fit_samples, targets = _samples(fit_records, "f"), _samples(target_records, "t")
+        fit_columns = GroupColumns.from_samples(fit_samples)
+        got = _outcome(GroupingModel.fit, fit_columns, config)
+        want = _outcome(reference_fit, fit_samples, config)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert got.to_json() == want.to_json()
+        for samples, columns in (
+            (fit_samples, fit_columns),
+            (targets, GroupColumns.from_samples(targets)),
+            (targets, Dataset(targets)),
+        ):
+            applied = _outcome(got.apply, columns)
+            expected = _outcome(reference_apply, want, samples)
+            if isinstance(expected, tuple) and isinstance(expected[0], type):
+                assert applied == expected
+                continue
+            names, membership = expected
+            assert applied.names == names
+            assert np.array_equal(applied.membership, membership)
+            assert applied.membership.dtype == np.int8
+
+
+class TestGroupColumns:
+    def test_features_computed_once(self, monkeypatch):
+        columns = GroupColumns.from_samples(
+            [make_sample(i, code_text="if a:\n  b", difficulty="easy") for i in range(4)]
+        )
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return branch_count(text)
+
+        monkeypatch.setattr("codecal.groups.branch_count", counting)
+        cfg = GroupingConfig(complexity_source="branch_heuristic")
+        model = GroupingModel.fit(columns, cfg)
+        model.apply(columns)
+        model.apply(columns)
+        assert len(calls) == 4
+        assert columns.length("chars") is columns.length("chars")
+
+    def test_columns_must_have_equal_lengths(self):
+        with pytest.raises(DataError, match="one entry per sample"):
+            GroupColumns(["a", "b"], ["python"], [None, None], [None, None])

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from codecal.data import Dataset, Sample, parse_record, save_records
-from codecal.errors import DataError, MissingCodeError
+from codecal.errors import DataError, MissingCodeError, RecordError
 from codecal.scoring import (
     ConfidenceMethod,
     load_scored,
@@ -109,11 +110,15 @@ class TestScoreDataset:
         save_records(ds, str(records))
         assert score_file(str(records), str(path), ConfidenceMethod("avg_prob")) == (5, 0)
         loaded = load_scored(str(path))
-        assert len(loaded) == 5
-        for a, b in zip(scored, loaded):
-            assert a.p_hat == b.p_hat
-            assert a.method == b.method
-            assert a.sample.to_dict() == b.sample.to_dict()
+        assert loaded.p_hat.size == 5
+        assert loaded.methods == ("avg_prob",)
+        cols = loaded.columns
+        rows = zip(cols.sample_ids, cols.languages, cols.difficulties, cols.code_texts)
+        for item, p_hat, label, row in zip(scored, loaded.p_hat, loaded.labels, rows, strict=True):
+            sample = item.sample
+            assert item.p_hat == p_hat
+            assert sample.label == label
+            assert (sample.sample_id, sample.language, sample.difficulty, sample.code_text) == row
 
 
 class TestScoreFile:
@@ -178,3 +183,80 @@ class TestScoreFile:
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
         lines = outputs[0].read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["sample_id"] for line in lines] == ["a", "b"]
+
+
+def scored_record(i, n_tokens, **changes):
+    obj = {
+        "problem_id": f"p{i // 4}",
+        "sample_id": f"s{i}",
+        "language": ("python", "rust")[i % 2],
+        "token_logprobs": [-0.25] * n_tokens,
+        "label": i % 2,
+        "difficulty": "easy" if i % 3 else None,
+        "code_text": f"if x{i}:\n    return {i}\n",
+        "method": "avg_prob",
+        "p_hat": 0.25 + i / 1000,
+    }
+    obj.update(changes)
+    return obj
+
+
+def write_scored(path, objects):
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objects), encoding="utf-8")
+
+
+class TestLoadScored:
+    def test_columns(self, tmp_path):
+        path = tmp_path / "scored.jsonl"
+        objects = [scored_record(i, 3) for i in range(6)]
+        write_scored(path, objects)
+        split = load_scored(str(path))
+        assert split.methods == ("avg_prob",)
+        assert split.p_hat.dtype == float and split.labels.dtype == np.int64
+        assert split.p_hat.tolist() == [obj["p_hat"] for obj in objects]
+        assert split.labels.tolist() == [obj["label"] for obj in objects]
+        cols = split.columns
+        assert cols.sample_ids == [obj["sample_id"] for obj in objects]
+        assert cols.languages == [obj["language"] for obj in objects]
+        assert cols.difficulties == [obj["difficulty"] for obj in objects]
+        assert cols.code_texts == [obj["code_text"] for obj in objects]
+
+    def test_mixed_methods_listed(self, tmp_path):
+        path = tmp_path / "scored.jsonl"
+        write_scored(path, [scored_record(0, 2, method="tail_prob"), scored_record(1, 2)])
+        assert load_scored(str(path)).methods == ("avg_prob", "tail_prob")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"p_hat": None}, "missing or non-numeric p_hat"),
+            ({"p_hat": True}, "missing or non-numeric p_hat"),
+            ({"p_hat": 1.5}, "p_hat 1.5 outside [0, 1]"),
+            ({"method": 3}, "missing method"),
+            ({"token_logprobs": [-0.1, 0.5]}, "token logprob 0.5 must be finite and <= 0"),
+            ({"label": 2}, "label must be 0 or 1, got 2"),
+        ],
+    )
+    def test_errors_name_line_and_sample(self, tmp_path, change, message):
+        path = tmp_path / "scored.jsonl"
+        objects = [scored_record(0, 2), scored_record(1, 2), scored_record(2, 2, **change)]
+        write_scored(path, objects)
+        with pytest.raises(RecordError) as info:
+            load_scored(str(path))
+        assert str(info.value) == f"{message} [line 3, sample_id='s2']"
+
+    def test_memory_held_does_not_grow_with_tokens(self, tmp_path):
+        def held(n_tokens):
+            path = tmp_path / f"scored{n_tokens}.jsonl"
+            write_scored(path, [scored_record(i, n_tokens) for i in range(200)])
+            tracemalloc.start()
+            try:
+                split = load_scored(str(path))
+                current, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert split.p_hat.size == 200
+            return current
+
+        # 200 records x 792 more tokens would hold about 5 MB as floats.
+        assert held(800) - held(8) <= 64 * 1024
