@@ -21,14 +21,15 @@ serialized model reproduces training outputs bit for bit.
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .binning import BinGrid, _match_scalar, cell_sums, member_pairs, round_to_grid_index
 from .errors import DataError, FitError, schema_fields
-from .groups import GroupSet
-from .metrics import _as_scores_labels
+from .groups import GroupSet, check_membership
+from .metrics import _as_scores, _as_scores_labels
 
 __all__ = [
     "LOGIT_CLAMP",
@@ -58,6 +59,7 @@ PATCH_MAX_ITERS = 1000
 DEFAULT_EPSILON = 0.05
 
 _check_scores_labels = functools.partial(_as_scores_labels, empty="need at least one sample to fit")
+_check_scores = functools.partial(_as_scores, empty="need at least one score to apply")
 
 
 def sigmoid(z):
@@ -138,28 +140,17 @@ def _newton_fit(X: np.ndarray, y: np.ndarray, loss: str) -> tuple[np.ndarray, di
 
 
 def membership_matrix(groups: GroupSet, names: list[str]) -> np.ndarray:
-    """Columns of ``groups`` matching ``names``, in that order."""
-    cols = [groups.column(name) for name in names]
-    if not cols:
-        return np.zeros((groups.n_samples, 0), dtype=np.int8)
-    return np.column_stack(cols)
+    """Columns of ``groups`` matching ``names``, in that order (:meth:`GroupSet.select`)."""
+    return groups.select(names)
 
 
-def _check_membership(membership, n: int, k: int) -> np.ndarray:
-    g = np.asarray(membership)
-    if g.ndim != 2 or g.shape != (n, k):
-        raise DataError(f"membership must have shape ({n}, {k}), got {g.shape}")
-    vals = np.unique(g)
-    if vals.size and not np.all(np.isin(vals, (0, 1))):
-        raise DataError("membership entries must be 0 or 1")
-    return g.astype(bool)
-
-
-def _split_degenerate(groups: GroupSet) -> tuple[list[str], list[str]]:
-    masses = groups.masses
-    kept = [name for name, m in zip(groups.names, masses) if m > 0.0]
-    dropped = [name for name, m in zip(groups.names, masses) if m == 0.0]
-    return kept, dropped
+def _kept_columns(groups: GroupSet, dtype, where: str = ""):
+    """Names of the groups with members, of those without, and the former's columns."""
+    dropped = groups.degenerate
+    kept = [name for name in groups.names if name not in dropped]
+    if not kept:
+        raise FitError(f"every group is empty{where}, nothing to fit")
+    return kept, dropped, groups.select(kept).astype(dtype)
 
 
 @dataclass
@@ -172,8 +163,7 @@ class PlattModel:
     method: str = "platt"
 
     def apply(self, scores, membership=None) -> np.ndarray:
-        p = np.asarray(scores, dtype=float)
-        _check_scores_labels(p, np.zeros_like(p))
+        p = _check_scores(scores)
         return sigmoid(self.a * _clamped_log(p) + self.b)
 
 
@@ -187,8 +177,7 @@ class HistogramBinningModel:
 
     def apply(self, scores, membership=None) -> np.ndarray:
         grid = BinGrid(self.grid_m)
-        p = np.asarray(scores, dtype=float)
-        idx = round_to_grid_index(p, grid)
+        idx = round_to_grid_index(_check_scores(scores), grid)
         d = np.asarray(self.deltas, dtype=float)
         out = idx / grid.m + d[idx - 1]
         return np.clip(out, 0.0, 1.0)
@@ -213,11 +202,10 @@ class GcurModel:
         return "gcur_linear" if self.variant == "linear" else "gcur_logistic"
 
     def apply(self, scores, membership=None) -> np.ndarray:
-        p = np.asarray(scores, dtype=float)
-        _check_scores_labels(p, np.zeros_like(p))
+        p = _check_scores(scores)
         if membership is None:
             raise DataError(f"{self.method} needs a membership matrix to apply")
-        g = _check_membership(membership, p.size, len(self.group_names)).astype(float)
+        g = check_membership(membership, len(self.group_names), p.size).astype(float)
         if self.variant == "linear":
             return np.clip(p + g @ np.asarray(self.lambdas), 0.0, 1.0)
         z = self.intercept + self.score_coef * clamped_logit(p) + g @ np.asarray(self.group_coefs)
@@ -247,11 +235,10 @@ class IterativePatchModel:
 
     def apply(self, scores, membership=None) -> np.ndarray:
         grid = BinGrid(self.grid_m)
-        p = np.asarray(scores, dtype=float)
-        _check_scores_labels(p, np.zeros_like(p))
+        p = _check_scores(scores)
         if membership is None:
             raise DataError(f"{self.method} needs a membership matrix to apply")
-        g = _check_membership(membership, p.size, len(self.group_names))
+        g = check_membership(membership, len(self.group_names), p.size).astype(bool)
         cells = round_to_grid_index(p, grid)
         for patch in self.patches:
             cells = _apply_patch(self.method, cells, g, patch, grid)
@@ -331,13 +318,8 @@ def fit_gcur_linear(scores, labels, groups: GroupSet) -> GcurModel:
     Zero-mass groups are dropped and recorded; exactly collinear
     columns are solvable thanks to the damping and get reported.
     """
-    p, y = _check_scores_labels(scores, labels)
-    if groups.n_samples != p.size:
-        raise DataError("group set covers a different number of samples")
-    kept, dropped = _split_degenerate(groups)
-    if not kept:
-        raise FitError("every group is empty, nothing to fit")
-    g = membership_matrix(groups, kept).astype(float)
+    p, y = _check_scores_labels(scores, labels, groups)
+    kept, dropped, g = _kept_columns(groups, float)
     cross = g.T @ g
     lam = np.linalg.solve(cross + TIKHONOV * np.eye(len(kept)), g.T @ (y - p))
     dependent = [kept[j] for j in _dependent_columns(cross)]
@@ -352,17 +334,12 @@ def fit_gcur_linear(scores, labels, groups: GroupSet) -> GcurModel:
 
 def fit_gcur_logistic(scores, labels, groups: GroupSet) -> GcurModel:
     """Logistic regression on [1, logit(p), group indicators]."""
-    p, y = _check_scores_labels(scores, labels)
-    if groups.n_samples != p.size:
-        raise DataError("group set covers a different number of samples")
+    p, y = _check_scores_labels(scores, labels, groups)
     if y.min() == y.max():
         raise FitError(
             "all labels identical; a logistic fit is degenerate, use the base rate instead"
         )
-    kept, dropped = _split_degenerate(groups)
-    if not kept:
-        raise FitError("every group is empty, nothing to fit")
-    g = membership_matrix(groups, kept).astype(float)
+    kept, dropped, g = _kept_columns(groups, float)
     X = np.column_stack([np.ones_like(p), clamped_logit(p), g])
     w, info = _newton_fit(X, y, loss="ce")
     return GcurModel(
@@ -392,17 +369,12 @@ def fit_ighb(
     and rounds back to the grid.  Ties go to the lowest group index,
     then the lowest cell index.
     """
-    p, y = _check_scores_labels(scores, labels)
-    if groups.n_samples != p.size:
-        raise DataError("group set covers a different number of samples")
+    p, y = _check_scores_labels(scores, labels, groups)
     if alpha is None:
         alpha = 1.0 / grid.m
     if not alpha > 0.0:
         raise DataError(f"alpha must be positive, got {alpha}")
-    kept, dropped = _split_degenerate(groups)
-    if not kept:
-        raise FitError("every group is empty, nothing to fit")
-    g = membership_matrix(groups, kept).astype(bool)
+    kept, dropped, g = _kept_columns(groups, bool)
     pairs = member_pairs(g)
     n = p.size
     cells = round_to_grid_index(p, grid)
@@ -487,11 +459,8 @@ def fit_iglb(
         raise DataError(f"epsilon must be in (0, 1), got {epsilon}")
     if ls_loss not in ("ce", "brier"):
         raise DataError(f"ls_loss must be 'ce' or 'brier', got {ls_loss!r}")
-    kept, dropped = _split_degenerate(train_groups)
-    if not kept:
-        raise FitError("every group is empty on the training split, nothing to fit")
-    gt = membership_matrix(train_groups, kept).astype(bool)
-    gv = membership_matrix(val_groups, kept).astype(bool)
+    kept, dropped, gt = _kept_columns(train_groups, bool, " on the training split")
+    gv = val_groups.select(kept).astype(bool)
     pairs = member_pairs(gt)
     n = tp.size
     tcells = round_to_grid_index(tp, grid)
@@ -600,8 +569,34 @@ def model_to_json(model) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _numbers(values: list, size: int, what: str) -> list:
+    """``values``, checked to be ``size`` finite JSON numbers."""
+    if len(values) != size or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in values
+    ):
+        raise DataError(f"model {what} must be {size} finite numbers")
+    return values
+
+
+def _patch(method: str, patch, k: int, m: int) -> dict:
+    """An ighb or iglb patch that ``_apply_patch`` can replay on k groups and m cells."""
+    cell = "cell" if method == "ighb" else "bin"
+    for key, allowed in (("group", range(k)), (cell, range(1, m + 1))):
+        if type(patch[key]) is not int or patch[key] not in allowed:
+            raise DataError(f"model patch {key} {patch[key]!r} is not an integer in {allowed}")
+    if method == "iglb" and patch["side"] not in ("le", "ge"):
+        raise DataError(f"model patch side must be 'le' or 'ge', got {patch['side']!r}")
+    keys = ("delta",) if method == "ighb" else ("alpha", "beta")
+    _numbers([patch[key] for key in keys], len(keys), f"patch {' and '.join(keys)}")
+    return patch
+
+
 def model_from_json(text: str):
-    """Rebuild a calibrator from :func:`model_to_json` output."""
+    """Rebuild a calibrator from :func:`model_to_json` output.
+
+    Every value ``apply`` reads is checked here, so a malformed model
+    raises DataError when it is loaded rather than when it is applied.
+    """
     with schema_fields("model"):
         payload = json.loads(text)
         if payload.get("schema_version") != 1:
@@ -609,36 +604,42 @@ def model_from_json(text: str):
         method = payload.get("method")
         params = payload.get("params", {})
         if method == "platt":
-            return PlattModel(
-                a=params["a"], b=params["b"], convergence=payload.get("convergence", {})
-            )
+            a, b = _numbers([params["a"], params["b"]], 2, "a and b")
+            return PlattModel(a=a, b=b, convergence=payload.get("convergence", {}))
         if method == "histogram":
-            return HistogramBinningModel(grid_m=payload["grid_m"], deltas=list(params["deltas"]))
+            m = BinGrid(payload["grid_m"]).m
+            return HistogramBinningModel(grid_m=m, deltas=_numbers(params["deltas"], m, "deltas"))
         if method == "gcur_linear":
+            names = list(payload["group_names"])
             return GcurModel(
                 variant="linear",
-                group_names=list(payload["group_names"]),
-                lambdas=list(params["lambdas"]),
+                group_names=names,
+                lambdas=_numbers(params["lambdas"], len(names), "lambdas"),
                 dropped_groups=list(payload.get("dropped_groups", [])),
                 dependent_columns=list(params.get("dependent_columns", [])),
             )
         if method == "gcur_logistic":
+            names = list(payload["group_names"])
+            w = [params["intercept"], params["score_coef"], *params["group_coefs"]]
+            _numbers(w, len(names) + 2, "intercept, score_coef and group_coefs")
             return GcurModel(
                 variant="logistic",
-                group_names=list(payload["group_names"]),
-                intercept=params["intercept"],
-                score_coef=params["score_coef"],
-                group_coefs=list(params["group_coefs"]),
+                group_names=names,
+                intercept=w[0],
+                score_coef=w[1],
+                group_coefs=w[2:],
                 dropped_groups=list(payload.get("dropped_groups", [])),
                 convergence=payload.get("convergence", {}),
             )
         if method in ("ighb", "iglb"):
+            m = BinGrid(payload["grid_m"]).m
+            names = list(payload["group_names"])
             conv = payload.get("convergence", {})
             return IterativePatchModel(
                 method=method,
-                grid_m=payload["grid_m"],
-                group_names=list(payload["group_names"]),
-                patches=list(params["patches"]),
+                grid_m=m,
+                group_names=names,
+                patches=[_patch(method, patch, len(names), m) for patch in params["patches"]],
                 converged=bool(conv.get("converged", False)),
                 stop_reason=conv.get("stop_reason", ""),
                 dropped_groups=list(payload.get("dropped_groups", [])),

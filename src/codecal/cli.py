@@ -10,6 +10,7 @@ import functools
 import itertools
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -431,11 +432,11 @@ def ablate(
 
     rows = []
     for subset in subsets:
-        cfg = GroupingConfig(
+        cfg = replace(
+            base_cfg,
             use_language="language" in subset,
             length_metrics=base_cfg.length_metrics if "length" in subset else (),
             complexity_source=base_cfg.complexity_source if "complexity" in subset else "none",
-            always_on=base_cfg.always_on,
         )
         grouping = GroupingModel.fit(train.columns, cfg)
         train_groups = grouping.apply(train.columns)

@@ -6,6 +6,13 @@ builders may overlap.  Anything fitted (length cutpoints, complexity
 terciles, the language list) is fitted on one dataset and can then be
 applied to another, so thresholds never leak out of the training split.
 
+This module owns the membership contract.  :func:`check_membership`
+accepts a 2-d array only when every entry is 0 or 1 before any cast, so
+0.5, 257 and NaN are refused rather than truncated; :class:`GroupSet`
+and the calibrators' ``apply`` both call it.  :meth:`GroupSet.select`
+is the one way to pick columns by name: it returns them C-contiguous,
+in the order asked for.
+
 Grouping reads four per-sample fields, held column-wise in a
 :class:`GroupColumns` table that caches every feature derived from
 them, so several groupings fitted and applied to one split walk its
@@ -15,7 +22,7 @@ code texts once.  Functions taking samples accept such a table or a
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,6 +33,7 @@ __all__ = [
     "GroupSet",
     "GroupingConfig",
     "GroupingModel",
+    "check_membership",
     "build_language_groups",
     "build_length_groups",
     "build_complexity_groups",
@@ -43,6 +51,23 @@ _BRANCH_SYMBOLS = ("&&", "||", "?")
 _BRANCH_WORD_RE = re.compile(r"\b(?:" + "|".join(_BRANCH_WORDS) + r")\b")
 
 
+def check_membership(membership, n_groups: int, n_samples: int | None = None) -> np.ndarray:
+    """``membership`` as an array, checked to be (n_samples, n_groups) and all 0/1.
+
+    Values are compared before any cast, so a caller casting the result
+    to int8 or bool cannot turn 0.5, 257 or NaN into a membership.
+    ``n_samples=None`` accepts any row count.
+    """
+    g = np.asarray(membership)
+    wrong_rows = n_samples is not None and g.shape[:1] != (n_samples,)
+    if g.ndim != 2 or g.shape[1] != n_groups or wrong_rows:
+        rows = "n" if n_samples is None else n_samples
+        raise DataError(f"membership must have shape ({rows}, {n_groups}), got {g.shape}")
+    if not np.all((g == 0) | (g == 1)):
+        raise DataError("membership entries must be 0 or 1")
+    return g
+
+
 @dataclass
 class GroupSet:
     """Named binary membership columns over a fixed sample ordering."""
@@ -51,18 +76,10 @@ class GroupSet:
     membership: np.ndarray
 
     def __post_init__(self) -> None:
-        self.membership = np.asarray(self.membership, dtype=np.int8)
-        if self.membership.ndim != 2:
-            raise DataError("membership must be a 2-d array")
-        if self.membership.shape[1] != len(self.names):
-            raise DataError(
-                f"{len(self.names)} names but {self.membership.shape[1]} membership columns"
-            )
+        membership = check_membership(self.membership, len(self.names))
+        self.membership = membership.astype(np.int8, copy=False)
         if len(set(self.names)) != len(self.names):
             raise DataError("group names must be unique")
-        vals = np.unique(self.membership)
-        if vals.size and not np.all(np.isin(vals, (0, 1))):
-            raise DataError("membership entries must be 0 or 1")
 
     @property
     def n_samples(self) -> int:
@@ -81,12 +98,21 @@ class GroupSet:
         masses = self.masses
         return [name for name, m in zip(self.names, masses) if m == 0.0]
 
+    def select(self, names: list[str]) -> np.ndarray:
+        """C-contiguous int8 columns matching ``names``, in that order.
+
+        C order is part of the contract: BLAS rounding follows memory
+        layout, so every fitted float depends on it.  ``take`` keeps C
+        order where a fancy index ``[:, cols]`` would return F order.
+        """
+        index = {name: j for j, name in enumerate(self.names)}
+        for name in names:
+            if name not in index:
+                raise DataError(f"no group named {name!r}")
+        return self.membership.take([index[name] for name in names], axis=1)
+
     def column(self, name: str) -> np.ndarray:
-        try:
-            j = self.names.index(name)
-        except ValueError:
-            raise DataError(f"no group named {name!r}") from None
-        return self.membership[:, j]
+        return self.select([name])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -146,8 +172,10 @@ def _band_membership(values: np.ndarray, cutpoints: list[float]) -> np.ndarray:
 
 
 def _one_hot(indices: np.ndarray, n_cols: int) -> np.ndarray:
+    """int8 rows with a 1 at each index; a negative index gives an all-zero row."""
     out = np.zeros((indices.size, n_cols), dtype=np.int8)
-    out[np.arange(indices.size), indices] = 1
+    rows = np.flatnonzero(indices >= 0)
+    out[rows, indices[rows]] = 1
     return out
 
 
@@ -246,11 +274,7 @@ def _label_membership(columns: GroupColumns, name: str, labels: list) -> np.ndar
     vocab, codes = columns.codes(name)
     position = {label: j for j, label in enumerate(labels)}
     lookup = np.array([position.get(v, -1) for v in vocab], dtype=np.intp)
-    cols = lookup[codes]
-    rows = np.flatnonzero(cols >= 0)
-    out = np.zeros((codes.size, len(labels)), dtype=np.int8)
-    out[rows, cols[rows]] = 1
-    return out
+    return _one_hot(lookup[codes], len(labels))
 
 
 def build_language_groups(dataset, languages: list[str] | None = None) -> GroupSet:
@@ -274,17 +298,8 @@ def build_length_groups(dataset, cfg: GroupingConfig, fit_on=None) -> GroupSet:
     code_text fall into a shared ``len_unknown`` group.
     """
     columns = _as_columns(dataset)
-    model = GroupingModel.fit(
-        columns if fit_on is None else fit_on,
-        GroupingConfig(
-            use_language=False,
-            length_metrics=cfg.length_metrics,
-            length_quantiles=cfg.length_quantiles,
-            complexity_source="none",
-            always_on=False,
-        ),
-    )
-    return model.apply(columns)
+    only_length = replace(cfg, use_language=False, complexity_source="none", always_on=False)
+    return GroupingModel.fit(columns if fit_on is None else fit_on, only_length).apply(columns)
 
 
 def build_complexity_groups(dataset, cfg: GroupingConfig, fit_on=None) -> GroupSet:
@@ -292,17 +307,8 @@ def build_complexity_groups(dataset, cfg: GroupingConfig, fit_on=None) -> GroupS
     if cfg.complexity_source == "none":
         raise DataError("complexity_source is 'none', nothing to build")
     columns = _as_columns(dataset)
-    model = GroupingModel.fit(
-        columns if fit_on is None else fit_on,
-        GroupingConfig(
-            use_language=False,
-            length_metrics=(),
-            complexity_source=cfg.complexity_source,
-            complexity_quantiles=cfg.complexity_quantiles,
-            always_on=False,
-        ),
-    )
-    return model.apply(columns)
+    only_complexity = replace(cfg, use_language=False, length_metrics=(), always_on=False)
+    return GroupingModel.fit(columns if fit_on is None else fit_on, only_complexity).apply(columns)
 
 
 def assemble(parts: list[GroupSet], always_on: bool = True) -> GroupSet:
@@ -315,15 +321,14 @@ def assemble(parts: list[GroupSet], always_on: bool = True) -> GroupSet:
             raise DataError(
                 f"group sets cover different sample counts: {n} vs {part.n_samples}"
             )
-    names: list[str] = []
-    columns: list[np.ndarray] = []
-    if always_on:
-        names.append(ALL_GROUP)
-        columns.append(np.ones((n, 1), dtype=np.int8))
-    for part in parts:
-        names.extend(part.names)
-        columns.append(part.membership)
-    return GroupSet(names, np.hstack(columns) if columns else np.zeros((n, 0), dtype=np.int8))
+    names = [name for part in parts for name in part.names]
+    return _stack(n, always_on, names, [part.membership for part in parts])
+
+
+def _stack(n: int, always_on: bool, names: list[str], blocks: list[np.ndarray]) -> GroupSet:
+    """The blocks' columns as one GroupSet, led by the ALL group when ``always_on``."""
+    lead = [ALL_GROUP] if always_on else []
+    return GroupSet(lead + names, np.hstack([np.ones((n, len(lead)), dtype=np.int8), *blocks]))
 
 
 @dataclass
@@ -370,57 +375,34 @@ class GroupingModel:
     def apply(self, dataset) -> GroupSet:
         """Group a GroupColumns table or a Dataset."""
         columns = _as_columns(dataset)
-        parts: list[GroupSet] = []
+        names: list[str] = []
+        blocks: list[np.ndarray] = []
         if self.config.use_language:
-            parts.append(build_language_groups(columns, languages=self.languages))
+            names.extend(self.languages)
+            blocks.append(_label_membership(columns, "languages", self.languages))
         for metric in self.config.length_metrics:
             cuts = self.length_cutpoints[metric]
             prefix = "len" if metric == "chars" else "loc"
-            cols = _one_hot(_band_membership(columns.length(metric), cuts), len(cuts) + 1)
-            cols[~columns.known, :] = 0
-            parts.append(GroupSet(_band_names(prefix, len(cuts) + 1), cols))
+            bands = np.where(columns.known, _band_membership(columns.length(metric), cuts), -1)
+            names.extend(_band_names(prefix, len(cuts) + 1))
+            blocks.append(_one_hot(bands, len(cuts) + 1))
         if self.config.length_metrics:
             # Single shared home for samples without code_text, kept even
             # when empty so the group list is identical across splits.
-            unknown = (~columns.known).astype(np.int8)[:, None]
-            parts.append(GroupSet([UNKNOWN_LENGTH_GROUP], unknown))
+            names.append(UNKNOWN_LENGTH_GROUP)
+            blocks.append((~columns.known).astype(np.int8)[:, None])
         if self.config.complexity_source == "difficulty_label":
             columns.require("difficulties", "difficulty label required for complexity groups")
-            membership = _label_membership(columns, "difficulties", self.difficulty_labels)
-            parts.append(
-                GroupSet([f"cx_{label}" for label in self.difficulty_labels], membership)
-            )
+            names.extend(f"cx_{label}" for label in self.difficulty_labels)
+            blocks.append(_label_membership(columns, "difficulties", self.difficulty_labels))
         elif self.config.complexity_source == "branch_heuristic":
             bands = _band_membership(columns.branch_counts(), self.complexity_cutpoints)
-            names = _band_names("cx", len(self.complexity_cutpoints) + 1)
-            parts.append(GroupSet(names, _one_hot(bands, len(names))))
-        if not parts:
-            n = len(columns)
-            return GroupSet(
-                [ALL_GROUP] if self.config.always_on else [],
-                np.ones((n, 1), dtype=np.int8)
-                if self.config.always_on
-                else np.zeros((n, 0), dtype=np.int8),
-            )
-        return assemble(parts, always_on=self.config.always_on)
+            names.extend(_band_names("cx", len(self.complexity_cutpoints) + 1))
+            blocks.append(_one_hot(bands, len(self.complexity_cutpoints) + 1))
+        return _stack(len(columns), self.config.always_on, names, blocks)
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": 1,
-            "config": {
-                "use_language": self.config.use_language,
-                "length_metrics": list(self.config.length_metrics),
-                "length_quantiles": list(self.config.length_quantiles),
-                "complexity_source": self.config.complexity_source,
-                "complexity_quantiles": list(self.config.complexity_quantiles),
-                "always_on": self.config.always_on,
-            },
-            "languages": self.languages,
-            "length_cutpoints": self.length_cutpoints,
-            "difficulty_labels": self.difficulty_labels,
-            "complexity_cutpoints": self.complexity_cutpoints,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps({"schema_version": 1, **asdict(self)}, sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "GroupingModel":
@@ -428,16 +410,11 @@ class GroupingModel:
             payload = json.loads(text)
             if payload.get("schema_version") != 1:
                 raise DataError(f"unsupported grouping schema version {payload.get('schema_version')!r}")
-            cfg = payload["config"]
+            cfg = {f.name: payload["config"][f.name] for f in fields(GroupingConfig)}
+            # JSON holds the config's tuples as lists.
+            cfg = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
             return cls(
-                config=GroupingConfig(
-                    use_language=cfg["use_language"],
-                    length_metrics=tuple(cfg["length_metrics"]),
-                    length_quantiles=tuple(cfg["length_quantiles"]),
-                    complexity_source=cfg["complexity_source"],
-                    complexity_quantiles=tuple(cfg["complexity_quantiles"]),
-                    always_on=cfg["always_on"],
-                ),
+                config=GroupingConfig(**cfg),
                 languages=list(payload["languages"]),
                 length_cutpoints={k: list(v) for k, v in payload["length_cutpoints"].items()},
                 difficulty_labels=list(payload["difficulty_labels"]),

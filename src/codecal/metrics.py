@@ -37,23 +37,35 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
+def _as_scores(scores, empty: str = "need at least one sample") -> np.ndarray:
+    """Validated 1-d float array of scores in [0, 1]; ``empty`` is the message for none."""
+    p = np.asarray(scores, dtype=float)
+    if p.ndim != 1:
+        raise DataError(f"scores must be a 1-d array, got shape {p.shape}")
+    if p.size == 0:
+        raise DataError(empty)
+    if not np.all(np.isfinite(p)) or np.min(p) < 0.0 or np.max(p) > 1.0:
+        raise DataError("scores must lie in [0, 1]")
+    return p
+
+
 def _as_scores_labels(
-    scores, labels, empty: str = "need at least one sample"
+    scores, labels, *groups: GroupSet, empty: str = "need at least one sample"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validated float arrays of parallel scores and labels.
 
-    ``empty`` is the message for zero samples.
+    ``empty`` is the message for zero samples.  Each of ``groups`` must
+    cover the samples.
     """
     p = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
     if p.shape != y.shape or p.ndim != 1:
         raise DataError(f"scores and labels must be parallel 1-d arrays, got {p.shape} and {y.shape}")
-    if p.size == 0:
-        raise DataError(empty)
-    if not np.all(np.isfinite(p)) or np.min(p) < 0.0 or np.max(p) > 1.0:
-        raise DataError("scores must lie in [0, 1]")
+    p = _as_scores(p, empty)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("labels must be 0 or 1")
+    if any(g.n_samples != p.size for g in groups):
+        raise DataError("group set covers a different number of samples")
     return p, y
 
 
@@ -156,9 +168,7 @@ def multicalibration_check(
     Returns one entry per group with its mass, weighted error, and
     verdict.  Zero-mass groups pass vacuously and carry no error value.
     """
-    p, y = _as_scores_labels(scores, labels)
-    if groups.n_samples != p.size:
-        raise DataError("group set covers a different number of samples")
+    p, y = _as_scores_labels(scores, labels, groups)
     if not alpha > 0.0:
         raise DataError(f"alpha must be positive, got {alpha}")
     pairs = member_pairs(groups.membership)

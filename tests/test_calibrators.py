@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from codecal.binning import BinGrid, round_to_grid_index
 from codecal.calibrators import (
+    TIKHONOV,
+    _newton_fit,
     _ranked_regions,
     GcurModel,
     HistogramBinningModel,
@@ -27,7 +29,14 @@ from codecal.calibrators import (
     sigmoid,
 )
 from codecal.errors import DataError, FitError
-from codecal.groups import GroupSet, assemble, build_language_groups
+from codecal.groups import (
+    GroupColumns,
+    GroupingConfig,
+    GroupingModel,
+    GroupSet,
+    assemble,
+    build_language_groups,
+)
 from codecal.synthgen import Block, SynthSpec, generate
 
 
@@ -640,3 +649,203 @@ class TestSerialization:
     def test_non_object_document_is_data_error(self):
         with pytest.raises(DataError, match="malformed model"):
             model_from_json("[1, 2]")
+
+
+def applied_model(kind):
+    """(model, membership) with a one-group membership matrix where the model reads one."""
+    if kind == "platt":
+        return PlattModel(a=1.0, b=0.0)
+    if kind == "histogram":
+        return HistogramBinningModel(grid_m=10, deltas=[0.0] * 10)
+    if kind == "gcur":
+        return GcurModel(variant="linear", group_names=["a"], lambdas=[0.1])
+    return IterativePatchModel(
+        method="ighb", grid_m=10, group_names=["a"], patches=[], converged=True, stop_reason=""
+    )
+
+
+MODEL_KINDS = ("platt", "histogram", "gcur", "ighb")
+
+
+class TestApplyScoreCheck:
+    """Every model's apply validates scores alone, by one rule."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_empty_scores(self, kind):
+        with pytest.raises(DataError, match="need at least one score to apply"):
+            applied_model(kind).apply(np.array([]), np.ones((0, 1), dtype=int))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_two_dimensional_scores(self, kind):
+        with pytest.raises(DataError, match=r"scores must be a 1-d array, got shape \(2, 2\)"):
+            applied_model(kind).apply(np.full((2, 2), 0.5), np.ones((2, 1), dtype=int))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_scores_outside_unit_interval(self, kind):
+        with pytest.raises(DataError, match=r"scores must lie in \[0, 1\]"):
+            applied_model(kind).apply(np.array([0.5, 1.5]), np.ones((2, 1), dtype=int))
+
+    @pytest.mark.parametrize("kind", ["gcur", "ighb"])
+    @pytest.mark.parametrize("value", [0.5, 257, float("nan")])
+    def test_group_models_refuse_non_binary_membership(self, kind, value):
+        with pytest.raises(DataError, match="membership entries must be 0 or 1"):
+            applied_model(kind).apply(np.array([0.5]), np.array([[value]]))
+
+
+def grouping_split(n, seed):
+    """Scores, labels and the group set GroupingModel.apply builds from generated columns."""
+    rng = np.random.default_rng(seed)
+    languages = rng.choice(["c", "go", "py", "rs"], n).tolist()
+    difficulties = rng.choice(["easy", "mid", "hard"], n).tolist()
+    texts = ["x = 1\n" * int(k) for k in rng.integers(1, 40, n)]
+    columns = GroupColumns([f"s{i}" for i in range(n)], languages, difficulties, texts)
+    grouping = GroupingModel.fit(columns, GroupingConfig(complexity_source="difficulty_label"))
+    shift = np.array([{"c": 0.1, "go": -0.1, "py": 0.05, "rs": 0.0}[lang] for lang in languages])
+    p = np.clip(rng.uniform(0.05, 0.95, n) + shift, 0.01, 0.99)
+    y = (rng.random(n) < p - shift).astype(float)
+    return p, y, grouping.apply(columns)
+
+
+class TestGroupColumnLayout:
+    """Fitted floats depend on the memory layout of the selected columns.
+
+    The reference builds the kept columns with np.column_stack, which is
+    C-ordered; an F-ordered selection passes every other test but moves
+    the last bits of these coefficients.
+    """
+
+    def reference_columns(self, groups):
+        kept = [name for name in groups.names if name not in groups.degenerate]
+        cols = [groups.membership[:, groups.names.index(name)] for name in kept]
+        return kept, np.column_stack(cols).astype(float)
+
+    def test_gcur_linear_lambdas(self):
+        p, y, groups = grouping_split(6000, 21)
+        kept, g = self.reference_columns(groups)
+        want = np.linalg.solve(g.T @ g + TIKHONOV * np.eye(len(kept)), g.T @ (y - p))
+        model = fit_gcur_linear(p, y, groups)
+        assert model.group_names == kept
+        assert model.lambdas == want.tolist()
+
+    def test_gcur_logistic_coefficients(self):
+        p, y, groups = grouping_split(6000, 22)
+        kept, g = self.reference_columns(groups)
+        want, _ = _newton_fit(np.column_stack([np.ones_like(p), clamped_logit(p), g]), y, "ce")
+        model = fit_gcur_logistic(p, y, groups)
+        assert model.group_names == kept
+        assert [model.intercept, model.score_coef, *model.group_coefs] == want.tolist()
+
+
+def _serialized(model):
+    return json.loads(model_to_json(model))
+
+
+def _valid_payloads():
+    ighb = IterativePatchModel(
+        method="ighb", grid_m=10, group_names=["a", "b"],
+        patches=[{"group": 1, "cell": 3, "delta": 0.1}], converged=True, stop_reason="", alpha=0.1,
+    )
+    iglb = IterativePatchModel(
+        method="iglb", grid_m=10, group_names=["a", "b"],
+        patches=[{"group": 0, "bin": 4, "side": "le", "alpha": 0.2, "beta": 1.1}],
+        converged=True, stop_reason="", epsilon=0.05, ls_loss="ce",
+    )
+    return {
+        "platt": _serialized(PlattModel(a=1.0, b=0.0)),
+        "histogram": _serialized(HistogramBinningModel(grid_m=10, deltas=[0.0] * 10)),
+        "gcur_linear": _serialized(
+            GcurModel(variant="linear", group_names=["a", "b"], lambdas=[0.1, 0.2])
+        ),
+        "gcur_logistic": _serialized(
+            GcurModel(variant="logistic", group_names=["a"], group_coefs=[0.3])
+        ),
+        "ighb": _serialized(ighb),
+        "iglb": _serialized(iglb),
+    }
+
+
+def _set(path, value):
+    def mutate(payload):
+        *head, last = path
+        for key in head:
+            payload = payload[key]
+        payload[last] = value
+
+    return mutate
+
+
+def _drop_patch_group(payload):
+    del payload["params"]["patches"][0]["group"]
+
+
+MALFORMED_MODELS = {
+    "patch group >= k": ("ighb", _set(("params", "patches", 0, "group"), 2)),
+    "negative patch group": ("ighb", _set(("params", "patches", 0, "group"), -1)),
+    "patch without group": ("ighb", _drop_patch_group),
+    "non-dict patch": ("ighb", _set(("params", "patches", 0), [1, 3, 0.1])),
+    "patch cell outside the grid": ("ighb", _set(("params", "patches", 0, "cell"), 11)),
+    "deltas shorter than grid_m": ("histogram", _set(("params", "deltas"), [0.0] * 9)),
+    "more lambdas than group_names": ("gcur_linear", _set(("params", "lambdas"), [0.1] * 3)),
+    "fewer group_coefs than group_names": ("gcur_logistic", _set(("params", "group_coefs"), [])),
+    "string platt a": ("platt", _set(("params", "a"), "1.0")),
+    "boolean platt b": ("platt", _set(("params", "b"), True)),
+    "iglb side xx": ("iglb", _set(("params", "patches", 0, "side"), "xx")),
+    "iglb patch beta null": ("iglb", _set(("params", "patches", 0, "beta"), None)),
+}
+
+
+class TestMalformedModels:
+    @pytest.mark.parametrize("method", sorted(_valid_payloads()))
+    def test_valid_payload_loads(self, method):
+        model = model_from_json(json.dumps(_valid_payloads()[method]))
+        assert model.method == method
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_rejected_on_load(self, case):
+        method, mutate = MALFORMED_MODELS[case]
+        payload = _valid_payloads()[method]
+        mutate(payload)
+        with pytest.raises(DataError):
+            model_from_json(json.dumps(payload))
+
+
+def _all_fitted(p, y, groups, grid):
+    half = p.size // 2
+    names, g = groups.names, groups.membership
+    return [
+        fit_platt(p, y),
+        fit_histogram_binning(p, y, grid),
+        fit_gcur_linear(p, y, groups),
+        fit_gcur_logistic(p, y, groups),
+        fit_ighb(p, y, groups, grid),
+        fit_iglb(
+            p[:half], y[:half], p[half:], y[half:],
+            GroupSet(names, g[:half]), GroupSet(names, g[half:]), grid,
+        ),
+    ]
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 150),
+        k=st.integers(1, 4),
+        m=st.integers(2, 30),
+    )
+    def test_apply_after_json_round_trip_is_bit_exact(self, seed, n, k, m):
+        rng = np.random.default_rng(seed)
+        p = np.where(rng.random(n) < 0.1, rng.integers(0, 2, n), rng.uniform(0, 1, n))
+        y = (rng.random(n) < p).astype(float)
+        assume(0 < y.sum() < n)
+        membership = (rng.random((n, k)) < 0.5).astype(np.int8)
+        membership[:, 0] = 1
+        groups = GroupSet([f"g{j}" for j in range(k)], membership)
+        for model in _all_fitted(p, y, groups, BinGrid(m)):
+            restored = model_from_json(model_to_json(model))
+            assert model_to_json(restored) == model_to_json(model)
+            if hasattr(model, "group_names"):
+                args = (p, membership_matrix(groups, model.group_names))
+            else:
+                args = (p,)
+            assert restored.apply(*args).tobytes() == model.apply(*args).tobytes()

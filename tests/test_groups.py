@@ -18,6 +18,7 @@ from codecal.groups import (
     build_complexity_groups,
     build_language_groups,
     build_length_groups,
+    check_membership,
     nearest_rank_quantile,
 )
 
@@ -45,6 +46,32 @@ class TestGroupSet:
     def test_rejects_non_binary(self):
         with pytest.raises(DataError):
             GroupSet(["a"], np.array([[2], [0]]))
+
+    @pytest.mark.parametrize("value", [0.5, 257, float("nan")])
+    def test_refuses_values_a_cast_would_hide(self, value):
+        # int8 would turn these into 0, 1 and 0; they are checked before any cast.
+        with pytest.raises(DataError, match="membership entries must be 0 or 1"):
+            GroupSet(["a"], np.array([[value]]))
+
+    @pytest.mark.parametrize("dtype", [bool, int, float])
+    def test_accepts_binary_of_any_dtype(self, dtype):
+        gs = GroupSet(["a", "b"], np.array([[1, 0], [0, 1]], dtype=dtype))
+        assert gs.membership.dtype == np.int8
+        np.testing.assert_array_equal(gs.membership, [[1, 0], [0, 1]])
+
+    def test_rejects_wrong_column_count(self):
+        with pytest.raises(DataError, match=r"membership must have shape \(n, 2\), got \(2, 1\)"):
+            GroupSet(["a", "b"], np.ones((2, 1)))
+
+    def test_select_is_c_contiguous_in_requested_order(self):
+        membership = np.asfortranarray(np.array([[1, 0, 1], [0, 1, 1]]))
+        gs = GroupSet(["a", "b", "c"], membership)
+        picked = gs.select(["c", "a"])
+        assert picked.flags.c_contiguous and picked.dtype == np.int8
+        np.testing.assert_array_equal(picked, [[1, 1], [1, 0]])
+        assert gs.select([]).shape == (2, 0)
+        with pytest.raises(DataError, match="no group named 'z'"):
+            gs.select(["a", "z"])
 
     def test_rejects_duplicate_names(self):
         with pytest.raises(DataError):
@@ -237,6 +264,19 @@ class TestGroupingModel:
         del payload["config"]
         with pytest.raises(DataError, match="missing field 'config'"):
             GroupingModel.from_json(json.dumps(payload))
+
+    def test_apply_builds_one_group_set(self, monkeypatch):
+        ds = self.make_ds()
+        model = GroupingModel.fit(ds, GroupingConfig(complexity_source="difficulty_label"))
+        checked = []
+
+        def counting(membership, *args):
+            checked.append(np.shape(membership))
+            return check_membership(membership, *args)
+
+        monkeypatch.setattr("codecal.groups.check_membership", counting)
+        gs = model.apply(ds)
+        assert checked == [(4, len(gs.names))]
 
     def test_same_group_list_across_datasets(self):
         ds = self.make_ds()
