@@ -28,7 +28,14 @@ from .calibrators import (
     membership_matrix,
     model_to_json,
 )
-from .data import SplitSpec, assign_problem_splits, atomic_outputs, parse_record
+from .data import (
+    SplitSpec,
+    assign_problem_splits,
+    atomic_outputs,
+    iter_json_lines,
+    parse_record,
+    save_records,
+)
 from .errors import ConvertError, DataError, RecordError, schema_fields
 from .groups import GroupingConfig, GroupingModel
 from .metrics import NEG_INF, EvalReport, evaluate
@@ -131,12 +138,16 @@ def _format_metric(value: float) -> str:
     return "-inf" if value == NEG_INF else repr(float(value))
 
 
-def _write_reliability_csv(report: EvalReport, path: str) -> None:
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin", "count", "conf", "acc"])
-        for bin_index, count, conf, acc in report.reliability:
-            writer.writerow([bin_index, count, repr(conf), repr(acc)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @click.group()
@@ -189,18 +200,11 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     """
     spec = SplitSpec(train=train, val=val, test=test, seed=seed)
     problem_ids: list[str] = []
-    with open(input_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"malformed JSON: {exc.msg}", line=lineno) from exc
-            pid = obj.get("problem_id") if isinstance(obj, dict) else None
-            if not isinstance(pid, str) or not pid:
-                raise RecordError("missing problem_id", line=lineno)
-            problem_ids.append(pid)
+    for lineno, _, obj in iter_json_lines(input_path):
+        pid = obj.get("problem_id") if isinstance(obj, dict) else None
+        if not isinstance(pid, str) or not pid:
+            raise RecordError("missing problem_id", line=lineno)
+        problem_ids.append(pid)
     assignment = assign_problem_splits(problem_ids, spec)
     os.makedirs(output_dir, exist_ok=True)
     names = ("train", "val", "test")
@@ -279,6 +283,27 @@ def _apply_model(model, p, groups):
     return model.apply(p, membership_matrix(groups, model.group_names))
 
 
+def _calibrate(values, grid, splits, cfg: GroupingConfig, methods: list[str]):
+    """Fit a grouping on train, group every split, and fit and apply each method.
+
+    Returns the grouping, the test groups and one ``(name, model,
+    calibrated test scores)`` per method; a method whose fit or apply
+    raised ``DataError`` has the error in place of the model and None
+    for the scores.
+    """
+    train, val, test = splits
+    grouping = GroupingModel.fit(train.columns, cfg)
+    train_groups, val_groups, test_groups = (grouping.apply(split.columns) for split in splits)
+    results = []
+    for name in methods:
+        try:
+            model = _fit_one(name, grid, values, train, val, train_groups, val_groups)
+            results.append((name, model, _apply_model(model, test.p_hat, test_groups)))
+        except DataError as exc:
+            results.append((name, exc, None))
+    return grouping, test_groups, results
+
+
 _SHARED_FIT_OPTIONS = [
     click.option("--train", "train_path", required=True, help="Scored train JSONL."),
     click.option("--val", "val_path", required=True, help="Scored validation JSONL."),
@@ -341,62 +366,32 @@ def fit_eval(
     values = _merge_config(ctx, config_path, options)
     method_list = _parse_methods(values["methods"])
     grid = BinGrid(values["grid_m"])
-    train, val, test = _load_splits(train_path, val_path, test_path)
-    sp, sy = test.p_hat, test.labels
-    grouping = GroupingModel.fit(train.columns, _grouping_from_values(values))
-    train_groups = grouping.apply(train.columns)
-    val_groups = grouping.apply(val.columns)
-    test_groups = grouping.apply(test.columns)
-
-    os.makedirs(output_dir, exist_ok=True)
-    with open(os.path.join(output_dir, "grouping.json"), "w", encoding="utf-8") as fh:
-        fh.write(grouping.to_json())
-        fh.write("\n")
-
-    rows = []
-    baseline = evaluate(sp, sy, grid, test_groups)
-    with open(os.path.join(output_dir, "report_uncalibrated.json"), "w", encoding="utf-8") as fh:
-        fh.write(baseline.to_json())
-        fh.write("\n")
-    _write_reliability_csv(baseline, os.path.join(output_dir, "reliability_uncalibrated.csv"))
-    rows.append(
-        [
-            "uncalibrated",
-            _format_metric(baseline.bss),
-            _format_metric(baseline.accuracy),
-            _format_metric(baseline.ece),
-            _format_metric(baseline.brier),
-        ]
+    splits = _load_splits(train_path, val_path, test_path)
+    test = splits[2]
+    grouping, test_groups, results = _calibrate(
+        values, grid, splits, _grouping_from_values(values), method_list
     )
-    for name in method_list:
-        try:
-            model = _fit_one(name, grid, values, train, val, train_groups, val_groups)
-            calibrated = _apply_model(model, sp, test_groups)
-        except DataError as exc:
-            click.echo(f"{name} failed: {exc}", err=True)
+    os.makedirs(output_dir, exist_ok=True)
+    out = functools.partial(os.path.join, output_dir)
+    _write_text(out("grouping.json"), grouping.to_json() + "\n")
+    rows = []
+    for name, model, calibrated in [("uncalibrated", None, test.p_hat), *results]:
+        if isinstance(model, DataError):
+            click.echo(f"{name} failed: {model}", err=True)
             rows.append([name, "failed", "failed", "failed", "failed"])
             continue
-        with open(os.path.join(output_dir, f"model_{name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(model_to_json(model))
-            fh.write("\n")
-        report = evaluate(calibrated, sy, grid, test_groups)
-        with open(os.path.join(output_dir, f"report_{name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        _write_reliability_csv(report, os.path.join(output_dir, f"reliability_{name}.csv"))
-        rows.append(
-            [
-                name,
-                _format_metric(report.bss),
-                _format_metric(report.accuracy),
-                _format_metric(report.ece),
-                _format_metric(report.brier),
-            ]
+        if model is not None:
+            _write_text(out(f"model_{name}.json"), model_to_json(model) + "\n")
+        report = evaluate(calibrated, test.labels, grid, test_groups)
+        _write_text(out(f"report_{name}.json"), report.to_json() + "\n")
+        _write_csv(
+            out(f"reliability_{name}.csv"),
+            ["bin", "count", "conf", "acc"],
+            ([b, count, repr(conf), repr(acc)] for b, count, conf, acc in report.reliability),
         )
-    with open(os.path.join(output_dir, "comparison.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "bss", "acc", "ece", "brier"])
-        writer.writerows(rows)
+        metrics = (report.bss, report.accuracy, report.ece, report.brier)
+        rows.append([name, *map(_format_metric, metrics)])
+    _write_csv(out("comparison.csv"), ["method", "bss", "acc", "ece", "brier"], rows)
     click.echo(f"wrote {output_dir}/comparison.csv", err=True)
 
 
@@ -427,8 +422,8 @@ def ablate(
         subsets.extend(itertools.combinations(sorted(categories), size))
     subsets.sort(key=lambda subset: "+".join(subset))
 
-    train, val, test = _load_splits(train_path, val_path, test_path)
-    sp, sy = test.p_hat, test.labels
+    splits = _load_splits(train_path, val_path, test_path)
+    labels = splits[2].labels
 
     rows = []
     for subset in subsets:
@@ -438,25 +433,18 @@ def ablate(
             length_metrics=base_cfg.length_metrics if "length" in subset else (),
             complexity_source=base_cfg.complexity_source if "complexity" in subset else "none",
         )
-        grouping = GroupingModel.fit(train.columns, cfg)
-        train_groups = grouping.apply(train.columns)
-        val_groups = grouping.apply(val.columns)
-        test_groups = grouping.apply(test.columns)
-        for name in method_list:
+        subset_name = "+".join(subset)
+        _, _, results = _calibrate(values, grid, splits, cfg, method_list)
+        for name, model, calibrated in results:
             try:
-                model = _fit_one(name, grid, values, train, val, train_groups, val_groups)
-                calibrated = _apply_model(model, sp, test_groups)
-                report = evaluate(calibrated, sy, grid)
-                bss = _format_metric(report.bss)
+                if isinstance(model, DataError):
+                    raise model
+                bss = _format_metric(evaluate(calibrated, labels, grid).bss)
             except DataError as exc:
-                click.echo(f"{name} on {'+'.join(subset)} failed: {exc}", err=True)
+                click.echo(f"{name} on {subset_name} failed: {exc}", err=True)
                 bss = "failed"
-            rows.append(["+".join(subset), name, bss])
-    with open(output_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "groups", "bss"])
-        for subset_name, name, bss in rows:
-            writer.writerow([name, subset_name, bss])
+            rows.append([name, subset_name, bss])
+    _write_csv(output_path, ["method", "groups", "bss"], rows)
     click.echo(f"wrote {output_path}", err=True)
 
 
@@ -466,19 +454,16 @@ def ablate(
 @_guarded
 def report(report_path, output_dir) -> None:
     """Render reliability and group charts from a report."""
-    with open(report_path, "r", encoding="utf-8") as fh:
-        parsed = EvalReport.from_json(fh.read())
+    parsed = EvalReport.from_json(Path(report_path).read_text(encoding="utf-8"))
     stem = Path(report_path).stem
     with schema_fields("report"):
         reliability = reliability_chart(parsed, title=f"{stem}: accuracy per confidence bin")
         groups = group_chart(parsed, title=f"{stem}: group confidence vs accuracy")
     os.makedirs(output_dir, exist_ok=True)
     rel_path = os.path.join(output_dir, f"{stem}_reliability.svg")
-    with open(rel_path, "w", encoding="utf-8") as fh:
-        fh.write(reliability)
     grp_path = os.path.join(output_dir, f"{stem}_groups.svg")
-    with open(grp_path, "w", encoding="utf-8") as fh:
-        fh.write(groups)
+    _write_text(rel_path, reliability)
+    _write_text(grp_path, groups)
     click.echo(f"wrote {rel_path} and {grp_path}", err=True)
 
 
@@ -524,7 +509,8 @@ def convert_calibri(source, output_path) -> None:
 
     used_fields: dict[str, set] = {}
     skipped = 0
-    converted = []
+    samples = []
+    seen = set()
     row_index = 0
     for path in files:
         with open(path, "r", encoding="utf-8") as fh:
@@ -532,69 +518,49 @@ def convert_calibri(source, output_path) -> None:
                 if not raw.strip():
                     continue
                 row_index += 1
+                where = f"{path} line {lineno}"
                 try:
                     obj = json.loads(raw)
                 except json.JSONDecodeError as exc:
-                    raise ConvertError(f"{path} line {lineno}: malformed JSON: {exc.msg}") from exc
+                    raise ConvertError(f"{where}: malformed JSON: {exc.msg}") from exc
                 if not isinstance(obj, dict):
-                    raise ConvertError(f"{path} line {lineno}: record is not a JSON object")
-                missing = [
-                    target for target in _CALIBRI_REQUIRED if _resolve_field(obj, target)[0] is None
-                ]
+                    raise ConvertError(f"{where}: record is not a JSON object")
+                found = {target: _resolve_field(obj, target) for target in _CALIBRI_ALIASES}
+                missing = [target for target in _CALIBRI_REQUIRED if found[target][0] is None]
                 if missing:
                     expected = {t: list(_CALIBRI_ALIASES[t]) for t in missing}
-                    raise ConvertError(
-                        f"{path} line {lineno}: unknown layout, expected one of {expected}"
-                    )
-                key, lps = _resolve_field(obj, "token_logprobs")
-                if key is None or not lps:
+                    raise ConvertError(f"{where}: unknown layout, expected one of {expected}")
+                if not found["token_logprobs"][1]:
                     skipped += 1
                     continue
-                used_fields.setdefault("token_logprobs", set()).add(key)
+                if found["sample_id"][0] is None:
+                    found["sample_id"] = ("<synthesized>", f"{found['problem_id'][1]}#r{row_index}")
                 record: dict = {}
-                for target in ("problem_id", "language", "label", "difficulty", "code_text", "code_span"):
-                    key, value = _resolve_field(obj, target)
-                    if key is None:
-                        continue
-                    used_fields.setdefault(target, set()).add(key)
-                    record[target] = value
-                key, sid = _resolve_field(obj, "sample_id")
-                if key is None:
-                    sid = f"{record['problem_id']}#r{row_index}"
-                    used_fields.setdefault("sample_id", set()).add("<synthesized>")
-                else:
-                    used_fields.setdefault("sample_id", set()).add(key)
-                record["sample_id"] = str(sid)
+                for target, (key, value) in found.items():
+                    if key is not None:
+                        used_fields.setdefault(target, set()).add(key)
+                        record[target] = value
+                record["sample_id"] = str(record["sample_id"])
                 record["problem_id"] = str(record["problem_id"])
                 if isinstance(record["label"], bool):
                     record["label"] = int(record["label"])
-                record["token_logprobs"] = lps
-                converted.append(record)
-    samples = []
-    for i, record in enumerate(converted):
-        try:
-            samples.append(parse_record(record, line=i + 1))
-        except RecordError as exc:
-            raise ConvertError(f"converted record rejected: {exc}") from exc
-    seen = set()
-    for sample in samples:
-        if sample.sample_id in seen:
-            raise ConvertError(f"duplicate sample_id {sample.sample_id!r} after conversion")
-        seen.add(sample.sample_id)
-    with open(output_path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(sample.to_dict(), sort_keys=True))
-            fh.write("\n")
+                try:
+                    sample = parse_record(record)
+                except RecordError as exc:
+                    raise ConvertError(f"{where}: converted record rejected: {exc}") from exc
+                if sample.sample_id in seen:
+                    sid = sample.sample_id
+                    raise ConvertError(f"{where}: duplicate sample_id {sid!r} after conversion")
+                seen.add(sample.sample_id)
+                samples.append(sample)
+    save_records(samples, output_path)
     mapping = {
         "source_files": files,
         "fields": {k: sorted(v) for k, v in sorted(used_fields.items())},
         "converted": len(samples),
         "skipped_missing_logprobs": skipped,
     }
-    meta_path = output_path + ".mapping.json"
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(mapping, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(output_path + ".mapping.json", json.dumps(mapping, indent=2, sort_keys=True) + "\n")
     click.echo(f"converted {len(samples)} records, skipped {skipped}", err=True)
 
 

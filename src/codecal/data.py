@@ -20,6 +20,7 @@ __all__ = [
     "Sample",
     "Dataset",
     "SplitSpec",
+    "iter_json_lines",
     "iter_records",
     "load_records",
     "save_records",
@@ -192,15 +193,11 @@ def parse_record(obj: dict, line: int | None = None) -> Sample:
     )
 
 
-def iter_records(path: str):
-    """Yield ``(lineno, raw_line, obj, sample)`` for each record line of a JSONL file.
+def iter_json_lines(path: str):
+    """Yield ``(lineno, raw_line, obj)`` for each non-blank line of a JSONL file.
 
-    Blank lines are skipped.  Malformed JSON, schema violations, and
-    duplicate sample ids raise :class:`RecordError` naming the offending
-    line.  ``obj`` is the decoded JSON object, so callers can read keys
-    beyond the record schema.
+    Malformed JSON raises :class:`RecordError` naming the line.
     """
-    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -209,11 +206,24 @@ def iter_records(path: str):
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"malformed JSON: {exc.msg}", line=lineno) from exc
-            sample = parse_record(obj, line=lineno)
-            if sample.sample_id in seen:
-                raise RecordError("duplicate sample_id", line=lineno, sample_id=sample.sample_id)
-            seen.add(sample.sample_id)
-            yield lineno, raw, obj, sample
+            yield lineno, raw, obj
+
+
+def iter_records(path: str):
+    """Yield ``(lineno, raw_line, obj, sample)`` for each record line of a JSONL file.
+
+    Lines are read by :func:`iter_json_lines`.  Schema violations and
+    duplicate sample ids raise :class:`RecordError` naming the offending
+    line.  ``obj`` is the decoded JSON object, so callers can read keys
+    beyond the record schema.
+    """
+    seen: set[str] = set()
+    for lineno, raw, obj in iter_json_lines(path):
+        sample = parse_record(obj, line=lineno)
+        if sample.sample_id in seen:
+            raise RecordError("duplicate sample_id", line=lineno, sample_id=sample.sample_id)
+        seen.add(sample.sample_id)
+        yield lineno, raw, obj, sample
 
 
 def load_records(path: str, provenance: str | None = None) -> Dataset:
@@ -222,8 +232,8 @@ def load_records(path: str, provenance: str | None = None) -> Dataset:
     return Dataset(samples, provenance=provenance if provenance is not None else path)
 
 
-def save_records(dataset: Dataset, path: str) -> None:
-    """Write samples back out as line-delimited JSON."""
+def save_records(dataset, path: str) -> None:
+    """Write the samples of a Dataset or any iterable of Samples as line-delimited JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         for sample in dataset:
             fh.write(json.dumps(sample.to_dict(), sort_keys=True))

@@ -61,5 +61,5 @@ def schema_fields(what: str):
         yield
     except KeyError as exc:
         raise DataError(f"{what} is missing field {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, ArithmeticError) as exc:
         raise DataError(f"malformed {what}: {exc}") from exc

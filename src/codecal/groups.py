@@ -21,12 +21,13 @@ code texts once.  Functions taking samples accept such a table or a
 """
 
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import DataError, DegenerateGroupError, RecordError, schema_fields
+from .errors import DataError, RecordError, schema_fields
 
 __all__ = [
     "GroupColumns",
@@ -325,6 +326,20 @@ def assemble(parts: list[GroupSet], always_on: bool = True) -> GroupSet:
     return _stack(n, always_on, names, [part.membership for part in parts])
 
 
+def _strings(values, what: str) -> list[str]:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise DataError(f"grouping {what} must be a list of strings")
+    return values
+
+
+def _cutpoints(values, what: str) -> list[float]:
+    if not isinstance(values, list) or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in values
+    ):
+        raise DataError(f"grouping {what} cutpoints must be a list of finite numbers")
+    return values
+
+
 def _stack(n: int, always_on: bool, names: list[str], blocks: list[np.ndarray]) -> GroupSet:
     """The blocks' columns as one GroupSet, led by the ALL group when ``always_on``."""
     lead = [ALL_GROUP] if always_on else []
@@ -413,10 +428,17 @@ class GroupingModel:
             cfg = {f.name: payload["config"][f.name] for f in fields(GroupingConfig)}
             # JSON holds the config's tuples as lists.
             cfg = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
-            return cls(
+            model = cls(
                 config=GroupingConfig(**cfg),
-                languages=list(payload["languages"]),
-                length_cutpoints={k: list(v) for k, v in payload["length_cutpoints"].items()},
-                difficulty_labels=list(payload["difficulty_labels"]),
-                complexity_cutpoints=list(payload["complexity_cutpoints"]),
+                languages=_strings(payload["languages"], "languages"),
+                length_cutpoints={
+                    k: _cutpoints(v, f"length {k!r}")
+                    for k, v in payload["length_cutpoints"].items()
+                },
+                difficulty_labels=_strings(payload["difficulty_labels"], "difficulty labels"),
+                complexity_cutpoints=_cutpoints(payload["complexity_cutpoints"], "complexity"),
             )
+            for metric in model.config.length_metrics:
+                if metric not in model.length_cutpoints:
+                    raise DataError(f"grouping has no length cutpoints for {metric!r}")
+            return model

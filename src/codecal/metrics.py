@@ -8,13 +8,13 @@ label sums from :func:`binning.cell_sums`, one call for all groups.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .binning import BinGrid, assign_bins, cell_sums, member_pairs
 from .errors import DataError, DegenerateGroupError, schema_fields
-from .groups import GroupSet
+from .groups import GroupSet, check_membership
 
 __all__ = [
     "NEG_INF",
@@ -144,9 +144,10 @@ def gasce(scores, labels, member_mask, grid: BinGrid) -> float:
     Raises on an empty group: there is nothing to average.
     """
     p, y = _as_scores_labels(scores, labels)
-    g = np.asarray(member_mask).astype(bool)
+    g = np.asarray(member_mask)
     if g.shape != p.shape:
         raise DataError("member mask must parallel the scores")
+    g = check_membership(g[:, None], 1)[:, 0].astype(bool)
     if not g.any():
         raise DegenerateGroupError("gasce of an empty group is undefined")
     sums = cell_sums(assign_bins(p[g], grid), grid.m, None, y[g] - p[g])
@@ -218,20 +219,10 @@ class EvalReport:
     reliability: list[tuple[int, int, float, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "n_samples": self.n_samples,
-            "grid_m": self.grid_m,
-            "ece": self.ece,
-            "brier": self.brier,
-            "brier_ref": self.brier_ref,
-            "bss": "-inf" if self.bss == NEG_INF else self.bss,
-            "accuracy": self.accuracy,
-            "base_rate": self.base_rate,
-            "per_group_gasce": self.per_group_gasce,
-            "group_summary": self.group_summary,
-            "reliability": [list(row) for row in self.reliability],
-        }
+        payload = {"schema_version": 1, **asdict(self)}
+        payload["bss"] = "-inf" if self.bss == NEG_INF else self.bss
+        payload["reliability"] = [list(row) for row in self.reliability]
+        return payload
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -241,23 +232,16 @@ class EvalReport:
         with schema_fields("report"):
             if payload.get("schema_version") != 1:
                 raise DataError(f"unsupported report schema version {payload.get('schema_version')!r}")
-            reliability = [tuple(row) for row in payload["reliability"]]
-            if any(len(row) != 4 for row in reliability):
-                raise DataError("report reliability rows must be [bin, count, conf, acc]")
-            bss = payload["bss"]
-            return cls(
-                n_samples=payload["n_samples"],
-                grid_m=payload["grid_m"],
-                ece=payload["ece"],
-                brier=payload["brier"],
-                brier_ref=payload["brier_ref"],
-                bss=NEG_INF if bss == "-inf" else float(bss),
-                accuracy=payload["accuracy"],
-                base_rate=payload["base_rate"],
-                per_group_gasce=dict(payload["per_group_gasce"]),
-                group_summary=dict(payload["group_summary"]),
-                reliability=reliability,
+            values = {f.name: payload[f.name] for f in fields(cls)}
+            values.update(
+                reliability=[tuple(row) for row in values["reliability"]],
+                bss=NEG_INF if values["bss"] == "-inf" else float(values["bss"]),
+                per_group_gasce=dict(values["per_group_gasce"]),
+                group_summary=dict(values["group_summary"]),
             )
+            if any(len(row) != 4 for row in values["reliability"]):
+                raise DataError("report reliability rows must be [bin, count, conf, acc]")
+            return cls(**values)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":

@@ -1,17 +1,22 @@
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from codecal.binning import BinGrid
 import codecal.cli as cli_module
 from codecal.cli import main
 from codecal.data import load_records, save_records
+from codecal.groups import GroupSet
 from codecal.metrics import evaluate
 from codecal.scoring import load_scored
 from codecal.synthgen import Block, SynthSpec, generate
+
+from malformed import edited, json_paths, json_prefixes, json_values, non_objects
 
 runner = CliRunner()
 
@@ -451,6 +456,96 @@ class TestFitEvalCommand:
         assert result.exit_code == 4
 
 
+FIT_EVAL_KEYS = sorted(
+    param.name
+    for param in main.commands["fit-eval"].params
+    if param.name not in ("train_path", "val_path", "test_path", "config_path", "output_dir")
+)
+FLAG_KEYS = ("all_group", "language")
+
+
+def mistyped_configs():
+    """One config key with a value click cannot convert, or a non-boolean flag."""
+
+    def wrong_value(key):
+        if key in FLAG_KEYS:
+            return json_values.filter(lambda v: not isinstance(v, bool))
+        containers = st.lists(json_values, max_size=3) | st.dictionaries(
+            st.text(max_size=6), json_values, max_size=3
+        )
+        return st.booleans() | containers
+
+    return st.sampled_from(FIT_EVAL_KEYS).flatmap(
+        lambda key: wrong_value(key).map(lambda value: json.dumps({key: value}))
+    )
+
+
+def unknown_key_configs():
+    known = st.dictionaries(st.sampled_from(FIT_EVAL_KEYS), json_values, max_size=3)
+    unknown = st.dictionaries(
+        st.text(max_size=8).filter(lambda k: k not in FIT_EVAL_KEYS), json_values, min_size=1
+    )
+    return st.tuples(known, unknown).map(lambda parts: json.dumps({**parts[0], **parts[1]}))
+
+
+VALID_REPORT = json.loads(
+    evaluate(
+        [0.2, 0.7, 0.9, 0.4],
+        [0, 1, 1, 1],
+        BinGrid(10),
+        GroupSet(["ALL", "a", "b"], [[1, 1, 0], [1, 0, 1], [1, 1, 0], [1, 0, 0]]),
+    ).to_json()
+)
+
+
+class TestMalformedInputProperty:
+    """Malformed config and report documents exit 2, 3 or 4, never with a traceback.
+
+    ``run`` does not catch exceptions, so anything but a clean exit
+    fails the test with its traceback.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=json_prefixes({"grid_m": 10, "methods": "platt"})
+        | non_objects()
+        | unknown_key_configs()
+        | mistyped_configs()
+    )
+    def test_malformed_fit_eval_config(self, pipeline, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(text, encoding="utf-8")
+            result = run(fit_eval_args(pipeline, Path(tmp) / "out", ("--config", str(cfg))))
+            assert result.exit_code in (2, 3, 4), result.output
+            assert not (Path(tmp) / "out").exists()
+
+    def render(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            path.write_text(text, encoding="utf-8")
+            return run(["report", "--report", str(path), "--output-dir", str(Path(tmp) / "c")])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=json_prefixes(VALID_REPORT)
+        | non_objects()
+        | st.sampled_from(sorted(VALID_REPORT)).map(
+            lambda key: edited(VALID_REPORT, (key,), drop=True)
+        )
+    )
+    def test_malformed_report(self, text):
+        result = self.render(text)
+        assert result.exit_code in (2, 3, 4), result.output
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(list(json_paths(VALID_REPORT))), value=json_values)
+    def test_report_with_a_replaced_value(self, path, value):
+        """A value replaced anywhere in a report renders or exits 4."""
+        result = self.render(edited(VALID_REPORT, path, value))
+        assert result.exit_code in (0, 4), result.output
+
+
 class TestAblateCommand:
     def test_subset_grid(self, pipeline, tmp_path):
         out = tmp_path / "ablation.csv"
@@ -565,6 +660,10 @@ class TestReportCommand:
             {"grid_m": "x"},
             {"group_summary": {"a": {}}},
             {"reliability": [["a", "b", "c", "d"]]},
+            # No positive count to scale bar opacity by.
+            {"reliability": [[1, -1, 0.5, 0.5], [2, 0, 0.5, 0.5]]},
+            # An integer too large for a float coordinate.
+            {"reliability": [[1, 1, 0.5, 10**400]]},
         ],
     )
     def test_mistyped_values_are_data_errors(self, tmp_path, change):
@@ -646,6 +745,20 @@ class TestConvertCommand:
             ["convert-calibri", "--source", str(src), "--output", str(tmp_path / "o.jsonl")]
         )
         assert result.exit_code == 4
+        assert f"{src} line 2: duplicate sample_id 'g0'" in result.output
+
+    def test_rejected_record_names_source_file_and_line(self, tmp_path):
+        # Line 1 is skipped for its empty logprobs, so the bad record is
+        # the second one converted but sits on line 3 of the source.
+        src = tmp_path / "raw.jsonl"
+        lines = [self.aliased_line(1, logprobs=()), "", self.aliased_line(2, logprobs=(0.5,))]
+        src.write_text("\n".join(lines) + "\n")
+        result = run(
+            ["convert-calibri", "--source", str(src), "--output", str(tmp_path / "o.jsonl")]
+        )
+        assert result.exit_code == 4
+        assert f"{src} line 3: converted record rejected: token logprob 0.5" in result.output
+        assert "sample_id='g2'" in result.output
 
     def test_missing_source_rejected(self, tmp_path):
         result = run(

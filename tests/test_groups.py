@@ -22,6 +22,7 @@ from codecal.groups import (
     nearest_rank_quantile,
 )
 
+from malformed import edited, json_paths, json_prefixes, json_values
 from oracles import brute_nearest_rank_quantile
 
 
@@ -265,6 +266,24 @@ class TestGroupingModel:
         with pytest.raises(DataError, match="missing field 'config'"):
             GroupingModel.from_json(json.dumps(payload))
 
+    def test_missing_length_cutpoints_rejected_on_load(self):
+        model = GroupingModel.fit(self.make_ds(), GroupingConfig())
+        payload = json.loads(model.to_json())
+        del payload["length_cutpoints"]["chars"]
+        with pytest.raises(DataError, match="no length cutpoints for 'chars'"):
+            GroupingModel.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("field", ["length_cutpoints", "complexity_cutpoints"])
+    def test_non_numeric_cutpoint_rejected_on_load(self, field):
+        cfg = GroupingConfig(complexity_source="branch_heuristic")
+        payload = json.loads(GroupingModel.fit(self.make_ds(), cfg).to_json())
+        if field == "length_cutpoints":
+            payload[field]["loc"] = ["2"]
+        else:
+            payload[field][0] = "1"
+        with pytest.raises(DataError, match="cutpoints must be a list of finite numbers"):
+            GroupingModel.from_json(json.dumps(payload))
+
     def test_apply_builds_one_group_set(self, monkeypatch):
         ds = self.make_ds()
         model = GroupingModel.fit(ds, GroupingConfig(complexity_source="difficulty_label"))
@@ -504,3 +523,35 @@ class TestGroupColumns:
     def test_columns_must_have_equal_lengths(self):
         with pytest.raises(DataError, match="one entry per sample"):
             GroupColumns(["a", "b"], ["python"], [None, None], [None, None])
+
+
+def _grouping_payloads():
+    ds = TestGroupingModel().make_ds()
+    return [
+        json.loads(GroupingModel.fit(ds, GroupingConfig(complexity_source=source)).to_json())
+        for source in ("difficulty_label", "branch_heuristic")
+    ]
+
+
+@st.composite
+def _malformed_grouping(draw):
+    """JSON text of a fitted grouping with its text cut, or one value dropped or replaced."""
+    payload = draw(st.sampled_from(_grouping_payloads()))
+    kind = draw(st.sampled_from(["prefix", "drop", "replace"]))
+    if kind == "prefix":
+        return draw(json_prefixes(payload))
+    path = draw(st.sampled_from(list(json_paths(payload))))
+    if kind == "drop":
+        return edited(payload, path, drop=True)
+    return edited(payload, path, draw(json_values))
+
+
+class TestMalformedGroupingProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(text=_malformed_grouping())
+    def test_only_data_errors(self, text):
+        """A grouping either fails to load with DataError or applies cleanly (or with DataError)."""
+        model = _outcome(GroupingModel.from_json, text)
+        if isinstance(model, GroupingModel):
+            applied = _outcome(model.apply, TestGroupingModel().make_ds())
+            assert isinstance(applied, (GroupSet, tuple))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,11 @@ class TestGasce:
         with pytest.raises(DegenerateGroupError):
             gasce([0.5], [1], [0], BinGrid(10))
 
+    @pytest.mark.parametrize("value", [0.5, 257, np.nan])
+    def test_refuses_values_a_cast_would_hide(self, value):
+        with pytest.raises(DataError, match="membership entries must be 0 or 1"):
+            gasce([0.2, 0.8, 0.6], [0, 1, 1], [value, value, 0], BinGrid(10))
+
 
 class TestBruteForceAgreement:
     def test_all_metrics_match_oracles(self):
@@ -214,6 +221,13 @@ class TestEvalReport:
         assert restored.bss == report.bss
         assert "empty" not in restored.per_group_gasce
         assert restored.group_summary["empty"]["degenerate"] is True
+
+    def test_dict_names_every_field(self):
+        payload = evaluate([0.2, 0.7, 0.9], [0, 1, 1], BinGrid(10)).to_dict()
+        assert sorted(payload) == sorted(
+            ["schema_version", *(f.name for f in dataclasses.fields(EvalReport))]
+        )
+        assert payload["reliability"] == [[3, 1, 0.2, 0.0], [8, 1, 0.7, 1.0], [10, 1, 0.9, 1.0]]
 
     def test_neg_inf_serialized_as_string(self):
         report = evaluate([0.9], [1], BinGrid(10))
