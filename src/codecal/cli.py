@@ -32,8 +32,9 @@ from .data import (
     SplitSpec,
     assign_problem_splits,
     atomic_outputs,
-    iter_json_lines,
+    iter_lines,
     parse_record,
+    read_columns,
     save_records,
 )
 from .errors import ConvertError, DataError, RecordError, schema_fields
@@ -182,6 +183,13 @@ def score(ctx, input_path, output_path, config_path, **options) -> None:
     click.echo(f"scored {scored} samples, skipped {skipped}", err=True)
 
 
+def _problem_id(lineno: int, obj) -> tuple[str]:
+    pid = obj.get("problem_id") if isinstance(obj, dict) else None
+    if not isinstance(pid, str) or not pid:
+        raise RecordError("missing problem_id", line=lineno)
+    return (pid,)
+
+
 @main.command()
 @click.option("--input", "input_path", required=True, help="Record JSONL to split.")
 @click.option("--output-dir", required=True, help="Directory for train/val/test JSONL files.")
@@ -199,12 +207,7 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     only when every line is written.
     """
     spec = SplitSpec(train=train, val=val, test=test, seed=seed)
-    problem_ids: list[str] = []
-    for lineno, _, obj in iter_json_lines(input_path):
-        pid = obj.get("problem_id") if isinstance(obj, dict) else None
-        if not isinstance(pid, str) or not pid:
-            raise RecordError("missing problem_id", line=lineno)
-        problem_ids.append(pid)
+    (problem_ids,) = read_columns(input_path, _problem_id, 1)
     assignment = assign_problem_splits(problem_ids, spec)
     os.makedirs(output_dir, exist_ok=True)
     names = ("train", "val", "test")
@@ -215,15 +218,12 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     with atomic_outputs(*paths) as handles:
         out = dict(zip(names, handles))
         seen = 0
-        with open(input_path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                if not raw.strip():
-                    continue
-                if seen < len(problem_ids):
-                    name = assignment[problem_ids[seen]]
-                    out[name].write(raw.rstrip("\n") + "\n")
-                    counts[name] += 1
-                seen += 1
+        for _, line in iter_lines(input_path):
+            if seen < len(problem_ids):
+                name = assignment[problem_ids[seen]]
+                out[name].write(line.rstrip("\n") + "\n")
+                counts[name] += 1
+            seen += 1
         if seen != len(problem_ids):
             raise DataError(
                 f"{input_path} changed while it was being split: "
@@ -513,46 +513,43 @@ def convert_calibri(source, output_path) -> None:
     seen = set()
     row_index = 0
     for path in files:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if not raw.strip():
-                    continue
-                row_index += 1
-                where = f"{path} line {lineno}"
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ConvertError(f"{where}: malformed JSON: {exc.msg}") from exc
-                if not isinstance(obj, dict):
-                    raise ConvertError(f"{where}: record is not a JSON object")
-                found = {target: _resolve_field(obj, target) for target in _CALIBRI_ALIASES}
-                missing = [target for target in _CALIBRI_REQUIRED if found[target][0] is None]
-                if missing:
-                    expected = {t: list(_CALIBRI_ALIASES[t]) for t in missing}
-                    raise ConvertError(f"{where}: unknown layout, expected one of {expected}")
-                if not found["token_logprobs"][1]:
-                    skipped += 1
-                    continue
-                if found["sample_id"][0] is None:
-                    found["sample_id"] = ("<synthesized>", f"{found['problem_id'][1]}#r{row_index}")
-                record: dict = {}
-                for target, (key, value) in found.items():
-                    if key is not None:
-                        used_fields.setdefault(target, set()).add(key)
-                        record[target] = value
-                record["sample_id"] = str(record["sample_id"])
-                record["problem_id"] = str(record["problem_id"])
-                if isinstance(record["label"], bool):
-                    record["label"] = int(record["label"])
-                try:
-                    sample = parse_record(record)
-                except RecordError as exc:
-                    raise ConvertError(f"{where}: converted record rejected: {exc}") from exc
-                if sample.sample_id in seen:
-                    sid = sample.sample_id
-                    raise ConvertError(f"{where}: duplicate sample_id {sid!r} after conversion")
-                seen.add(sample.sample_id)
-                samples.append(sample)
+        for lineno, raw in iter_lines(path):
+            row_index += 1
+            where = f"{path} line {lineno}"
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ConvertError(f"{where}: malformed JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict):
+                raise ConvertError(f"{where}: record is not a JSON object")
+            found = {target: _resolve_field(obj, target) for target in _CALIBRI_ALIASES}
+            missing = [target for target in _CALIBRI_REQUIRED if found[target][0] is None]
+            if missing:
+                expected = {t: list(_CALIBRI_ALIASES[t]) for t in missing}
+                raise ConvertError(f"{where}: unknown layout, expected one of {expected}")
+            if not found["token_logprobs"][1]:
+                skipped += 1
+                continue
+            if found["sample_id"][0] is None:
+                found["sample_id"] = ("<synthesized>", f"{found['problem_id'][1]}#r{row_index}")
+            record: dict = {}
+            for target, (key, value) in found.items():
+                if key is not None:
+                    used_fields.setdefault(target, set()).add(key)
+                    record[target] = value
+            record["sample_id"] = str(record["sample_id"])
+            record["problem_id"] = str(record["problem_id"])
+            if isinstance(record["label"], bool):
+                record["label"] = int(record["label"])
+            try:
+                sample = parse_record(record)
+            except RecordError as exc:
+                raise ConvertError(f"{where}: converted record rejected: {exc}") from exc
+            if sample.sample_id in seen:
+                sid = sample.sample_id
+                raise ConvertError(f"{where}: duplicate sample_id {sid!r} after conversion")
+            seen.add(sample.sample_id)
+            samples.append(sample)
     save_records(samples, output_path)
     mapping = {
         "source_files": files,

@@ -9,19 +9,24 @@ one of train/val/test.
 
 import contextlib
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass
 
-from .errors import AlignmentError, RecordError, SplitError
+from .errors import AlignmentError, DataError, RecordError, SplitError
 
 __all__ = [
     "Sample",
     "Dataset",
     "SplitSpec",
+    "iter_lines",
     "iter_json_lines",
     "iter_records",
+    "read_columns",
     "load_records",
     "save_records",
     "atomic_outputs",
@@ -31,6 +36,9 @@ __all__ = [
 ]
 
 _REQUIRED_KEYS = ("problem_id", "sample_id", "language", "token_logprobs", "label")
+# read_columns reads smaller files in process: forking costs more than it saves.
+PARALLEL_MIN_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 20
 _FLOAT = frozenset({float})
 _FLOAT_OR_INT = frozenset({float, int})
 
@@ -193,20 +201,66 @@ def parse_record(obj: dict, line: int | None = None) -> Sample:
     )
 
 
+def _open_text(path: str, start: int = 0):
+    """``path`` as text from byte ``start``, a line start.
+
+    Bytes that are not UTF-8 decode to lone surrogates, which
+    :func:`_check_utf8` reports with their line number.
+    """
+    fh = open(path, "rb")
+    fh.seek(start)
+    return io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
+
+
+def _check_utf8(line: str, lineno: int) -> None:
+    """Raise :class:`RecordError` if ``line`` held bytes that are not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise RecordError("line is not valid UTF-8", line=lineno) from None
+
+
+def _json_lines(fh, lineno: int = 1, count: int | None = None):
+    """Yield ``(lineno, line, obj)`` for each non-blank line of a file from :func:`_open_text`.
+
+    Reads the next ``count`` lines, or to the end of the file, and
+    numbers them from ``lineno``.  A line that is not UTF-8 or not JSON
+    raises :class:`RecordError` naming it.
+    """
+    for lineno, line in enumerate(itertools.islice(fh, count), start=lineno):
+        if not line.strip():
+            continue
+        if not line.isascii():
+            _check_utf8(line, lineno)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordError(f"malformed JSON: {exc.msg}", line=lineno) from exc
+        yield lineno, line, obj
+
+
+def iter_lines(path: str):
+    """Yield ``(lineno, line)`` for each non-blank line of a UTF-8 text file.
+
+    Lines are read in text mode; a line that is not valid UTF-8 raises
+    :class:`RecordError` naming it.
+    """
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                if not line.isascii():
+                    _check_utf8(line, lineno)
+                yield lineno, line
+
+
 def iter_json_lines(path: str):
     """Yield ``(lineno, raw_line, obj)`` for each non-blank line of a JSONL file.
 
-    Malformed JSON raises :class:`RecordError` naming the line.
+    Lines are read as by :func:`iter_lines`.  Malformed JSON raises
+    :class:`RecordError` naming the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"malformed JSON: {exc.msg}", line=lineno) from exc
-            yield lineno, raw, obj
+    with _open_text(path) as fh:
+        yield from _json_lines(fh)
 
 
 def iter_records(path: str):
@@ -230,6 +284,188 @@ def load_records(path: str, provenance: str | None = None) -> Dataset:
     """Load a line-delimited JSON file of samples; errors as in :func:`iter_records`."""
     samples = [sample for _, _, _, sample in iter_records(path)]
     return Dataset(samples, provenance=provenance if provenance is not None else path)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or read its affinity."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _line_ends(fh, start: int, stop: int) -> int:
+    """Number of text-mode line ends in bytes ``start``..``stop`` of ``fh``."""
+    fh.seek(start)
+    count = 0
+    after_cr = False
+    while start < stop:
+        block = fh.read(min(_BLOCK_BYTES, stop - start))
+        if not block:
+            break
+        start += len(block)
+        count += block.count(b"\n")
+        if b"\r" in block:
+            count += block.count(b"\r") - block.count(b"\r\n")
+        if after_cr and block.startswith(b"\n"):
+            count -= 1
+        after_cr = block.endswith(b"\r")
+    return count
+
+
+def _part_bounds(fh, size: int, parts: int) -> list[tuple[int, int, int | None]]:
+    """``(start byte, first line number, line count)`` of up to ``parts`` ranges of ``fh``.
+
+    Every range but the first starts right after a ``\\n``, which in text
+    mode always ends a line; the last range runs to the end of the file
+    and has no count.
+    """
+    starts = [0]
+    for k in range(1, parts):
+        pos = max(size * k // parts, starts[-1] + 1)
+        fh.seek(pos - 1)
+        while block := fh.read(_BLOCK_BYTES):
+            at = block.find(b"\n")
+            if at >= 0:
+                pos += at
+                break
+            pos += len(block)
+        if pos >= size:
+            break
+        starts.append(pos)
+    counts = [_line_ends(fh, start, stop) for start, stop in zip(starts, starts[1:])]
+    firsts = itertools.accumulate(counts, initial=1)
+    return list(zip(starts, firsts, counts + [None]))
+
+
+def _read_part(path: str, bound: tuple, row, width: int, records: bool, seen: set, ids=None):
+    """Read one range of a JSONL file, as :func:`_part_bounds` gives it.
+
+    Returns the columns of the rows before the first error, and that
+    error or None.  With ``records``, a sample id already in ``seen``
+    raises "duplicate sample_id" and a new one is added to it.  A child,
+    which cannot see the ranges before its own, also passes ``ids``, a
+    pair of lists that get the line number and sample id of each record
+    in order, so that its parent can check them against earlier ranges.
+    """
+    start, lineno, count = bound
+    columns: list[list] = [[] for _ in range(width)]
+    appends = [column.append for column in columns]
+    try:
+        with _open_text(path, start) as fh:
+            for lineno, _, obj in _json_lines(fh, lineno, count):
+                if records:
+                    sample = parse_record(obj, line=lineno)
+                    sid = sample.sample_id
+                    if sid in seen:
+                        raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
+                    seen.add(sid)
+                    if ids is not None:
+                        ids[0].append(lineno)
+                        ids[1].append(sid)
+                    fields = row(lineno, obj, sample)
+                else:
+                    fields = row(lineno, obj)
+                for append, value in zip(appends, fields):
+                    append(value)
+    except (DataError, OSError) as exc:
+        return columns, exc
+    return columns, None
+
+
+def _fork_part(path: str, bound: tuple, row, width: int, records: bool) -> tuple[int, int]:
+    """Read one range in a forked child; returns its pid and the pipe it answers on.
+
+    The child pickles ``(lines, sample ids, columns, error)`` into the
+    pipe, as :func:`_read_part` gives them, and leaves through
+    ``os._exit``, so it runs no exit handlers and flushes no stdio
+    buffer it inherited.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            ids: tuple[list, list] = ([], [])
+            try:
+                result = (*ids, *_read_part(path, bound, row, width, records, set(), ids))
+            except Exception as exc:  # raised by the parent, like any error of the range
+                result = ([], [], [], exc)
+            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join_part(path: str, pid: int, read_fd: int):
+    """The result a child of :func:`_fork_part` sent; reaps the child."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        os.waitpid(pid, 0)
+    if not payload:
+        raise OSError(f"a reader process for {path} exited without a result")
+    return pickle.loads(payload)
+
+
+def read_columns(path: str, row, width: int, records: bool = False) -> list[list]:
+    """Columns of the rows of every non-blank line of a JSONL file, decoded on every CPU.
+
+    Without ``records`` the rows are ``row(lineno, obj)`` for the lines
+    of :func:`iter_json_lines`; with ``records`` they are ``row(lineno,
+    obj, sample)`` for the lines of :func:`iter_records`.  Each row is a
+    tuple of ``width`` fields and the result holds one list per field.
+    Rows, line numbers and the first error in line order are the same
+    as reading serially through those functions.
+
+    A file of at least ``PARALLEL_MIN_BYTES`` is cut into one
+    newline-aligned range per CPU in the affinity mask.  The first range
+    is read in this process and every other one in a forked child, which
+    sends its columns back pickled over a pipe, so ``row`` need not be
+    picklable but its fields and errors must be.  Children run only the
+    decoding and ``row``, never numpy, whose BLAS threads may be running
+    when the process forks.  A child that dies without a result raises
+    ``OSError``.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        parts = _cpus()
+        if parts > 1 and size >= PARALLEL_MIN_BYTES:
+            bounds = _part_bounds(fh, size, parts)
+        else:
+            bounds = [(0, 1, None)]
+    children: list[tuple[int, int]] = []
+    seen: set[str] = set()
+    try:
+        for bound in bounds[1:]:
+            children.append(_fork_part(path, bound, row, width, records))
+        columns, error = _read_part(path, bounds[0], row, width, records, seen)
+        while error is None and children:
+            lines, sids, part, error = _join_part(path, *children.pop(0))
+            for lineno, sid in zip(lines, sids):
+                if sid in seen:
+                    raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
+                seen.add(sid)
+            for column, values in zip(columns, part):
+                column.extend(values)
+        if error is not None:
+            raise error
+        return columns
+    finally:
+        # Closing the pipe first ends a child blocked on writing its result.
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
 
 
 def save_records(dataset, path: str) -> None:

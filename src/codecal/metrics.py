@@ -8,6 +8,7 @@ label sums from :func:`binning.cell_sums`, one call for all groups.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -202,6 +203,15 @@ def reliability_table(scores, labels, grid: BinGrid) -> list[tuple[int, int, flo
     ]
 
 
+def _check_number(where: str, *values, unit: bool = False) -> None:
+    """Raise ``DataError`` unless every value is a finite number, in [0, 1] with ``unit``."""
+    for value in values:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+        if not ok or (unit and not 0.0 <= value <= 1.0):
+            need = "a finite number in [0, 1]" if unit else "a finite number"
+            raise DataError(f"report {where} holds {value!r}, not {need}")
+
+
 @dataclass
 class EvalReport:
     """Everything a calibration run reports about one score vector."""
@@ -241,6 +251,13 @@ class EvalReport:
             )
             if any(len(row) != 4 for row in values["reliability"]):
                 raise DataError("report reliability rows must be [bin, count, conf, acc]")
+            for b, count, conf, acc in values["reliability"]:
+                _check_number(f"reliability row {b!r}", b, count)
+                _check_number(f"reliability row {b!r}", conf, acc, unit=True)
+            for name, stats in values["group_summary"].items():
+                _check_number(f"group {name!r}", stats["count"])
+                rates = (stats["mean_conf"], stats["accuracy"])
+                _check_number(f"group {name!r}", *(v for v in rates if v is not None), unit=True)
             return cls(**values)
 
     @classmethod

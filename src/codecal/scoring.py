@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Sample, atomic_outputs, iter_records
+from .data import Dataset, Sample, atomic_outputs, iter_records, read_columns
 from .errors import DataError, MissingCodeError, RecordError
 from .groups import GroupColumns
 
@@ -145,40 +145,35 @@ def score_file(
     return scored, skipped
 
 
+def _scored_row(lineno: int, obj: dict, sample: Sample) -> tuple:
+    """What calibration reads of one scored record: p_hat, label, method and grouping fields."""
+    p_hat = obj.get("p_hat")
+    if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool):
+        raise RecordError("missing or non-numeric p_hat", line=lineno, sample_id=sample.sample_id)
+    p_hat = float(p_hat)
+    if not 0.0 <= p_hat <= 1.0 or not math.isfinite(p_hat):
+        raise RecordError(f"p_hat {p_hat!r} outside [0, 1]", line=lineno, sample_id=sample.sample_id)
+    method = obj.get("method")
+    if not isinstance(method, str):
+        raise RecordError("missing method", line=lineno, sample_id=sample.sample_id)
+    grouping = (sample.sample_id, sample.language, sample.difficulty, sample.code_text)
+    return (p_hat, sample.label, method, *grouping)
+
+
 def load_scored(path: str) -> ScoredSplit:
     """Load a file written by :func:`score_file` as columns.
 
-    Every line is validated as in :func:`~codecal.data.iter_records`,
-    but only ``p_hat``, the label and the grouping fields outlive it, so
-    memory does not grow with the number of tokens per record.
+    Every line is validated as in :func:`~codecal.data.iter_records`
+    and read by :func:`~codecal.data.read_columns` on every CPU, but only
+    ``p_hat``, the label and the grouping fields outlive it, so memory
+    does not grow with the number of tokens per record.
     """
-    p_hats: list[float] = []
-    labels: list[int] = []
-    methods: set[str] = set()
-    ids: list[str] = []
-    languages: list[str] = []
-    difficulties: list[str | None] = []
-    code_texts: list[str | None] = []
-    for lineno, _, obj, sample in iter_records(path):
-        p_hat = obj.get("p_hat")
-        if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool):
-            raise RecordError("missing or non-numeric p_hat", line=lineno, sample_id=sample.sample_id)
-        p_hat = float(p_hat)
-        if not 0.0 <= p_hat <= 1.0 or not math.isfinite(p_hat):
-            raise RecordError(f"p_hat {p_hat!r} outside [0, 1]", line=lineno, sample_id=sample.sample_id)
-        method = obj.get("method")
-        if not isinstance(method, str):
-            raise RecordError("missing method", line=lineno, sample_id=sample.sample_id)
-        p_hats.append(p_hat)
-        labels.append(sample.label)
-        methods.add(method)
-        ids.append(sample.sample_id)
-        languages.append(sample.language)
-        difficulties.append(sample.difficulty)
-        code_texts.append(sample.code_text)
+    p_hats, labels, methods, ids, languages, difficulties, code_texts = read_columns(
+        path, _scored_row, 7, records=True
+    )
     return ScoredSplit(
         p_hat=np.array(p_hats, dtype=float),
         labels=np.array(labels, dtype=np.int64),
-        methods=tuple(sorted(methods)),
+        methods=tuple(sorted(set(methods))),
         columns=GroupColumns(ids, languages, difficulties, code_texts),
     )

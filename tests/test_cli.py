@@ -1,5 +1,9 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import codecal
 from codecal.binning import BinGrid
 import codecal.cli as cli_module
 from codecal.cli import main
@@ -330,6 +335,104 @@ def swapped_split_args(command, splits, outdir, name, path):
     if command == "ablate":
         args[args.index("--output-dir")] = "--output"
     return args
+
+
+def with_bad_utf8(src, dst, line=3):
+    """Copy JSONL ``src`` to ``dst`` with a byte that is not UTF-8 in a string on ``line``."""
+    lines = Path(src).read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].rstrip()[:-1] + b', "x": "\xff"}\n'
+    Path(dst).write_bytes(b"".join(lines))
+    return dst
+
+
+class TestInvalidUtf8:
+    """A line that is not UTF-8 exits 4 naming its line, in every command."""
+
+    def assert_names_line_3(self, result):
+        assert result.exit_code == 4, result.output
+        assert "error: line is not valid UTF-8 [line 3]" in result.output
+
+    def test_score(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        write_synth(records, n=10)
+        bad = with_bad_utf8(records, tmp_path / "bad.jsonl")
+        self.assert_names_line_3(
+            run(["score", "--input", str(bad), "--output", str(tmp_path / "o.jsonl")])
+        )
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_split(self, pipeline, tmp_path):
+        bad = with_bad_utf8(pipeline.parent / "scored.jsonl", tmp_path / "bad.jsonl")
+        self.assert_names_line_3(
+            run(["split", "--input", str(bad), "--output-dir", str(tmp_path / "s")])
+        )
+
+    @pytest.mark.parametrize("command", ["fit-eval", "ablate"])
+    def test_fit_eval_and_ablate(self, pipeline, tmp_path, command):
+        bad = with_bad_utf8(pipeline / "val.jsonl", tmp_path / "bad.jsonl")
+        args = swapped_split_args(command, pipeline, tmp_path / "out", "val", bad)
+        self.assert_names_line_3(run(args))
+
+    def test_convert_calibri(self, tmp_path):
+        src = tmp_path / "raw.jsonl"
+        lines = [TestConvertCommand().aliased_line(i) for i in range(4)]
+        src.write_text("\n".join(lines) + "\n")
+        bad = with_bad_utf8(src, tmp_path / "bad.jsonl")
+        out = tmp_path / "o.jsonl"
+        args = ["convert-calibri", "--source", str(bad), "--output", str(out)]
+        self.assert_names_line_3(run(args))
+
+
+# Runs the CLI with read_columns splitting every file into the number of
+# parts given as the first argument (1 reads in process).
+FORCED_PARTS_CLI = """
+import sys
+import codecal.data
+parts = int(sys.argv.pop(1))
+codecal.data.PARALLEL_MIN_BYTES = 0
+codecal.data._cpus = lambda: parts
+from codecal.cli import main
+main(prog_name="codecal")
+"""
+
+
+class TestReaderPartCount:
+    def run_stages(self, pipeline, cwd, parts):
+        """stdout plus stderr of split, fit-eval and ablate, run with outputs in ``cwd``."""
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(codecal.__file__).parent.parent))
+        inputs = [
+            x
+            for name in ("train", "val", "test")
+            for x in (f"--{name}", str(pipeline / f"{name}.jsonl"))
+        ]
+        fit = ("--complexity", "difficulty_label", "--grid-m", "10")
+        stages = [
+            ["split", "--input", str(pipeline.parent / "scored.jsonl"), "--output-dir", "splits"],
+            ["fit-eval", *inputs, *fit, "--output-dir", "fit"],
+            ["ablate", *inputs, *fit, "--output", "ablation.csv"],
+        ]
+        errs = []
+        for args in stages:
+            done = subprocess.run(
+                [sys.executable, "-c", FORCED_PARTS_CLI, str(parts), *args],
+                cwd=cwd,
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            errs.append(done.stdout + done.stderr)
+        return errs
+
+    def test_outputs_and_stderr_do_not_depend_on_parts(self, pipeline, tmp_path):
+        serial, forked = tmp_path / "serial", tmp_path / "forked"
+        assert self.run_stages(pipeline, forked, 3) == self.run_stages(pipeline, serial, 1)
+        files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(forked) for p in forked.rglob("*") if p.is_file())
+        assert len(files) > 20
+        for rel in files:
+            assert (forked / rel).read_bytes() == (serial / rel).read_bytes(), rel
 
 
 class TestFitEvalCommand:
@@ -664,6 +767,14 @@ class TestReportCommand:
             {"reliability": [[1, -1, 0.5, 0.5], [2, 0, 0.5, 0.5]]},
             # An integer too large for a float coordinate.
             {"reliability": [[1, 1, 0.5, 10**400]]},
+            # Non-finite values and rates outside [0, 1].
+            {"reliability": [[1, 1, 0.5, math.nan]]},
+            {"reliability": [[1, 1, 0.5, 5.0]]},
+            {"reliability": [[1, 1, -0.1, 0.5]]},
+            {"reliability": [[1, math.inf, 0.5, 0.5]]},
+            {"group_summary": {"a": {"count": 2, "mean_conf": math.nan, "accuracy": 0.5}}},
+            {"group_summary": {"a": {"count": 2, "mean_conf": 0.5, "accuracy": 1.5}}},
+            {"group_summary": {"a": {"count": math.nan, "mean_conf": None, "accuracy": None}}},
         ],
     )
     def test_mistyped_values_are_data_errors(self, tmp_path, change):

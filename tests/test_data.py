@@ -1,19 +1,27 @@
 import json
 import math
+import os
+import pickle
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import codecal.data as data_module
 from codecal.data import (
     Dataset,
     Sample,
     SplitSpec,
     assign_problem_splits,
     extract_code_span,
+    iter_json_lines,
     iter_records,
     load_records,
     parse_record,
+    read_columns,
     save_records,
     split_by_problem,
 )
@@ -192,6 +200,192 @@ class TestIterRecords:
         assert [row[1] for row in rows] == [json.dumps(GOOD) + "\n", json.dumps(second) + "\n"]
         assert [row[2] for row in rows] == [GOOD, second]
         assert [row[3].sample_id for row in rows] == ["s1", "s2"]
+
+
+class TestRecordErrorPickling:
+    def test_round_trip_keeps_line_and_sample_id(self):
+        error = RecordError("duplicate sample_id", line=7, sample_id="s1")
+        copy = pickle.loads(pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(copy) is RecordError
+        assert (str(copy), copy.line, copy.sample_id) == (str(error), 7, "s1")
+
+
+def record_line(i, sid=None, **extra):
+    return json.dumps(dict(GOOD, sample_id=sid or f"s{i}", **extra), ensure_ascii=False)
+
+
+# Lines other than good records: one reusing an earlier id, blank ones,
+# malformed JSON, a schema error, a record the row function refuses,
+# and bytes that are not UTF-8.
+ODD_KINDS = ("duplicate", "blank", "malformed", "schema", "refused", "utf8")
+line_ends = st.sampled_from([b"\n", b"\r\n", b"\r"])
+
+
+@st.composite
+def jsonl_files(draw):
+    """Bytes of a JSONL file mixing good lines with every kind of bad one."""
+    out = []
+    # Files with few odd lines keep line numbers after the first part in play.
+    kinds = ("record",) * draw(st.integers(1, 60)) + ODD_KINDS
+    for i in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        text = draw(st.text(alphabet="aé✓\u2028\x85 ", max_size=4))
+        if kind == "record":
+            line = record_line(i, code_text=text, language="py" + text).encode()
+        elif kind == "duplicate":
+            refuse = {"refuse": True} if draw(st.booleans()) else {}
+            line = record_line(i, sid=f"s{draw(st.integers(0, max(i - 1, 0)))}", **refuse).encode()
+        elif kind == "blank":
+            line = draw(st.sampled_from([b"", b"  ", b"\t"]))
+        elif kind == "malformed":
+            line = record_line(i)[: draw(st.integers(1, 20))].encode()
+        elif kind == "schema":
+            line = record_line(i, label=2).encode()
+        elif kind == "refused":
+            line = record_line(i, refuse=True).encode()
+        else:
+            line = record_line(i)[:-1].encode() + b', "x": "\xff"}'
+        out.append(line)
+        out.append(draw(line_ends))
+    if out and draw(st.booleans()):
+        out.pop()
+    return b"".join(out)
+
+
+def record_row(lineno, obj, sample):
+    if obj.get("refuse"):
+        raise RecordError("refused by the row function", line=lineno, sample_id=sample.sample_id)
+    return lineno, sample.sample_id, sample.language, obj.get("code_text")
+
+
+def line_row(lineno, obj):
+    if not isinstance(obj, dict) or obj.get("refuse"):
+        raise RecordError("refused by the row function", line=lineno)
+    return lineno, obj.get("sample_id")
+
+
+def serial_columns(path, records):
+    """read_columns' result, read through the serial readers."""
+    if records:
+        rows = [record_row(n, obj, sample) for n, _, obj, sample in iter_records(path)]
+    else:
+        rows = [line_row(n, obj) for n, _, obj in iter_json_lines(path)]
+    return [[row[i] for row in rows] for i in range(4 if records else 2)]
+
+
+def read_records(path):
+    return read_columns(path, record_row, 4, records=True)
+
+
+def result_of(fn):
+    try:
+        return "ok", fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def forced_parts(parts):
+    """Make read_columns cut every file into ``parts`` ranges."""
+    return mock.patch.multiple(data_module, PARALLEL_MIN_BYTES=0, _cpus=lambda: parts)
+
+
+def write_bytes(directory, content):
+    path = Path(directory) / "f.jsonl"
+    path.write_bytes(content)
+    return str(path)
+
+
+class TestReadColumns:
+    """read_columns cut into parts gives exactly what the serial readers give."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        content=jsonl_files(),
+        parts=st.integers(1, 4),
+        records=st.booleans(),
+        block=st.integers(1, 64),
+    )
+    @example(
+        content=b"\n".join(record_line(i).encode() for i in range(6))
+        + b"\r\n"
+        + record_line(6, sid="s0").encode(),
+        parts=2,
+        records=True,
+        block=64,
+    )
+    def test_forked_reader_matches_serial(self, content, parts, records, block):
+        """Small read blocks split \\r\\n pairs and long lines between blocks."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_bytes(tmp, content)
+            with forced_parts(parts), mock.patch.object(data_module, "_BLOCK_BYTES", block):
+                row, width = (record_row, 4) if records else (line_row, 2)
+                got = result_of(lambda: read_columns(path, row, width, records))
+            assert got == result_of(lambda: serial_columns(path, records))
+
+    @pytest.mark.parametrize(
+        "bad_line, want",
+        [
+            (None, "duplicate sample_id [line 35"),
+            (36, "duplicate sample_id [line 35"),
+            (30, "line 30"),
+        ],
+    )
+    def test_duplicate_across_parts_wins_only_if_first(self, tmp_path, bad_line, want):
+        lines = [record_line(i, sid="s2" if i == 34 else None) for i in range(40)]
+        if bad_line is not None:
+            lines[bad_line - 1] = "{"
+        path = str(tmp_path / "r.jsonl")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with forced_parts(2), pytest.raises(RecordError) as got:
+            read_records(path)
+        assert want in str(got.value)
+        with pytest.raises(RecordError) as serial:
+            serial_columns(path, records=True)
+        assert str(serial.value) == str(got.value)
+
+    @pytest.mark.parametrize("n_lines", [9, 60])
+    def test_no_child_left_after_a_failure(self, tmp_path, n_lines):
+        lines = [record_line(i) for i in range(n_lines)]
+        lines[6] = "{not json"
+        path = str(tmp_path / "r.jsonl")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with forced_parts(3), pytest.raises(RecordError, match=r"malformed JSON.*\[line 7\]"):
+            read_records(path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_without_a_result_is_an_io_error(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        Path(path).write_text("\n".join(record_line(i) for i in range(20)) + "\n")
+        parent = os.getpid()
+        real = data_module._read_part
+
+        def dies_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args)
+
+        with forced_parts(2), mock.patch.object(data_module, "_read_part", dies_in_child):
+            with pytest.raises(OSError, match="exited without a result"):
+                read_records(path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_small_file_is_read_in_process(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        Path(path).write_text(record_line(0) + "\n")
+        with mock.patch.object(data_module, "_cpus", lambda: 4):
+            with mock.patch.object(data_module, "_fork_part") as fork:
+                assert read_records(path) == serial_columns(path, True)
+        fork.assert_not_called()
+
+
+class TestInvalidUtf8:
+    def test_names_the_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(record_line(0).encode() + b"\r\n\n" + b'{"a": "\xff"}\n')
+        with pytest.raises(RecordError, match=r"line is not valid UTF-8 \[line 3\]"):
+            load_records(str(path))
 
 
 class TestExtractCodeSpan:
