@@ -184,9 +184,13 @@ def score(ctx, input_path, output_path, config_path, **options) -> None:
 
 
 def _problem_id(lineno: int, obj) -> tuple[str]:
-    pid = obj.get("problem_id") if isinstance(obj, dict) else None
-    if not isinstance(pid, str) or not pid:
+    if not isinstance(obj, dict):
+        raise RecordError("record is not a JSON object", line=lineno)
+    if "problem_id" not in obj:
         raise RecordError("missing problem_id", line=lineno)
+    pid = obj["problem_id"]
+    if not isinstance(pid, str) or not pid:
+        raise RecordError("problem_id must be a non-empty string", line=lineno)
     return (pid,)
 
 
@@ -480,6 +484,14 @@ _CALIBRI_ALIASES = {
 _CALIBRI_REQUIRED = ("problem_id", "language", "label")
 
 
+def _source_lines(path: str):
+    """:func:`iter_lines` of ``path``; a line that is not UTF-8 is named by file and line."""
+    try:
+        yield from iter_lines(path)
+    except RecordError as exc:
+        raise ConvertError(f"{path} line {exc.line}: {exc.reason}") from exc
+
+
 def _resolve_field(obj: dict, target: str):
     for alias in _CALIBRI_ALIASES[target]:
         if alias in obj:
@@ -513,7 +525,7 @@ def convert_calibri(source, output_path) -> None:
     seen = set()
     row_index = 0
     for path in files:
-        for lineno, raw in iter_lines(path):
+        for lineno, raw in _source_lines(path):
             row_index += 1
             where = f"{path} line {lineno}"
             try:

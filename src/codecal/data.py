@@ -26,6 +26,8 @@ __all__ = [
     "iter_lines",
     "iter_json_lines",
     "iter_records",
+    "line_ranges",
+    "read_ranges",
     "read_columns",
     "load_records",
     "save_records",
@@ -36,7 +38,7 @@ __all__ = [
 ]
 
 _REQUIRED_KEYS = ("problem_id", "sample_id", "language", "token_logprobs", "label")
-# read_columns reads smaller files in process: forking costs more than it saves.
+# line_ranges keeps smaller files in one range: forking costs more than it saves.
 PARALLEL_MIN_BYTES = 1 << 20
 _BLOCK_BYTES = 1 << 20
 _FLOAT = frozenset({float})
@@ -263,6 +265,25 @@ def iter_json_lines(path: str):
         yield from _json_lines(fh)
 
 
+def _records(lines, seen: set, ids=None):
+    """Yield ``(lineno, raw, obj, sample)`` for each ``(lineno, raw, obj)`` of ``lines``.
+
+    A sample id already in ``seen`` raises "duplicate sample_id"; a new
+    one is added to it.  With ``ids``, a pair of lists, the line number
+    and sample id of each record are appended to them in order.
+    """
+    for lineno, raw, obj in lines:
+        sample = parse_record(obj, line=lineno)
+        sid = sample.sample_id
+        if sid in seen:
+            raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
+        seen.add(sid)
+        if ids is not None:
+            ids[0].append(lineno)
+            ids[1].append(sid)
+        yield lineno, raw, obj, sample
+
+
 def iter_records(path: str):
     """Yield ``(lineno, raw_line, obj, sample)`` for each record line of a JSONL file.
 
@@ -271,13 +292,8 @@ def iter_records(path: str):
     line.  ``obj`` is the decoded JSON object, so callers can read keys
     beyond the record schema.
     """
-    seen: set[str] = set()
-    for lineno, raw, obj in iter_json_lines(path):
-        sample = parse_record(obj, line=lineno)
-        if sample.sample_id in seen:
-            raise RecordError("duplicate sample_id", line=lineno, sample_id=sample.sample_id)
-        seen.add(sample.sample_id)
-        yield lineno, raw, obj, sample
+    with _open_text(path) as fh:
+        yield from _records(_json_lines(fh), set())
 
 
 def load_records(path: str, provenance: str | None = None) -> Dataset:
@@ -337,48 +353,50 @@ def _part_bounds(fh, size: int, parts: int) -> list[tuple[int, int, int | None]]
     return list(zip(starts, firsts, counts + [None]))
 
 
-def _read_part(path: str, bound: tuple, row, width: int, records: bool, seen: set, ids=None):
-    """Read one range of a JSONL file, as :func:`_part_bounds` gives it.
+def line_ranges(path: str) -> list[tuple[int, int, int | None]]:
+    """The ranges :func:`read_ranges` reads ``path`` in, as :func:`_part_bounds` gives them.
 
-    Returns the columns of the rows before the first error, and that
-    error or None.  With ``records``, a sample id already in ``seen``
-    raises "duplicate sample_id" and a new one is added to it.  A child,
-    which cannot see the ranges before its own, also passes ``ids``, a
-    pair of lists that get the line number and sample id of each record
-    in order, so that its parent can check them against earlier ranges.
+    A file of at least ``PARALLEL_MIN_BYTES`` is cut into one range per
+    CPU in the affinity mask; a smaller file, or one CPU, gives one
+    range, which is read in process.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        parts = _cpus()
+        if parts > 1 and size >= PARALLEL_MIN_BYTES:
+            return _part_bounds(fh, size, parts)
+    return [(0, 1, None)]
+
+
+def _read_part(path: str, bound: tuple, k: int, read, records: bool, seen: set, ids=None):
+    """``read(k, lines)`` over range ``k`` of a JSONL file, whose bounds are ``bound``.
+
+    ``lines`` yields the ``(lineno, raw, obj)`` of :func:`_json_lines`,
+    or with ``records`` the ``(lineno, raw, obj, sample)`` of
+    :func:`_records`, checked against ``seen`` and recorded in ``ids``.
+    Returns the result of ``read`` and None, or None and the first
+    ``DataError`` or ``OSError`` of the range.
     """
     start, lineno, count = bound
-    columns: list[list] = [[] for _ in range(width)]
-    appends = [column.append for column in columns]
     try:
         with _open_text(path, start) as fh:
-            for lineno, _, obj in _json_lines(fh, lineno, count):
-                if records:
-                    sample = parse_record(obj, line=lineno)
-                    sid = sample.sample_id
-                    if sid in seen:
-                        raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
-                    seen.add(sid)
-                    if ids is not None:
-                        ids[0].append(lineno)
-                        ids[1].append(sid)
-                    fields = row(lineno, obj, sample)
-                else:
-                    fields = row(lineno, obj)
-                for append, value in zip(appends, fields):
-                    append(value)
+            lines = _json_lines(fh, lineno, count)
+            if records:
+                lines = _records(lines, seen, ids)
+            return read(k, lines), None
     except (DataError, OSError) as exc:
-        return columns, exc
-    return columns, None
+        return None, exc
 
 
-def _fork_part(path: str, bound: tuple, row, width: int, records: bool) -> tuple[int, int]:
-    """Read one range in a forked child; returns its pid and the pipe it answers on.
+def _fork_part(path: str, bound: tuple, k: int, read, records: bool) -> tuple[int, int]:
+    """Read range ``k`` in a forked child; returns its pid and the pipe it answers on.
 
-    The child pickles ``(lines, sample ids, columns, error)`` into the
+    The child pickles ``(lines, sample ids, result, error)`` into the
     pipe, as :func:`_read_part` gives them, and leaves through
     ``os._exit``, so it runs no exit handlers and flushes no stdio
-    buffer it inherited.
+    buffer it inherited.  A child, which cannot see the ranges before
+    its own, sends the line number and sample id of each of its records
+    so that its parent can check them against earlier ranges.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -393,9 +411,9 @@ def _fork_part(path: str, bound: tuple, row, width: int, records: bool) -> tuple
             os.close(read_fd)
             ids: tuple[list, list] = ([], [])
             try:
-                result = (*ids, *_read_part(path, bound, row, width, records, set(), ids))
+                result = (*ids, *_read_part(path, bound, k, read, records, set(), ids))
             except Exception as exc:  # raised by the parent, like any error of the range
-                result = ([], [], [], exc)
+                result = ([], [], None, exc)
             payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
@@ -418,6 +436,51 @@ def _join_part(path: str, pid: int, read_fd: int):
     return pickle.loads(payload)
 
 
+def read_ranges(path: str, bounds: list, read, merge, records: bool = False) -> None:
+    """Call ``read(k, lines)`` on every range ``k`` of a JSONL file, one range per process.
+
+    ``bounds`` comes from :func:`line_ranges`.  ``lines`` yields the
+    non-blank lines of the range as :func:`iter_json_lines` does, or
+    with ``records`` as :func:`iter_records` does, with line numbers
+    counted from the start of the file.  Each result goes to
+    ``merge(k, result)`` in line order, and the first error in line
+    order is raised, with the same message as reading serially: the
+    sample ids of each range are checked against those of the ranges
+    before it before that range's own error is raised, and no later
+    result is merged.
+
+    The first range is read in this process and every other one in a
+    forked child, which sends its result back pickled over a pipe, so
+    ``read`` need not be picklable but its results and errors must be.
+    Children run only the decoding and ``read``, never numpy, whose BLAS
+    threads may be running when the process forks.  A child that dies
+    without a result raises ``OSError``.
+    """
+    children: list[tuple[int, int]] = []
+    seen: set[str] = set()
+    try:
+        for k in range(1, len(bounds)):
+            children.append(_fork_part(path, bounds[k], k, read, records))
+        k = 0
+        result, error = _read_part(path, bounds[0], k, read, records, seen)
+        while error is None:
+            merge(k, result)
+            if not children:
+                return
+            lines, sids, result, error = _join_part(path, *children.pop(0))
+            k += 1
+            for lineno, sid in zip(lines, sids):
+                if sid in seen:
+                    raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
+                seen.add(sid)
+        raise error
+    finally:
+        # Closing the pipe first ends a child blocked on writing its result.
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+
+
 def read_columns(path: str, row, width: int, records: bool = False) -> list[list]:
     """Columns of the rows of every non-blank line of a JSONL file, decoded on every CPU.
 
@@ -425,47 +488,29 @@ def read_columns(path: str, row, width: int, records: bool = False) -> list[list
     of :func:`iter_json_lines`; with ``records`` they are ``row(lineno,
     obj, sample)`` for the lines of :func:`iter_records`.  Each row is a
     tuple of ``width`` fields and the result holds one list per field.
-    Rows, line numbers and the first error in line order are the same
-    as reading serially through those functions.
-
-    A file of at least ``PARALLEL_MIN_BYTES`` is cut into one
-    newline-aligned range per CPU in the affinity mask.  The first range
-    is read in this process and every other one in a forked child, which
-    sends its columns back pickled over a pipe, so ``row`` need not be
-    picklable but its fields and errors must be.  Children run only the
-    decoding and ``row``, never numpy, whose BLAS threads may be running
-    when the process forks.  A child that dies without a result raises
-    ``OSError``.
+    The file is read by :func:`read_ranges`, so rows, line numbers and
+    the first error in line order are the same as reading serially
+    through those functions, and ``row`` need not be picklable but its
+    fields and errors must be.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        parts = _cpus()
-        if parts > 1 and size >= PARALLEL_MIN_BYTES:
-            bounds = _part_bounds(fh, size, parts)
-        else:
-            bounds = [(0, 1, None)]
-    children: list[tuple[int, int]] = []
-    seen: set[str] = set()
-    try:
-        for bound in bounds[1:]:
-            children.append(_fork_part(path, bound, row, width, records))
-        columns, error = _read_part(path, bounds[0], row, width, records, seen)
-        while error is None and children:
-            lines, sids, part, error = _join_part(path, *children.pop(0))
-            for lineno, sid in zip(lines, sids):
-                if sid in seen:
-                    raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
-                seen.add(sid)
+    columns: list[list] = [[] for _ in range(width)]
+
+    def read(k, lines):
+        # The first range, read in this process, fills the result itself.
+        part = [[] for _ in range(width)] if k else columns
+        appends = [column.append for column in part]
+        for lineno, _, *args in lines:
+            for append, value in zip(appends, row(lineno, *args)):
+                append(value)
+        return part
+
+    def merge(k, part):
+        if k:
             for column, values in zip(columns, part):
                 column.extend(values)
-        if error is not None:
-            raise error
-        return columns
-    finally:
-        # Closing the pipe first ends a child blocked on writing its result.
-        for pid, read_fd in children:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
+
+    read_ranges(path, line_ranges(path), read, merge, records)
+    return columns
 
 
 def save_records(dataset, path: str) -> None:

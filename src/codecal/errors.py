@@ -17,7 +17,10 @@ class DataError(CodecalError):
 
 
 class RecordError(DataError):
-    """A line-delimited JSON record failed validation."""
+    """A line-delimited JSON record failed validation.
+
+    ``reason`` is the message without the line and sample id.
+    """
 
     def __init__(self, message: str, line: int | None = None, sample_id: str | None = None):
         loc = []
@@ -26,6 +29,7 @@ class RecordError(DataError):
         if sample_id is not None:
             loc.append(f"sample_id={sample_id!r}")
         super().__init__(f"{message} [{', '.join(loc)}]" if loc else message)
+        self.reason = message
         self.line = line
         self.sample_id = sample_id
 

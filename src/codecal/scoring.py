@@ -6,13 +6,17 @@ token window: the whole sequence, only the extracted code span, or only
 the trailing tokens.
 """
 
+import contextlib
 import json
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Sample, atomic_outputs, iter_records, read_columns
+from .data import Dataset, Sample, atomic_outputs, line_ranges, read_columns, read_ranges
 from .errors import DataError, MissingCodeError, RecordError
 from .groups import GroupColumns
 
@@ -111,10 +115,38 @@ def score_dataset(
     return scored, skipped
 
 
+def _score_lines(records, out, method: ConfidenceMethod, skip_missing: bool) -> tuple[int, int]:
+    """Write the scored line of each record to ``out``; returns the scored and skipped counts.
+
+    ``records`` yields ``(lineno, raw, obj, sample)`` as
+    :func:`~codecal.data.iter_records` does.  ``out`` is flushed at the
+    end, so its bytes can be copied from its binary buffer.
+    """
+    name_json = json.dumps(method.name)
+    scored = skipped = 0
+    for _, raw, obj, sample in records:
+        try:
+            p_hat = score_sample(sample, method)
+        except DataError:
+            if not skip_missing:
+                raise
+            skipped += 1
+            continue
+        if "p_hat" in obj or "method" in obj:
+            obj.update(p_hat=p_hat, method=method.name)
+            line = json.dumps(obj, sort_keys=True)
+        else:
+            line = f'{raw.rstrip()[:-1]}, "method": {name_json}, "p_hat": {p_hat!r}}}'
+        out.write(line + "\n")
+        scored += 1
+    out.flush()
+    return scored, skipped
+
+
 def score_file(
     input_path: str, output_path: str, method: ConfidenceMethod, skip_missing: bool = False
 ) -> tuple[int, int]:
-    """Score a record JSONL file line by line; returns the scored and skipped counts.
+    """Score a record JSONL file on every CPU; returns the scored and skipped counts.
 
     Each output line is its input line with ``"method"`` and ``"p_hat"``
     appended, so unknown keys, key order and the token array's text
@@ -123,26 +155,35 @@ def score_file(
     :func:`score_dataset`.  The output is written to a temporary file
     beside ``output_path`` and moved into place only when every line
     succeeded, so a failed run leaves ``output_path`` as it was.
+
+    The input is read by :func:`~codecal.data.read_ranges`, so the
+    output, the counts and the first error in line order do not depend
+    on the number of CPUs.  Each range read in a child is written to
+    its own unnamed temporary file beside ``output_path`` and appended
+    to the output in line order, so memory does not grow with the file.
     """
-    name_json = json.dumps(method.name)
-    scored = skipped = 0
-    with atomic_outputs(output_path) as (out,):
-        for _, raw, obj, sample in iter_records(input_path):
-            try:
-                p_hat = score_sample(sample, method)
-            except DataError:
-                if not skip_missing:
-                    raise
-                skipped += 1
-                continue
-            if "p_hat" in obj or "method" in obj:
-                obj.update(p_hat=p_hat, method=method.name)
-                line = json.dumps(obj, sort_keys=True)
-            else:
-                line = f'{raw.rstrip()[:-1]}, "method": {name_json}, "p_hat": {p_hat!r}}}'
-            out.write(line + "\n")
-            scored += 1
-    return scored, skipped
+    counts = [0, 0]
+    with atomic_outputs(output_path) as (out,), contextlib.ExitStack() as stack:
+        bounds = line_ranges(input_path)
+        folder = os.path.dirname(output_path) or "."
+        outs = [out]
+        for _ in bounds[1:]:
+            part = tempfile.TemporaryFile("w+", encoding="utf-8", dir=folder)
+            outs.append(stack.enter_context(part))
+
+        def read(k, records):
+            return _score_lines(records, outs[k], method, skip_missing)
+
+        def merge(k, part_counts):
+            counts[0] += part_counts[0]
+            counts[1] += part_counts[1]
+            if k:
+                # _score_lines flushed range 0 into ``out``, so each part follows it.
+                outs[k].seek(0)
+                shutil.copyfileobj(outs[k].buffer, out.buffer)
+
+        read_ranges(input_path, bounds, read, merge, records=True)
+    return counts[0], counts[1]
 
 
 def _scored_row(lineno: int, obj: dict, sample: Sample) -> tuple:

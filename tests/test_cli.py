@@ -260,6 +260,25 @@ class TestSplitCommand:
             assert (out / f"{name}.jsonl").read_text(encoding="utf-8") == f"old {name}\n"
         assert len(list(out.iterdir())) == 3
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "record is not a JSON object [line 4]"),
+            ('{"problem_id": 7}', "problem_id must be a non-empty string [line 4]"),
+            ('{"problem_id": ""}', "problem_id must be a non-empty string [line 4]"),
+            ('{"sample_id": "x"}', "missing problem_id [line 4]"),
+        ],
+    )
+    def test_bad_problem_id_names_what_is_wrong(self, tmp_path, line, message):
+        records = tmp_path / "records.jsonl"
+        write_synth(records, n=10)
+        lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = line + "\n"
+        records.write_text("".join(lines), encoding="utf-8")
+        result = run(["split", "--input", str(records), "--output-dir", str(tmp_path / "s")])
+        assert result.exit_code == 4
+        assert f"error: {message}" in result.output
+
     def test_input_changed_between_reads(self, tmp_path, monkeypatch):
         records = tmp_path / "records.jsonl"
         write_synth(records, n=30)
@@ -380,11 +399,13 @@ class TestInvalidUtf8:
         bad = with_bad_utf8(src, tmp_path / "bad.jsonl")
         out = tmp_path / "o.jsonl"
         args = ["convert-calibri", "--source", str(bad), "--output", str(out)]
-        self.assert_names_line_3(run(args))
+        result = run(args)
+        assert result.exit_code == 4, result.output
+        assert f"error: {bad} line 3: line is not valid UTF-8\n" in result.output
 
 
-# Runs the CLI with read_columns splitting every file into the number of
-# parts given as the first argument (1 reads in process).
+# Runs the CLI with the range reader cutting every file into the number
+# of parts given as the first argument (1 reads in process).
 FORCED_PARTS_CLI = """
 import sys
 import codecal.data
@@ -396,9 +417,12 @@ main(prog_name="codecal")
 """
 
 
+CODE_SKIP = ("--method", "code_prob", "--skip-missing")
+
+
 class TestReaderPartCount:
-    def run_stages(self, pipeline, cwd, parts):
-        """stdout plus stderr of split, fit-eval and ablate, run with outputs in ``cwd``."""
+    def run_stages(self, pipeline, cwd, parts, records):
+        """stdout plus stderr of score, split, fit-eval and ablate, run with outputs in ``cwd``."""
         cwd.mkdir()
         env = dict(os.environ, PYTHONPATH=str(Path(codecal.__file__).parent.parent))
         inputs = [
@@ -408,6 +432,8 @@ class TestReaderPartCount:
         ]
         fit = ("--complexity", "difficulty_label", "--grid-m", "10")
         stages = [
+            ["score", "--input", str(records), "--output", "scored.jsonl"],
+            ["score", "--input", str(records), "--output", "code.jsonl", *CODE_SKIP],
             ["split", "--input", str(pipeline.parent / "scored.jsonl"), "--output-dir", "splits"],
             ["fit-eval", *inputs, *fit, "--output-dir", "fit"],
             ["ablate", *inputs, *fit, "--output", "ablation.csv"],
@@ -426,8 +452,17 @@ class TestReaderPartCount:
         return errs
 
     def test_outputs_and_stderr_do_not_depend_on_parts(self, pipeline, tmp_path):
+        # Every third record loses its code span, so code_prob skips some.
+        records = tmp_path / "records.jsonl"
+        lines = (pipeline.parent / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        objects = [json.loads(line) for line in lines]
+        for obj in objects[::3]:
+            del obj["code_span"]
+        records.write_text("".join(json.dumps(obj) + "\n" for obj in objects), encoding="utf-8")
         serial, forked = tmp_path / "serial", tmp_path / "forked"
-        assert self.run_stages(pipeline, forked, 3) == self.run_stages(pipeline, serial, 1)
+        errs = self.run_stages(pipeline, forked, 3, records)
+        assert errs == self.run_stages(pipeline, serial, 1, records)
+        assert errs[1] == b"scored 400 samples, skipped 200\n"
         files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
         assert files == sorted(p.relative_to(forked) for p in forked.rglob("*") if p.is_file())
         assert len(files) > 20

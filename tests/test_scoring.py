@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import codecal.data as data_module
 from codecal.data import Dataset, Sample, parse_record, save_records
 from codecal.errors import DataError, MissingCodeError, RecordError
 from codecal.scoring import (
@@ -183,6 +190,155 @@ class TestScoreFile:
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
         lines = outputs[0].read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["sample_id"] for line in lines] == ["a", "b"]
+
+
+def score_line(i, sid=None, **changes):
+    """A record line; ``None`` in ``changes`` drops that key."""
+    obj = {
+        "problem_id": f"p{i % 3}",
+        "sample_id": sid or f"s{i}",
+        "language": "python",
+        "token_logprobs": [-0.125 * (1 + (i + t) % 5) for t in range(3)],
+        "label": i % 2,
+        "code_span": [1, 3],
+    }
+    obj.update(changes)
+    return json.dumps({k: v for k, v in obj.items() if v is not None}, ensure_ascii=False)
+
+
+NO_TOKENS = {"token_logprobs": [], "code_span": None}
+
+# Lines other than plain records: ones that score_file re-encodes or
+# cannot score, and every kind that read_ranges rejects.
+SCORE_KINDS = (
+    "scored", "no_span", "no_tokens", "duplicate", "blank", "malformed", "schema", "utf8"
+)
+
+
+@st.composite
+def score_files(draw):
+    """Bytes of a record JSONL file mixing good lines with odd ones."""
+    out = []
+    kinds = ("record",) * draw(st.integers(1, 40)) + SCORE_KINDS
+    for i in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        text = draw(st.text(alphabet="aé✓\u2028\x85 ", max_size=4))
+        if kind == "record":
+            line = score_line(i, code_text=text).encode()
+        elif kind == "scored":
+            keys = draw(st.sampled_from([{"p_hat": 0.5}, {"method": "x"}, {"p_hat": 1, "z": text}]))
+            line = score_line(i, **keys).encode()
+        elif kind == "no_span":
+            line = score_line(i, code_span=None).encode()
+        elif kind == "no_tokens":
+            line = score_line(i, **NO_TOKENS).encode()
+        elif kind == "duplicate":
+            sid = f"s{draw(st.integers(0, max(i - 1, 0)))}"
+            unscorable = draw(st.sampled_from([{}, {"code_span": None}, NO_TOKENS]))
+            line = score_line(i, sid=sid, **unscorable).encode()
+        elif kind == "blank":
+            line = draw(st.sampled_from([b"", b"  ", b"\t"]))
+        elif kind == "malformed":
+            line = score_line(i)[: draw(st.integers(1, 20))].encode()
+        elif kind == "schema":
+            line = score_line(i, label=2).encode()
+        else:
+            line = score_line(i)[:-1].encode() + b', "x": "\xff"}'
+        out.append(line)
+        out.append(draw(st.sampled_from([b"\n", b"\r\n", b"\r"])))
+    if out and draw(st.booleans()):
+        out.pop()
+    return b"".join(out)
+
+
+METHODS = [
+    ConfidenceMethod("avg_prob"),
+    ConfidenceMethod("code_prob"),
+    ConfidenceMethod("tail_prob", tail_tokens=2),
+]
+
+
+def forced_parts(parts, block=data_module._BLOCK_BYTES):
+    """Make score_file cut every input into ``parts`` ranges, read in ``block``-byte blocks."""
+    return mock.patch.multiple(
+        data_module, PARALLEL_MIN_BYTES=0, _cpus=lambda: parts, _BLOCK_BYTES=block
+    )
+
+
+def score_in(directory, content, method, skip, parts, block=data_module._BLOCK_BYTES):
+    """Score ``content`` over an existing output; the result, output bytes and files left."""
+    folder = Path(directory)
+    (folder / "in.jsonl").write_bytes(content)
+    out = folder / "out.jsonl"
+    out.write_bytes(b"old output\n")
+    with forced_parts(parts, block):
+        try:
+            result = "ok", score_file(str(folder / "in.jsonl"), str(out), method, skip)
+        except Exception as exc:
+            result = type(exc), str(exc)
+    return result, out.read_bytes(), sorted(os.listdir(folder))
+
+
+class TestScoreFileInParts:
+    """score_file cut into parts writes and raises exactly what one part does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        content=score_files(),
+        parts=st.integers(1, 4),
+        block=st.integers(1, 64),
+        method=st.sampled_from(METHODS),
+        skip=st.booleans(),
+    )
+    @example(
+        content=b"\n".join(score_line(i).encode() for i in range(6))
+        + b"\r\n"
+        + score_line(6, sid="s0", code_span=None).encode(),
+        parts=2,
+        block=64,
+        method=METHODS[1],
+        skip=False,
+    )
+    def test_parts_match_one_part(self, content, parts, block, method, skip):
+        """A duplicate id in a later part is an error before it fails to score."""
+        with tempfile.TemporaryDirectory() as tmp:
+            got = score_in(tmp, content, method, skip, parts, block)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert got == score_in(tmp, content, method, skip, 1)
+        assert got[2] == ["in.jsonl", "out.jsonl"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "bad_line, method, want",
+        [
+            (7, METHODS[0], r"malformed JSON.*\[line 7\]"),
+            (50, METHODS[0], r"malformed JSON.*\[line 50\]"),
+            (7, METHODS[1], r"sample 's6' has no code_span"),
+            (50, METHODS[1], r"sample 's49' has no code_span"),
+        ],
+    )
+    def test_failure_leaves_no_child_and_no_file(self, tmp_path, bad_line, method, want):
+        """Line 7 fails in the parent's range, line 50 in the last child's."""
+        lines = [score_line(i) for i in range(60)]
+        bad = "{not json" if method is METHODS[0] else score_line(bad_line - 1, code_span=None)
+        lines[bad_line - 1] = bad
+        content = "\n".join(lines).encode() + b"\n"
+        result, output, files = score_in(tmp_path, content, method, False, 3)
+        assert result[0] is (RecordError if method is METHODS[0] else MissingCodeError)
+        assert re.search(want, result[1])
+        assert output == b"old output\n"
+        assert files == ["in.jsonl", "out.jsonl"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_two_children_write_two_of_three_ranges(self, tmp_path):
+        content = "".join(score_line(i) + "\n" for i in range(60)).encode()
+        with mock.patch.object(data_module, "_fork_part", wraps=data_module._fork_part) as fork:
+            forked = score_in(tmp_path, content, METHODS[0], False, 3)
+        assert fork.call_count == 2
+        assert forked[0] == ("ok", (60, 0))
+        assert forked == score_in(tmp_path, content, METHODS[0], False, 1)
 
 
 def scored_record(i, n_tokens, **changes):
