@@ -1,5 +1,13 @@
 """Calibration and group-conditional recalibration of code-generation confidences."""
 
+import os as _os
+
+# Set before numpy loads its BLAS: OpenBLAS splits a reduction over as
+# many threads as there are CPUs, so fitted values would depend on the
+# CPU count, and its threads would compete with forked workers.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .binning import BinGrid, assign_bin, assign_bins, round_to_grid, round_to_grid_index
 from .calibrators import (
     GcurModel,

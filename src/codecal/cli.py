@@ -16,6 +16,7 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
+from . import data
 from .binning import BinGrid
 from .calibrators import (
     DEFAULT_EPSILON,
@@ -32,6 +33,7 @@ from .data import (
     SplitSpec,
     assign_problem_splits,
     atomic_outputs,
+    fork_tasks,
     iter_lines,
     parse_record,
     read_columns,
@@ -92,17 +94,17 @@ def _merge_config(ctx: click.Context, config_path: str | None, values: dict) -> 
         return values
     with open(config_path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
+    if not isinstance(config, dict):
         raise DataError("config file must hold a JSON object")
-    unknown = sorted(set(data) - set(values))
+    unknown = sorted(set(config) - set(values))
     if unknown:
         raise DataError(f"unknown config keys: {', '.join(unknown)}")
     params = {param.name: param for param in ctx.command.params}
     merged = dict(values)
-    for key, value in data.items():
+    for key, value in config.items():
         value = _config_value(ctx, params[key], value)
         if ctx.get_parameter_source(key) == ParameterSource.DEFAULT:
             merged[key] = value
@@ -287,25 +289,43 @@ def _apply_model(model, p, groups):
     return model.apply(p, membership_matrix(groups, model.group_names))
 
 
+def _fit_apply(name, grid, values, splits, groups):
+    """Fit method ``name`` on train and apply it to test.
+
+    ``groups`` holds the train, val and test groups, which groupless
+    methods do not read.  Returns ``(name, model, calibrated test
+    scores)``; a ``DataError`` of the fit or the apply takes the
+    model's place, with None for the scores.
+    """
+    (train, val, test), (train_groups, val_groups, test_groups) = splits, groups
+    try:
+        model = _fit_one(name, grid, values, train, val, train_groups, val_groups)
+        return name, model, _apply_model(model, test.p_hat, test_groups)
+    except DataError as exc:
+        return name, exc, None
+
+
 def _calibrate(values, grid, splits, cfg: GroupingConfig, methods: list[str]):
     """Fit a grouping on train, group every split, and fit and apply each method.
 
-    Returns the grouping, the test groups and one ``(name, model,
-    calibrated test scores)`` per method; a method whose fit or apply
-    raised ``DataError`` has the error in place of the model and None
-    for the scores.
+    Returns the grouping, the test groups and the :func:`_fit_apply`
+    result of each method.
     """
-    train, val, test = splits
-    grouping = GroupingModel.fit(train.columns, cfg)
-    train_groups, val_groups, test_groups = (grouping.apply(split.columns) for split in splits)
-    results = []
-    for name in methods:
-        try:
-            model = _fit_one(name, grid, values, train, val, train_groups, val_groups)
-            results.append((name, model, _apply_model(model, test.p_hat, test_groups)))
-        except DataError as exc:
-            results.append((name, exc, None))
-    return grouping, test_groups, results
+    grouping = GroupingModel.fit(splits[0].columns, cfg)
+    groups = [grouping.apply(split.columns) for split in splits]
+    results = [_fit_apply(name, grid, values, splits, groups) for name in methods]
+    return grouping, groups[2], results
+
+
+def _ablate_cell(result, labels, grid) -> tuple[str, str | None]:
+    """The BSS cell :func:`_fit_apply`'s result gives in ablation.csv, and its error message."""
+    _, model, calibrated = result
+    try:
+        if isinstance(model, DataError):
+            raise model
+        return _format_metric(evaluate(calibrated, labels, grid).bss), None
+    except DataError as exc:
+        return "failed", str(exc)
 
 
 _SHARED_FIT_OPTIONS = [
@@ -428,25 +448,50 @@ def ablate(
 
     splits = _load_splits(train_path, val_path, test_path)
     labels = splits[2].labels
+    # Groupless methods give the same cell for every subset.
+    groupless = {
+        name: _ablate_cell(_fit_apply(name, grid, values, splits, (None,) * 3), labels, grid)
+        for name in method_list
+        if name in GROUPLESS_METHODS
+    }
+    grouped = [name for name in method_list if name not in GROUPLESS_METHODS]
+    procs = min(data._cpus(), len(subsets))
 
-    rows = []
-    for subset in subsets:
-        cfg = replace(
-            base_cfg,
-            use_language="language" in subset,
-            length_metrics=base_cfg.length_metrics if "length" in subset else (),
-            complexity_source=base_cfg.complexity_source if "complexity" in subset else "none",
-        )
-        subset_name = "+".join(subset)
-        _, _, results = _calibrate(values, grid, splits, cfg, method_list)
-        for name, model, calibrated in results:
+    def run(k):
+        """Cells of subsets k, k + procs, ...; a grouping error ends the share."""
+        cells = []
+        for subset in subsets[k::procs]:
+            cfg = replace(
+                base_cfg,
+                use_language="language" in subset,
+                length_metrics=base_cfg.length_metrics if "length" in subset else (),
+                complexity_source=base_cfg.complexity_source if "complexity" in subset else "none",
+            )
             try:
-                if isinstance(model, DataError):
-                    raise model
-                bss = _format_metric(evaluate(calibrated, labels, grid).bss)
+                _, _, results = _calibrate(values, grid, splits, cfg, grouped)
             except DataError as exc:
-                click.echo(f"{name} on {subset_name} failed: {exc}", err=True)
-                bss = "failed"
+                cells.append(exc)
+                break
+            cells.append({result[0]: _ablate_cell(result, labels, grid) for result in results})
+        return cells
+
+    by_subset: list = [None] * len(subsets)
+
+    def merge(k, cells):
+        for i, subset_cells in zip(range(k, len(subsets), procs), cells):
+            by_subset[i] = subset_cells
+
+    fork_tasks(procs, run, merge, "fitting ablate subsets")
+    rows = []
+    for subset, cells in zip(subsets, by_subset):
+        if isinstance(cells, DataError):
+            raise cells
+        subset_name = "+".join(subset)
+        cells = {**groupless, **cells}
+        for name in method_list:
+            bss, error = cells[name]
+            if error is not None:
+                click.echo(f"{name} on {subset_name} failed: {error}", err=True)
             rows.append([name, subset_name, bss])
     _write_csv(output_path, ["method", "groups", "bss"], rows)
     click.echo(f"wrote {output_path}", err=True)

@@ -27,6 +27,7 @@ __all__ = [
     "iter_json_lines",
     "iter_records",
     "line_ranges",
+    "fork_tasks",
     "read_ranges",
     "read_columns",
     "load_records",
@@ -210,7 +211,9 @@ def _open_text(path: str, start: int = 0):
     :func:`_check_utf8` reports with their line number.
     """
     fh = open(path, "rb")
-    fh.seek(start)
+    if start:
+        # Only a later range seeks, so the first one can be a pipe.
+        fh.seek(start)
     return io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
 
 
@@ -388,15 +391,12 @@ def _read_part(path: str, bound: tuple, k: int, read, records: bool, seen: set, 
         return None, exc
 
 
-def _fork_part(path: str, bound: tuple, k: int, read, records: bool) -> tuple[int, int]:
-    """Read range ``k`` in a forked child; returns its pid and the pipe it answers on.
+def _fork_part(run, k: int) -> tuple[int, int]:
+    """Run ``run(k)`` in a forked child; returns its pid and the pipe it answers on.
 
-    The child pickles ``(lines, sample ids, result, error)`` into the
-    pipe, as :func:`_read_part` gives them, and leaves through
-    ``os._exit``, so it runs no exit handlers and flushes no stdio
-    buffer it inherited.  A child, which cannot see the ranges before
-    its own, sends the line number and sample id of each of its records
-    so that its parent can check them against earlier ranges.
+    The child pickles ``(value, None)``, or ``(None, error)`` if
+    ``run(k)`` raised, into the pipe and leaves through ``os._exit``, so
+    it runs no exit handlers and flushes no stdio buffer it inherited.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -409,11 +409,10 @@ def _fork_part(path: str, bound: tuple, k: int, read, records: bool) -> tuple[in
         status = 1
         try:
             os.close(read_fd)
-            ids: tuple[list, list] = ([], [])
             try:
-                result = (*ids, *_read_part(path, bound, k, read, records, set(), ids))
-            except Exception as exc:  # raised by the parent, like any error of the range
-                result = ([], [], None, exc)
+                result = (run(k), None)
+            except Exception as exc:  # raised by the parent, in task order
+                result = (None, exc)
             payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
@@ -424,16 +423,45 @@ def _fork_part(path: str, bound: tuple, k: int, read, records: bool) -> tuple[in
     return pid, read_fd
 
 
-def _join_part(path: str, pid: int, read_fd: int):
-    """The result a child of :func:`_fork_part` sent; reaps the child."""
+def _join_part(what: str, pid: int, read_fd: int):
+    """The ``(value, error)`` a child of :func:`_fork_part` sent; reaps the child."""
     try:
         with open(read_fd, "rb") as pipe:
             payload = pipe.read()
     finally:
         os.waitpid(pid, 0)
     if not payload:
-        raise OSError(f"a reader process for {path} exited without a result")
+        raise OSError(f"a process {what} exited without a result")
     return pickle.loads(payload)
+
+
+def fork_tasks(count: int, run, merge, what: str) -> None:
+    """Call ``merge(k, run(k))`` for every task ``k < count`` in task order, one process per task.
+
+    Task 0 runs in this process once every other task has been forked
+    into a child of its own.  A child sends its value back pickled over
+    a pipe, so ``run`` need not be picklable but its values and
+    exceptions must be.  An exception of ``run(k)`` is raised in
+    place of merging task ``k``, so the first error in task order wins
+    and no later value is merged.  A child that dies without a value
+    raises ``OSError`` naming ``what``.  Every child is reaped before
+    this returns or raises.
+    """
+    children: list[tuple[int, int]] = []
+    try:
+        for k in range(1, count):
+            children.append(_fork_part(run, k))
+        merge(0, run(0))
+        for k in range(1, count):
+            value, error = _join_part(what, *children.pop(0))
+            if error is not None:
+                raise error
+            merge(k, value)
+    finally:
+        # Closing the pipe first ends a child blocked on writing its result.
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
 
 
 def read_ranges(path: str, bounds: list, read, merge, records: bool = False) -> None:
@@ -449,36 +477,30 @@ def read_ranges(path: str, bounds: list, read, merge, records: bool = False) -> 
     before it before that range's own error is raised, and no later
     result is merged.
 
-    The first range is read in this process and every other one in a
-    forked child, which sends its result back pickled over a pipe, so
-    ``read`` need not be picklable but its results and errors must be.
-    Children run only the decoding and ``read``, never numpy, whose BLAS
-    threads may be running when the process forks.  A child that dies
-    without a result raises ``OSError``.
+    The ranges are read by :func:`fork_tasks`, the first in this
+    process and every other one in a forked child, so ``read`` need not
+    be picklable but its results and errors must be.  A child, which
+    cannot see the ranges before its own, sends the line number and
+    sample id of each of its records so that the parent can check them.
     """
-    children: list[tuple[int, int]] = []
     seen: set[str] = set()
-    try:
-        for k in range(1, len(bounds)):
-            children.append(_fork_part(path, bounds[k], k, read, records))
-        k = 0
-        result, error = _read_part(path, bounds[0], k, read, records, seen)
-        while error is None:
-            merge(k, result)
-            if not children:
-                return
-            lines, sids, result, error = _join_part(path, *children.pop(0))
-            k += 1
-            for lineno, sid in zip(lines, sids):
+
+    def run(k):
+        ids = ([], []) if k else None
+        return (ids, *_read_part(path, bounds[k], k, read, records, set() if k else seen, ids))
+
+    def merge_range(k, part):
+        ids, result, error = part
+        if k:
+            for lineno, sid in zip(*ids):
                 if sid in seen:
                     raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
                 seen.add(sid)
-        raise error
-    finally:
-        # Closing the pipe first ends a child blocked on writing its result.
-        for pid, read_fd in children:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
+        if error is not None:
+            raise error
+        merge(k, result)
+
+    fork_tasks(len(bounds), run, merge_range, f"reading {path}")
 
 
 def read_columns(path: str, row, width: int, records: bool = False) -> list[list]:

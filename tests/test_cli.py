@@ -7,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 import codecal
 from codecal.binning import BinGrid
 import codecal.cli as cli_module
+import codecal.data as data_module
 from codecal.cli import main
 from codecal.data import load_records, save_records
+from codecal.errors import DataError
 from codecal.groups import GroupSet
 from codecal.metrics import evaluate
 from codecal.scoring import load_scored
@@ -48,6 +51,25 @@ def run(args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
+def cli_env():
+    """The environment of a CLI subprocess that imports this checkout of codecal."""
+    return dict(os.environ, PYTHONPATH=str(Path(codecal.__file__).parent.parent))
+
+
+def run_cli(args, cwd, **kwargs):
+    """``python -m codecal.cli args`` in a subprocess; its exit code must be 0."""
+    kwargs.setdefault("env", cli_env())
+    done = subprocess.run(
+        [sys.executable, "-m", "codecal.cli", *args],
+        cwd=cwd,
+        capture_output=True,
+        timeout=300,
+        **kwargs,
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -63,6 +85,15 @@ class TestScoreCommand:
         scored = load_scored(str(out))
         assert scored.p_hat.size == 240
         assert scored.methods == ("avg_prob",)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_reads_a_pipe(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        write_synth(records)
+        run_cli(["score", "--input", str(records), "--output", "file.jsonl"], tmp_path)
+        piped = ["score", "--input", "/dev/stdin", "--output", "pipe.jsonl"]
+        run_cli(piped, tmp_path, input=records.read_bytes())
+        assert (tmp_path / "pipe.jsonl").read_bytes() == (tmp_path / "file.jsonl").read_bytes()
 
     def test_bad_method_flag_is_usage_error(self, tmp_path):
         records = tmp_path / "records.jsonl"
@@ -424,7 +455,7 @@ class TestReaderPartCount:
     def run_stages(self, pipeline, cwd, parts, records):
         """stdout plus stderr of score, split, fit-eval and ablate, run with outputs in ``cwd``."""
         cwd.mkdir()
-        env = dict(os.environ, PYTHONPATH=str(Path(codecal.__file__).parent.parent))
+        env = cli_env()
         inputs = [
             x
             for name in ("train", "val", "test")
@@ -684,6 +715,17 @@ class TestMalformedInputProperty:
         assert result.exit_code in (0, 4), result.output
 
 
+ABLATE_SUBSETS = [
+    "complexity",
+    "complexity+language",
+    "complexity+language+length",
+    "complexity+length",
+    "language",
+    "language+length",
+    "length",
+]
+
+
 class TestAblateCommand:
     def test_subset_grid(self, pipeline, tmp_path):
         out = tmp_path / "ablation.csv"
@@ -709,16 +751,7 @@ class TestAblateCommand:
         assert result.exit_code == 0
         rows = read_csv(out)
         assert rows[0] == ["method", "groups", "bss"]
-        subsets = [
-            "complexity",
-            "complexity+language",
-            "complexity+language+length",
-            "complexity+length",
-            "language",
-            "language+length",
-            "length",
-        ]
-        assert [r[1] for r in rows[1:]] == [s for s in subsets for _ in range(2)]
+        assert [r[1] for r in rows[1:]] == [s for s in ABLATE_SUBSETS for _ in range(2)]
         # A global method ignores the grouping, so its score is constant
         # across subsets.
         platt_scores = {r[2] for r in rows[1:] if r[0] == "platt"}
@@ -742,6 +775,122 @@ class TestAblateCommand:
             ]
         )
         assert result.exit_code == 4
+
+
+def subset_name(cfg):
+    """The ablate subset a grouping config stands for."""
+    categories = ["complexity"] if cfg.complexity_source != "none" else []
+    categories += ["language"] if cfg.use_language else []
+    categories += ["length"] if cfg.length_metrics else []
+    return "+".join(categories)
+
+
+class TestAblateInProcesses:
+    """Ablate's subsets, fitted in several processes, report as if fitted in one."""
+
+    def ablate(self, pipeline, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(data_module, "_cpus", lambda: cpus)
+        out = tmp_path / f"ablation{cpus}.csv"
+        args = swapped_split_args("ablate", pipeline, out, "train", pipeline / "train.jsonl")
+        args[args.index("--methods") + 1] = "platt,gcur_linear,histogram"
+        result = runner.invoke(main, [*args, "--complexity", "difficulty_label"])
+        return result.exit_code, result.stderr, out
+
+    @pytest.mark.parametrize("bad", [3, 4], ids=["parent", "child"])
+    def test_first_error_in_subset_order(self, pipeline, tmp_path, monkeypatch, bad):
+        """With 3 processes subset 3 is the parent's and subset 4 a child's."""
+        real = cli_module._calibrate
+
+        def calibrate(values, grid, splits, cfg, methods):
+            name = subset_name(cfg)
+            if ABLATE_SUBSETS.index(name) == bad:
+                raise DataError(f"grouping broke on {name}")
+            grouping, test_groups, results = real(values, grid, splits, cfg, methods)
+            failed = ("gcur_linear", DataError(f"no fit on {name}"), None)
+            return grouping, test_groups, [failed if r[0] == failed[0] else r for r in results]
+
+        monkeypatch.setattr(cli_module, "_calibrate", calibrate)
+        want = "".join(
+            f"gcur_linear on {name} failed: no fit on {name}\n" for name in ABLATE_SUBSETS[:bad]
+        )
+        want += f"error: grouping broke on {ABLATE_SUBSETS[bad]}\n"
+        for cpus in (1, 3):
+            code, stderr, out = self.ablate(pipeline, tmp_path, monkeypatch, cpus)
+            assert (code, stderr) == (4, want)
+            assert not out.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_groupless_methods_fit_once(self, pipeline, tmp_path, monkeypatch):
+        calls = []
+
+        def fit_platt(*args):
+            calls.append(os.getpid())
+            raise DataError("platt refused")
+
+        monkeypatch.setattr(cli_module, "fit_platt", fit_platt)
+        code, stderr, out = self.ablate(pipeline, tmp_path, monkeypatch, 3)
+        assert code == 0
+        assert calls == [os.getpid()]
+        assert stderr == "".join(
+            f"platt on {name} failed: platt refused\n" for name in ABLATE_SUBSETS
+        ) + f"wrote {out}\n"
+        rows = read_csv(out)[1:]
+        assert [row[0] for row in rows] == ["platt", "gcur_linear", "histogram"] * 7
+        assert {row[2] for row in rows[::3]} == {"failed"}
+        assert len({row[2] for row in rows[2::3]}) == 1
+
+
+def write_many_groups(directory, n=30000, seed=5):
+    """Scored train/val/test splits (60/20/20) that difficulty-label complexity cuts into 24 groups.
+
+    Ten languages, eight difficulty labels and short or long code give
+    the groups; each (difficulty, length) block has its own accuracy, so
+    the scores are miscalibrated per group.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = tuple(
+        Block(f"lvl{d}-{band}", 1 / 16, float(rng.uniform(0.2, 0.9)), ("uniform", 0.3, 0.8))
+        for d in range(8)
+        for band in ("short", "long")
+    )
+    languages = tuple(f"lang{i}" for i in range(10))
+    dataset, _ = generate(SynthSpec(blocks=blocks, n_samples=n, seed=seed, languages=languages))
+    files = {name: open(directory / f"{name}.jsonl", "w") for name in ("train", "val", "test")}
+    with files["train"], files["val"], files["test"]:
+        for i, sample in enumerate(dataset):
+            difficulty, band = sample.difficulty.split("-")
+            obj = sample.to_dict()
+            obj.update(difficulty=difficulty, method="avg_prob")
+            obj.update(code_text="x = 1\n" * (3 if band == "short" else 12 + i % 4))
+            obj["p_hat"] = math.exp(sample.token_logprobs[0])
+            name = "train" if i % 5 < 3 else ("val", "test")[i % 5 - 3]
+            files[name].write(json.dumps(obj) + "\n")
+
+
+class TestCpuCount:
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs at least two CPUs",
+    )
+    def test_outputs_do_not_depend_on_cpus(self, tmp_path):
+        """BLAS that split its reductions by CPU count changed gcur_logistic's bytes."""
+        write_many_groups(tmp_path)
+        env = {k: v for k, v in cli_env().items() if not k.endswith("_NUM_THREADS")}
+        cpu = min(os.sched_getaffinity(0))
+        inputs = [x for name in ("train", "val", "test") for x in (f"--{name}", f"{name}.jsonl")]
+        inputs += ["--complexity", "difficulty_label"]
+        for where, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+            out = tmp_path / where
+            for args in (["fit-eval", "--output-dir", str(out)], ["ablate", "--output", "a.csv"]):
+                run_cli([*args, *inputs], tmp_path, env=env, preexec_fn=pin)
+            (tmp_path / "a.csv").rename(out / "ablation.csv")
+        one, every = tmp_path / "one", tmp_path / "all"
+        files = sorted(p.name for p in one.iterdir())
+        assert files == sorted(p.name for p in every.iterdir())
+        assert "model_gcur_logistic.json" in files
+        for name in files:
+            assert (one / name).read_bytes() == (every / name).read_bytes(), name
 
 
 class TestReportCommand:
