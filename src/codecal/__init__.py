@@ -21,7 +21,6 @@ from .calibrators import (
     fit_ighb,
     fit_iglb,
     fit_platt,
-    membership_matrix,
     model_from_json,
     model_to_json,
     sigmoid,
@@ -106,7 +105,6 @@ __all__ = [
     "gasce",
     "generate",
     "load_records",
-    "membership_matrix",
     "model_from_json",
     "model_to_json",
     "multicalibration_check",

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
+    "MAX_GRID_M",
     "BinGrid",
     "assign_bin",
     "assign_bins",
@@ -23,16 +24,19 @@ __all__ = [
     "cell_sums",
 ]
 
+# Fitters and metrics cost O(groups * m), so m is bounded well above any grid in use.
+MAX_GRID_M = 10_000
+
 
 @dataclass(frozen=True)
 class BinGrid:
-    """Uniform grid over [0, 1] with ``m`` bins, ``m >= 2``."""
+    """Uniform grid over [0, 1] with ``m`` bins, ``2 <= m <= MAX_GRID_M``."""
 
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 2:
-            raise DataError(f"bin grid needs an integer m >= 2, got {self.m!r}")
+        if not isinstance(self.m, int) or not 2 <= self.m <= MAX_GRID_M:
+            raise DataError(f"bin grid needs an integer m from 2 to {MAX_GRID_M}, got {self.m!r}")
 
     @property
     def values(self) -> np.ndarray:

@@ -45,7 +45,6 @@ __all__ = [
     "fit_gcur_logistic",
     "fit_ighb",
     "fit_iglb",
-    "membership_matrix",
     "model_to_json",
     "model_from_json",
 ]
@@ -137,11 +136,6 @@ def _newton_fit(X: np.ndarray, y: np.ndarray, loss: str) -> tuple[np.ndarray, di
         iterations = NEWTON_MAX_ITER
     info = {"converged": converged, "iterations": iterations, "grad_norm": gnorm}
     return w, info
-
-
-def membership_matrix(groups: GroupSet, names: list[str]) -> np.ndarray:
-    """Columns of ``groups`` matching ``names``, in that order (:meth:`GroupSet.select`)."""
-    return groups.select(names)
 
 
 def _kept_columns(groups: GroupSet, dtype, where: str = ""):
@@ -282,6 +276,8 @@ def fit_histogram_binning(scores, labels, grid: BinGrid) -> HistogramBinningMode
     p, y = _check_scores_labels(scores, labels)
     idx = round_to_grid_index(p, grid)
     deltas = np.zeros(grid.m)
+    # np.mean's pairwise sums, not cell_sums' sequential ones: a calibrated
+    # score can sit on a bin edge, which one ulp moves to the next bin.
     for cell in range(1, grid.m + 1):
         mask = idx == cell
         if mask.any():

@@ -10,6 +10,7 @@ import functools
 import itertools
 import json
 import os
+import stat
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import click
 from click.core import ParameterSource
 
 from . import data
-from .binning import BinGrid
+from .binning import MAX_GRID_M, BinGrid
 from .calibrators import (
     DEFAULT_EPSILON,
     fit_gcur_linear,
@@ -26,7 +27,6 @@ from .calibrators import (
     fit_ighb,
     fit_iglb,
     fit_platt,
-    membership_matrix,
     model_to_json,
 )
 from .data import (
@@ -209,10 +209,12 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
 
     Lines pass through untouched, so already scored records keep their
     extra fields.  The input is read twice, once for the problem ids and
-    once to copy its lines, and the three outputs replace their targets
-    only when every line is written.
+    once to copy its lines, so it must be a regular file, and the three
+    outputs replace their targets only when every line is written.
     """
     spec = SplitSpec(train=train, val=val, test=test, seed=seed)
+    if not stat.S_ISREG(os.stat(input_path).st_mode):
+        raise DataError(f"{input_path} is not a regular file, and split reads its input twice")
     (problem_ids,) = read_columns(input_path, _problem_id, 1)
     assignment = assign_problem_splits(problem_ids, spec)
     os.makedirs(output_dir, exist_ok=True)
@@ -286,7 +288,7 @@ def _fit_one(name, grid, values, train, val, train_groups, val_groups):
 def _apply_model(model, p, groups):
     if model.method in GROUPLESS_METHODS:
         return model.apply(p)
-    return model.apply(p, membership_matrix(groups, model.group_names))
+    return model.apply(p, groups.select(model.group_names))
 
 
 def _fit_apply(name, grid, values, splits, groups):
@@ -338,7 +340,7 @@ _SHARED_FIT_OPTIONS = [
         show_default=True,
         help="Comma-separated calibration methods.",
     ),
-    click.option("--grid-m", default=20, show_default=True, help="Number of grid bins."),
+    click.option("--grid-m", default=20, show_default=True, help=f"Grid bins, at most {MAX_GRID_M}."),
     click.option("--alpha", default=None, type=float, help="ighb budget; default 1/grid-m."),
     click.option(
         "--epsilon", default=DEFAULT_EPSILON, show_default=True, help="iglb region mass floor."

@@ -24,8 +24,6 @@ __all__ = [
     "Dataset",
     "SplitSpec",
     "iter_lines",
-    "iter_json_lines",
-    "iter_records",
     "line_ranges",
     "fork_tasks",
     "read_ranges",
@@ -208,7 +206,7 @@ def _open_text(path: str, start: int = 0):
     """``path`` as text from byte ``start``, a line start.
 
     Bytes that are not UTF-8 decode to lone surrogates, which
-    :func:`_check_utf8` reports with their line number.
+    :func:`_lines` reports with their line number.
     """
     fh = open(path, "rb")
     if start:
@@ -217,55 +215,38 @@ def _open_text(path: str, start: int = 0):
     return io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
 
 
-def _check_utf8(line: str, lineno: int) -> None:
-    """Raise :class:`RecordError` if ``line`` held bytes that are not UTF-8."""
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
-        raise RecordError("line is not valid UTF-8", line=lineno) from None
-
-
-def _json_lines(fh, lineno: int = 1, count: int | None = None):
-    """Yield ``(lineno, line, obj)`` for each non-blank line of a file from :func:`_open_text`.
+def _lines(fh, lineno: int = 1, count: int | None = None):
+    """Yield ``(lineno, line)`` for each non-blank line of a file from :func:`_open_text`.
 
     Reads the next ``count`` lines, or to the end of the file, and
-    numbers them from ``lineno``.  A line that is not UTF-8 or not JSON
+    numbers them from ``lineno``.  A line that is not valid UTF-8
     raises :class:`RecordError` naming it.
     """
     for lineno, line in enumerate(itertools.islice(fh, count), start=lineno):
         if not line.strip():
             continue
         if not line.isascii():
-            _check_utf8(line, lineno)
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise RecordError("line is not valid UTF-8", line=lineno) from None
+        yield lineno, line
+
+
+def iter_lines(path: str):
+    """Yield ``(lineno, line)`` for each non-blank line of a UTF-8 text file, as :func:`_lines`."""
+    with _open_text(path) as fh:
+        yield from _lines(fh)
+
+
+def _json_lines(fh, lineno: int = 1, count: int | None = None):
+    """Yield ``(lineno, line, obj)`` for each line of :func:`_lines`; malformed JSON raises."""
+    for lineno, line in _lines(fh, lineno, count):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RecordError(f"malformed JSON: {exc.msg}", line=lineno) from exc
         yield lineno, line, obj
-
-
-def iter_lines(path: str):
-    """Yield ``(lineno, line)`` for each non-blank line of a UTF-8 text file.
-
-    Lines are read in text mode; a line that is not valid UTF-8 raises
-    :class:`RecordError` naming it.
-    """
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                if not line.isascii():
-                    _check_utf8(line, lineno)
-                yield lineno, line
-
-
-def iter_json_lines(path: str):
-    """Yield ``(lineno, raw_line, obj)`` for each non-blank line of a JSONL file.
-
-    Lines are read as by :func:`iter_lines`.  Malformed JSON raises
-    :class:`RecordError` naming the line.
-    """
-    with _open_text(path) as fh:
-        yield from _json_lines(fh)
 
 
 def _records(lines, seen: set, ids=None):
@@ -285,24 +266,6 @@ def _records(lines, seen: set, ids=None):
             ids[0].append(lineno)
             ids[1].append(sid)
         yield lineno, raw, obj, sample
-
-
-def iter_records(path: str):
-    """Yield ``(lineno, raw_line, obj, sample)`` for each record line of a JSONL file.
-
-    Lines are read by :func:`iter_json_lines`.  Schema violations and
-    duplicate sample ids raise :class:`RecordError` naming the offending
-    line.  ``obj`` is the decoded JSON object, so callers can read keys
-    beyond the record schema.
-    """
-    with _open_text(path) as fh:
-        yield from _records(_json_lines(fh), set())
-
-
-def load_records(path: str, provenance: str | None = None) -> Dataset:
-    """Load a line-delimited JSON file of samples; errors as in :func:`iter_records`."""
-    samples = [sample for _, _, _, sample in iter_records(path)]
-    return Dataset(samples, provenance=provenance if provenance is not None else path)
 
 
 def _cpus() -> int:
@@ -468,9 +431,10 @@ def read_ranges(path: str, bounds: list, read, merge, records: bool = False) -> 
     """Call ``read(k, lines)`` on every range ``k`` of a JSONL file, one range per process.
 
     ``bounds`` comes from :func:`line_ranges`.  ``lines`` yields the
-    non-blank lines of the range as :func:`iter_json_lines` does, or
-    with ``records`` as :func:`iter_records` does, with line numbers
-    counted from the start of the file.  Each result goes to
+    ``(lineno, raw, obj)`` of :func:`_json_lines` for the range, or with
+    ``records`` the ``(lineno, raw, obj, sample)`` of :func:`_records`,
+    with line numbers counted from the start of the file and sample ids
+    unique across the file.  Each result goes to
     ``merge(k, result)`` in line order, and the first error in line
     order is raised, with the same message as reading serially: the
     sample ids of each range are checked against those of the ranges
@@ -507,13 +471,12 @@ def read_columns(path: str, row, width: int, records: bool = False) -> list[list
     """Columns of the rows of every non-blank line of a JSONL file, decoded on every CPU.
 
     Without ``records`` the rows are ``row(lineno, obj)`` for the lines
-    of :func:`iter_json_lines`; with ``records`` they are ``row(lineno,
-    obj, sample)`` for the lines of :func:`iter_records`.  Each row is a
-    tuple of ``width`` fields and the result holds one list per field.
-    The file is read by :func:`read_ranges`, so rows, line numbers and
-    the first error in line order are the same as reading serially
-    through those functions, and ``row`` need not be picklable but its
-    fields and errors must be.
+    of :func:`_json_lines`; with ``records`` they are ``row(lineno, obj,
+    sample)`` for the records of :func:`_records`.  Each row is a tuple
+    of ``width`` fields and the result holds one list per field.  The
+    file is read by :func:`read_ranges`, so rows, line numbers and the
+    first error in line order do not depend on the number of CPUs, and
+    ``row`` need not be picklable but its fields and errors must be.
     """
     columns: list[list] = [[] for _ in range(width)]
 
@@ -533,6 +496,12 @@ def read_columns(path: str, row, width: int, records: bool = False) -> list[list
 
     read_ranges(path, line_ranges(path), read, merge, records)
     return columns
+
+
+def load_records(path: str, provenance: str | None = None) -> Dataset:
+    """Load a line-delimited JSON file of samples through :func:`read_columns`."""
+    (samples,) = read_columns(path, lambda lineno, obj, sample: (sample,), 1, records=True)
+    return Dataset(samples, provenance=provenance if provenance is not None else path)
 
 
 def save_records(dataset, path: str) -> None:

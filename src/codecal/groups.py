@@ -16,8 +16,8 @@ in the order asked for.
 Grouping reads four per-sample fields, held column-wise in a
 :class:`GroupColumns` table that caches every feature derived from
 them, so several groupings fitted and applied to one split walk its
-code texts once.  Functions taking samples accept such a table or a
-:class:`~codecal.data.Dataset`, which is converted on entry.
+code texts once.  Functions that group samples take such a table;
+:meth:`GroupColumns.from_samples` builds one from a Dataset.
 """
 
 import json
@@ -266,10 +266,6 @@ class GroupColumns:
         return self._cached("branches", compute)
 
 
-def _as_columns(data) -> GroupColumns:
-    return data if isinstance(data, GroupColumns) else GroupColumns.from_samples(data)
-
-
 def _label_membership(columns: GroupColumns, name: str, labels: list) -> np.ndarray:
     """One column per label; a sample whose field value is not a label gets a zero row."""
     vocab, codes = columns.codes(name)
@@ -278,36 +274,33 @@ def _label_membership(columns: GroupColumns, name: str, labels: list) -> np.ndar
     return _one_hot(lookup[codes], len(labels))
 
 
-def build_language_groups(dataset, languages: list[str] | None = None) -> GroupSet:
+def build_language_groups(columns: GroupColumns, languages: list[str] | None = None) -> GroupSet:
     """One group per language; defaults to the sorted distinct languages seen.
 
     With an explicit ``languages`` list, samples in other languages get
     all-zero rows, so a language fitted elsewhere never silently absorbs
-    strangers.  ``dataset`` is a GroupColumns table or a Dataset.
+    strangers.
     """
-    columns = _as_columns(dataset)
     if languages is None:
         languages = sorted(columns.codes("languages")[0])
     return GroupSet(list(languages), _label_membership(columns, "languages", languages))
 
 
-def build_length_groups(dataset, cfg: GroupingConfig, fit_on=None) -> GroupSet:
+def build_length_groups(columns: GroupColumns, cfg: GroupingConfig, fit_on=None) -> GroupSet:
     """Length bands per configured metric, cut at fit_on quantiles.
 
-    Cutpoints come from ``fit_on`` (default: ``dataset`` itself) so the
+    Cutpoints come from ``fit_on`` (default: ``columns`` itself) so the
     same thresholds can be reused across splits.  Samples lacking
     code_text fall into a shared ``len_unknown`` group.
     """
-    columns = _as_columns(dataset)
     only_length = replace(cfg, use_language=False, complexity_source="none", always_on=False)
     return GroupingModel.fit(columns if fit_on is None else fit_on, only_length).apply(columns)
 
 
-def build_complexity_groups(dataset, cfg: GroupingConfig, fit_on=None) -> GroupSet:
+def build_complexity_groups(columns: GroupColumns, cfg: GroupingConfig, fit_on=None) -> GroupSet:
     """Complexity groups from difficulty labels or the branch heuristic."""
     if cfg.complexity_source == "none":
         raise DataError("complexity_source is 'none', nothing to build")
-    columns = _as_columns(dataset)
     only_complexity = replace(cfg, use_language=False, length_metrics=(), always_on=False)
     return GroupingModel.fit(columns if fit_on is None else fit_on, only_complexity).apply(columns)
 
@@ -361,9 +354,8 @@ class GroupingModel:
     complexity_cutpoints: list[float] = field(default_factory=list)
 
     @classmethod
-    def fit(cls, fit_on, config: GroupingConfig) -> "GroupingModel":
-        """Fit on a GroupColumns table or a Dataset."""
-        columns = _as_columns(fit_on)
+    def fit(cls, columns: GroupColumns, config: GroupingConfig) -> "GroupingModel":
+        """Fit on the samples of ``columns``."""
         model = cls(config=config)
         if config.use_language:
             model.languages = sorted(columns.codes("languages")[0])
@@ -387,9 +379,8 @@ class GroupingModel:
             ]
         return model
 
-    def apply(self, dataset) -> GroupSet:
-        """Group a GroupColumns table or a Dataset."""
-        columns = _as_columns(dataset)
+    def apply(self, columns: GroupColumns) -> GroupSet:
+        """Group the samples of ``columns``."""
         names: list[str] = []
         blocks: list[np.ndarray] = []
         if self.config.use_language:

@@ -119,8 +119,8 @@ def _score_lines(records, out, method: ConfidenceMethod, skip_missing: bool) -> 
     """Write the scored line of each record to ``out``; returns the scored and skipped counts.
 
     ``records`` yields ``(lineno, raw, obj, sample)`` as
-    :func:`~codecal.data.iter_records` does.  ``out`` is flushed at the
-    end, so its bytes can be copied from its binary buffer.
+    :func:`~codecal.data.read_ranges` does with ``records``.  ``out`` is
+    flushed at the end, so its bytes can be copied from its binary buffer.
     """
     name_json = json.dumps(method.name)
     scored = skipped = 0
@@ -204,8 +204,8 @@ def _scored_row(lineno: int, obj: dict, sample: Sample) -> tuple:
 def load_scored(path: str) -> ScoredSplit:
     """Load a file written by :func:`score_file` as columns.
 
-    Every line is validated as in :func:`~codecal.data.iter_records`
-    and read by :func:`~codecal.data.read_columns` on every CPU, but only
+    Every line is validated as a record and read by
+    :func:`~codecal.data.read_columns` on every CPU, but only
     ``p_hat``, the label and the grouping fields outlive it, so memory
     does not grow with the number of tokens per record.
     """

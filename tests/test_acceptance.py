@@ -24,7 +24,6 @@ from codecal.calibrators import (
     fit_ighb,
     fit_iglb,
     fit_platt,
-    membership_matrix,
 )
 from codecal.cli import main
 from codecal.data import save_records
@@ -147,7 +146,7 @@ def test_criterion_3_linear_group_unbiasedness():
     )
     groups = GroupSet(["clean", "messy", "lang_python", "lang_cpp"], columns)
     model = fit_gcur_linear(p, y, groups)
-    calibrated = model.apply(p, membership_matrix(groups, model.group_names))
+    calibrated = model.apply(p, groups.select(model.group_names))
     worst = max(
         abs(float(np.mean(y[groups.column(name).astype(bool)] - calibrated[groups.column(name).astype(bool)])))
         for name in groups.names
@@ -160,7 +159,7 @@ def test_criterion_4_iterative_binning_terminates_within_budget():
     p, y, groups = _planted_blocks(10000, 101)
     grid = BinGrid(20)
     model = fit_ighb(p, y, groups, grid)
-    calibrated = model.apply(p, membership_matrix(groups, model.group_names))
+    calibrated = model.apply(p, groups.select(model.group_names))
     worst = max(
         float(groups.masses[j]) * gasce(calibrated, y, groups.column(name), grid)
         for j, name in enumerate(groups.names)
@@ -178,7 +177,7 @@ def test_criterion_5_iterative_logit_binning_beats_global_methods():
     model = fit_iglb(tp, ty, vp, vy, tg, vg, grid)
     history = model.val_brier_history
     strictly_decreasing = all(b < a for a, b in zip(history, history[1:]))
-    calibrated = model.apply(sp, membership_matrix(sg, model.group_names))
+    calibrated = model.apply(sp, sg.select(model.group_names))
     test_brier = brier(calibrated, sy)
     test_bss = brier_skill_score(calibrated, sy)
     bss_platt = brier_skill_score(fit_platt(tp, ty).apply(sp), sy)

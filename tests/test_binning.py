@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from codecal.binning import (
+    MAX_GRID_M,
     BinGrid,
     assign_bin,
     assign_bins,
@@ -29,6 +30,11 @@ class TestBinGrid:
     def test_rejects_non_integer(self):
         with pytest.raises(DataError):
             BinGrid(2.5)
+
+    def test_bounded_above(self):
+        assert BinGrid(MAX_GRID_M).m == MAX_GRID_M
+        with pytest.raises(DataError, match=f"from 2 to {MAX_GRID_M}, got {MAX_GRID_M + 1}"):
+            BinGrid(MAX_GRID_M + 1)
 
 
 class TestAssignBin:

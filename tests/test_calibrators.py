@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from codecal.binning import BinGrid, round_to_grid_index
+from codecal.binning import MAX_GRID_M, BinGrid, round_to_grid_index
 from codecal.calibrators import (
     TIKHONOV,
     _newton_fit,
@@ -23,7 +23,6 @@ from codecal.calibrators import (
     fit_ighb,
     fit_iglb,
     fit_platt,
-    membership_matrix,
     model_from_json,
     model_to_json,
     sigmoid,
@@ -142,7 +141,7 @@ class TestGcurLinear:
         model = fit_gcur_linear(p, y, two_block_groups(10, 10))
         assert model.lambdas[0] == pytest.approx(0.2, abs=1e-9)
         assert model.lambdas[1] == pytest.approx(-0.1, abs=1e-9)
-        g = membership_matrix(two_block_groups(10, 10), model.group_names)
+        g = two_block_groups(10, 10).select(model.group_names)
         out = model.apply(p, g)
         np.testing.assert_allclose(out[:10], 0.7, atol=1e-9)
         np.testing.assert_allclose(out[10:], 0.4, atol=1e-9)
@@ -237,7 +236,7 @@ class TestDependentColumns:
         n = groups.n_samples
         model = fit_gcur_linear(np.full(n, 0.5), np.arange(n) % 2, groups)
         kept = model.group_names
-        want = rank_dependent_columns(membership_matrix(groups, kept), kept)
+        want = rank_dependent_columns(groups.select(kept), kept)
         assert model.dependent_columns == (want if len(kept) > 1 else [])
 
     def test_independent_column_after_copies(self):
@@ -497,7 +496,8 @@ def pinned_split(n, seed):
     dataset, block_groups = generate(
         SynthSpec(blocks=blocks, n_samples=n, seed=seed, languages=languages)
     )
-    groups = assemble([block_groups, build_language_groups(dataset, list(languages))])
+    language_groups = build_language_groups(GroupColumns.from_samples(dataset), list(languages))
+    groups = assemble([block_groups, language_groups])
     p = np.array([math.exp(s.token_logprobs[0]) for s in dataset])
     y = np.array([s.label for s in dataset], dtype=float)
     return p, y, groups
@@ -649,6 +649,12 @@ class TestSerialization:
     def test_non_object_document_is_data_error(self):
         with pytest.raises(DataError, match="malformed model"):
             model_from_json("[1, 2]")
+
+    def test_grid_above_the_bound_is_data_error(self):
+        m = MAX_GRID_M + 1
+        text = model_to_json(HistogramBinningModel(grid_m=m, deltas=[0.0] * m))
+        with pytest.raises(DataError, match=f"from 2 to {MAX_GRID_M}, got {m}"):
+            model_from_json(text)
 
 
 def applied_model(kind):
@@ -845,7 +851,7 @@ class TestRoundTripProperty:
             restored = model_from_json(model_to_json(model))
             assert model_to_json(restored) == model_to_json(model)
             if hasattr(model, "group_names"):
-                args = (p, membership_matrix(groups, model.group_names))
+                args = (p, groups.select(model.group_names))
             else:
                 args = (p,)
             assert restored.apply(*args).tobytes() == model.apply(*args).tobytes()

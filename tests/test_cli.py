@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import codecal
-from codecal.binning import BinGrid
+from codecal.binning import MAX_GRID_M, BinGrid
 import codecal.cli as cli_module
 import codecal.data as data_module
 from codecal.cli import main
@@ -328,6 +328,31 @@ class TestSplitCommand:
         assert "changed while it was being split: 30 records on the first read, 31" in result.output
         assert list(out.iterdir()) == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_pipe_refused_up_front(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        write_synth(records, n=30)
+        from_stdin = ["split", "--input", "/dev/stdin", "--output-dir"]
+        piped = subprocess.run(
+            [sys.executable, "-m", "codecal.cli", *from_stdin, "piped"],
+            cwd=tmp_path,
+            input=records.read_bytes(),
+            capture_output=True,
+            env=cli_env(),
+            timeout=300,
+        )
+        assert piped.returncode == 4
+        want = b"error: /dev/stdin is not a regular file, and split reads its input twice\n"
+        assert piped.stderr == want
+        assert not (tmp_path / "piped").exists()
+        # A regular file redirected to stdin is split as usual.
+        with open(records, "rb") as fh:
+            run_cli([*from_stdin, "redirected"], tmp_path, stdin=fh)
+        run_cli(["split", "--input", str(records), "--output-dir", "named"], tmp_path)
+        for name in ("train", "val", "test"):
+            redirected = (tmp_path / "redirected" / f"{name}.jsonl").read_bytes()
+            assert redirected == (tmp_path / "named" / f"{name}.jsonl").read_bytes()
+
     def test_bad_fractions_rejected(self, tmp_path):
         records = tmp_path / "records.jsonl"
         write_synth(records, n=30)
@@ -623,6 +648,19 @@ class TestFitEvalCommand:
             fit_eval_args(pipeline, tmp_path / "out", ("--methods", "platt,mystery"))
         )
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_grid_above_the_bound_refused_before_loading(self, tmp_path, source):
+        m = MAX_GRID_M + 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid_m": m}), encoding="utf-8")
+        extra = ("--grid-m", str(m)) if source == "flag" else ("--config", str(config))
+        # The splits do not exist: loading them would exit 3.
+        result = run(fit_eval_args(tmp_path / "missing", tmp_path / "out", extra))
+        assert result.exit_code == 4
+        want = f"error: bin grid needs an integer m from 2 to {MAX_GRID_M}, got {m}\n"
+        assert result.output == want
+        assert not (tmp_path / "out").exists()
 
 
 FIT_EVAL_KEYS = sorted(

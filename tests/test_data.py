@@ -17,11 +17,10 @@ from codecal.data import (
     SplitSpec,
     assign_problem_splits,
     extract_code_span,
-    iter_json_lines,
-    iter_records,
     load_records,
     parse_record,
     read_columns,
+    read_ranges,
     save_records,
     split_by_problem,
 )
@@ -122,6 +121,19 @@ class TestLoadRecords:
         path.write_text("\n" + json.dumps(GOOD) + "\n\n")
         assert len(load_records(str(path))) == 1
 
+    def test_same_samples_in_any_part_count(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        samples = [
+            make_sample(i, problem=f"p{i % 7}", difficulty="easy" if i % 3 else None)
+            for i in range(40)
+        ]
+        save_records(samples, str(path))
+        with forced_parts(1):
+            serial = load_records(str(path))
+        with forced_parts(3):
+            assert load_records(str(path)) == serial
+        assert serial.samples == samples
+
 
 def reference_logprobs(lps, line, sid):
     """Per-value token checks: the reference for parse_record's bulk path."""
@@ -190,12 +202,14 @@ class TestTokenLogprobs:
         assert sample.token_logprobs == lps and sample.token_logprobs is not lps
 
 
-class TestIterRecords:
+class TestReadRanges:
     def test_yields_line_numbers_raw_lines_and_objects(self, tmp_path):
         path = tmp_path / "r.jsonl"
         second = dict(GOOD, sample_id="s2", extra=[1, 2])
         path.write_text(json.dumps(GOOD) + "\n\n" + json.dumps(second) + "\n")
-        rows = list(iter_records(str(path)))
+        rows = []
+        read, merge = (lambda k, lines: rows.extend(lines)), (lambda k, _: None)
+        read_ranges(str(path), [(0, 1, None)], read, merge, records=True)
         assert [row[0] for row in rows] == [1, 3]
         assert [row[1] for row in rows] == [json.dumps(GOOD) + "\n", json.dumps(second) + "\n"]
         assert [row[2] for row in rows] == [GOOD, second]
@@ -265,11 +279,28 @@ def line_row(lineno, obj):
 
 
 def serial_columns(path, records):
-    """read_columns' result, read through the serial readers."""
-    if records:
-        rows = [record_row(n, obj, sample) for n, _, obj, sample in iter_records(path)]
-    else:
-        rows = [line_row(n, obj) for n, _, obj in iter_json_lines(path)]
+    """read_columns' result, read line by line here with none of the reader's helpers."""
+    rows, seen = [], set()
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise RecordError("line is not valid UTF-8", line=lineno) from None
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RecordError(f"malformed JSON: {exc.msg}", line=lineno) from None
+            if not records:
+                rows.append(line_row(lineno, obj))
+                continue
+            sample = parse_record(obj, line=lineno)
+            if sample.sample_id in seen:
+                raise RecordError("duplicate sample_id", line=lineno, sample_id=sample.sample_id)
+            seen.add(sample.sample_id)
+            rows.append(record_row(lineno, obj, sample))
     return [[row[i] for row in rows] for i in range(4 if records else 2)]
 
 
@@ -296,7 +327,7 @@ def write_bytes(directory, content):
 
 
 class TestReadColumns:
-    """read_columns cut into parts gives exactly what the serial readers give."""
+    """read_columns cut into parts gives exactly what a plain serial loop gives."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -309,6 +340,15 @@ class TestReadColumns:
         content=b"\n".join(record_line(i).encode() for i in range(6))
         + b"\r\n"
         + record_line(6, sid="s0").encode(),
+        parts=2,
+        records=True,
+        block=64,
+    )
+    # A later part refuses a record whose id an earlier part holds: the duplicate wins.
+    @example(
+        content="\n".join(
+            [*map(record_line, range(6)), record_line(6, sid="s0", refuse=True)]
+        ).encode(),
         parts=2,
         records=True,
         block=64,

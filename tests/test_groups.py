@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codecal.data import Dataset, Sample
+from codecal.data import Sample
 from codecal.errors import DataError, RecordError
 from codecal.groups import (
     ALL_GROUP,
@@ -99,36 +99,38 @@ class TestNearestRankQuantile:
 
 class TestLanguageGroups:
     def test_partition(self):
-        ds = Dataset([make_sample(i, language=l) for i, l in enumerate("abacbc")])
+        ds = GroupColumns.from_samples(
+            [make_sample(i, language=l) for i, l in enumerate("abacbc")]
+        )
         gs = build_language_groups(ds)
         assert gs.names == ["a", "b", "c"]
         np.testing.assert_array_equal(gs.membership.sum(axis=1), np.ones(6))
 
     def test_unseen_language_gets_zero_row(self):
-        ds = Dataset([make_sample(0, language="lua")])
+        ds = GroupColumns.from_samples([make_sample(0, language="lua")])
         gs = build_language_groups(ds, languages=["python", "rust"])
         np.testing.assert_array_equal(gs.membership, [[0, 0]])
 
 
 class TestLengthGroups:
     def fit_ds(self, lengths):
-        return Dataset(
+        return GroupColumns.from_samples(
             [make_sample(i, code_text="x" * int(n)) for i, n in enumerate(lengths)]
         )
 
     def test_at_or_above_goes_high(self):
         fit_on = self.fit_ds([10, 20, 30, 40])
-        target = Dataset([make_sample(99, code_text="y" * 25)])
+        target = GroupColumns.from_samples([make_sample(99, code_text="y" * 25)])
         cfg = GroupingConfig(use_language=False, length_metrics=("chars",))
         gs = build_length_groups(target, cfg, fit_on=fit_on)
         assert gs.names == ["len_low", "len_high", "len_unknown"]
         np.testing.assert_array_equal(gs.membership, [[0, 1, 0]])
 
     def test_loc_cut(self):
-        fit_on = Dataset(
+        fit_on = GroupColumns.from_samples(
             [make_sample(i, code_text="\n".join(["line"] * n)) for i, n in enumerate([1, 2, 3, 100])]
         )
-        target = Dataset([make_sample(99, code_text="a\nb\nc")])
+        target = GroupColumns.from_samples([make_sample(99, code_text="a\nb\nc")])
         cfg = GroupingConfig(use_language=False, length_metrics=("loc",))
         gs = build_length_groups(target, cfg, fit_on=fit_on)
         assert gs.names == ["loc_low", "loc_high", "len_unknown"]
@@ -143,7 +145,7 @@ class TestLengthGroups:
 
     def test_unknown_code_text(self):
         fit_on = self.fit_ds([5, 10])
-        target = Dataset([make_sample(99)])
+        target = GroupColumns.from_samples([make_sample(99)])
         cfg = GroupingConfig(use_language=False, length_metrics=("chars",))
         gs = build_length_groups(target, cfg, fit_on=fit_on)
         np.testing.assert_array_equal(gs.column("len_unknown"), [1])
@@ -175,7 +177,7 @@ class TestBranchCount:
 
 class TestComplexityGroups:
     def test_terciles_from_fit_on(self):
-        fit_on = Dataset(
+        fit_on = GroupColumns.from_samples(
             [
                 make_sample(i, code_text=code)
                 for i, code in enumerate(
@@ -189,29 +191,33 @@ class TestComplexityGroups:
                 )
             ]
         )
-        counts = [branch_count(s.code_text) for s in fit_on]
+        counts = [branch_count(text) for text in fit_on.code_texts]
         assert counts == [0, 1, 3, 5, 9]
-        target = Dataset([make_sample(99, code_text="if a:\n if b:\n  for c in d: pass")])
+        target = GroupColumns.from_samples(
+            [make_sample(99, code_text="if a:\n if b:\n  for c in d: pass")]
+        )
         cfg = GroupingConfig(use_language=False, complexity_source="branch_heuristic")
         gs = build_complexity_groups(target, cfg, fit_on=fit_on)
         assert gs.names == ["cx_low", "cx_mid", "cx_high"]
         np.testing.assert_array_equal(gs.membership, [[0, 1, 0]])
 
     def test_difficulty_labels(self):
-        ds = Dataset([make_sample(i, difficulty=d) for i, d in enumerate(["easy", "hard", "easy"])])
+        ds = GroupColumns.from_samples(
+            [make_sample(i, difficulty=d) for i, d in enumerate(["easy", "hard", "easy"])]
+        )
         cfg = GroupingConfig(use_language=False, complexity_source="difficulty_label")
         gs = build_complexity_groups(ds, cfg)
         assert gs.names == ["cx_easy", "cx_hard"]
         np.testing.assert_array_equal(gs.column("cx_easy"), [1, 0, 1])
 
     def test_missing_difficulty_errors(self):
-        ds = Dataset([make_sample(0)])
+        ds = GroupColumns.from_samples([make_sample(0)])
         cfg = GroupingConfig(use_language=False, complexity_source="difficulty_label")
         with pytest.raises(RecordError, match="s0"):
             build_complexity_groups(ds, cfg)
 
     def test_missing_code_text_errors(self):
-        ds = Dataset([make_sample(0)])
+        ds = GroupColumns.from_samples([make_sample(0)])
         cfg = GroupingConfig(use_language=False, complexity_source="branch_heuristic")
         with pytest.raises(RecordError, match="s0"):
             build_complexity_groups(ds, cfg)
@@ -239,7 +245,7 @@ class TestAssemble:
 
 class TestGroupingModel:
     def make_ds(self):
-        return Dataset(
+        return GroupColumns.from_samples(
             [
                 make_sample(0, language="python", code_text="if a: pass", difficulty="easy"),
                 make_sample(1, language="rust", code_text="return 1;", difficulty="hard"),
@@ -300,7 +306,7 @@ class TestGroupingModel:
     def test_same_group_list_across_datasets(self):
         ds = self.make_ds()
         model = GroupingModel.fit(ds, GroupingConfig(complexity_source="difficulty_label"))
-        other = Dataset([make_sample(9, language="lua", difficulty="easy")])
+        other = GroupColumns.from_samples([make_sample(9, language="lua", difficulty="easy")])
         assert model.apply(other).names == model.apply(ds).names
 
 
@@ -488,7 +494,6 @@ class TestColumnGroupingMatchesReference:
         for samples, columns in (
             (fit_samples, fit_columns),
             (targets, GroupColumns.from_samples(targets)),
-            (targets, Dataset(targets)),
         ):
             applied = _outcome(got.apply, columns)
             expected = _outcome(reference_apply, want, samples)

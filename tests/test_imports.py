@@ -1,10 +1,12 @@
-"""Every name a ``codecal`` module imports is used in that module.
+"""Each ``codecal`` module uses every name it imports and binds every name it exports.
 
-Package ``__init__.py`` files re-export names, so they are skipped; a
-name listed in a module's ``__all__`` counts as used.
+Package ``__init__.py`` files re-export names, so they are skipped by
+the import check; a name listed in a module's ``__all__`` counts as
+used.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,13 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["codecal", *(f"codecal.{path.stem}" for path in MODULES)],
+)
+def test_exports_resolve(module):
+    """Every name in a module's ``__all__`` is bound in that module."""
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)] == []
