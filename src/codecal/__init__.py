@@ -26,13 +26,11 @@ from .calibrators import (
     sigmoid,
 )
 from .data import (
-    Dataset,
     Sample,
     SplitSpec,
     extract_code_span,
     load_records,
     save_records,
-    split_by_problem,
 )
 from .errors import CodecalError, DataError
 from .groups import (
@@ -40,9 +38,7 @@ from .groups import (
     GroupingModel,
     GroupSet,
     assemble,
-    build_complexity_groups,
     build_language_groups,
-    build_length_groups,
 )
 from .metrics import (
     EvalReport,
@@ -57,7 +53,7 @@ from .metrics import (
     multicalibration_check,
     reliability_table,
 )
-from .scoring import ConfidenceMethod, ScoredSample, score_dataset, score_sample
+from .scoring import ConfidenceMethod, score_sample
 from .synthgen import Block, SynthSpec, generate
 
 __version__ = "0.1.0"
@@ -68,7 +64,6 @@ __all__ = [
     "CodecalError",
     "ConfidenceMethod",
     "DataError",
-    "Dataset",
     "EvalReport",
     "GcurModel",
     "GroupSet",
@@ -78,7 +73,6 @@ __all__ = [
     "IterativePatchModel",
     "PlattModel",
     "Sample",
-    "ScoredSample",
     "SplitSpec",
     "SynthSpec",
     "accuracy_at_half",
@@ -89,9 +83,7 @@ __all__ = [
     "brier",
     "brier_reference",
     "brier_skill_score",
-    "build_complexity_groups",
     "build_language_groups",
-    "build_length_groups",
     "clamped_logit",
     "ece",
     "evaluate",
@@ -112,8 +104,6 @@ __all__ = [
     "round_to_grid",
     "round_to_grid_index",
     "save_records",
-    "score_dataset",
     "score_sample",
     "sigmoid",
-    "split_by_problem",
 ]

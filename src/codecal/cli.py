@@ -41,7 +41,7 @@ from .data import (
 )
 from .errors import ConvertError, DataError, RecordError, schema_fields
 from .groups import GroupingConfig, GroupingModel
-from .metrics import NEG_INF, EvalReport, evaluate
+from .metrics import NEG_INF, EvalReport, brier_skill_score, evaluate
 from .scoring import METHOD_NAMES as SCORE_METHODS
 from .scoring import ConfidenceMethod, load_scored, score_file
 from .svg import group_chart, reliability_chart
@@ -95,7 +95,7 @@ def _merge_config(ctx: click.Context, config_path: str | None, values: dict) -> 
     with open(config_path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise DataError("config file must hold a JSON object")
@@ -319,13 +319,13 @@ def _calibrate(values, grid, splits, cfg: GroupingConfig, methods: list[str]):
     return grouping, groups[2], results
 
 
-def _ablate_cell(result, labels, grid) -> tuple[str, str | None]:
+def _ablate_cell(result, labels) -> tuple[str, str | None]:
     """The BSS cell :func:`_fit_apply`'s result gives in ablation.csv, and its error message."""
     _, model, calibrated = result
     try:
         if isinstance(model, DataError):
             raise model
-        return _format_metric(evaluate(calibrated, labels, grid).bss), None
+        return _format_metric(brier_skill_score(calibrated, labels)), None
     except DataError as exc:
         return "failed", str(exc)
 
@@ -452,7 +452,7 @@ def ablate(
     labels = splits[2].labels
     # Groupless methods give the same cell for every subset.
     groupless = {
-        name: _ablate_cell(_fit_apply(name, grid, values, splits, (None,) * 3), labels, grid)
+        name: _ablate_cell(_fit_apply(name, grid, values, splits, (None,) * 3), labels)
         for name in method_list
         if name in GROUPLESS_METHODS
     }
@@ -474,7 +474,7 @@ def ablate(
             except DataError as exc:
                 cells.append(exc)
                 break
-            cells.append({result[0]: _ablate_cell(result, labels, grid) for result in results})
+            cells.append({result[0]: _ablate_cell(result, labels) for result in results})
         return cells
 
     by_subset: list = [None] * len(subsets)
@@ -505,9 +505,9 @@ def ablate(
 @_guarded
 def report(report_path, output_dir) -> None:
     """Render reliability and group charts from a report."""
-    parsed = EvalReport.from_json(Path(report_path).read_text(encoding="utf-8"))
     stem = Path(report_path).stem
     with schema_fields("report"):
+        parsed = EvalReport.from_json(Path(report_path).read_text(encoding="utf-8"))
         reliability = reliability_chart(parsed, title=f"{stem}: accuracy per confidence bin")
         groups = group_chart(parsed, title=f"{stem}: group confidence vs accuracy")
     os.makedirs(output_dir, exist_ok=True)
@@ -596,8 +596,9 @@ def convert_calibri(source, output_path) -> None:
                 if key is not None:
                     used_fields.setdefault(target, set()).add(key)
                     record[target] = value
-            record["sample_id"] = str(record["sample_id"])
-            record["problem_id"] = str(record["problem_id"])
+            for key in ("sample_id", "problem_id"):
+                if type(record[key]) is int:  # an integer id, but not a bool
+                    record[key] = str(record[key])
             if isinstance(record["label"], bool):
                 record["label"] = int(record["label"])
             try:

@@ -21,7 +21,6 @@ from .errors import AlignmentError, DataError, RecordError, SplitError
 
 __all__ = [
     "Sample",
-    "Dataset",
     "SplitSpec",
     "iter_lines",
     "line_ranges",
@@ -33,7 +32,6 @@ __all__ = [
     "atomic_outputs",
     "extract_code_span",
     "assign_problem_splits",
-    "split_by_problem",
 ]
 
 _REQUIRED_KEYS = ("problem_id", "sample_id", "language", "token_logprobs", "label")
@@ -72,20 +70,6 @@ class Sample:
         if self.code_text is not None:
             out["code_text"] = self.code_text
         return out
-
-
-@dataclass
-class Dataset:
-    """A list of samples plus a free-form provenance note."""
-
-    samples: list[Sample]
-    provenance: str = ""
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
 
 
 @dataclass(frozen=True)
@@ -498,16 +482,16 @@ def read_columns(path: str, row, width: int, records: bool = False) -> list[list
     return columns
 
 
-def load_records(path: str, provenance: str | None = None) -> Dataset:
+def load_records(path: str) -> list[Sample]:
     """Load a line-delimited JSON file of samples through :func:`read_columns`."""
     (samples,) = read_columns(path, lambda lineno, obj, sample: (sample,), 1, records=True)
-    return Dataset(samples, provenance=provenance if provenance is not None else path)
+    return samples
 
 
-def save_records(dataset, path: str) -> None:
-    """Write the samples of a Dataset or any iterable of Samples as line-delimited JSON."""
+def save_records(samples, path: str) -> None:
+    """Write any iterable of Samples as line-delimited JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sample in dataset:
+        for sample in samples:
             fh.write(json.dumps(sample.to_dict(), sort_keys=True))
             fh.write("\n")
 
@@ -617,16 +601,3 @@ def assign_problem_splits(problem_ids, spec: SplitSpec) -> dict[str, str]:
             assignment[pid] = name
     return assignment
 
-
-def split_by_problem(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
-    """Partition a dataset into train/val/test along problem boundaries."""
-    assignment = assign_problem_splits((s.problem_id for s in dataset), spec)
-    buckets: dict[str, list[Sample]] = {"train": [], "val": [], "test": []}
-    for sample in dataset:
-        buckets[assignment[sample.problem_id]].append(sample)
-    note = dataset.provenance
-    return (
-        Dataset(buckets["train"], provenance=f"{note} [train]"),
-        Dataset(buckets["val"], provenance=f"{note} [val]"),
-        Dataset(buckets["test"], provenance=f"{note} [test]"),
-    )

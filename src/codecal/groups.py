@@ -17,13 +17,13 @@ Grouping reads four per-sample fields, held column-wise in a
 :class:`GroupColumns` table that caches every feature derived from
 them, so several groupings fitted and applied to one split walk its
 code texts once.  Functions that group samples take such a table;
-:meth:`GroupColumns.from_samples` builds one from a Dataset.
+:meth:`GroupColumns.from_samples` builds one from any samples.
 """
 
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,8 +36,6 @@ __all__ = [
     "GroupingModel",
     "check_membership",
     "build_language_groups",
-    "build_length_groups",
-    "build_complexity_groups",
     "assemble",
     "nearest_rank_quantile",
     "branch_count",
@@ -207,7 +205,7 @@ class GroupColumns:
 
     @classmethod
     def from_samples(cls, samples) -> "GroupColumns":
-        """Columns of a Dataset or any iterable of Samples."""
+        """Columns of any iterable of Samples."""
         samples = list(samples)
         return cls(
             [s.sample_id for s in samples],
@@ -284,25 +282,6 @@ def build_language_groups(columns: GroupColumns, languages: list[str] | None = N
     if languages is None:
         languages = sorted(columns.codes("languages")[0])
     return GroupSet(list(languages), _label_membership(columns, "languages", languages))
-
-
-def build_length_groups(columns: GroupColumns, cfg: GroupingConfig, fit_on=None) -> GroupSet:
-    """Length bands per configured metric, cut at fit_on quantiles.
-
-    Cutpoints come from ``fit_on`` (default: ``columns`` itself) so the
-    same thresholds can be reused across splits.  Samples lacking
-    code_text fall into a shared ``len_unknown`` group.
-    """
-    only_length = replace(cfg, use_language=False, complexity_source="none", always_on=False)
-    return GroupingModel.fit(columns if fit_on is None else fit_on, only_length).apply(columns)
-
-
-def build_complexity_groups(columns: GroupColumns, cfg: GroupingConfig, fit_on=None) -> GroupSet:
-    """Complexity groups from difficulty labels or the branch heuristic."""
-    if cfg.complexity_source == "none":
-        raise DataError("complexity_source is 'none', nothing to build")
-    only_complexity = replace(cfg, use_language=False, length_metrics=(), always_on=False)
-    return GroupingModel.fit(columns if fit_on is None else fit_on, only_complexity).apply(columns)
 
 
 def assemble(parts: list[GroupSet], always_on: bool = True) -> GroupSet:

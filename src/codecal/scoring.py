@@ -16,16 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Sample, atomic_outputs, line_ranges, read_columns, read_ranges
+from .data import Sample, atomic_outputs, line_ranges, read_columns, read_ranges
 from .errors import DataError, MissingCodeError, RecordError
 from .groups import GroupColumns
 
 __all__ = [
     "ConfidenceMethod",
-    "ScoredSample",
     "ScoredSplit",
     "score_sample",
-    "score_dataset",
     "score_file",
     "load_scored",
 ]
@@ -46,15 +44,6 @@ class ConfidenceMethod:
             raise DataError(f"unknown confidence method {self.name!r}, expected one of {METHOD_NAMES}")
         if self.name == "tail_prob" and self.tail_tokens < 1:
             raise DataError(f"tail_tokens must be >= 1, got {self.tail_tokens}")
-
-
-@dataclass
-class ScoredSample:
-    """A sample paired with its raw confidence score in (0, 1]."""
-
-    sample: Sample
-    p_hat: float
-    method: str
 
 
 @dataclass
@@ -90,29 +79,6 @@ def score_sample(sample: Sample, method: ConfidenceMethod) -> float:
     else:
         window = lps[-min(method.tail_tokens, len(lps)):]
     return math.exp(sum(window) / len(window))
-
-
-def score_dataset(
-    dataset: Dataset, method: ConfidenceMethod, skip_missing: bool = False
-) -> tuple[list[ScoredSample], int]:
-    """Score every sample; returns the scored list and a skip tally.
-
-    With ``skip_missing`` samples that cannot be scored under the method
-    (no usable code span, empty token list) are dropped and counted
-    instead of raising.
-    """
-    scored: list[ScoredSample] = []
-    skipped = 0
-    for sample in dataset:
-        try:
-            p_hat = score_sample(sample, method)
-        except DataError:
-            if skip_missing:
-                skipped += 1
-                continue
-            raise
-        scored.append(ScoredSample(sample, p_hat, method.name))
-    return scored, skipped
 
 
 def _score_lines(records, out, method: ConfidenceMethod, skip_missing: bool) -> tuple[int, int]:
@@ -151,10 +117,12 @@ def score_file(
     Each output line is its input line with ``"method"`` and ``"p_hat"``
     appended, so unknown keys, key order and the token array's text
     pass through untouched.  A line that already carries either key is
-    re-encoded with both replaced.  Skipping works as in
-    :func:`score_dataset`.  The output is written to a temporary file
-    beside ``output_path`` and moved into place only when every line
-    succeeded, so a failed run leaves ``output_path`` as it was.
+    re-encoded with both replaced.  A record :func:`score_sample`
+    refuses (no usable code span, no tokens) fails the run, or with
+    ``skip_missing`` is left out and counted.  The output is written to
+    a temporary file beside ``output_path`` and moved into place only
+    when every line succeeded, so a failed run leaves ``output_path``
+    as it was.
 
     The input is read by :func:`~codecal.data.read_ranges`, so the
     output, the counts and the first error in line order do not depend

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Sample
+from .data import Sample
 from .errors import DataError
 from .groups import GroupSet
 
@@ -71,8 +71,8 @@ class SynthSpec:
             raise DataError(f"block masses must sum to 1, got {total}")
 
 
-def generate(spec: SynthSpec) -> tuple[Dataset, GroupSet]:
-    """Draw a dataset from the spec; deterministic for a fixed seed.
+def generate(spec: SynthSpec) -> tuple[list[Sample], GroupSet]:
+    """Draw samples from the spec; deterministic for a fixed seed.
 
     Each sample draws its block from the block masses, its score from
     the block's distribution, and its label from Bernoulli(block
@@ -114,6 +114,4 @@ def generate(spec: SynthSpec) -> tuple[Dataset, GroupSet]:
         )
     membership = np.zeros((spec.n_samples, len(spec.blocks)), dtype=np.int8)
     membership[np.arange(spec.n_samples), block_idx] = 1
-    groups = GroupSet([b.name for b in spec.blocks], membership)
-    dataset = Dataset(samples, provenance=f"synthetic seed={spec.seed} n={spec.n_samples}")
-    return dataset, groups
+    return samples, GroupSet([b.name for b in spec.blocks], membership)

@@ -21,6 +21,18 @@ def json_prefixes(document):
     return st.integers(0, len(text) - 1).map(lambda cut: text[:cut])
 
 
+def invalid_utf8(document):
+    """``document``'s JSON text as bytes with one byte that is not UTF-8 spliced in.
+
+    The text is ASCII, so a stray continuation byte, a lead byte with
+    no continuation and 0xff are each invalid wherever they land.
+    """
+    data = json.dumps(document).encode("ascii")
+    return st.tuples(st.integers(0, len(data)), st.sampled_from([b"\x80", b"\xc3", b"\xff"])).map(
+        lambda cut: data[: cut[0]] + cut[1] + data[cut[0] :]
+    )
+
+
 def non_objects():
     """JSON texts of documents that are not objects."""
     return json_values.filter(lambda v: not isinstance(v, dict)).map(json.dumps)

@@ -35,7 +35,7 @@ from codecal.metrics import (
     ece,
     gasce,
 )
-from codecal.scoring import ConfidenceMethod, score_dataset
+from codecal.scoring import ConfidenceMethod, score_sample
 from codecal.synthgen import Block, SynthSpec, generate
 
 from oracles import brute_brier, brute_bss, brute_ece, brute_gasce
@@ -46,6 +46,12 @@ runner = CliRunner()
 def _report(number: int, label: str, ok: bool) -> None:
     print(f"criterion {number} ({label}): {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {number} ({label}) failed"
+
+
+def _scores(samples) -> np.ndarray:
+    """avg_prob score of each sample, as ``score`` computes it."""
+    method = ConfidenceMethod("avg_prob")
+    return np.array([score_sample(s, method) for s in samples])
 
 
 def _planted_blocks(n, seed):
@@ -59,11 +65,8 @@ def _planted_blocks(n, seed):
         n_samples=n,
         seed=seed,
     )
-    dataset, groups = generate(spec)
-    scored, _ = score_dataset(dataset, ConfidenceMethod("avg_prob"))
-    p = np.array([item.p_hat for item in scored])
-    y = np.array([item.sample.label for item in scored])
-    return p, y, groups
+    samples, groups = generate(spec)
+    return _scores(samples), np.array([s.label for s in samples]), groups
 
 
 def test_criterion_1_metric_oracle_equivalence():
@@ -106,10 +109,9 @@ def test_criterion_2_histogram_binning_fixed_point():
         n_samples=3000,
         seed=77,
     )
-    dataset, _ = generate(spec)
-    scored, _ = score_dataset(dataset, ConfidenceMethod("avg_prob"))
-    p = np.array([item.p_hat for item in scored])
-    y = np.array([item.sample.label for item in scored], dtype=float)
+    samples, _ = generate(spec)
+    p = _scores(samples)
+    y = np.array([s.label for s in samples], dtype=float)
     grid = BinGrid(20)
     model = fit_histogram_binning(p, y, grid)
     calibrated = model.apply(p)
@@ -131,11 +133,10 @@ def test_criterion_3_linear_group_unbiasedness():
         seed=31,
         languages=("python", "cpp"),
     )
-    dataset, block_groups = generate(spec)
-    scored, _ = score_dataset(dataset, ConfidenceMethod("avg_prob"))
-    p = np.array([item.p_hat for item in scored])
-    y = np.array([item.sample.label for item in scored], dtype=float)
-    languages = np.array([item.sample.language for item in scored])
+    samples, block_groups = generate(spec)
+    p = _scores(samples)
+    y = np.array([s.label for s in samples], dtype=float)
+    languages = np.array([s.language for s in samples])
     columns = np.column_stack(
         [
             block_groups.column("clean"),
@@ -212,10 +213,10 @@ def _stamped_records(path, n, seed):
         seed=seed,
         languages=("python", "cpp"),
     )
-    dataset, _ = generate(spec)
-    for i, sample in enumerate(dataset.samples):
+    samples, _ = generate(spec)
+    for i, sample in enumerate(samples):
         sample.code_text = "if x:\n    y += 1\n" * (i % 5) + "return y\n"
-    save_records(dataset, str(path))
+    save_records(samples, str(path))
 
 
 def _run_pipeline(root: Path) -> None:

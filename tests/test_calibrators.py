@@ -493,13 +493,13 @@ def pinned_split(n, seed):
         for i, (acc, lo) in enumerate(PINNED_BLOCKS)
     )
     languages = ("c", "go", "py", "rs")
-    dataset, block_groups = generate(
+    samples, block_groups = generate(
         SynthSpec(blocks=blocks, n_samples=n, seed=seed, languages=languages)
     )
-    language_groups = build_language_groups(GroupColumns.from_samples(dataset), list(languages))
+    language_groups = build_language_groups(GroupColumns.from_samples(samples), list(languages))
     groups = assemble([block_groups, language_groups])
-    p = np.array([math.exp(s.token_logprobs[0]) for s in dataset])
-    y = np.array([s.label for s in dataset], dtype=float)
+    p = np.array([math.exp(s.token_logprobs[0]) for s in samples])
+    y = np.array([s.label for s in samples], dtype=float)
     return p, y, groups
 
 

@@ -24,7 +24,7 @@ from codecal.metrics import evaluate
 from codecal.scoring import load_scored
 from codecal.synthgen import Block, SynthSpec, generate
 
-from malformed import edited, json_paths, json_prefixes, json_values, non_objects
+from malformed import edited, invalid_utf8, json_paths, json_prefixes, json_values, non_objects
 
 runner = CliRunner()
 
@@ -40,11 +40,10 @@ def write_synth(path, n=240, seed=17):
         seed=seed,
         languages=("python", "cpp"),
     )
-    dataset, _ = generate(spec)
-    for i, sample in enumerate(dataset.samples):
+    samples, _ = generate(spec)
+    for i, sample in enumerate(samples):
         sample.code_text = "if x:\n    y += 1\n" * (i % 5) + "return y\n"
-    save_records(dataset, str(path))
-    return dataset
+    save_records(samples, str(path))
 
 
 def run(args):
@@ -241,7 +240,7 @@ class TestSplitCommand:
 
     def test_problem_purity(self, tmp_path):
         records = tmp_path / "records.jsonl"
-        dataset = write_synth(records, n=60)
+        write_synth(records, n=60)
         out = tmp_path / "splits"
         run(["split", "--input", str(records), "--output-dir", str(out)])
         seen = {}
@@ -459,6 +458,28 @@ class TestInvalidUtf8:
         assert result.exit_code == 4, result.output
         assert f"error: {bad} line 3: line is not valid UTF-8\n" in result.output
 
+    @pytest.mark.parametrize("command", ["score", "fit-eval", "ablate"])
+    def test_config(self, pipeline, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"grid_m": 1\xff0}')
+        out = tmp_path / "out"
+        if command == "score":
+            args = ["score", "--input", str(pipeline / "test.jsonl"), "--output", str(out)]
+        else:
+            args = swapped_split_args(command, pipeline, out, "val", pipeline / "val.jsonl")
+        result = run([*args, "--config", str(cfg)])
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("error: config file is not valid JSON: 'utf-8' codec")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_report(self, tmp_path):
+        path = tmp_path / "rep.json"
+        path.write_bytes(b'{"n_samples": \xff}')
+        result = run(["report", "--report", str(path), "--output-dir", str(tmp_path / "c")])
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("error: malformed report: 'utf-8' codec")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rep.json"]
+
 
 # Runs the CLI with the range reader cutting every file into the number
 # of parts given as the first argument (1 reads in process).
@@ -581,8 +602,8 @@ class TestFitEvalCommand:
             n_samples=120,
             seed=5,
         )
-        dataset, _ = generate(spec)
-        save_records(dataset, str(records))
+        samples, _ = generate(spec)
+        save_records(samples, str(records))
         scored = root / "scored.jsonl"
         run(["score", "--input", str(records), "--output", str(scored)])
         splits = root / "splits"
@@ -705,6 +726,11 @@ VALID_REPORT = json.loads(
 )
 
 
+def write_document(path, document):
+    """Write a JSON document given as text (UTF-8 encoded) or as raw bytes."""
+    path.write_bytes(document.encode("utf-8") if isinstance(document, str) else document)
+
+
 class TestMalformedInputProperty:
     """Malformed config and report documents exit 2, 3 or 4, never with a traceback.
 
@@ -718,11 +744,12 @@ class TestMalformedInputProperty:
         | non_objects()
         | unknown_key_configs()
         | mistyped_configs()
+        | invalid_utf8({"grid_m": 10, "methods": "platt"})
     )
     def test_malformed_fit_eval_config(self, pipeline, text):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "cfg.json"
-            cfg.write_text(text, encoding="utf-8")
+            write_document(cfg, text)
             result = run(fit_eval_args(pipeline, Path(tmp) / "out", ("--config", str(cfg))))
             assert result.exit_code in (2, 3, 4), result.output
             assert not (Path(tmp) / "out").exists()
@@ -730,7 +757,7 @@ class TestMalformedInputProperty:
     def render(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "report.json"
-            path.write_text(text, encoding="utf-8")
+            write_document(path, text)
             return run(["report", "--report", str(path), "--output-dir", str(Path(tmp) / "c")])
 
     @settings(max_examples=60, deadline=None)
@@ -740,6 +767,7 @@ class TestMalformedInputProperty:
         | st.sampled_from(sorted(VALID_REPORT)).map(
             lambda key: edited(VALID_REPORT, (key,), drop=True)
         )
+        | invalid_utf8(VALID_REPORT)
     )
     def test_malformed_report(self, text):
         result = self.render(text)
@@ -893,10 +921,10 @@ def write_many_groups(directory, n=30000, seed=5):
         for band in ("short", "long")
     )
     languages = tuple(f"lang{i}" for i in range(10))
-    dataset, _ = generate(SynthSpec(blocks=blocks, n_samples=n, seed=seed, languages=languages))
+    samples, _ = generate(SynthSpec(blocks=blocks, n_samples=n, seed=seed, languages=languages))
     files = {name: open(directory / f"{name}.jsonl", "w") for name in ("train", "val", "test")}
     with files["train"], files["val"], files["test"]:
-        for i, sample in enumerate(dataset):
+        for i, sample in enumerate(samples):
             difficulty, band = sample.difficulty.split("-")
             obj = sample.to_dict()
             obj.update(difficulty=difficulty, method="avg_prob")
@@ -1027,9 +1055,9 @@ class TestConvertCommand:
         out = tmp_path / "converted.jsonl"
         result = run(["convert-calibri", "--source", str(src), "--output", str(out)])
         assert result.exit_code == 0
-        dataset = load_records(str(out))
-        assert len(dataset.samples) == 6
-        sample = dataset.samples[0]
+        samples = load_records(str(out))
+        assert len(samples) == 6
+        sample = samples[0]
         assert sample.problem_id == "t0"
         assert sample.language == "python"
         assert sample.label in (0, 1)
@@ -1047,7 +1075,7 @@ class TestConvertCommand:
         out = tmp_path / "converted.jsonl"
         result = run(["convert-calibri", "--source", str(src), "--output", str(out)])
         assert result.exit_code == 0
-        assert len(load_records(str(out)).samples) == 1
+        assert len(load_records(str(out))) == 1
         mapping = json.loads((out.parent / "converted.jsonl.mapping.json").read_text())
         assert mapping["skipped_missing_logprobs"] == 1
 
@@ -1092,6 +1120,36 @@ class TestConvertCommand:
         assert result.exit_code == 4
         assert f"{src} line 3: converted record rejected: token logprob 0.5" in result.output
         assert "sample_id='g2'" in result.output
+
+    def convert_lines(self, tmp_path, lines):
+        src = tmp_path / "raw.jsonl"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.jsonl"
+        return src, out, run(["convert-calibri", "--source", str(src), "--output", str(out)])
+
+    def test_integer_ids_converted(self, tmp_path):
+        _, out, result = self.convert_lines(
+            tmp_path, [self.aliased_line(0, extra={"task_id": 7, "gen_id": 70})]
+        )
+        assert result.exit_code == 0, result.output
+        (sample,) = load_records(str(out))
+        assert (sample.problem_id, sample.sample_id) == ("7", "70")
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"task_id": None}, "problem_id"),
+            ({"gen_id": {"x": 1}}, "sample_id"),
+            ({"task_id": True}, "problem_id"),
+        ],
+    )
+    def test_non_string_ids_rejected(self, tmp_path, extra, field):
+        lines = [self.aliased_line(i, extra=extra) for i in range(2)]
+        src, out, result = self.convert_lines(tmp_path, lines)
+        assert result.exit_code == 4, result.output
+        want = f"error: {src} line 1: converted record rejected: {field} must be a non-empty string"
+        assert result.output.startswith(want)
+        assert not out.exists()
 
     def test_missing_source_rejected(self, tmp_path):
         result = run(

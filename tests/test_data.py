@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import codecal.data as data_module
 from codecal.data import (
-    Dataset,
     Sample,
     SplitSpec,
     assign_problem_splits,
@@ -22,7 +21,6 @@ from codecal.data import (
     read_columns,
     read_ranges,
     save_records,
-    split_by_problem,
 )
 from codecal.errors import AlignmentError, RecordError, SplitError
 
@@ -61,7 +59,7 @@ class TestLoadRecords:
             make_sample(2, problem="p2"),
         ]
         path = tmp_path / "records.jsonl"
-        save_records(Dataset(samples), str(path))
+        save_records(samples, str(path))
         loaded = load_records(str(path))
         assert [s.to_dict() for s in loaded] == [s.to_dict() for s in samples]
 
@@ -114,7 +112,7 @@ class TestLoadRecords:
         write_lines(path, [dict(GOOD, p_hat=0.5, extra="x")])
         loaded = load_records(str(path))
         assert len(loaded) == 1
-        assert "p_hat" not in loaded.samples[0].to_dict()
+        assert "p_hat" not in loaded[0].to_dict()
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -132,7 +130,7 @@ class TestLoadRecords:
             serial = load_records(str(path))
         with forced_parts(3):
             assert load_records(str(path)) == serial
-        assert serial.samples == samples
+        assert serial == samples
 
 
 def reference_logprobs(lps, line, sid):
@@ -488,40 +486,37 @@ class TestSplitSpec:
 
 
 class TestSplits:
-    def make_dataset(self, n_problems=20, per_problem=3):
-        samples = []
-        for p in range(n_problems):
-            for r in range(per_problem):
-                samples.append(make_sample(p * per_problem + r, problem=f"prob{p}"))
-        return Dataset(samples)
+    def problem_ids(self, n_problems=20, per_problem=3):
+        """One problem id per sample, as ``split`` passes them."""
+        return [f"prob{p}" for p in range(n_problems) for _ in range(per_problem)]
 
     def test_partition_preserves_samples(self):
-        ds = self.make_dataset()
-        train, val, test = split_by_problem(ds, SplitSpec(seed=1))
-        assert len(train) + len(val) + len(test) == len(ds)
-        ids = {s.sample_id for part in (train, val, test) for s in part}
-        assert ids == {s.sample_id for s in ds}
+        ids = self.problem_ids()
+        assignment = assign_problem_splits(ids, SplitSpec(seed=1))
+        assert set(assignment) == set(ids)
+        assert set(assignment.values()) == {"train", "val", "test"}
 
     def test_problem_purity(self):
-        ds = self.make_dataset()
-        parts = split_by_problem(ds, SplitSpec(seed=1))
-        problem_sets = [{s.problem_id for s in part} for part in parts]
-        assert not (problem_sets[0] & problem_sets[1])
-        assert not (problem_sets[0] & problem_sets[2])
-        assert not (problem_sets[1] & problem_sets[2])
+        # A problem's samples all route through its single entry.
+        ids = self.problem_ids()
+        assignment = assign_problem_splits(iter(ids), SplitSpec(seed=1))
+        routed = {"train": set(), "val": set(), "test": set()}
+        for pid in ids:
+            routed[assignment[pid]].add(pid)
+        assert not (routed["train"] & routed["val"])
+        assert not (routed["train"] & routed["test"])
+        assert not (routed["val"] & routed["test"])
 
     def test_deterministic(self):
-        ds = self.make_dataset()
-        a = split_by_problem(ds, SplitSpec(seed=5))
-        b = split_by_problem(ds, SplitSpec(seed=5))
-        for part_a, part_b in zip(a, b):
-            assert [s.sample_id for s in part_a] == [s.sample_id for s in part_b]
+        ids = self.problem_ids()
+        assert assign_problem_splits(ids, SplitSpec(seed=5)) == assign_problem_splits(
+            ids, SplitSpec(seed=5)
+        )
 
     def test_order_independent(self):
-        ds = self.make_dataset()
-        shuffled = Dataset(list(reversed(ds.samples)))
-        a = assign_problem_splits((s.problem_id for s in ds), SplitSpec(seed=5))
-        b = assign_problem_splits((s.problem_id for s in shuffled), SplitSpec(seed=5))
+        ids = self.problem_ids()
+        a = assign_problem_splits(ids, SplitSpec(seed=5))
+        b = assign_problem_splits(reversed(ids), SplitSpec(seed=5))
         assert a == b
 
     def test_seed_changes_assignment(self):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,7 @@ from codecal.groups import (
     GroupSet,
     assemble,
     branch_count,
-    build_complexity_groups,
     build_language_groups,
-    build_length_groups,
     check_membership,
     nearest_rank_quantile,
 )
@@ -112,6 +111,11 @@ class TestLanguageGroups:
         np.testing.assert_array_equal(gs.membership, [[0, 0]])
 
 
+# One family at a time: no language groups and no ALL column.
+LENGTH_ONLY = GroupingConfig(use_language=False, length_metrics=("chars",), always_on=False)
+COMPLEXITY_ONLY = GroupingConfig(use_language=False, length_metrics=(), always_on=False)
+
+
 class TestLengthGroups:
     def fit_ds(self, lengths):
         return GroupColumns.from_samples(
@@ -121,8 +125,8 @@ class TestLengthGroups:
     def test_at_or_above_goes_high(self):
         fit_on = self.fit_ds([10, 20, 30, 40])
         target = GroupColumns.from_samples([make_sample(99, code_text="y" * 25)])
-        cfg = GroupingConfig(use_language=False, length_metrics=("chars",))
-        gs = build_length_groups(target, cfg, fit_on=fit_on)
+        cfg = LENGTH_ONLY
+        gs = GroupingModel.fit(fit_on, cfg).apply(target)
         assert gs.names == ["len_low", "len_high", "len_unknown"]
         np.testing.assert_array_equal(gs.membership, [[0, 1, 0]])
 
@@ -131,23 +135,23 @@ class TestLengthGroups:
             [make_sample(i, code_text="\n".join(["line"] * n)) for i, n in enumerate([1, 2, 3, 100])]
         )
         target = GroupColumns.from_samples([make_sample(99, code_text="a\nb\nc")])
-        cfg = GroupingConfig(use_language=False, length_metrics=("loc",))
-        gs = build_length_groups(target, cfg, fit_on=fit_on)
+        cfg = replace(LENGTH_ONLY, length_metrics=("loc",))
+        gs = GroupingModel.fit(fit_on, cfg).apply(target)
         assert gs.names == ["loc_low", "loc_high", "len_unknown"]
         np.testing.assert_array_equal(gs.membership, [[0, 1, 0]])
 
     def test_all_equal_lengths_degenerate_low(self):
         fit_on = self.fit_ds([7, 7, 7, 7])
-        cfg = GroupingConfig(use_language=False, length_metrics=("chars",))
-        gs = build_length_groups(fit_on, cfg)
+        cfg = LENGTH_ONLY
+        gs = GroupingModel.fit(fit_on, cfg).apply(fit_on)
         assert gs.column("len_high").sum() == 4
         assert "len_low" in gs.degenerate
 
     def test_unknown_code_text(self):
         fit_on = self.fit_ds([5, 10])
         target = GroupColumns.from_samples([make_sample(99)])
-        cfg = GroupingConfig(use_language=False, length_metrics=("chars",))
-        gs = build_length_groups(target, cfg, fit_on=fit_on)
+        cfg = LENGTH_ONLY
+        gs = GroupingModel.fit(fit_on, cfg).apply(target)
         np.testing.assert_array_equal(gs.column("len_unknown"), [1])
         assert gs.column("len_low")[0] == 0 and gs.column("len_high")[0] == 0
 
@@ -196,8 +200,8 @@ class TestComplexityGroups:
         target = GroupColumns.from_samples(
             [make_sample(99, code_text="if a:\n if b:\n  for c in d: pass")]
         )
-        cfg = GroupingConfig(use_language=False, complexity_source="branch_heuristic")
-        gs = build_complexity_groups(target, cfg, fit_on=fit_on)
+        cfg = replace(COMPLEXITY_ONLY, complexity_source="branch_heuristic")
+        gs = GroupingModel.fit(fit_on, cfg).apply(target)
         assert gs.names == ["cx_low", "cx_mid", "cx_high"]
         np.testing.assert_array_equal(gs.membership, [[0, 1, 0]])
 
@@ -205,22 +209,22 @@ class TestComplexityGroups:
         ds = GroupColumns.from_samples(
             [make_sample(i, difficulty=d) for i, d in enumerate(["easy", "hard", "easy"])]
         )
-        cfg = GroupingConfig(use_language=False, complexity_source="difficulty_label")
-        gs = build_complexity_groups(ds, cfg)
+        cfg = replace(COMPLEXITY_ONLY, complexity_source="difficulty_label")
+        gs = GroupingModel.fit(ds, cfg).apply(ds)
         assert gs.names == ["cx_easy", "cx_hard"]
         np.testing.assert_array_equal(gs.column("cx_easy"), [1, 0, 1])
 
     def test_missing_difficulty_errors(self):
         ds = GroupColumns.from_samples([make_sample(0)])
-        cfg = GroupingConfig(use_language=False, complexity_source="difficulty_label")
+        cfg = replace(COMPLEXITY_ONLY, complexity_source="difficulty_label")
         with pytest.raises(RecordError, match="s0"):
-            build_complexity_groups(ds, cfg)
+            GroupingModel.fit(ds, cfg)
 
     def test_missing_code_text_errors(self):
         ds = GroupColumns.from_samples([make_sample(0)])
-        cfg = GroupingConfig(use_language=False, complexity_source="branch_heuristic")
+        cfg = replace(COMPLEXITY_ONLY, complexity_source="branch_heuristic")
         with pytest.raises(RecordError, match="s0"):
-            build_complexity_groups(ds, cfg)
+            GroupingModel.fit(ds, cfg)
 
 
 class TestAssemble:

@@ -12,12 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import codecal.data as data_module
-from codecal.data import Dataset, Sample, parse_record, save_records
+from codecal.data import Sample, parse_record, save_records
 from codecal.errors import DataError, MissingCodeError, RecordError
 from codecal.scoring import (
     ConfidenceMethod,
     load_scored,
-    score_dataset,
     score_file,
     score_sample,
 )
@@ -92,38 +91,42 @@ class TestScoreSample:
 
 
 class TestScoreDataset:
-    def test_skip_tally(self):
-        ds = Dataset(
-            [
-                sample_with([-0.1], span=(0, 1), sid="a"),
-                sample_with([-0.1], sid="b"),
-                sample_with([-0.2], span=(0, 1), sid="c"),
-            ]
-        )
-        scored, skipped = score_dataset(ds, ConfidenceMethod("code_prob"), skip_missing=True)
-        assert skipped == 1
-        assert [item.sample.sample_id for item in scored] == ["a", "c"]
+    """Skipping and round trips of a record file through score_file and load_scored."""
 
-    def test_raises_without_skip(self):
-        ds = Dataset([sample_with([-0.1], sid="b")])
+    def score(self, tmp_path, samples, method, skip_missing=False):
+        records = tmp_path / "records.jsonl"
+        save_records(samples, str(records))
+        out = tmp_path / "scored.jsonl"
+        counts = score_file(str(records), str(out), method, skip_missing=skip_missing)
+        return counts, out
+
+    def test_skip_tally(self, tmp_path):
+        samples = [
+            sample_with([-0.1], span=(0, 1), sid="a"),
+            sample_with([-0.1], sid="b"),
+            sample_with([-0.2], span=(0, 1), sid="c"),
+        ]
+        counts, out = self.score(tmp_path, samples, ConfidenceMethod("code_prob"), True)
+        assert counts == (2, 1)
+        assert load_scored(str(out)).columns.sample_ids == ["a", "c"]
+
+    def test_raises_without_skip(self, tmp_path):
         with pytest.raises(MissingCodeError):
-            score_dataset(ds, ConfidenceMethod("code_prob"))
+            self.score(tmp_path, [sample_with([-0.1], sid="b")], ConfidenceMethod("code_prob"))
+        assert not (tmp_path / "scored.jsonl").exists()
 
     def test_round_trip(self, tmp_path):
-        ds = Dataset([sample_with([-0.3, -0.4], span=(0, 2), sid=f"s{i}") for i in range(5)])
-        scored, _ = score_dataset(ds, ConfidenceMethod("avg_prob"))
-        records = tmp_path / "records.jsonl"
-        path = tmp_path / "scored.jsonl"
-        save_records(ds, str(records))
-        assert score_file(str(records), str(path), ConfidenceMethod("avg_prob")) == (5, 0)
-        loaded = load_scored(str(path))
+        samples = [sample_with([-0.3, -0.4], span=(0, 2), sid=f"s{i}") for i in range(5)]
+        method = ConfidenceMethod("avg_prob")
+        counts, out = self.score(tmp_path, samples, method)
+        assert counts == (5, 0)
+        loaded = load_scored(str(out))
         assert loaded.p_hat.size == 5
         assert loaded.methods == ("avg_prob",)
         cols = loaded.columns
         rows = zip(cols.sample_ids, cols.languages, cols.difficulties, cols.code_texts)
-        for item, p_hat, label, row in zip(scored, loaded.p_hat, loaded.labels, rows, strict=True):
-            sample = item.sample
-            assert item.p_hat == p_hat
+        for sample, p_hat, label, row in zip(samples, loaded.p_hat, loaded.labels, rows, strict=True):
+            assert score_sample(sample, method) == p_hat
             assert sample.label == label
             assert (sample.sample_id, sample.language, sample.difficulty, sample.code_text) == row
 

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from codecal.errors import DataError
-from codecal.scoring import ConfidenceMethod, score_dataset
+from codecal.scoring import ConfidenceMethod, score_sample
 from codecal.synthgen import Block, SynthSpec, generate
 
 
-def fingerprint(dataset):
+def fingerprint(samples):
     return [
         (s.problem_id, s.sample_id, s.language, s.difficulty, s.label, tuple(s.token_logprobs))
-        for s in dataset.samples
+        for s in samples
     ]
 
 
@@ -87,9 +87,9 @@ class TestGenerate:
             n_samples=2000,
             seed=11,
         )
-        dataset, groups = generate(spec)
+        samples, groups = generate(spec)
         mask = groups.column("sure").astype(bool)
-        labels = np.array([s.label for s in dataset.samples])
+        labels = np.array([s.label for s in samples])
         assert labels[mask].min() == 1
 
     def test_planted_accuracy_recovered(self):
@@ -98,13 +98,13 @@ class TestGenerate:
             n_samples=10000,
             seed=5,
         )
-        dataset, _ = generate(spec)
-        labels = np.array([s.label for s in dataset.samples])
+        samples, _ = generate(spec)
+        labels = np.array([s.label for s in samples])
         assert abs(labels.mean() - 0.8) <= 5.0 * 0.004
 
     def test_difficulty_carries_block_name(self):
-        dataset, groups = generate(three_block_spec(100, 1))
-        for sample, row in zip(dataset.samples, groups.membership):
+        samples, groups = generate(three_block_spec(100, 1))
+        for sample, row in zip(samples, groups.membership):
             assert sample.difficulty == groups.names[int(np.argmax(row))]
 
     def test_languages_drawn_from_list(self):
@@ -114,25 +114,24 @@ class TestGenerate:
             seed=2,
             languages=("python", "cpp"),
         )
-        dataset, _ = generate(spec)
-        seen = {s.language for s in dataset.samples}
+        samples, _ = generate(spec)
+        seen = {s.language for s in samples}
         assert seen == {"python", "cpp"}
 
     def test_default_language_tag(self):
-        dataset, _ = generate(three_block_spec(10, 0))
-        assert {s.language for s in dataset.samples} == {"synthetic"}
+        samples, _ = generate(three_block_spec(10, 0))
+        assert {s.language for s in samples} == {"synthetic"}
 
 
 class TestScoreRecovery:
     def test_every_method_recovers_planted_confidence(self):
         spec = three_block_spec(400, 21)
-        dataset, _ = generate(spec)
-        planted = {s.sample_id: float(np.exp(s.token_logprobs[0])) for s in dataset.samples}
+        samples, _ = generate(spec)
+        planted = {s.sample_id: float(np.exp(s.token_logprobs[0])) for s in samples}
         for name in ("avg_prob", "code_prob", "tail_prob"):
-            scored, skipped = score_dataset(dataset, ConfidenceMethod(name))
-            assert skipped == 0
-            for item in scored:
-                assert item.p_hat == pytest.approx(planted[item.sample.sample_id], abs=1e-15)
+            method = ConfidenceMethod(name)
+            for s in samples:
+                assert score_sample(s, method) == pytest.approx(planted[s.sample_id], abs=1e-15)
 
     def test_constant_block_scores_exact(self):
         spec = SynthSpec(
@@ -140,10 +139,9 @@ class TestScoreRecovery:
             n_samples=50,
             seed=9,
         )
-        dataset, _ = generate(spec)
-        scored, _ = score_dataset(dataset, ConfidenceMethod("avg_prob"))
-        for item in scored:
-            assert item.p_hat == pytest.approx(0.5, abs=1e-15)
+        samples, _ = generate(spec)
+        for s in samples:
+            assert score_sample(s, ConfidenceMethod("avg_prob")) == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_block_stays_in_range(self):
         spec = SynthSpec(
@@ -151,8 +149,7 @@ class TestScoreRecovery:
             n_samples=500,
             seed=4,
         )
-        dataset, _ = generate(spec)
-        scored, _ = score_dataset(dataset, ConfidenceMethod("avg_prob"))
-        values = np.array([item.p_hat for item in scored])
+        samples, _ = generate(spec)
+        values = np.array([score_sample(s, ConfidenceMethod("avg_prob")) for s in samples])
         assert values.min() >= 0.3 - 1e-12
         assert values.max() <= 0.7 + 1e-12
