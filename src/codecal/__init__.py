@@ -8,102 +8,65 @@ import os as _os
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys():
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .binning import BinGrid, assign_bin, assign_bins, round_to_grid, round_to_grid_index
-from .calibrators import (
-    GcurModel,
-    HistogramBinningModel,
-    IterativePatchModel,
-    PlattModel,
-    clamped_logit,
-    fit_gcur_linear,
-    fit_gcur_logistic,
-    fit_histogram_binning,
-    fit_ighb,
-    fit_iglb,
-    fit_platt,
-    model_from_json,
-    model_to_json,
-    sigmoid,
-)
-from .data import (
-    Sample,
-    SplitSpec,
-    extract_code_span,
-    load_records,
-    save_records,
-)
-from .errors import CodecalError, DataError
-from .groups import (
-    GroupingConfig,
-    GroupingModel,
-    GroupSet,
-    assemble,
-    build_language_groups,
-)
-from .metrics import (
-    EvalReport,
-    accuracy_at_half,
-    base_rate,
-    brier,
-    brier_reference,
-    brier_skill_score,
-    ece,
-    evaluate,
-    gasce,
-    multicalibration_check,
-    reliability_table,
-)
-from .scoring import ConfidenceMethod, score_sample
-from .synthgen import Block, SynthSpec, generate
+import importlib as _importlib
+
+# Each public name and the module it comes from.  Modules load on first
+# use (PEP 562), so ``import codecal`` loads no numpy and the command
+# line loads it only in the commands that compute.
+_EXPORTS = {
+    "binning": ("BinGrid", "assign_bin", "assign_bins", "round_to_grid", "round_to_grid_index"),
+    "calibrators": (
+        "GcurModel",
+        "HistogramBinningModel",
+        "IterativePatchModel",
+        "PlattModel",
+        "clamped_logit",
+        "fit_gcur_linear",
+        "fit_gcur_logistic",
+        "fit_histogram_binning",
+        "fit_ighb",
+        "fit_iglb",
+        "fit_platt",
+        "model_from_json",
+        "model_to_json",
+        "sigmoid",
+    ),
+    "data": ("Sample", "SplitSpec", "extract_code_span", "load_records", "save_records"),
+    "errors": ("CodecalError", "DataError"),
+    "groups": ("GroupingConfig", "GroupingModel", "GroupSet", "assemble", "build_language_groups"),
+    "metrics": (
+        "accuracy_at_half",
+        "base_rate",
+        "brier",
+        "brier_reference",
+        "brier_skill_score",
+        "ece",
+        "evaluate",
+        "gasce",
+        "multicalibration_check",
+        "reliability_table",
+    ),
+    "report": ("EvalReport",),
+    "scoring": ("ConfidenceMethod", "score_sample"),
+    "synthgen": ("Block", "SynthSpec", "generate"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinGrid",
-    "Block",
-    "CodecalError",
-    "ConfidenceMethod",
-    "DataError",
-    "EvalReport",
-    "GcurModel",
-    "GroupSet",
-    "GroupingConfig",
-    "GroupingModel",
-    "HistogramBinningModel",
-    "IterativePatchModel",
-    "PlattModel",
-    "Sample",
-    "SplitSpec",
-    "SynthSpec",
-    "accuracy_at_half",
-    "assemble",
-    "assign_bin",
-    "assign_bins",
-    "base_rate",
-    "brier",
-    "brier_reference",
-    "brier_skill_score",
-    "build_language_groups",
-    "clamped_logit",
-    "ece",
-    "evaluate",
-    "extract_code_span",
-    "fit_gcur_linear",
-    "fit_gcur_logistic",
-    "fit_histogram_binning",
-    "fit_ighb",
-    "fit_iglb",
-    "fit_platt",
-    "gasce",
-    "generate",
-    "load_records",
-    "model_from_json",
-    "model_to_json",
-    "multicalibration_check",
-    "reliability_table",
-    "round_to_grid",
-    "round_to_grid_index",
-    "save_records",
-    "score_sample",
-    "sigmoid",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

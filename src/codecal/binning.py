@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .report import MAX_GRID_M
 
 __all__ = [
     "MAX_GRID_M",
@@ -23,9 +24,6 @@ __all__ = [
     "member_pairs",
     "cell_sums",
 ]
-
-# Fitters and metrics cost O(groups * m), so m is bounded well above any grid in use.
-MAX_GRID_M = 10_000
 
 
 @dataclass(frozen=True)

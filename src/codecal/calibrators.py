@@ -30,6 +30,7 @@ from .binning import BinGrid, _match_scalar, cell_sums, member_pairs, round_to_g
 from .errors import DataError, FitError, schema_fields
 from .groups import GroupSet, check_membership
 from .metrics import _as_scores, _as_scores_labels
+from .report import DEFAULT_EPSILON
 
 __all__ = [
     "LOGIT_CLAMP",
@@ -55,7 +56,6 @@ TIKHONOV = 1e-10
 GRAD_TOL = 1e-8
 NEWTON_MAX_ITER = 100
 PATCH_MAX_ITERS = 1000
-DEFAULT_EPSILON = 0.05
 
 _check_scores_labels = functools.partial(_as_scores_labels, empty="need at least one sample to fit")
 _check_scores = functools.partial(_as_scores, empty="need at least one score to apply")

@@ -7,6 +7,7 @@ usage problems (2, from click), IO failures (3), and data errors (4).
 
 import csv
 import functools
+import importlib
 import itertools
 import json
 import os
@@ -18,30 +19,19 @@ import click
 from click.core import ParameterSource
 
 from . import data
-from .binning import MAX_GRID_M, BinGrid
-from .calibrators import (
-    DEFAULT_EPSILON,
-    fit_gcur_linear,
-    fit_gcur_logistic,
-    fit_histogram_binning,
-    fit_ighb,
-    fit_iglb,
-    fit_platt,
-    model_to_json,
-)
 from .data import (
     SplitSpec,
     assign_problem_splits,
     atomic_outputs,
     fork_tasks,
     iter_lines,
+    loads_floats_as_bytes,
     parse_record,
     read_columns,
     save_records,
 )
 from .errors import ConvertError, DataError, RecordError, schema_fields
-from .groups import GroupingConfig, GroupingModel
-from .metrics import NEG_INF, EvalReport, brier_skill_score, evaluate
+from .report import DEFAULT_EPSILON, MAX_GRID_M, NEG_INF, EvalReport
 from .scoring import METHOD_NAMES as SCORE_METHODS
 from .scoring import ConfidenceMethod, load_scored, score_file
 from .svg import group_chart, reliability_chart
@@ -51,6 +41,39 @@ GROUPLESS_METHODS = ("platt", "histogram")
 
 EXIT_IO = 3
 EXIT_DATA = 4
+
+# What fit-eval and ablate use of the modules that load numpy.  They are
+# bound only when one of those commands runs, so the others start without numpy.
+_FIT_NAMES = {
+    "binning": ("BinGrid",),
+    "calibrators": (
+        "fit_gcur_linear",
+        "fit_gcur_logistic",
+        "fit_histogram_binning",
+        "fit_ighb",
+        "fit_iglb",
+        "fit_platt",
+        "model_to_json",
+    ),
+    "groups": ("GroupingConfig", "GroupingModel"),
+    "metrics": ("brier_skill_score", "evaluate"),
+}
+
+
+def _bind_fit_names() -> None:
+    """Bind the names of ``_FIT_NAMES`` here; a name already bound, such as a wrapper, stays."""
+    for module, names in _FIT_NAMES.items():
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """A name of ``_FIT_NAMES`` that no command has bound yet."""
+    if not any(name in names for names in _FIT_NAMES.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_fit_names()
+    return globals()[name]
 
 
 def _guarded(fn):
@@ -97,6 +120,8 @@ def _merge_config(ctx: click.Context, config_path: str | None, values: dict) -> 
             config = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"config file is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise DataError("config file is not valid JSON: nested too deeply") from None
     if not isinstance(config, dict):
         raise DataError("config file must hold a JSON object")
     unknown = sorted(set(config) - set(values))
@@ -215,7 +240,8 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     spec = SplitSpec(train=train, val=val, test=test, seed=seed)
     if not stat.S_ISREG(os.stat(input_path).st_mode):
         raise DataError(f"{input_path} is not a regular file, and split reads its input twice")
-    (problem_ids,) = read_columns(input_path, _problem_id, 1)
+    # Only problem_id is read, so floats stay undecoded.
+    (problem_ids,) = read_columns(input_path, _problem_id, 1, loads=loads_floats_as_bytes)
     assignment = assign_problem_splits(problem_ids, spec)
     os.makedirs(output_dir, exist_ok=True)
     names = ("train", "val", "test")
@@ -242,7 +268,7 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     )
 
 
-def _grouping_from_values(values: dict) -> GroupingConfig:
+def _grouping_from_values(values: dict) -> "GroupingConfig":
     return GroupingConfig(
         use_language=values["language"],
         length_metrics=_parse_length_metrics(values["length_metrics"]),
@@ -307,7 +333,7 @@ def _fit_apply(name, grid, values, splits, groups):
         return name, exc, None
 
 
-def _calibrate(values, grid, splits, cfg: GroupingConfig, methods: list[str]):
+def _calibrate(values, grid, splits, cfg: "GroupingConfig", methods: list[str]):
     """Fit a grouping on train, group every split, and fit and apply each method.
 
     Returns the grouping, the test groups and the :func:`_fit_apply`
@@ -389,6 +415,7 @@ def fit_eval(
     ctx, train_path, val_path, test_path, config_path, output_dir, **options
 ) -> None:
     """Fit requested calibrators on train and evaluate them on test."""
+    _bind_fit_names()
     values = _merge_config(ctx, config_path, options)
     method_list = _parse_methods(values["methods"])
     grid = BinGrid(values["grid_m"])
@@ -430,6 +457,7 @@ def ablate(
     ctx, train_path, val_path, test_path, config_path, output_path, **options
 ) -> None:
     """Test BSS per method for every non-empty subset of group categories."""
+    _bind_fit_names()
     values = _merge_config(ctx, config_path, options)
     method_list = _parse_methods(values["methods"])
     grid = BinGrid(values["grid_m"])
@@ -579,6 +607,8 @@ def convert_calibri(source, output_path) -> None:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise ConvertError(f"{where}: malformed JSON: {exc.msg}") from exc
+            except RecursionError:
+                raise ConvertError(f"{where}: malformed JSON: nested too deeply") from None
             if not isinstance(obj, dict):
                 raise ConvertError(f"{where}: record is not a JSON object")
             found = {target: _resolve_field(obj, target) for target in _CALIBRI_ALIASES}

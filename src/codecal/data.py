@@ -23,6 +23,8 @@ __all__ = [
     "Sample",
     "SplitSpec",
     "iter_lines",
+    "loads_floats_as_bytes",
+    "loads_tokens_as_text",
     "line_ranges",
     "fork_tasks",
     "read_ranges",
@@ -40,6 +42,8 @@ PARALLEL_MIN_BYTES = 1 << 20
 _BLOCK_BYTES = 1 << 20
 _FLOAT = frozenset({float})
 _FLOAT_OR_INT = frozenset({float, int})
+# Decodes each float literal to its bytes, a type no other JSON value decodes to.
+_decode_floats_as_bytes = json.JSONDecoder(parse_float=str.encode).decode
 
 
 @dataclass
@@ -97,8 +101,10 @@ def _token_logprobs(lps, line: int | None, sid: str) -> list[float]:
     Plain float/int lists are checked in bulk: a list whose maximum is
     <= 0 and whose sum is finite holds no NaN, infinity or positive
     value.  Any other list goes through the per-value checks, which
-    pick the error message.
+    pick the error message.  A :class:`_TokenText` is already checked.
     """
+    if type(lps) is _TokenText:
+        return lps
     kinds = set(map(type, lps)) if isinstance(lps, list) else None
     if kinds is None or not (
         kinds <= _FLOAT_OR_INT
@@ -223,13 +229,75 @@ def iter_lines(path: str):
         yield from _lines(fh)
 
 
-def _json_lines(fh, lineno: int = 1, count: int | None = None):
-    """Yield ``(lineno, line, obj)`` for each line of :func:`_lines`; malformed JSON raises."""
+def loads_floats_as_bytes(line: str):
+    """``json.loads(line)``, but each float literal decodes to its bytes.
+
+    No other JSON value decodes to bytes, so a number is still told from
+    a string, and a reader that reads no float skips converting them.
+    """
+    if line.startswith("\ufeff"):
+        return json.loads(line)  # raises json's error for a byte order mark
+    return _decode_floats_as_bytes(line)
+
+
+class _TokenText(list):
+    """A record's token array of float literals, as bytes, that are all finite and <= 0."""
+
+
+def _checked_as_text(lps: list) -> bool:
+    """Whether ``lps`` holds only float literals, as bytes, of finite values <= 0.
+
+    ``lps`` comes from :func:`loads_floats_as_bytes`, so bytes are JSON
+    float literals.  Each must start with ``-``.  One under 300
+    characters with no positive exponent is below 1e300 in magnitude, so
+    it is finite.
+    """
+    if set(map(type, lps)) != {bytes}:
+        return False
+    text = b"".join(lps)
+    return (
+        max(lps)[:1] == b"-"
+        and max(map(len, lps)) < 300
+        and b"E" not in text
+        and text.count(b"e") == text.count(b"e-")
+    )
+
+
+def loads_tokens_as_text(line: str):
+    """:func:`loads_floats_as_bytes` for :func:`parse_record` where no token value is read.
+
+    A record's token array that :func:`_checked_as_text` accepts becomes
+    a :class:`_TokenText`, which :func:`_token_logprobs` passes as it
+    is.  Every other float literal at the top level or in the token
+    array becomes the float ``json.loads`` gives, so every other record
+    meets the same checks and messages as after ``json.loads``.
+    """
+    obj = loads_floats_as_bytes(line)
+    if type(obj) is dict:
+        for key, value in obj.items():
+            if type(value) is bytes:
+                obj[key] = float(value)
+        lps = obj.get("token_logprobs")
+        if type(lps) is list:
+            if _checked_as_text(lps):
+                obj["token_logprobs"] = _TokenText(lps)
+            else:
+                obj["token_logprobs"] = [float(v) if type(v) is bytes else v for v in lps]
+    return obj
+
+
+def _json_lines(fh, lineno: int = 1, count: int | None = None, loads=json.loads):
+    """Yield ``(lineno, line, loads(line))`` for each line of :func:`_lines`.
+
+    Malformed or too deeply nested JSON raises :class:`RecordError` naming the line.
+    """
     for lineno, line in _lines(fh, lineno, count):
         try:
-            obj = json.loads(line)
+            obj = loads(line)
         except json.JSONDecodeError as exc:
             raise RecordError(f"malformed JSON: {exc.msg}", line=lineno) from exc
+        except RecursionError:
+            raise RecordError("malformed JSON: nested too deeply", line=lineno) from None
         yield lineno, line, obj
 
 
@@ -318,10 +386,10 @@ def line_ranges(path: str) -> list[tuple[int, int, int | None]]:
     return [(0, 1, None)]
 
 
-def _read_part(path: str, bound: tuple, k: int, read, records: bool, seen: set, ids=None):
+def _read_part(path: str, bound: tuple, k: int, read, records: bool, loads, seen: set, ids=None):
     """``read(k, lines)`` over range ``k`` of a JSONL file, whose bounds are ``bound``.
 
-    ``lines`` yields the ``(lineno, raw, obj)`` of :func:`_json_lines`,
+    ``lines`` yields the ``(lineno, raw, obj)`` of :func:`_json_lines` with ``loads``,
     or with ``records`` the ``(lineno, raw, obj, sample)`` of
     :func:`_records`, checked against ``seen`` and recorded in ``ids``.
     Returns the result of ``read`` and None, or None and the first
@@ -330,7 +398,7 @@ def _read_part(path: str, bound: tuple, k: int, read, records: bool, seen: set, 
     start, lineno, count = bound
     try:
         with _open_text(path, start) as fh:
-            lines = _json_lines(fh, lineno, count)
+            lines = _json_lines(fh, lineno, count, loads)
             if records:
                 lines = _records(lines, seen, ids)
             return read(k, lines), None
@@ -411,12 +479,14 @@ def fork_tasks(count: int, run, merge, what: str) -> None:
             os.waitpid(pid, 0)
 
 
-def read_ranges(path: str, bounds: list, read, merge, records: bool = False) -> None:
+def read_ranges(
+    path: str, bounds: list, read, merge, records: bool = False, loads=json.loads
+) -> None:
     """Call ``read(k, lines)`` on every range ``k`` of a JSONL file, one range per process.
 
     ``bounds`` comes from :func:`line_ranges`.  ``lines`` yields the
-    ``(lineno, raw, obj)`` of :func:`_json_lines` for the range, or with
-    ``records`` the ``(lineno, raw, obj, sample)`` of :func:`_records`,
+    ``(lineno, raw, obj)`` of :func:`_json_lines` with ``loads`` for the
+    range, or with ``records`` the ``(lineno, raw, obj, sample)`` of :func:`_records`,
     with line numbers counted from the start of the file and sample ids
     unique across the file.  Each result goes to
     ``merge(k, result)`` in line order, and the first error in line
@@ -435,7 +505,8 @@ def read_ranges(path: str, bounds: list, read, merge, records: bool = False) -> 
 
     def run(k):
         ids = ([], []) if k else None
-        return (ids, *_read_part(path, bounds[k], k, read, records, set() if k else seen, ids))
+        seen_k = set() if k else seen
+        return (ids, *_read_part(path, bounds[k], k, read, records, loads, seen_k, ids))
 
     def merge_range(k, part):
         ids, result, error = part
@@ -451,13 +522,16 @@ def read_ranges(path: str, bounds: list, read, merge, records: bool = False) -> 
     fork_tasks(len(bounds), run, merge_range, f"reading {path}")
 
 
-def read_columns(path: str, row, width: int, records: bool = False) -> list[list]:
+def read_columns(
+    path: str, row, width: int, records: bool = False, loads=json.loads
+) -> list[list]:
     """Columns of the rows of every non-blank line of a JSONL file, decoded on every CPU.
 
     Without ``records`` the rows are ``row(lineno, obj)`` for the lines
-    of :func:`_json_lines`; with ``records`` they are ``row(lineno, obj,
-    sample)`` for the records of :func:`_records`.  Each row is a tuple
-    of ``width`` fields and the result holds one list per field.  The
+    of :func:`_json_lines` with ``loads``; with ``records`` they are
+    ``row(lineno, obj, sample)`` for the records of :func:`_records`.
+    Each row is a tuple of ``width`` fields and the result holds one
+    list per field.  The
     file is read by :func:`read_ranges`, so rows, line numbers and the
     first error in line order do not depend on the number of CPUs, and
     ``row`` need not be picklable but its fields and errors must be.
@@ -478,7 +552,7 @@ def read_columns(path: str, row, width: int, records: bool = False) -> list[list
             for column, values in zip(columns, part):
                 column.extend(values)
 
-    read_ranges(path, line_ranges(path), read, merge, records)
+    read_ranges(path, line_ranges(path), read, merge, records, loads)
     return columns
 
 

@@ -60,10 +60,15 @@ class ConvertError(DataError):
 
 @contextmanager
 def schema_fields(what: str):
-    """Raise ``DataError`` for invalid JSON or a missing or mistyped field of a ``what``."""
+    """Raise ``DataError`` for invalid JSON or a missing or mistyped field of a ``what``.
+
+    JSON nested too deeply to decode is invalid too.
+    """
     try:
         yield
     except KeyError as exc:
         raise DataError(f"{what} is missing field {exc}") from exc
+    except RecursionError:
+        raise DataError(f"malformed {what}: JSON nested too deeply") from None
     except (TypeError, ValueError, AttributeError, ArithmeticError) as exc:
         raise DataError(f"malformed {what}: {exc}") from exc

@@ -14,11 +14,15 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
-from .data import Sample, atomic_outputs, line_ranges, read_columns, read_ranges
+from .data import (
+    Sample,
+    atomic_outputs,
+    line_ranges,
+    loads_tokens_as_text,
+    read_columns,
+    read_ranges,
+)
 from .errors import DataError, MissingCodeError, RecordError
-from .groups import GroupColumns
 
 __all__ = [
     "ConfidenceMethod",
@@ -54,10 +58,10 @@ class ScoredSplit:
     sorted; a file written by :func:`score_file` has exactly one.
     """
 
-    p_hat: np.ndarray
-    labels: np.ndarray
+    p_hat: "np.ndarray"
+    labels: "np.ndarray"
     methods: tuple[str, ...]
-    columns: GroupColumns
+    columns: "GroupColumns"
 
 
 def score_sample(sample: Sample, method: ConfidenceMethod) -> float:
@@ -175,10 +179,17 @@ def load_scored(path: str) -> ScoredSplit:
     Every line is validated as a record and read by
     :func:`~codecal.data.read_columns` on every CPU, but only
     ``p_hat``, the label and the grouping fields outlive it, so memory
-    does not grow with the number of tokens per record.
+    does not grow with the number of tokens per record.  No token value
+    is read, so token arrays are checked as text
+    (:func:`~codecal.data.loads_tokens_as_text`), with the same results.
+    numpy and grouping load here, so ``score`` starts without them.
     """
+    import numpy as np
+
+    from .groups import GroupColumns
+
     p_hats, labels, methods, ids, languages, difficulties, code_texts = read_columns(
-        path, _scored_row, 7, records=True
+        path, _scored_row, 7, records=True, loads=loads_tokens_as_text
     )
     return ScoredSplit(
         p_hat=np.array(p_hats, dtype=float),

@@ -5,7 +5,7 @@ byte for byte and render anywhere.
 """
 
 from .errors import DataError
-from .metrics import EvalReport
+from .report import EvalReport
 
 __all__ = ["reliability_chart", "group_chart"]
 

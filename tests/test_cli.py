@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -6,11 +7,12 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import codecal
 from codecal.binning import MAX_GRID_M, BinGrid
@@ -779,6 +781,161 @@ class TestMalformedInputProperty:
         """A value replaced anywhere in a report renders or exits 4."""
         result = self.render(edited(VALID_REPORT, path, value))
         assert result.exit_code in (0, 4), result.output
+
+
+def nested(depth, kind):
+    """A JSON document ``depth`` arrays or objects deep."""
+    opener, closer = ("[", "]") if kind == "array" else ('{"k": ', "}")
+    return opener * depth + "0" + closer * depth
+
+
+class TestDeepNesting:
+    """A document nested too deeply to decode exits 4 naming where it is, never with a traceback.
+
+    Each record file holds one good record and the deep document on line
+    2, which with three parts is decoded in a forked child.
+    """
+
+    def run_all(self, tmp, doc, parts):
+        """The stdout plus stderr of each command that reads ``doc``, which must exit 4."""
+        records, deep = tmp / "records.jsonl", tmp / "deep.json"
+        record = {"problem_id": "p", "sample_id": "s", "language": "python"}
+        record.update(token_logprobs=[-0.5], label=1, method="avg_prob", p_hat=0.5)
+        records.write_text(json.dumps(record) + "\n" + doc + "\n", encoding="utf-8")
+        deep.write_text(doc + "\n", encoding="utf-8")
+        score = ["score", "--input", str(records), "--output", str(tmp / "scored.jsonl")]
+        splits = [x for name in ("train", "val", "test") for x in (f"--{name}", str(records))]
+        converted = str(tmp / "converted.jsonl")
+        commands = {
+            "score": score,
+            "split": ["split", "--input", str(records), "--output-dir", str(tmp / "splits")],
+            "fit-eval": ["fit-eval", *splits, "--output-dir", str(tmp / "fit")],
+            "report": ["report", "--report", str(deep), "--output-dir", str(tmp / "charts")],
+            "config": [*score, "--config", str(deep)],
+            "convert-calibri": ["convert-calibri", "--source", str(deep), "--output", converted],
+        }
+        outputs = {}
+        with mock.patch.multiple(data_module, PARALLEL_MIN_BYTES=0, _cpus=lambda: parts):
+            for name, args in commands.items():
+                result = run(args)
+                assert result.exit_code == 4, (name, result.output)
+                outputs[name] = result.output
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return outputs
+
+    def too_deep(self, deep):
+        """What each command of :meth:`run_all` says of a document too deep to decode."""
+        at_line_2 = "error: malformed JSON: nested too deeply [line 2]\n"
+        return {
+            "score": at_line_2,
+            "split": at_line_2,
+            "fit-eval": at_line_2,
+            "report": "error: malformed report: JSON nested too deeply\n",
+            "config": "error: config file is not valid JSON: nested too deeply\n",
+            "convert-calibri": f"error: {deep} line 1: malformed JSON: nested too deeply\n",
+        }
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        depth=st.integers(1, 300) | st.integers(300, 5000) | st.integers(100_000, 120_000),
+        kind=st.sampled_from(["array", "object"]),
+        parts=st.sampled_from([1, 3]),
+    )
+    @example(depth=100_000, kind="array", parts=3)
+    def test_depth(self, depth, kind, parts):
+        """Shallow documents decode; deep ones are refused by name; none crashes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            outputs = self.run_all(tmp, nested(depth, kind), parts)
+            too_deep = self.too_deep(tmp / "deep.json")
+        for name, output in outputs.items():
+            if depth <= 300:
+                assert output != too_deep[name]
+            elif depth >= 100_000:
+                assert output == too_deep[name]
+            else:
+                assert "nested" not in output or output == too_deep[name]
+
+
+def traced_cli_names():
+    """The ``codecal.cli`` names that ``bench/traced.py`` wraps in spans."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "traced.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "CLI_SPANS":
+            return sorted(ast.literal_eval(node.value))
+    raise AssertionError("bench/traced.py has no CLI_SPANS")
+
+
+# The names of codecal.cli that the benchmark's traced replay and these
+# tests replace, and the module each comes from.
+PATCHED_NAMES = {
+    "assign_problem_splits": "data",
+    "load_scored": "scoring",
+    "fit_platt": "calibrators",
+    "fit_histogram_binning": "calibrators",
+    "fit_gcur_linear": "calibrators",
+    "fit_gcur_logistic": "calibrators",
+    "fit_ighb": "calibrators",
+    "fit_iglb": "calibrators",
+    "model_to_json": "calibrators",
+    "evaluate": "metrics",
+    "reliability_chart": "svg",
+    "group_chart": "svg",
+    "_calibrate": "cli",
+}
+
+# Replaces each name with a counting wrapper before any command runs, as
+# bench/traced.py does, then runs the commands and prints the counts.
+# With "getattr" the wrapped function is read from codecal.cli, as the
+# replay reads it; with "source" from its own module.
+PATCHED_RUN = """
+import importlib, json, sys
+import codecal.cli as cli
+names, read, commands = json.loads(sys.argv[1])
+calls = dict.fromkeys(names, 0)
+
+def counted(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name, module in names.items():
+    source = cli if read == "getattr" else importlib.import_module("codecal." + module)
+    setattr(cli, name, counted(name, getattr(source, name)))
+for args in commands:
+    cli.main(args, standalone_mode=False)
+print(json.dumps(calls))
+"""
+
+
+class TestPatchedNames:
+    def test_every_traced_name_is_covered(self):
+        """Each traced name is patched below, or is one codecal.cli does not have."""
+        missing = [name for name in traced_cli_names() if name not in PATCHED_NAMES]
+        assert [name for name in missing if hasattr(cli_module, name)] == []
+
+    @pytest.mark.parametrize("read", ["getattr", "source"])
+    def test_wrapper_set_before_a_command_is_called(self, pipeline, tmp_path, read):
+        """A wrapper set on codecal.cli before a command runs is what the command calls."""
+        commands = [
+            ["split", "--input", str(pipeline.parent / "scored.jsonl"), "--output-dir", "splits"],
+            fit_eval_args(pipeline, tmp_path / "fit"),
+            ["report", "--report", str(tmp_path / "fit" / "report_iglb.json"), "--output-dir", "c"],
+        ]
+        args = json.dumps([PATCHED_NAMES, read, commands])
+        done = subprocess.run(
+            [sys.executable, "-c", PATCHED_RUN, args],
+            cwd=tmp_path,
+            env=cli_env(),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        calls = json.loads(done.stdout.splitlines()[-1])
+        assert [name for name, count in calls.items() if count == 0] == []
 
 
 ABLATE_SUBSETS = [

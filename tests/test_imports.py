@@ -1,5 +1,8 @@
 """Each ``codecal`` module uses every name it imports and binds every name it exports.
 
+Importing the package, and every command that computes nothing, loads
+no numpy; the subprocess tests at the end check that.
+
 Package ``__init__.py`` files re-export names, so they are skipped by
 the import check; a name listed in a module's ``__all__`` counts as
 used.
@@ -7,12 +10,18 @@ used.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import codecal
+from codecal.report import EvalReport
 
+SRC = Path(codecal.__file__).resolve().parent.parent
 MODULES = sorted(
     path for path in Path(codecal.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
@@ -60,3 +69,110 @@ def test_exports_resolve(module):
     """Every name in a module's ``__all__`` is bound in that module."""
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)] == []
+
+
+def run_python(code: str, *args: str, env=None) -> subprocess.CompletedProcess:
+    """``python -c code args`` with this checkout of codecal importable."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+# Runs the command line as ``python -m codecal.cli`` does and ends its
+# output with its exit code and whether numpy was loaded by then.
+CLI_THEN_NUMPY = """
+import runpy, sys
+sys.argv = ["codecal", *sys.argv[1:]]
+try:
+    runpy.run_module("codecal.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code or 0, "numpy" in sys.modules)
+"""
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A record file, a report and a CALIBRI-style file, written without numpy."""
+    root = tmp_path_factory.mktemp("inputs")
+    lines = [
+        json.dumps(
+            {
+                "problem_id": f"p{i // 3}",
+                "sample_id": f"s{i}",
+                "language": "python",
+                "token_logprobs": [-0.25, -0.5 - i / 100],
+                "label": i % 2,
+            }
+        )
+        for i in range(30)
+    ]
+    (root / "records.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (root / "raw.jsonl").write_text(
+        json.dumps({"task_id": "t1", "lang": "python", "logprobs": [-0.5], "passed": True}) + "\n",
+        encoding="utf-8",
+    )
+    report = EvalReport(
+        n_samples=2,
+        grid_m=2,
+        ece=0.1,
+        brier=0.2,
+        brier_ref=0.25,
+        bss=0.2,
+        accuracy=0.5,
+        base_rate=0.5,
+        group_summary={"g": {"count": 2, "mean_conf": 0.4, "accuracy": 0.5, "degenerate": False}},
+        reliability=[(1, 2, 0.4, 0.5)],
+    )
+    (root / "report.json").write_text(report.to_json(), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--help"],
+        ["score", "--input", "records.jsonl", "--output", "scored.jsonl"],
+        ["split", "--input", "records.jsonl", "--output-dir", "splits"],
+        ["report", "--report", "report.json", "--output-dir", "charts"],
+        ["convert-calibri", "--source", "raw.jsonl", "--output", "converted.jsonl"],
+        ["fit-eval", "--help"],
+    ],
+    ids=lambda args: "-".join(args[:2]),
+)
+def test_commands_that_compute_nothing_load_no_numpy(inputs, args, monkeypatch):
+    monkeypatch.chdir(inputs)
+    assert run_python(CLI_THEN_NUMPY, *args).stdout.splitlines()[-1] == "0 False"
+
+
+def test_fit_eval_loads_numpy(inputs, monkeypatch):
+    """The check above can see numpy: the commands that compute load it."""
+    monkeypatch.chdir(inputs)
+    run_python(CLI_THEN_NUMPY, "split", "--input", "records.jsonl", "--output-dir", "splits")
+    splits = [f"--{name}=splits/{name}.jsonl" for name in ("train", "val", "test")]
+    done = run_python(CLI_THEN_NUMPY, "fit-eval", *splits, "--output-dir", "fit")
+    # Unscored splits exit 4, after numpy is loaded.
+    assert done.stdout.splitlines()[-1] == "4 True"
+
+
+def test_package_names_resolve_without_numpy():
+    code = (
+        "import sys, codecal\n"
+        "assert 'numpy' not in sys.modules\n"
+        "print(sorted(set(codecal.__all__) - set(dir(codecal))))\n"
+        "print([name for name in codecal.__all__ if getattr(codecal, name) is None])\n"
+        "print(codecal.metrics.ece is codecal.ece)\n"
+    )
+    assert run_python(code).stdout == "[]\n[]\nTrue\n"
+
+
+def test_blas_pin_set_before_numpy_loads():
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    code = "import codecal, numpy, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert run_python(code, env=env).stdout == "1\n"

@@ -16,6 +16,7 @@ from codecal.data import Sample, parse_record, save_records
 from codecal.errors import DataError, MissingCodeError, RecordError
 from codecal.scoring import (
     ConfidenceMethod,
+    _scored_row,
     load_scored,
     score_file,
     score_sample,
@@ -419,3 +420,119 @@ class TestLoadScored:
 
         # 200 records x 792 more tokens would hold about 5 MB as floats.
         assert held(800) - held(8) <= 64 * 1024
+
+
+# JSON number literals that test the text check at its edges: zeros,
+# underflow, overflow, exponents, literals too long for the check and
+# ones that are finite anyway, plus values that are not float literals.
+EDGE_LITERALS = [
+    "0",
+    "-0",
+    "-0.0",
+    "0.0",
+    "0.25",
+    "-0.25",
+    "1e-400",
+    "-1e-400",
+    "-1e999",
+    "-1.5e2",
+    "-1.5E-2",
+    "-2e+0",
+    "-" + "9" * 400 + ".5",
+    "-0." + "0" * 400 + "1",
+    "-1" + "0" * 400 + "e-400",
+    "-3",
+    "true",
+    "false",
+    "null",
+    "NaN",
+    "Infinity",
+    "-Infinity",
+    '"-0.5"',
+    '"\\u002d0.5"',
+    "[-0.5]",
+]
+number_literals = st.sampled_from(EDGE_LITERALS) | st.from_regex(
+    r"-?(0|[1-9][0-9]{0,3})(\.[0-9]{1,4})?([eE][+-]?[0-9]{1,3})?", fullmatch=True
+)
+negative_literals = st.from_regex(
+    r"-(0|[1-9][0-9]{0,3})\.[0-9]{1,4}([eE][+-]?[0-9]{1,3})?", fullmatch=True
+)
+
+
+@st.composite
+def token_arrays(draw):
+    """JSON text of a token array: negative float literals with at most one other literal."""
+    literals = draw(st.lists(negative_literals, max_size=4))
+    if draw(st.booleans()):
+        literals.insert(draw(st.integers(0, len(literals))), draw(number_literals))
+    return "[" + ", ".join(literals) + "]"
+
+
+def scored_text(i, tokens, label="1", p_hat="0.5", **changes):
+    """A scored record's JSON line with its values given as JSON text."""
+    fields = {
+        "problem_id": json.dumps(f"p{i}"),
+        "sample_id": json.dumps(f"s{i}"),
+        "language": '"python"',
+        "token_logprobs": tokens,
+        "label": label,
+        "difficulty": '"easy"',
+        "method": '"avg_prob"',
+        "p_hat": p_hat,
+        **changes,
+    }
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n"
+
+
+@st.composite
+def scored_lines(draw):
+    """JSONL text of scored records whose numbers are written as drawn literals."""
+    lines = []
+    for i in range(draw(st.integers(1, 4))):
+        changes = {}
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(["language", "difficulty", "method", "code_span", "x"]))
+            changes[key] = draw(number_literals)
+        label = draw(st.sampled_from(["0", "1", "0.0", "1.0", "true", "2", "-0.0"]))
+        p_hat = draw(st.sampled_from(["0.5", "1e0", "1", "0", "-0.0", "1.5", "NaN", '"0.5"']))
+        lines.append(scored_text(i, draw(token_arrays()), label, p_hat, **changes))
+    return "".join(lines)
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def float_decoded_rows(text):
+    """What load_scored must give: json.loads, parse_record and _scored_row line by line."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        obj = json.loads(line)
+        rows.append(_scored_row(lineno, obj, parse_record(obj, line=lineno)))
+    return [row[:2] for row in rows]
+
+
+class TestTokensCheckedAsText:
+    """load_scored checks token arrays as text, and accepts and refuses what float decoding does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=scored_lines(), parts=st.sampled_from([1, 3]))
+    @example(text="".join(json.dumps(scored_record(i, 3)) + "\n" for i in range(3)), parts=3)
+    @example(text=scored_text(0, "[-0.5, -1e999]"), parts=1)
+    @example(text=scored_text(0, "[-0.5, 0.25]"), parts=1)
+    @example(text=scored_text(0, "[-1" + "0" * 400 + ".5]"), parts=1)
+    @example(text=scored_text(0, '[-0.5, "-0.5"]'), parts=1)
+    @example(text=scored_text(0, "[-0.5]", label="0.0", p_hat="1e0"), parts=3)
+    def test_same_result_as_float_decoding(self, text, parts):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scored.jsonl"
+            path.write_text(text, encoding="utf-8")
+            with forced_parts(parts):
+                got = outcome(lambda: load_scored(str(path)))
+        if got[0] == "ok":
+            got = "ok", [(p, y) for p, y in zip(got[1].p_hat.tolist(), got[1].labels.tolist())]
+        assert got == outcome(lambda: float_decoded_rows(text))
