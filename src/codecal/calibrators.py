@@ -21,13 +21,12 @@ serialized model reproduces training outputs bit for bit.
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .binning import BinGrid, _match_scalar, cell_sums, member_pairs, round_to_grid_index
-from .errors import DataError, FitError, schema_fields
+from .errors import DataError, FitError, finite_numbers, schema_fields, whole_number
 from .groups import GroupSet, check_membership
 from .metrics import _as_scores, _as_scores_labels
 from .report import DEFAULT_EPSILON
@@ -565,25 +564,15 @@ def model_to_json(model) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _numbers(values: list, size: int, what: str) -> list:
-    """``values``, checked to be ``size`` finite JSON numbers."""
-    if len(values) != size or not all(
-        type(v) in (int, float) and math.isfinite(v) for v in values
-    ):
-        raise DataError(f"model {what} must be {size} finite numbers")
-    return values
-
-
 def _patch(method: str, patch, k: int, m: int) -> dict:
     """An ighb or iglb patch that ``_apply_patch`` can replay on k groups and m cells."""
     cell = "cell" if method == "ighb" else "bin"
     for key, allowed in (("group", range(k)), (cell, range(1, m + 1))):
-        if type(patch[key]) is not int or patch[key] not in allowed:
-            raise DataError(f"model patch {key} {patch[key]!r} is not an integer in {allowed}")
+        whole_number(patch[key], f"model patch {key}", allowed)
     if method == "iglb" and patch["side"] not in ("le", "ge"):
         raise DataError(f"model patch side must be 'le' or 'ge', got {patch['side']!r}")
     keys = ("delta",) if method == "ighb" else ("alpha", "beta")
-    _numbers([patch[key] for key in keys], len(keys), f"patch {' and '.join(keys)}")
+    finite_numbers([patch[key] for key in keys], f"model patch {' and '.join(keys)}", len(keys))
     return patch
 
 
@@ -600,24 +589,25 @@ def model_from_json(text: str):
         method = payload.get("method")
         params = payload.get("params", {})
         if method == "platt":
-            a, b = _numbers([params["a"], params["b"]], 2, "a and b")
+            a, b = finite_numbers([params["a"], params["b"]], "model a and b", 2)
             return PlattModel(a=a, b=b, convergence=payload.get("convergence", {}))
         if method == "histogram":
             m = BinGrid(payload["grid_m"]).m
-            return HistogramBinningModel(grid_m=m, deltas=_numbers(params["deltas"], m, "deltas"))
+            deltas = finite_numbers(params["deltas"], "model deltas", m)
+            return HistogramBinningModel(grid_m=m, deltas=deltas)
         if method == "gcur_linear":
             names = list(payload["group_names"])
             return GcurModel(
                 variant="linear",
                 group_names=names,
-                lambdas=_numbers(params["lambdas"], len(names), "lambdas"),
+                lambdas=finite_numbers(params["lambdas"], "model lambdas", len(names)),
                 dropped_groups=list(payload.get("dropped_groups", [])),
                 dependent_columns=list(params.get("dependent_columns", [])),
             )
         if method == "gcur_logistic":
             names = list(payload["group_names"])
             w = [params["intercept"], params["score_coef"], *params["group_coefs"]]
-            _numbers(w, len(names) + 2, "intercept, score_coef and group_coefs")
+            finite_numbers(w, "model intercept, score_coef and group_coefs", len(names) + 2)
             return GcurModel(
                 variant="logistic",
                 group_names=names,

@@ -7,11 +7,11 @@ usage problems (2, from click), IO failures (3), and data errors (4).
 
 import csv
 import functools
-import importlib
 import itertools
 import json
 import os
 import stat
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,34 +43,34 @@ EXIT_IO = 3
 EXIT_DATA = 4
 
 # What fit-eval and ablate use of the modules that load numpy.  They are
-# bound only when one of those commands runs, so the others start without numpy.
-_FIT_NAMES = {
-    "binning": ("BinGrid",),
-    "calibrators": (
-        "fit_gcur_linear",
-        "fit_gcur_logistic",
-        "fit_histogram_binning",
-        "fit_ighb",
-        "fit_iglb",
-        "fit_platt",
-        "model_to_json",
-    ),
-    "groups": ("GroupingConfig", "GroupingModel"),
-    "metrics": ("brier_skill_score", "evaluate"),
-}
+# bound from the package's lazy exports only when one of those commands
+# runs, so the others start without numpy.
+_FIT_NAMES = (
+    "BinGrid",
+    "GroupingConfig",
+    "GroupingModel",
+    "brier_skill_score",
+    "evaluate",
+    "fit_gcur_linear",
+    "fit_gcur_logistic",
+    "fit_histogram_binning",
+    "fit_ighb",
+    "fit_iglb",
+    "fit_platt",
+    "model_to_json",
+)
 
 
 def _bind_fit_names() -> None:
     """Bind the names of ``_FIT_NAMES`` here; a name already bound, such as a wrapper, stays."""
-    for module, names in _FIT_NAMES.items():
-        loaded = importlib.import_module(f".{module}", __package__)
-        for name in names:
-            globals().setdefault(name, getattr(loaded, name))
+    package = sys.modules[__package__]
+    for name in _FIT_NAMES:
+        globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name: str):
     """A name of ``_FIT_NAMES`` that no command has bound yet."""
-    if not any(name in names for names in _FIT_NAMES.values()):
+    if name not in _FIT_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind_fit_names()
     return globals()[name]
@@ -118,10 +118,10 @@ def _merge_config(ctx: click.Context, config_path: str | None, values: dict) -> 
     with open(config_path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"config file is not valid JSON: {exc}") from exc
         except RecursionError:
             raise DataError("config file is not valid JSON: nested too deeply") from None
+        except ValueError as exc:  # also bad UTF-8 and an integer too long to convert
+            raise DataError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise DataError("config file must hold a JSON object")
     unknown = sorted(set(config) - set(values))
@@ -268,13 +268,22 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     )
 
 
-def _grouping_from_values(values: dict) -> "GroupingConfig":
-    return GroupingConfig(
+def _fit_setup(ctx: click.Context, config_path: str | None, options: dict) -> tuple:
+    """The options of ``fit-eval`` and ``ablate``, checked before any split is read.
+
+    Returns the values merged with the config file, the method list,
+    the bin grid and the grouping config.
+    """
+    _bind_fit_names()
+    values = _merge_config(ctx, config_path, options)
+    methods, grid = _parse_methods(values["methods"]), BinGrid(values["grid_m"])
+    grouping = GroupingConfig(
         use_language=values["language"],
         length_metrics=_parse_length_metrics(values["length_metrics"]),
         complexity_source=values["complexity"],
         always_on=values["all_group"],
     )
+    return values, methods, grid, grouping
 
 
 def _load_splits(*paths: str) -> list:
@@ -415,15 +424,10 @@ def fit_eval(
     ctx, train_path, val_path, test_path, config_path, output_dir, **options
 ) -> None:
     """Fit requested calibrators on train and evaluate them on test."""
-    _bind_fit_names()
-    values = _merge_config(ctx, config_path, options)
-    method_list = _parse_methods(values["methods"])
-    grid = BinGrid(values["grid_m"])
+    values, method_list, grid, cfg = _fit_setup(ctx, config_path, options)
     splits = _load_splits(train_path, val_path, test_path)
     test = splits[2]
-    grouping, test_groups, results = _calibrate(
-        values, grid, splits, _grouping_from_values(values), method_list
-    )
+    grouping, test_groups, results = _calibrate(values, grid, splits, cfg, method_list)
     os.makedirs(output_dir, exist_ok=True)
     out = functools.partial(os.path.join, output_dir)
     _write_text(out("grouping.json"), grouping.to_json() + "\n")
@@ -457,11 +461,7 @@ def ablate(
     ctx, train_path, val_path, test_path, config_path, output_path, **options
 ) -> None:
     """Test BSS per method for every non-empty subset of group categories."""
-    _bind_fit_names()
-    values = _merge_config(ctx, config_path, options)
-    method_list = _parse_methods(values["methods"])
-    grid = BinGrid(values["grid_m"])
-    base_cfg = _grouping_from_values(values)
+    values, method_list, grid, base_cfg = _fit_setup(ctx, config_path, options)
     categories = []
     if base_cfg.complexity_source != "none":
         categories.append("complexity")
@@ -560,9 +560,13 @@ _CALIBRI_REQUIRED = ("problem_id", "language", "label")
 
 
 def _source_lines(path: str):
-    """:func:`iter_lines` of ``path``; a line that is not UTF-8 is named by file and line."""
+    """``(lineno, raw, obj)`` of each line of ``path``, decoded as every record reader decodes.
+
+    A line that does not decode is named by file and line.
+    """
     try:
-        yield from iter_lines(path)
+        with data._open_text(path) as fh:
+            yield from data._json_lines(fh)
     except RecordError as exc:
         raise ConvertError(f"{path} line {exc.line}: {exc.reason}") from exc
 
@@ -600,15 +604,9 @@ def convert_calibri(source, output_path) -> None:
     seen = set()
     row_index = 0
     for path in files:
-        for lineno, raw in _source_lines(path):
+        for lineno, _, obj in _source_lines(path):
             row_index += 1
             where = f"{path} line {lineno}"
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ConvertError(f"{where}: malformed JSON: {exc.msg}") from exc
-            except RecursionError:
-                raise ConvertError(f"{where}: malformed JSON: nested too deeply") from None
             if not isinstance(obj, dict):
                 raise ConvertError(f"{where}: record is not a JSON object")
             found = {target: _resolve_field(obj, target) for target in _CALIBRI_ALIASES}

@@ -289,34 +289,33 @@ def loads_tokens_as_text(line: str):
 def _json_lines(fh, lineno: int = 1, count: int | None = None, loads=json.loads):
     """Yield ``(lineno, line, loads(line))`` for each line of :func:`_lines`.
 
-    Malformed or too deeply nested JSON raises :class:`RecordError` naming the line.
+    A line that does not decode raises :class:`RecordError` naming it:
+    malformed JSON, JSON nested too deeply, and an integer literal too
+    long to convert (every ``ValueError`` of ``loads``).
     """
     for lineno, line in _lines(fh, lineno, count):
         try:
             obj = loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"malformed JSON: {exc.msg}", line=lineno) from exc
         except RecursionError:
             raise RecordError("malformed JSON: nested too deeply", line=lineno) from None
+        except ValueError as exc:
+            reason = getattr(exc, "msg", exc)  # a JSONDecodeError's message has no position
+            raise RecordError(f"malformed JSON: {reason}", line=lineno) from exc
         yield lineno, line, obj
 
 
-def _records(lines, seen: set, ids=None):
+def _records(lines, ids: dict):
     """Yield ``(lineno, raw, obj, sample)`` for each ``(lineno, raw, obj)`` of ``lines``.
 
-    A sample id already in ``seen`` raises "duplicate sample_id"; a new
-    one is added to it.  With ``ids``, a pair of lists, the line number
-    and sample id of each record are appended to them in order.
+    Each record's sample id goes into ``ids``, mapped to its line
+    number, in line order; an id already there raises "duplicate sample_id".
     """
     for lineno, raw, obj in lines:
         sample = parse_record(obj, line=lineno)
         sid = sample.sample_id
-        if sid in seen:
+        if sid in ids:
             raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
-        seen.add(sid)
-        if ids is not None:
-            ids[0].append(lineno)
-            ids[1].append(sid)
+        ids[sid] = lineno
         yield lineno, raw, obj, sample
 
 
@@ -384,26 +383,6 @@ def line_ranges(path: str) -> list[tuple[int, int, int | None]]:
         if parts > 1 and size >= PARALLEL_MIN_BYTES:
             return _part_bounds(fh, size, parts)
     return [(0, 1, None)]
-
-
-def _read_part(path: str, bound: tuple, k: int, read, records: bool, loads, seen: set, ids=None):
-    """``read(k, lines)`` over range ``k`` of a JSONL file, whose bounds are ``bound``.
-
-    ``lines`` yields the ``(lineno, raw, obj)`` of :func:`_json_lines` with ``loads``,
-    or with ``records`` the ``(lineno, raw, obj, sample)`` of
-    :func:`_records`, checked against ``seen`` and recorded in ``ids``.
-    Returns the result of ``read`` and None, or None and the first
-    ``DataError`` or ``OSError`` of the range.
-    """
-    start, lineno, count = bound
-    try:
-        with _open_text(path, start) as fh:
-            lines = _json_lines(fh, lineno, count, loads)
-            if records:
-                lines = _records(lines, seen, ids)
-            return read(k, lines), None
-    except (DataError, OSError) as exc:
-        return None, exc
 
 
 def _fork_part(run, k: int) -> tuple[int, int]:
@@ -490,31 +469,36 @@ def read_ranges(
     with line numbers counted from the start of the file and sample ids
     unique across the file.  Each result goes to
     ``merge(k, result)`` in line order, and the first error in line
-    order is raised, with the same message as reading serially: the
-    sample ids of each range are checked against those of the ranges
-    before it before that range's own error is raised, and no later
-    result is merged.
+    order is raised, with the same message as reading serially.
 
     The ranges are read by :func:`fork_tasks`, the first in this
     process and every other one in a forked child, so ``read`` need not
-    be picklable but its results and errors must be.  A child, which
-    cannot see the ranges before its own, sends the line number and
-    sample id of each of its records so that the parent can check them.
+    be picklable but its results and errors must be.  Every range checks
+    the sample ids of its own records and returns, beside the result or
+    its first ``DataError`` or ``OSError``, the sample id and line number
+    of each record it read.  The parent checks those against the ranges
+    before, in line order, before it raises the range's own error.
     """
     seen: set[str] = set()
 
     def run(k):
-        ids = ([], []) if k else None
-        seen_k = set() if k else seen
-        return (ids, *_read_part(path, bounds[k], k, read, records, loads, seen_k, ids))
+        start, lineno, count = bounds[k]
+        ids: dict[str, int] = {}
+        try:
+            with _open_text(path, start) as fh:
+                lines = _json_lines(fh, lineno, count, loads)
+                if records:
+                    lines = _records(lines, ids)
+                return ids, read(k, lines), None
+        except (DataError, OSError) as exc:
+            return ids, None, exc
 
     def merge_range(k, part):
         ids, result, error = part
-        if k:
-            for lineno, sid in zip(*ids):
-                if sid in seen:
-                    raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
-                seen.add(sid)
+        if not seen.isdisjoint(ids):
+            sid, lineno = next((s, n) for s, n in ids.items() if s in seen)
+            raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
+        seen.update(ids)
         if error is not None:
             raise error
         merge(k, result)

@@ -5,6 +5,7 @@ Grouping errors under two roots keeps the CLI exit-status mapping simple:
 while IO problems surface as the usual ``OSError`` family.
 """
 
+import math
 from contextlib import contextmanager
 
 
@@ -72,3 +73,30 @@ def schema_fields(what: str):
         raise DataError(f"malformed {what}: JSON nested too deeply") from None
     except (TypeError, ValueError, AttributeError, ArithmeticError) as exc:
         raise DataError(f"malformed {what}: {exc}") from exc
+
+
+def finite_numbers(values, what: str, size: int | None = None, unit: bool = False) -> list:
+    """``values``, checked to be a list of ``size`` (or any number of) finite JSON numbers.
+
+    Booleans and integers too large for a float are refused; with
+    ``unit`` every value must lie in [0, 1].  Raises ``DataError``
+    naming ``what`` otherwise.
+    """
+    try:
+        ok = isinstance(values, list) and size in (None, len(values)) and all(
+            type(v) in (int, float) and math.isfinite(v) and (not unit or 0 <= v <= 1)
+            for v in values
+        )
+    except OverflowError:
+        ok = False
+    if not ok:
+        count = "a list of" if size is None else size
+        raise DataError(f"{what} must be {count} finite numbers{' in [0, 1]' if unit else ''}")
+    return values
+
+
+def whole_number(value, what: str, allowed: range) -> int:
+    """``value``, checked to be an integer in ``allowed``; booleans are refused."""
+    if type(value) is not int or value not in allowed:
+        raise DataError(f"{what} {value!r} is not an integer in {allowed}")
+    return value

@@ -21,13 +21,12 @@ code texts once.  Functions that group samples take such a table;
 """
 
 import json
-import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataError, RecordError, schema_fields
+from .errors import DataError, RecordError, finite_numbers, schema_fields
 
 __all__ = [
     "GroupColumns",
@@ -304,14 +303,6 @@ def _strings(values, what: str) -> list[str]:
     return values
 
 
-def _cutpoints(values, what: str) -> list[float]:
-    if not isinstance(values, list) or not all(
-        type(v) in (int, float) and math.isfinite(v) for v in values
-    ):
-        raise DataError(f"grouping {what} cutpoints must be a list of finite numbers")
-    return values
-
-
 def _stack(n: int, always_on: bool, names: list[str], blocks: list[np.ndarray]) -> GroupSet:
     """The blocks' columns as one GroupSet, led by the ALL group when ``always_on``."""
     lead = [ALL_GROUP] if always_on else []
@@ -402,11 +393,13 @@ class GroupingModel:
                 config=GroupingConfig(**cfg),
                 languages=_strings(payload["languages"], "languages"),
                 length_cutpoints={
-                    k: _cutpoints(v, f"length {k!r}")
+                    k: finite_numbers(v, f"grouping length {k!r} cutpoints")
                     for k, v in payload["length_cutpoints"].items()
                 },
                 difficulty_labels=_strings(payload["difficulty_labels"], "difficulty labels"),
-                complexity_cutpoints=_cutpoints(payload["complexity_cutpoints"], "complexity"),
+                complexity_cutpoints=finite_numbers(
+                    payload["complexity_cutpoints"], "grouping complexity cutpoints"
+                ),
             )
             for metric in model.config.length_metrics:
                 if metric not in model.length_cutpoints:

@@ -5,10 +5,9 @@ Nothing here imports numpy, so ``codecal report`` and every command's
 """
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .errors import DataError, schema_fields
+from .errors import DataError, finite_numbers, schema_fields, whole_number
 
 __all__ = ["NEG_INF", "MAX_GRID_M", "DEFAULT_EPSILON", "EvalReport"]
 
@@ -20,15 +19,6 @@ NEG_INF = float("-inf")
 MAX_GRID_M = 10_000
 # iglb's default floor on the mass of a patched region.
 DEFAULT_EPSILON = 0.05
-
-
-def _check_number(where: str, *values, unit: bool = False) -> None:
-    """Raise ``DataError`` unless every value is a finite number, in [0, 1] with ``unit``."""
-    for value in values:
-        ok = isinstance(value, (int, float)) and math.isfinite(value)
-        if not ok or (unit and not 0.0 <= value <= 1.0):
-            need = "a finite number in [0, 1]" if unit else "a finite number"
-            raise DataError(f"report {where} holds {value!r}, not {need}")
 
 
 @dataclass
@@ -64,19 +54,30 @@ class EvalReport:
             values = {f.name: payload[f.name] for f in fields(cls)}
             values.update(
                 reliability=[tuple(row) for row in values["reliability"]],
-                bss=NEG_INF if values["bss"] == "-inf" else float(values["bss"]),
                 per_group_gasce=dict(values["per_group_gasce"]),
                 group_summary=dict(values["group_summary"]),
             )
+            n = whole_number(values["n_samples"], "report n_samples", range(2**63))
+            m = whole_number(values["grid_m"], "report grid_m", range(2, MAX_GRID_M + 1))
+            scalars = ("ece", "brier", "brier_ref", "accuracy", "base_rate")
+            finite_numbers([values[k] for k in scalars], f"report {', '.join(scalars)}", 5)
+            if values["bss"] != "-inf":
+                finite_numbers([values["bss"]], "report bss", 1)
+            values["bss"] = float(values["bss"])
+            finite_numbers([*values["per_group_gasce"].values()], "report per_group_gasce values")
             if any(len(row) != 4 for row in values["reliability"]):
                 raise DataError("report reliability rows must be [bin, count, conf, acc]")
             for b, count, conf, acc in values["reliability"]:
-                _check_number(f"reliability row {b!r}", b, count)
-                _check_number(f"reliability row {b!r}", conf, acc, unit=True)
+                whole_number(b, "report reliability bin", range(1, m + 1))
+                whole_number(count, f"report reliability bin {b} count", range(n + 1))
+                rates = [conf, acc]
+                finite_numbers(rates, f"report reliability bin {b} conf and acc", 2, unit=True)
             for name, stats in values["group_summary"].items():
-                _check_number(f"group {name!r}", stats["count"])
-                rates = (stats["mean_conf"], stats["accuracy"])
-                _check_number(f"group {name!r}", *(v for v in rates if v is not None), unit=True)
+                whole_number(stats["count"], f"report group {name!r} count", range(n + 1))
+                rates = [stats["mean_conf"], stats["accuracy"]]
+                if rates != [None, None]:
+                    what = f"report group {name!r} mean_conf and accuracy"
+                    finite_numbers(rates, what, 2, unit=True)
             return cls(**values)
 
     @classmethod

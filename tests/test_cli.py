@@ -789,11 +789,25 @@ def nested(depth, kind):
     return opener * depth + "0" + closer * depth
 
 
-class TestDeepNesting:
-    """A document nested too deeply to decode exits 4 naming where it is, never with a traceback.
+# Python refuses to convert an integer literal with more digits than this.
+INT_DIGITS = sys.get_int_max_str_digits()
 
-    Each record file holds one good record and the deep document on line
-    2, which with three parts is decoded in a forked child.
+
+def int_limit_reason(literal):
+    """Why ``int(literal)`` fails, or None if it converts."""
+    try:
+        int(literal)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestDecodeFailures:
+    """A document that fails to decode exits 4 naming where it is, never with a traceback.
+
+    Each record file holds one good record and the document on line 2,
+    which with three parts is decoded in a forked child.  Every command
+    decodes through one rule, so every one refuses the same documents.
     """
 
     def run_all(self, tmp, doc, parts):
@@ -810,6 +824,7 @@ class TestDeepNesting:
             "score": score,
             "split": ["split", "--input", str(records), "--output-dir", str(tmp / "splits")],
             "fit-eval": ["fit-eval", *splits, "--output-dir", str(tmp / "fit")],
+            "ablate": ["ablate", *splits, "--output", str(tmp / "ablation.csv")],
             "report": ["report", "--report", str(deep), "--output-dir", str(tmp / "charts")],
             "config": [*score, "--config", str(deep)],
             "convert-calibri": ["convert-calibri", "--source", str(deep), "--output", converted],
@@ -824,16 +839,18 @@ class TestDeepNesting:
             os.waitpid(-1, os.WNOHANG)
         return outputs
 
-    def too_deep(self, deep):
-        """What each command of :meth:`run_all` says of a document too deep to decode."""
-        at_line_2 = "error: malformed JSON: nested too deeply [line 2]\n"
+    def refusals(self, deep, reason):
+        """What each command of :meth:`run_all` says of a document refused for ``reason``."""
+        at_line_2 = f"error: malformed JSON: {reason} [line 2]\n"
+        in_report = "JSON nested too deeply" if reason == "nested too deeply" else reason
         return {
             "score": at_line_2,
             "split": at_line_2,
             "fit-eval": at_line_2,
-            "report": "error: malformed report: JSON nested too deeply\n",
-            "config": "error: config file is not valid JSON: nested too deeply\n",
-            "convert-calibri": f"error: {deep} line 1: malformed JSON: nested too deeply\n",
+            "ablate": at_line_2,
+            "report": f"error: malformed report: {in_report}\n",
+            "config": f"error: config file is not valid JSON: {reason}\n",
+            "convert-calibri": f"error: {deep} line 1: malformed JSON: {reason}\n",
         }
 
     @settings(max_examples=20, deadline=None)
@@ -848,7 +865,7 @@ class TestDeepNesting:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             outputs = self.run_all(tmp, nested(depth, kind), parts)
-            too_deep = self.too_deep(tmp / "deep.json")
+            too_deep = self.refusals(tmp / "deep.json", "nested too deeply")
         for name, output in outputs.items():
             if depth <= 300:
                 assert output != too_deep[name]
@@ -856,6 +873,32 @@ class TestDeepNesting:
                 assert output == too_deep[name]
             else:
                 assert "nested" not in output or output == too_deep[name]
+
+    @pytest.mark.skipif(INT_DIGITS == 0, reason="integer conversion is not limited")
+    @settings(max_examples=12, deadline=None)
+    @given(
+        digits=st.integers(1, 400) | st.integers(INT_DIGITS - 3, INT_DIGITS + 3)
+        | st.integers(INT_DIGITS + 1, 3 * INT_DIGITS),
+        sign=st.sampled_from(["", "-"]),
+        parts=st.sampled_from([1, 3]),
+    )
+    @example(digits=INT_DIGITS, sign="", parts=3)
+    @example(digits=INT_DIGITS + 1, sign="", parts=3)
+    @example(digits=INT_DIGITS + 1, sign="-", parts=1)
+    def test_integer_digits(self, digits, sign, parts):
+        """An integer literal decodes up to the conversion limit and is refused by name past it."""
+        literal = sign + "9" * digits
+        reason = int_limit_reason(literal)
+        assert (reason is None) == (digits <= INT_DIGITS)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            outputs = self.run_all(tmp, literal, parts)
+            refused = self.refusals(tmp / "deep.json", reason)
+        for name, output in outputs.items():
+            if reason is None:
+                assert "integer string conversion" not in output, (name, output)
+            else:
+                assert output == refused[name]
 
 
 def traced_cli_names():
@@ -1116,6 +1159,11 @@ class TestCpuCount:
             assert (one / name).read_bytes() == (every / name).read_bytes(), name
 
 
+def skipped_group(**stats):
+    """A group summary the charts skip, so only the report's own checks can refuse it."""
+    return dict(stats, degenerate=True)
+
+
 class TestReportCommand:
     def test_writes_both_charts(self, pipeline, tmp_path):
         outdir = tmp_path / "fit"
@@ -1182,6 +1230,29 @@ class TestReportCommand:
             {"group_summary": {"a": {"count": 2, "mean_conf": math.nan, "accuracy": 0.5}}},
             {"group_summary": {"a": {"count": 2, "mean_conf": 0.5, "accuracy": 1.5}}},
             {"group_summary": {"a": {"count": math.nan, "mean_conf": None, "accuracy": None}}},
+            # Values fit-eval never writes: the report holds 3 samples on a grid of 10.
+            {"n_samples": "three"},
+            {"n_samples": -1},
+            {"n_samples": True},
+            {"grid_m": 2.5},
+            {"grid_m": 1},
+            {"grid_m": MAX_GRID_M + 1},
+            {"reliability": [[True, 1, 0.5, 0.5]]},
+            {"reliability": [[1, True, 0.5, 0.5]]},
+            {"reliability": [[0, 1, 0.5, 0.5]]},
+            {"reliability": [[11, 1, 0.5, 0.5]]},
+            {"reliability": [[1, 4, 0.5, 0.5]]},
+            {"reliability": [[1.0, 1, 0.5, 0.5]]},
+            {"reliability": [[1, 1, True, 0.5]]},
+            {"group_summary": {"a": skipped_group(count=False, mean_conf=None, accuracy=None)}},
+            {"group_summary": {"a": skipped_group(count=1, mean_conf=None, accuracy=0.5)}},
+            {"ece": math.nan},
+            {"brier": "0.1"},
+            {"base_rate": True},
+            {"bss": "inf"},
+            {"bss": "0.5"},
+            {"bss": False},
+            {"per_group_gasce": {"a": math.inf}},
         ],
     )
     def test_mistyped_values_are_data_errors(self, tmp_path, change):

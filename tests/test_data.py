@@ -381,6 +381,19 @@ class TestReadColumns:
             serial_columns(path, records=True)
         assert str(serial.value) == str(got.value)
 
+    def test_duplicate_between_later_parts(self, tmp_path):
+        """Ids of every part, not only the first, are checked against the parts after it."""
+        lines = [record_line(i, sid="s19" if i == 34 else None) for i in range(40)]
+        path = str(tmp_path / "r.jsonl")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with forced_parts(3):
+            bounds = data_module.line_ranges(path)
+            with pytest.raises(RecordError) as got:
+                read_records(path)
+        # s19 sits on line 20, in the middle part; its duplicate on line 35 in the last.
+        assert len(bounds) == 3 and bounds[1][1] <= 20 < bounds[2][1] <= 35
+        assert str(got.value) == "duplicate sample_id [line 35, sample_id='s19']"
+
     @pytest.mark.parametrize("n_lines", [9, 60])
     def test_no_child_left_after_a_failure(self, tmp_path, n_lines):
         lines = [record_line(i) for i in range(n_lines)]
@@ -396,14 +409,14 @@ class TestReadColumns:
         path = str(tmp_path / "r.jsonl")
         Path(path).write_text("\n".join(record_line(i) for i in range(20)) + "\n")
         parent = os.getpid()
-        real = data_module._read_part
+        real = data_module._json_lines
 
         def dies_in_child(*args):
             if os.getpid() != parent:
                 os._exit(1)
             return real(*args)
 
-        with forced_parts(2), mock.patch.object(data_module, "_read_part", dies_in_child):
+        with forced_parts(2), mock.patch.object(data_module, "_json_lines", dies_in_child):
             with pytest.raises(OSError, match="exited without a result"):
                 read_records(path)
         with pytest.raises(ChildProcessError):

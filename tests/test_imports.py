@@ -61,6 +61,60 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+# Where a JSON document may be decoded: the reader decoders of data.py,
+# which every record reader shares, and the config file's own reader.
+# Anywhere else a decode sits in a ``with schema_fields(...)`` block.
+JSON_DECODERS = {("data.py", "loads_floats_as_bytes"), ("cli.py", "_merge_config")}
+
+
+def stray_json_decodes(source: str, filename: str) -> list[int]:
+    """Lines of ``json.load``/``json.loads`` calls outside the places that may decode."""
+    found = []
+
+    def visit(node, function, guarded):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.With):
+            calls = [item.context_expr for item in node.items]
+            guarded = guarded or any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "schema_fields"
+                for call in calls
+            )
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and (node.func.value.id, node.func.attr) in (("json", "load"), ("json", "loads"))
+            and not guarded
+            and (filename, function) not in JSON_DECODERS
+        ):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, guarded)
+
+    visit(ast.parse(source), None, False)
+    return found
+
+
+def test_checker_finds_stray_json_decodes():
+    source = (
+        "import json\n"
+        "def _merge_config(fh):\n    return json.load(fh)\n"
+        "def other(text):\n    return json.loads(text)\n"
+        "def guarded(text):\n    with schema_fields('x'):\n        return json.loads(text)\n"
+        "def unguarded(text):\n    with open(text):\n        return json.load(text)\n"
+        "loaded = json.loads('1')\n"
+    )
+    assert stray_json_decodes(source, "cli.py") == [5, 11, 12]
+    assert stray_json_decodes(source, "data.py") == [3, 5, 11, 12]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_json_decoded_only_where_decode_failures_are_caught(path):
+    """A new reader goes through a shared decoder, so it inherits its decode-failure rule."""
+    assert stray_json_decodes(path.read_text(encoding="utf-8"), path.name) == []
+
+
 @pytest.mark.parametrize(
     "module",
     ["codecal", *(f"codecal.{path.stem}" for path in MODULES)],
