@@ -367,8 +367,8 @@ def fit_ighb(
     p, y = _check_scores_labels(scores, labels, groups)
     if alpha is None:
         alpha = 1.0 / grid.m
-    if not alpha > 0.0:
-        raise DataError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise DataError(f"alpha must be positive and finite, got {alpha}")
     kept, dropped, g = _kept_columns(groups, bool)
     pairs = member_pairs(g)
     n = p.size
@@ -621,6 +621,10 @@ def model_from_json(text: str):
             m = BinGrid(payload["grid_m"]).m
             names = list(payload["group_names"])
             conv = payload.get("convergence", {})
+            for key in ("alpha", "epsilon"):
+                value = params.get(key)
+                if value is not None and not finite_numbers([value], f"model {key}", 1)[0] > 0:
+                    raise DataError(f"model {key} must be positive, got {value!r}")
             return IterativePatchModel(
                 method=method,
                 grid_m=m,

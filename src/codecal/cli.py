@@ -505,15 +505,11 @@ def ablate(
             cells.append({result[0]: _ablate_cell(result, labels) for result in results})
         return cells
 
-    by_subset: list = [None] * len(subsets)
-
-    def merge(k, cells):
-        for i, subset_cells in zip(range(k, len(subsets), procs), cells):
-            by_subset[i] = subset_cells
-
-    fork_tasks(procs, run, merge, "fitting ablate subsets")
+    # A share stops at its first error, so the subsets it skipped all come after that error.
+    shares = list(fork_tasks(procs, run, "fitting ablate subsets"))
     rows = []
-    for subset, cells in zip(subsets, by_subset):
+    for i, subset in enumerate(subsets):
+        cells = shares[i % procs][i // procs]
         if isinstance(cells, DataError):
             raise cells
         subset_name = "+".join(subset)

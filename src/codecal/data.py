@@ -24,7 +24,6 @@ __all__ = [
     "SplitSpec",
     "iter_lines",
     "loads_floats_as_bytes",
-    "loads_tokens_as_text",
     "line_ranges",
     "fork_tasks",
     "read_ranges",
@@ -41,6 +40,7 @@ _REQUIRED_KEYS = ("problem_id", "sample_id", "language", "token_logprobs", "labe
 PARALLEL_MIN_BYTES = 1 << 20
 _BLOCK_BYTES = 1 << 20
 _FLOAT = frozenset({float})
+_BYTES = frozenset({bytes})
 _FLOAT_OR_INT = frozenset({float, int})
 # Decodes each float literal to its bytes, a type no other JSON value decodes to.
 _decode_floats_as_bytes = json.JSONDecoder(parse_float=str.encode).decode
@@ -95,17 +95,23 @@ class SplitSpec:
             )
 
 
-def _token_logprobs(lps, line: int | None, sid: str) -> list[float]:
-    """Validated float copy of a record's ``token_logprobs`` value.
+def _token_logprobs(lps, line: int | None, sid: str) -> list:
+    """Validated copy of a record's ``token_logprobs`` value.
 
+    A list of float literals as bytes, from :func:`loads_floats_as_bytes`,
+    that :func:`_checked_as_text` accepts is returned as it is.  Other
+    bytes are converted with ``float()``, as ``json`` converts them.
     Plain float/int lists are checked in bulk: a list whose maximum is
     <= 0 and whose sum is finite holds no NaN, infinity or positive
     value.  Any other list goes through the per-value checks, which
-    pick the error message.  A :class:`_TokenText` is already checked.
+    pick the error message.
     """
-    if type(lps) is _TokenText:
-        return lps
     kinds = set(map(type, lps)) if isinstance(lps, list) else None
+    if kinds and bytes in kinds:
+        if kinds == _BYTES and _checked_as_text(lps):
+            return lps
+        lps = [float(v) if type(v) is bytes else v for v in lps]
+        kinds = kinds - _BYTES | _FLOAT
     if kinds is None or not (
         kinds <= _FLOAT_OR_INT
         or all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in lps)
@@ -133,7 +139,9 @@ def parse_record(obj: dict, line: int | None = None) -> Sample:
     """Validate one decoded JSON object and build a Sample.
 
     Unknown keys are ignored so augmented records (for example scored
-    ones) can pass through.
+    ones) can pass through.  An object from :func:`loads_floats_as_bytes`
+    meets the same checks and messages, but a token array that passes
+    the text check keeps its literals as bytes, unconverted.
     """
     if not isinstance(obj, dict):
         raise RecordError("record is not a JSON object", line=line)
@@ -153,6 +161,8 @@ def parse_record(obj: dict, line: int | None = None) -> Sample:
     lps = _token_logprobs(obj["token_logprobs"], line, sid)
 
     label = obj["label"]
+    if type(label) is bytes:
+        label = float(label)
     if isinstance(label, bool) or label not in (0, 1):
         raise RecordError(f"label must be 0 or 1, got {label!r}", line=line, sample_id=sid)
 
@@ -240,20 +250,14 @@ def loads_floats_as_bytes(line: str):
     return _decode_floats_as_bytes(line)
 
 
-class _TokenText(list):
-    """A record's token array of float literals, as bytes, that are all finite and <= 0."""
-
-
 def _checked_as_text(lps: list) -> bool:
-    """Whether ``lps`` holds only float literals, as bytes, of finite values <= 0.
+    """Whether ``lps``, a non-empty list of float literals as bytes, holds only finite values <= 0.
 
-    ``lps`` comes from :func:`loads_floats_as_bytes`, so bytes are JSON
-    float literals.  Each must start with ``-``.  One under 300
+    ``lps`` comes from :func:`loads_floats_as_bytes`, so its bytes are
+    JSON float literals.  Each must start with ``-``.  One under 300
     characters with no positive exponent is below 1e300 in magnitude, so
     it is finite.
     """
-    if set(map(type, lps)) != {bytes}:
-        return False
     text = b"".join(lps)
     return (
         max(lps)[:1] == b"-"
@@ -261,29 +265,6 @@ def _checked_as_text(lps: list) -> bool:
         and b"E" not in text
         and text.count(b"e") == text.count(b"e-")
     )
-
-
-def loads_tokens_as_text(line: str):
-    """:func:`loads_floats_as_bytes` for :func:`parse_record` where no token value is read.
-
-    A record's token array that :func:`_checked_as_text` accepts becomes
-    a :class:`_TokenText`, which :func:`_token_logprobs` passes as it
-    is.  Every other float literal at the top level or in the token
-    array becomes the float ``json.loads`` gives, so every other record
-    meets the same checks and messages as after ``json.loads``.
-    """
-    obj = loads_floats_as_bytes(line)
-    if type(obj) is dict:
-        for key, value in obj.items():
-            if type(value) is bytes:
-                obj[key] = float(value)
-        lps = obj.get("token_logprobs")
-        if type(lps) is list:
-            if _checked_as_text(lps):
-                obj["token_logprobs"] = _TokenText(lps)
-            else:
-                obj["token_logprobs"] = [float(v) if type(v) is bytes else v for v in lps]
-    return obj
 
 
 def _json_lines(fh, lineno: int = 1, count: int | None = None, loads=json.loads):
@@ -429,47 +410,47 @@ def _join_part(what: str, pid: int, read_fd: int):
     return pickle.loads(payload)
 
 
-def fork_tasks(count: int, run, merge, what: str) -> None:
-    """Call ``merge(k, run(k))`` for every task ``k < count`` in task order, one process per task.
+def fork_tasks(count: int, run, what: str):
+    """Yield ``run(k)`` for every task ``k < count`` in task order, one process per task.
 
     Task 0 runs in this process once every other task has been forked
     into a child of its own.  A child sends its value back pickled over
     a pipe, so ``run`` need not be picklable but its values and
-    exceptions must be.  An exception of ``run(k)`` is raised in
-    place of merging task ``k``, so the first error in task order wins
-    and no later value is merged.  A child that dies without a value
-    raises ``OSError`` naming ``what``.  Every child is reaped before
-    this returns or raises.
+    exceptions must be.  An exception of ``run(k)`` is raised in place
+    of yielding task ``k``'s value, so the first error in task order
+    wins.  A child that dies without a value raises ``OSError`` naming
+    ``what``.  Every child is reaped once the generator is exhausted,
+    raises or is closed, so a caller that may stop early closes it
+    (``contextlib.closing``), which ends the children it did not read.
     """
     children: list[tuple[int, int]] = []
     try:
         for k in range(1, count):
             children.append(_fork_part(run, k))
-        merge(0, run(0))
-        for k in range(1, count):
+        yield run(0)
+        while children:
             value, error = _join_part(what, *children.pop(0))
             if error is not None:
                 raise error
-            merge(k, value)
+            yield value
     finally:
-        # Closing the pipe first ends a child blocked on writing its result.
-        for pid, read_fd in children:
+        # Closing every pipe first ends each child blocked on writing its
+        # result: a child holds the read ends of the pipes forked before it.
+        for _, read_fd in children:
             os.close(read_fd)
+        for pid, _ in children:
             os.waitpid(pid, 0)
 
 
-def read_ranges(
-    path: str, bounds: list, read, merge, records: bool = False, loads=json.loads
-) -> None:
-    """Call ``read(k, lines)`` on every range ``k`` of a JSONL file, one range per process.
+def read_ranges(path: str, bounds: list, read, records: bool = False, loads=json.loads) -> list:
+    """``read(k, lines)`` of every range ``k`` of a JSONL file in line order, one range per process.
 
     ``bounds`` comes from :func:`line_ranges`.  ``lines`` yields the
     ``(lineno, raw, obj)`` of :func:`_json_lines` with ``loads`` for the
     range, or with ``records`` the ``(lineno, raw, obj, sample)`` of :func:`_records`,
     with line numbers counted from the start of the file and sample ids
-    unique across the file.  Each result goes to
-    ``merge(k, result)`` in line order, and the first error in line
-    order is raised, with the same message as reading serially.
+    unique across the file.  The first error in line order is raised,
+    with the same message as reading serially.
 
     The ranges are read by :func:`fork_tasks`, the first in this
     process and every other one in a forked child, so ``read`` need not
@@ -479,7 +460,6 @@ def read_ranges(
     of each record it read.  The parent checks those against the ranges
     before, in line order, before it raises the range's own error.
     """
-    seen: set[str] = set()
 
     def run(k):
         start, lineno, count = bounds[k]
@@ -493,17 +473,18 @@ def read_ranges(
         except (DataError, OSError) as exc:
             return ids, None, exc
 
-    def merge_range(k, part):
-        ids, result, error = part
-        if not seen.isdisjoint(ids):
-            sid, lineno = next((s, n) for s, n in ids.items() if s in seen)
-            raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
-        seen.update(ids)
-        if error is not None:
-            raise error
-        merge(k, result)
-
-    fork_tasks(len(bounds), run, merge_range, f"reading {path}")
+    seen: set[str] = set()
+    results = []
+    with contextlib.closing(fork_tasks(len(bounds), run, f"reading {path}")) as parts:
+        for ids, result, error in parts:
+            if not seen.isdisjoint(ids):
+                sid, lineno = next((s, n) for s, n in ids.items() if s in seen)
+                raise RecordError("duplicate sample_id", line=lineno, sample_id=sid)
+            seen.update(ids)
+            if error is not None:
+                raise error
+            results.append(result)
+    return results
 
 
 def read_columns(
@@ -515,28 +496,24 @@ def read_columns(
     of :func:`_json_lines` with ``loads``; with ``records`` they are
     ``row(lineno, obj, sample)`` for the records of :func:`_records`.
     Each row is a tuple of ``width`` fields and the result holds one
-    list per field.  The
-    file is read by :func:`read_ranges`, so rows, line numbers and the
-    first error in line order do not depend on the number of CPUs, and
-    ``row`` need not be picklable but its fields and errors must be.
+    list per field.  The file is read by :func:`read_ranges`, so rows,
+    line numbers and the first error in line order do not depend on the
+    number of CPUs, and ``row`` need not be picklable but its fields and
+    errors must be.
     """
-    columns: list[list] = [[] for _ in range(width)]
 
     def read(k, lines):
-        # The first range, read in this process, fills the result itself.
-        part = [[] for _ in range(width)] if k else columns
+        part = [[] for _ in range(width)]
         appends = [column.append for column in part]
         for lineno, _, *args in lines:
             for append, value in zip(appends, row(lineno, *args)):
                 append(value)
         return part
 
-    def merge(k, part):
-        if k:
-            for column, values in zip(columns, part):
-                column.extend(values)
-
-    read_ranges(path, line_ranges(path), read, merge, records, loads)
+    columns, *rest = read_ranges(path, line_ranges(path), read, records, loads)
+    for part in rest:
+        for column, values in zip(columns, part):
+            column.extend(values)
     return columns
 
 

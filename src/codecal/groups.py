@@ -125,6 +125,9 @@ class GroupingConfig:
     always_on: bool = True
 
     def __post_init__(self) -> None:
+        for flag in ("use_language", "always_on"):
+            if type(getattr(self, flag)) is not bool:
+                raise DataError(f"{flag} must be a boolean, got {getattr(self, flag)!r}")
         for metric in self.length_metrics:
             if metric not in ("chars", "loc"):
                 raise DataError(f"unknown length metric {metric!r}")

@@ -162,8 +162,8 @@ def multicalibration_check(
     verdict.  Zero-mass groups pass vacuously and carry no error value.
     """
     p, y = _as_scores_labels(scores, labels, groups)
-    if not alpha > 0.0:
-        raise DataError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise DataError(f"alpha must be positive and finite, got {alpha}")
     pairs = member_pairs(groups.membership)
     counts, rsums = cell_sums(assign_bins(p, grid), grid.m, pairs, y - p)
     result: dict[str, dict] = {}

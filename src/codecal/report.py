@@ -69,9 +69,15 @@ class EvalReport:
                 raise DataError("report reliability rows must be [bin, count, conf, acc]")
             for b, count, conf, acc in values["reliability"]:
                 whole_number(b, "report reliability bin", range(1, m + 1))
-                whole_number(count, f"report reliability bin {b} count", range(n + 1))
+                whole_number(count, f"report reliability bin {b} count", range(1, n + 1))
                 rates = [conf, acc]
                 finite_numbers(rates, f"report reliability bin {b} conf and acc", 2, unit=True)
+            bins = [row[0] for row in values["reliability"]]
+            if bins != sorted(set(bins)) or sum(row[1] for row in values["reliability"]) != n:
+                raise DataError(
+                    "report reliability must list occupied bins in ascending order,"
+                    " with counts summing to n_samples"
+                )
             for name, stats in values["group_summary"].items():
                 whole_number(stats["count"], f"report group {name!r} count", range(n + 1))
                 rates = [stats["mean_conf"], stats["accuracy"]]

@@ -18,7 +18,7 @@ from .data import (
     Sample,
     atomic_outputs,
     line_ranges,
-    loads_tokens_as_text,
+    loads_floats_as_bytes,
     read_columns,
     read_ranges,
 )
@@ -134,7 +134,6 @@ def score_file(
     its own unnamed temporary file beside ``output_path`` and appended
     to the output in line order, so memory does not grow with the file.
     """
-    counts = [0, 0]
     with atomic_outputs(output_path) as (out,), contextlib.ExitStack() as stack:
         bounds = line_ranges(input_path)
         folder = os.path.dirname(output_path) or "."
@@ -146,21 +145,19 @@ def score_file(
         def read(k, records):
             return _score_lines(records, outs[k], method, skip_missing)
 
-        def merge(k, part_counts):
-            counts[0] += part_counts[0]
-            counts[1] += part_counts[1]
-            if k:
-                # _score_lines flushed range 0 into ``out``, so each part follows it.
-                outs[k].seek(0)
-                shutil.copyfileobj(outs[k].buffer, out.buffer)
-
-        read_ranges(input_path, bounds, read, merge, records=True)
-    return counts[0], counts[1]
+        counts = read_ranges(input_path, bounds, read, records=True)
+        # _score_lines flushed range 0 into ``out``, so each part follows it.
+        for part in outs[1:]:
+            part.seek(0)
+            shutil.copyfileobj(part.buffer, out.buffer)
+    return sum(scored for scored, _ in counts), sum(skipped for _, skipped in counts)
 
 
 def _scored_row(lineno: int, obj: dict, sample: Sample) -> tuple:
     """What calibration reads of one scored record: p_hat, label, method and grouping fields."""
     p_hat = obj.get("p_hat")
+    if type(p_hat) is bytes:
+        p_hat = float(p_hat)
     if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool):
         raise RecordError("missing or non-numeric p_hat", line=lineno, sample_id=sample.sample_id)
     p_hat = float(p_hat)
@@ -180,8 +177,9 @@ def load_scored(path: str) -> ScoredSplit:
     :func:`~codecal.data.read_columns` on every CPU, but only
     ``p_hat``, the label and the grouping fields outlive it, so memory
     does not grow with the number of tokens per record.  No token value
-    is read, so token arrays are checked as text
-    (:func:`~codecal.data.loads_tokens_as_text`), with the same results.
+    is read, so floats stay undecoded
+    (:func:`~codecal.data.loads_floats_as_bytes`) and token arrays are
+    checked as text, with the same results.
     numpy and grouping load here, so ``score`` starts without them.
     """
     import numpy as np
@@ -189,7 +187,7 @@ def load_scored(path: str) -> ScoredSplit:
     from .groups import GroupColumns
 
     p_hats, labels, methods, ids, languages, difficulties, code_texts = read_columns(
-        path, _scored_row, 7, records=True, loads=loads_tokens_as_text
+        path, _scored_row, 7, records=True, loads=loads_floats_as_bytes
     )
     return ScoredSplit(
         p_hat=np.array(p_hats, dtype=float),

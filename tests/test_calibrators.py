@@ -283,6 +283,11 @@ class TestGcurLogistic:
 
 
 class TestIghb:
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(DataError, match="alpha must be positive and finite"):
+            fit_ighb(np.full(4, 0.5), np.array([1, 0, 1, 0]), ones_groups(4), BinGrid(10), alpha)
+
     def test_single_patch_trace(self):
         # One cell at 0.5 with 13/20 positives: one shift by +0.15, then the
         # residual is zero and the budget holds.
@@ -797,6 +802,12 @@ MALFORMED_MODELS = {
     "boolean platt b": ("platt", _set(("params", "b"), True)),
     "iglb side xx": ("iglb", _set(("params", "patches", 0, "side"), "xx")),
     "iglb patch beta null": ("iglb", _set(("params", "patches", 0, "beta"), None)),
+    "infinite ighb alpha": ("ighb", _set(("params", "alpha"), math.inf)),
+    "zero ighb alpha": ("ighb", _set(("params", "alpha"), 0.0)),
+    "NaN ighb alpha": ("ighb", _set(("params", "alpha"), math.nan)),
+    "boolean ighb alpha": ("ighb", _set(("params", "alpha"), True)),
+    "infinite iglb epsilon": ("iglb", _set(("params", "epsilon"), math.inf)),
+    "negative iglb epsilon": ("iglb", _set(("params", "epsilon"), -0.05)),
 }
 
 

@@ -635,6 +635,19 @@ class TestFitEvalCommand:
         for name in sorted(p.name for p in from_flags.iterdir()):
             assert (from_config / name).read_bytes() == (from_flags / name).read_bytes(), name
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_infinite_alpha_fails_ighb(self, pipeline, tmp_path, how):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": 1e999}')
+        alpha = ("--alpha", "inf") if how == "flag" else ("--config", str(cfg))
+        out = tmp_path / "out"
+        result = run(fit_eval_args(pipeline, out, ("--methods", "ighb", *alpha)))
+        assert result.exit_code == 0
+        assert "ighb failed: alpha must be positive and finite, got inf" in result.output
+        assert read_csv(out / "comparison.csv")[2] == ["ighb"] + ["failed"] * 4
+        assert not (out / "model_ighb.json").exists()
+        assert all(b"Infinity" not in path.read_bytes() for path in out.iterdir())
+
     @pytest.mark.parametrize("config", [{"language": "false"}, {"alpha": "x"}, {"grid_m": []}])
     def test_mistyped_config_value_is_data_error(self, pipeline, tmp_path, config):
         cfg = tmp_path / "cfg.json"
@@ -1253,6 +1266,14 @@ class TestReportCommand:
             {"bss": "0.5"},
             {"bss": False},
             {"per_group_gasce": {"a": math.inf}},
+            # Rows fit-eval never writes: a repeated, a descending or an empty
+            # bin, and counts that do not sum to n_samples (3).
+            {"reliability": [[3, 1, 0.2, 0.0], [3, 1, 0.2, 1.0]]},
+            {"reliability": [[3, 1, 0.2, 0.0], [3, 2, 0.2, 1.0]]},
+            {"reliability": [[8, 2, 0.7, 1.0], [3, 1, 0.2, 0.0]]},
+            {"reliability": [[2, 0, 0.2, 0.0], [3, 3, 0.2, 1.0]]},
+            {"reliability": [[3, 2, 0.2, 0.0]]},
+            {"reliability": []},
         ],
     )
     def test_mistyped_values_are_data_errors(self, tmp_path, change):

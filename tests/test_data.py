@@ -16,6 +16,7 @@ from codecal.data import (
     SplitSpec,
     assign_problem_splits,
     extract_code_span,
+    fork_tasks,
     load_records,
     parse_record,
     read_columns,
@@ -205,13 +206,24 @@ class TestReadRanges:
         path = tmp_path / "r.jsonl"
         second = dict(GOOD, sample_id="s2", extra=[1, 2])
         path.write_text(json.dumps(GOOD) + "\n\n" + json.dumps(second) + "\n")
-        rows = []
-        read, merge = (lambda k, lines: rows.extend(lines)), (lambda k, _: None)
-        read_ranges(str(path), [(0, 1, None)], read, merge, records=True)
+        (rows,) = read_ranges(str(path), [(0, 1, None)], lambda k, lines: list(lines), records=True)
         assert [row[0] for row in rows] == [1, 3]
         assert [row[1] for row in rows] == [json.dumps(GOOD) + "\n", json.dumps(second) + "\n"]
         assert [row[2] for row in rows] == [GOOD, second]
         assert [row[3].sample_id for row in rows] == ["s1", "s2"]
+
+
+class TestForkTasks:
+    def test_yields_every_value_in_task_order(self):
+        assert list(fork_tasks(3, lambda k: k * k, "squaring")) == [0, 1, 4]
+
+    def test_closing_after_the_first_value_reaps_every_child(self):
+        # Each child's result outgrows a pipe buffer, so it is still writing when closed.
+        tasks = fork_tasks(3, lambda k: bytes(1 << 20), "sending a megabyte")
+        assert len(next(tasks)) == 1 << 20
+        tasks.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestRecordErrorPickling:
@@ -405,9 +417,25 @@ class TestReadColumns:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_child_without_a_result_is_an_io_error(self, tmp_path):
+    def test_children_still_writing_end_after_a_failure(self, tmp_path):
+        """The later ranges outgrow a pipe buffer, so their children are still writing."""
+        lines = [record_line(i, code_text="x" * 2000) for i in range(150)]
+        lines[6] = "{not json"
         path = str(tmp_path / "r.jsonl")
-        Path(path).write_text("\n".join(record_line(i) for i in range(20)) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with forced_parts(3), pytest.raises(RecordError, match=r"malformed JSON.*\[line 7\]"):
+            read_records(path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def read_with_a_dying_child(tmp_path, bad_line=None):
+        """read_records at 2 parts, whose child dies without a result."""
+        lines = [record_line(i) for i in range(20)]
+        if bad_line is not None:
+            lines[bad_line - 1] = "{"
+        path = str(tmp_path / "r.jsonl")
+        Path(path).write_text("\n".join(lines) + "\n")
         parent = os.getpid()
         real = data_module._json_lines
 
@@ -417,10 +445,18 @@ class TestReadColumns:
             return real(*args)
 
         with forced_parts(2), mock.patch.object(data_module, "_json_lines", dies_in_child):
-            with pytest.raises(OSError, match="exited without a result"):
-                read_records(path)
+            read_records(path)
+
+    def test_child_without_a_result_is_an_io_error(self, tmp_path):
+        with pytest.raises(OSError, match="exited without a result"):
+            self.read_with_a_dying_child(tmp_path)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_first_range_error_wins_over_a_child_without_a_result(self, tmp_path):
+        """The first range's own error is raised before the child's result is awaited."""
+        with pytest.raises(RecordError, match=r"malformed JSON.*\[line 3\]"):
+            self.read_with_a_dying_child(tmp_path, bad_line=3)
 
     def test_small_file_is_read_in_process(self, tmp_path):
         path = str(tmp_path / "r.jsonl")

@@ -294,6 +294,13 @@ class TestGroupingModel:
         with pytest.raises(DataError, match="cutpoints must be a list of finite numbers"):
             GroupingModel.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("flag, value", [("use_language", "no"), ("always_on", "false")])
+    def test_non_boolean_flag_rejected_on_load(self, flag, value):
+        payload = json.loads(GroupingModel.fit(self.make_ds(), GroupingConfig()).to_json())
+        payload["config"][flag] = value
+        with pytest.raises(DataError, match=f"{flag} must be a boolean, got {value!r}"):
+            GroupingModel.from_json(json.dumps(payload))
+
     def test_apply_builds_one_group_set(self, monkeypatch):
         ds = self.make_ds()
         model = GroupingModel.fit(ds, GroupingConfig(complexity_source="difficulty_label"))

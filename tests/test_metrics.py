@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -173,6 +174,12 @@ class TestMulticalibrationCheck:
         gs = GroupSet(["ALL"], np.ones((10, 1), dtype=int))
         verdict = multicalibration_check(scores, labels, gs, BinGrid(10), alpha=0.05)
         assert verdict["ALL"]["pass"] is False
+
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, math.inf])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        gs = GroupSet(["ALL"], np.ones((4, 1), dtype=int))
+        with pytest.raises(DataError, match="alpha must be positive and finite"):
+            multicalibration_check([0.5] * 4, [1, 0, 1, 0], gs, BinGrid(10), alpha=alpha)
 
     def test_degenerate_group_vacuous(self):
         gs = GroupSet(["empty"], np.zeros((4, 1), dtype=int))
