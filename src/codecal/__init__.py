@@ -14,7 +14,7 @@ import importlib as _importlib
 # use (PEP 562), so ``import codecal`` loads no numpy and the command
 # line loads it only in the commands that compute.
 _EXPORTS = {
-    "binning": ("BinGrid", "assign_bin", "assign_bins", "round_to_grid", "round_to_grid_index"),
+    "binning": ("BinGrid", "assign_bins", "round_to_grid_index"),
     "calibrators": (
         "GcurModel",
         "HistogramBinningModel",
@@ -31,7 +31,7 @@ _EXPORTS = {
         "model_to_json",
         "sigmoid",
     ),
-    "data": ("Sample", "SplitSpec", "extract_code_span", "load_records", "save_records"),
+    "data": ("Sample", "SplitSpec", "load_records", "save_records"),
     "errors": ("CodecalError", "DataError"),
     "groups": ("GroupingConfig", "GroupingModel", "GroupSet", "assemble", "build_language_groups"),
     "metrics": (
@@ -42,8 +42,6 @@ _EXPORTS = {
         "brier_skill_score",
         "ece",
         "evaluate",
-        "gasce",
-        "multicalibration_check",
         "reliability_table",
     ),
     "report": ("EvalReport",),

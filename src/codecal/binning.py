@@ -17,9 +17,7 @@ from .report import MAX_GRID_M
 __all__ = [
     "MAX_GRID_M",
     "BinGrid",
-    "assign_bin",
     "assign_bins",
-    "round_to_grid",
     "round_to_grid_index",
     "member_pairs",
     "cell_sums",
@@ -35,11 +33,6 @@ class BinGrid:
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or not 2 <= self.m <= MAX_GRID_M:
             raise DataError(f"bin grid needs an integer m from 2 to {MAX_GRID_M}, got {self.m!r}")
-
-    @property
-    def values(self) -> np.ndarray:
-        """Grid values ``i/m`` for ``i = 1..m``."""
-        return np.arange(1, self.m + 1) / self.m
 
 
 def _check_unit_range(p: np.ndarray) -> None:
@@ -63,11 +56,6 @@ def assign_bins(scores, grid: BinGrid) -> np.ndarray:
     return np.minimum(idx, grid.m)
 
 
-def assign_bin(score: float, grid: BinGrid) -> int:
-    """Bin index for a single score."""
-    return int(assign_bins(np.asarray([score]), grid)[0])
-
-
 def round_to_grid_index(scores, grid: BinGrid) -> np.ndarray:
     """1-based index of the nearest grid value, ties rounding up.
 
@@ -78,19 +66,6 @@ def round_to_grid_index(scores, grid: BinGrid) -> np.ndarray:
     _check_unit_range(p)
     idx = np.floor(p * grid.m + 0.5).astype(int)
     return np.clip(idx, 1, grid.m)
-
-
-def _match_scalar(template, out):
-    """``out`` as a Python float when ``template`` is a scalar, else unchanged."""
-    if np.isscalar(template) or np.asarray(template).ndim == 0:
-        return float(out[()] if out.ndim == 0 else out)
-    return out
-
-
-def round_to_grid(scores, grid: BinGrid):
-    """Nearest grid value per score, ties rounding up."""
-    idx = round_to_grid_index(scores, grid)
-    return _match_scalar(scores, idx / grid.m)
 
 
 def member_pairs(membership) -> tuple[int, np.ndarray, np.ndarray]:

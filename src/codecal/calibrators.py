@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import BinGrid, _match_scalar, cell_sums, member_pairs, round_to_grid_index
-from .errors import DataError, FitError, finite_numbers, schema_fields, whole_number
+from .binning import BinGrid, cell_sums, member_pairs, round_to_grid_index
+from .errors import DataError, FitError, finite_numbers, schema_fields, strings, whole_number
 from .groups import GroupSet, check_membership
 from .metrics import _as_scores, _as_scores_labels
 from .report import DEFAULT_EPSILON
@@ -55,9 +55,21 @@ TIKHONOV = 1e-10
 GRAD_TOL = 1e-8
 NEWTON_MAX_ITER = 100
 PATCH_MAX_ITERS = 1000
+# Why each iterative fitter may stop, as its model records it.
+STOP_REASONS = {
+    "ighb": ("error_budget", "max_iters", "no_progress"),
+    "iglb": ("val_brier", "mass_threshold", "all_regions_skipped", "max_iters"),
+}
 
 _check_scores_labels = functools.partial(_as_scores_labels, empty="need at least one sample to fit")
 _check_scores = functools.partial(_as_scores, empty="need at least one score to apply")
+
+
+def _match_scalar(template, out):
+    """``out`` as a Python float when ``template`` is a scalar, else unchanged."""
+    if np.isscalar(template) or np.asarray(template).ndim == 0:
+        return float(out[()] if out.ndim == 0 else out)
+    return out
 
 
 def sigmoid(z):
@@ -244,13 +256,17 @@ def _region(cells: np.ndarray, g: np.ndarray, patch: dict) -> np.ndarray:
     return g[:, patch["group"]] & side
 
 
+def _ighb_target(patch: dict, grid: BinGrid) -> int:
+    """Grid cell an ighb patch moves its members to."""
+    value = min(max(patch["cell"] / grid.m + patch["delta"], 1.0 / grid.m), 1.0)
+    return int(round_to_grid_index(value, grid)[()])
+
+
 def _apply_patch(method: str, cells: np.ndarray, g: np.ndarray, patch: dict, grid: BinGrid):
     """Grid cells after one ighb or iglb patch; ``cells`` itself is left as it is."""
     out = cells.copy()
     if method == "ighb":
-        members = g[:, patch["group"]] & (cells == patch["cell"])
-        value = min(max(patch["cell"] / grid.m + patch["delta"], 1.0 / grid.m), 1.0)
-        out[members] = int(round_to_grid_index(value, grid)[()])
+        out[g[:, patch["group"]] & (cells == patch["cell"])] = _ighb_target(patch, grid)
     else:
         members = _region(cells, g, patch)
         z = patch["alpha"] + patch["beta"] * clamped_logit(cells[members] / grid.m)
@@ -362,7 +378,9 @@ def fit_ighb(
     occupancy-weighted squared residual error exceeds ``alpha``
     (default ``1/m``), shifts the worst group-cell by its mean residual
     and rounds back to the grid.  Ties go to the lowest group index,
-    then the lowest cell index.
+    then the lowest cell index.  A shift that rounds back onto its own
+    cell moves nothing, so every later round would choose it again:
+    fitting stops there, unconverged, with reason ``no_progress``.
     """
     p, y = _check_scores_labels(scores, labels, groups)
     if alpha is None:
@@ -389,6 +407,9 @@ def fit_ighb(
         flat = int(np.argmax(weights))
         j, cell0 = divmod(flat, grid.m)
         patch = {"group": j, "cell": cell0 + 1, "delta": float(deltas[j, cell0])}
+        if _ighb_target(patch, grid) == patch["cell"]:
+            reason = "no_progress"
+            break
         cells = _apply_patch("ighb", cells, g, patch, grid)
         patches.append(patch)
     return IterativePatchModel(
@@ -576,6 +597,16 @@ def _patch(method: str, patch, k: int, m: int) -> dict:
     return patch
 
 
+def _newton_record(info) -> dict:
+    """``info``, checked to be a convergence record of :func:`_newton_fit`."""
+    keys = ["converged", "grad_norm", "iterations"]
+    if not isinstance(info, dict) or sorted(info) != keys or type(info["converged"]) is not bool:
+        raise DataError(f"model convergence {info!r} is not a Newton record")
+    whole_number(info["iterations"], "model Newton iterations", range(NEWTON_MAX_ITER + 1))
+    finite_numbers([info["grad_norm"]], "model Newton grad_norm", 1)
+    return info
+
+
 def model_from_json(text: str):
     """Rebuild a calibrator from :func:`model_to_json` output.
 
@@ -590,22 +621,28 @@ def model_from_json(text: str):
         params = payload.get("params", {})
         if method == "platt":
             a, b = finite_numbers([params["a"], params["b"]], "model a and b", 2)
-            return PlattModel(a=a, b=b, convergence=payload.get("convergence", {}))
+            return PlattModel(a=a, b=b, convergence=_newton_record(payload["convergence"]))
         if method == "histogram":
             m = BinGrid(payload["grid_m"]).m
             deltas = finite_numbers(params["deltas"], "model deltas", m)
             return HistogramBinningModel(grid_m=m, deltas=deltas)
+        if method not in ("gcur_linear", "gcur_logistic", "ighb", "iglb"):
+            raise DataError(f"unknown model method {method!r}")
+        names = strings(payload["group_names"], "model group_names")
+        if len(set(names)) != len(names):
+            raise DataError("model group_names must be unique")
+        dropped = strings(payload.get("dropped_groups", []), "model dropped_groups")
         if method == "gcur_linear":
-            names = list(payload["group_names"])
             return GcurModel(
                 variant="linear",
                 group_names=names,
                 lambdas=finite_numbers(params["lambdas"], "model lambdas", len(names)),
-                dropped_groups=list(payload.get("dropped_groups", [])),
-                dependent_columns=list(params.get("dependent_columns", [])),
+                dropped_groups=dropped,
+                dependent_columns=strings(
+                    params.get("dependent_columns", []), "model dependent_columns"
+                ),
             )
         if method == "gcur_logistic":
-            names = list(payload["group_names"])
             w = [params["intercept"], params["score_coef"], *params["group_coefs"]]
             finite_numbers(w, "model intercept, score_coef and group_coefs", len(names) + 2)
             return GcurModel(
@@ -614,29 +651,28 @@ def model_from_json(text: str):
                 intercept=w[0],
                 score_coef=w[1],
                 group_coefs=w[2:],
-                dropped_groups=list(payload.get("dropped_groups", [])),
-                convergence=payload.get("convergence", {}),
+                dropped_groups=dropped,
+                convergence=_newton_record(payload["convergence"]),
             )
-        if method in ("ighb", "iglb"):
-            m = BinGrid(payload["grid_m"]).m
-            names = list(payload["group_names"])
-            conv = payload.get("convergence", {})
-            for key in ("alpha", "epsilon"):
-                value = params.get(key)
-                if value is not None and not finite_numbers([value], f"model {key}", 1)[0] > 0:
-                    raise DataError(f"model {key} must be positive, got {value!r}")
-            return IterativePatchModel(
-                method=method,
-                grid_m=m,
-                group_names=names,
-                patches=[_patch(method, patch, len(names), m) for patch in params["patches"]],
-                converged=bool(conv.get("converged", False)),
-                stop_reason=conv.get("stop_reason", ""),
-                dropped_groups=list(payload.get("dropped_groups", [])),
-                alpha=params.get("alpha"),
-                epsilon=params.get("epsilon"),
-                ls_loss=params.get("ls_loss"),
-                val_brier_history=list(params.get("val_brier_history", [])),
-                skipped_regions=list(params.get("skipped_regions", [])),
-            )
-        raise DataError(f"unknown model method {method!r}")
+        m = BinGrid(payload["grid_m"]).m
+        conv = payload["convergence"]
+        if type(conv["converged"]) is not bool or conv["stop_reason"] not in STOP_REASONS[method]:
+            raise DataError(f"malformed {method} model convergence {conv!r}")
+        for key in ("alpha", "epsilon"):
+            value = params.get(key)
+            if value is not None and not finite_numbers([value], f"model {key}", 1)[0] > 0:
+                raise DataError(f"model {key} must be positive, got {value!r}")
+        return IterativePatchModel(
+            method=method,
+            grid_m=m,
+            group_names=names,
+            patches=[_patch(method, patch, len(names), m) for patch in params["patches"]],
+            converged=conv["converged"],
+            stop_reason=conv["stop_reason"],
+            dropped_groups=dropped,
+            alpha=params.get("alpha"),
+            epsilon=params.get("epsilon"),
+            ls_loss=params.get("ls_loss"),
+            val_brier_history=list(params.get("val_brier_history", [])),
+            skipped_regions=list(params.get("skipped_regions", [])),
+        )

@@ -17,7 +17,7 @@ import os
 import pickle
 from dataclasses import dataclass
 
-from .errors import AlignmentError, DataError, RecordError, SplitError
+from .errors import DataError, RecordError, SplitError
 
 __all__ = [
     "Sample",
@@ -31,7 +31,6 @@ __all__ = [
     "load_records",
     "save_records",
     "atomic_outputs",
-    "extract_code_span",
     "assign_problem_splits",
 ]
 
@@ -553,51 +552,6 @@ def atomic_outputs(*paths: str):
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
         raise
-
-
-def extract_code_span(text: str, token_offsets: list[tuple[int, int]]) -> tuple[int, int] | None:
-    """Token index range of the first complete fenced code block in ``text``.
-
-    A block opens at a line starting with three backticks and closes at
-    the next such line; the span covers the tokens overlapping the text
-    between those two fence lines.  Returns None when no complete block
-    exists or the block holds no tokens.
-    """
-    prev_end = 0
-    for start, end in token_offsets:
-        if start > end or start < prev_end:
-            raise AlignmentError(
-                f"token offsets must be non-overlapping and ascending, got [{start}, {end})"
-            )
-        if end > len(text):
-            raise AlignmentError(f"token offset {end} beyond text length {len(text)}")
-        prev_end = end
-
-    fence_spans = []
-    pos = 0
-    for line in text.splitlines(keepends=True):
-        if line.startswith("```"):
-            fence_spans.append((pos, pos + len(line)))
-            if len(fence_spans) == 2:
-                break
-        pos += len(line)
-    if len(fence_spans) < 2:
-        return None
-    content_start = fence_spans[0][1]
-    content_end = fence_spans[1][0]
-    if content_start >= content_end:
-        return None
-
-    first = None
-    last = None
-    for t, (start, end) in enumerate(token_offsets):
-        if end > content_start and start < content_end:
-            if first is None:
-                first = t
-            last = t
-    if first is None:
-        return None
-    return (first, last + 1)
 
 
 def _hash64(seed: int, problem_id: str) -> int:

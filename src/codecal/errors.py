@@ -35,20 +35,12 @@ class RecordError(DataError):
         self.sample_id = sample_id
 
 
-class AlignmentError(DataError):
-    """Token character offsets are overlapping, descending, or out of range."""
-
-
 class MissingCodeError(DataError):
     """An operation needed a code span or code text that is absent."""
 
 
 class SplitError(DataError):
     """A dataset split could not be formed."""
-
-
-class DegenerateGroupError(DataError):
-    """A group with zero mass was used where members are required."""
 
 
 class FitError(DataError):
@@ -92,6 +84,13 @@ def finite_numbers(values, what: str, size: int | None = None, unit: bool = Fals
     if not ok:
         count = "a list of" if size is None else size
         raise DataError(f"{what} must be {count} finite numbers{' in [0, 1]' if unit else ''}")
+    return values
+
+
+def strings(values, what: str) -> list[str]:
+    """``values``, checked to be a list of strings; raises ``DataError`` naming ``what``."""
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise DataError(f"{what} must be a list of strings")
     return values
 
 

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataError, RecordError, finite_numbers, schema_fields
+from .errors import DataError, RecordError, finite_numbers, schema_fields, strings
 
 __all__ = [
     "GroupColumns",
@@ -108,9 +108,6 @@ class GroupSet:
             if name not in index:
                 raise DataError(f"no group named {name!r}")
         return self.membership.take([index[name] for name in names], axis=1)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.select([name])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -300,12 +297,6 @@ def assemble(parts: list[GroupSet], always_on: bool = True) -> GroupSet:
     return _stack(n, always_on, names, [part.membership for part in parts])
 
 
-def _strings(values, what: str) -> list[str]:
-    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise DataError(f"grouping {what} must be a list of strings")
-    return values
-
-
 def _stack(n: int, always_on: bool, names: list[str], blocks: list[np.ndarray]) -> GroupSet:
     """The blocks' columns as one GroupSet, led by the ALL group when ``always_on``."""
     lead = [ALL_GROUP] if always_on else []
@@ -394,12 +385,12 @@ class GroupingModel:
             cfg = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
             model = cls(
                 config=GroupingConfig(**cfg),
-                languages=_strings(payload["languages"], "languages"),
+                languages=strings(payload["languages"], "grouping languages"),
                 length_cutpoints={
                     k: finite_numbers(v, f"grouping length {k!r} cutpoints")
                     for k, v in payload["length_cutpoints"].items()
                 },
-                difficulty_labels=_strings(payload["difficulty_labels"], "difficulty labels"),
+                difficulty_labels=strings(payload["difficulty_labels"], "grouping difficulty labels"),
                 complexity_cutpoints=finite_numbers(
                     payload["complexity_cutpoints"], "grouping complexity cutpoints"
                 ),

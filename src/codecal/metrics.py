@@ -10,8 +10,8 @@ label sums from :func:`binning.cell_sums`, one call for all groups.
 import numpy as np
 
 from .binning import BinGrid, assign_bins, cell_sums, member_pairs
-from .errors import DataError, DegenerateGroupError
-from .groups import GroupSet, check_membership
+from .errors import DataError
+from .groups import GroupSet
 from .report import NEG_INF, EvalReport
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "brier_reference",
     "brier_skill_score",
     "accuracy_at_half",
-    "gasce",
-    "multicalibration_check",
     "reliability_table",
     "EvalReport",
     "evaluate",
@@ -124,62 +122,19 @@ def accuracy_at_half(scores, labels) -> float:
     return float(np.mean(predicted == y))
 
 
-def gasce(scores, labels, member_mask, grid: BinGrid) -> float:
-    """Group-wise average squared calibration error.
+def _gasce(counts, rsums) -> np.ndarray:
+    """Group-wise average squared calibration error per row of ``(k, m)`` cell sums.
 
-    Over the samples of one group, bins are weighted by their share of
-    the group and the squared mean residual ``mean(y - p)`` inside each
-    bin is accumulated:
+    Bins are weighted by their share of the group, and the squared mean
+    residual inside each bin is accumulated:
 
         gASCE(g) = sum_b P(b | g) * mean(y - p | g, b)^2
 
-    Raises on an empty group: there is nothing to average.
+    Rows without members give 0.
     """
-    p, y = _as_scores_labels(scores, labels)
-    g = np.asarray(member_mask)
-    if g.shape != p.shape:
-        raise DataError("member mask must parallel the scores")
-    g = check_membership(g[:, None], 1)[:, 0].astype(bool)
-    if not g.any():
-        raise DegenerateGroupError("gasce of an empty group is undefined")
-    sums = cell_sums(assign_bins(p[g], grid), grid.m, None, y[g] - p[g])
-    return float(_gasce(*sums)[0])
-
-
-def _gasce(counts, rsums) -> np.ndarray:
-    """gASCE per row of ``(k, m)`` cell sums; rows without members give 0."""
     delta = rsums / np.maximum(counts, 1)
     share = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
     return np.sum(share * delta * delta, axis=1)
-
-
-def multicalibration_check(
-    scores, labels, groups: GroupSet, grid: BinGrid, alpha: float
-) -> dict[str, dict]:
-    """Check ``P(g) * gASCE(g) < alpha`` for every group.
-
-    Returns one entry per group with its mass, weighted error, and
-    verdict.  Zero-mass groups pass vacuously and carry no error value.
-    """
-    p, y = _as_scores_labels(scores, labels, groups)
-    if not 0.0 < alpha < np.inf:
-        raise DataError(f"alpha must be positive and finite, got {alpha}")
-    pairs = member_pairs(groups.membership)
-    counts, rsums = cell_sums(assign_bins(p, grid), grid.m, pairs, y - p)
-    result: dict[str, dict] = {}
-    for name, count, err in zip(groups.names, counts.sum(axis=1), _gasce(counts, rsums)):
-        if count == 0:
-            result[name] = {"pass": True, "vacuous": True, "mass": 0.0, "weighted_gasce": None}
-            continue
-        mass = float(count / p.size)
-        weighted = float(mass * err)
-        result[name] = {
-            "pass": bool(weighted < alpha),
-            "vacuous": False,
-            "mass": mass,
-            "weighted_gasce": weighted,
-        }
-    return result
 
 
 def reliability_table(scores, labels, grid: BinGrid) -> list[tuple[int, int, float, float]]:
@@ -200,12 +155,10 @@ def evaluate(scores, labels, grid: BinGrid, groups: GroupSet | None = None) -> E
     Zero-mass groups are listed in the summary with a degenerate marker
     but contribute no gASCE entry.
     """
-    p, y = _as_scores_labels(scores, labels)
+    p, y = _as_scores_labels(scores, labels, *([] if groups is None else [groups]))
     per_group: dict[str, float] = {}
     summary: dict[str, dict] = {}
     if groups is not None:
-        if groups.n_samples != p.size:
-            raise DataError("group set covers a different number of samples")
         pairs = member_pairs(groups.membership)
         counts, rsums, ysums = cell_sums(assign_bins(p, grid), grid.m, pairs, y - p, y)
         totals = zip(counts.sum(axis=1).tolist(), rsums.sum(axis=1), ysums.sum(axis=1))

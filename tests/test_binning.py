@@ -6,11 +6,9 @@ from hypothesis.extra.numpy import arrays
 from codecal.binning import (
     MAX_GRID_M,
     BinGrid,
-    assign_bin,
     assign_bins,
     cell_sums,
     member_pairs,
-    round_to_grid,
     round_to_grid_index,
 )
 from codecal.errors import DataError
@@ -20,8 +18,11 @@ from oracles import brute_bin_of, brute_nearest_grid
 
 class TestBinGrid:
     def test_values(self):
+        # The grid values are i/m for i = 1..m, with no zero point.
         grid = BinGrid(4)
-        np.testing.assert_allclose(grid.values, [0.25, 0.5, 0.75, 1.0])
+        scores = np.linspace(0.0, 1.0, 101)
+        values = np.unique(round_to_grid_index(scores, grid)) / grid.m
+        np.testing.assert_array_equal(values, [0.25, 0.5, 0.75, 1.0])
 
     def test_rejects_small_m(self):
         with pytest.raises(DataError):
@@ -39,19 +40,19 @@ class TestBinGrid:
 
 class TestAssignBin:
     def test_boundary_goes_right(self):
-        assert assign_bin(0.05, BinGrid(20)) == 2
+        assert assign_bins([0.05], BinGrid(20)).tolist() == [2]
 
     def test_zero_in_first_bin(self):
-        assert assign_bin(0.0, BinGrid(20)) == 1
+        assert assign_bins([0.0], BinGrid(20)).tolist() == [1]
 
     def test_one_in_last_bin(self):
-        assert assign_bin(1.0, BinGrid(20)) == 20
+        assert assign_bins([1.0], BinGrid(20)).tolist() == [20]
 
     def test_out_of_range(self):
         with pytest.raises(DataError):
-            assign_bin(1.2, BinGrid(20))
+            assign_bins([1.2], BinGrid(20))
         with pytest.raises(DataError):
-            assign_bin(-0.1, BinGrid(20))
+            assign_bins([-0.1], BinGrid(20))
 
     def test_matches_interval_definition(self):
         rng = np.random.default_rng(42)
@@ -64,38 +65,37 @@ class TestAssignBin:
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=2, max_value=50))
     def test_always_in_range(self, p, m):
-        b = assign_bin(p, BinGrid(m))
+        (b,) = assign_bins([p], BinGrid(m))
         assert 1 <= b <= m
 
 
 class TestRoundToGrid:
     def test_nearest_value(self):
-        assert round_to_grid(0.12, BinGrid(10)) == 0.1
+        assert round_to_grid_index([0.12], BinGrid(10))[0] / 10 == 0.1
 
     def test_tie_rounds_up(self):
-        assert round_to_grid(0.075, BinGrid(20)) == 0.1
+        assert round_to_grid_index([0.075], BinGrid(20))[0] / 20 == 0.1
 
     def test_no_zero_point(self):
-        assert round_to_grid(0.01, BinGrid(20)) == 0.05
-        assert round_to_grid(0.0, BinGrid(20)) == 0.05
+        assert round_to_grid_index([0.01, 0.0], BinGrid(20)).tolist() == [1, 1]
 
     def test_matches_exhaustive_search(self):
         rng = np.random.default_rng(7)
         for m in (2, 5, 20):
             grid = BinGrid(m)
             for p in rng.random(300):
-                assert round_to_grid(float(p), grid) == brute_nearest_grid(float(p), m)
+                assert round_to_grid_index([p], grid)[0] / m == brute_nearest_grid(float(p), m)
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=2, max_value=50))
     def test_idempotent(self, p, m):
         grid = BinGrid(m)
-        once = round_to_grid(p, grid)
-        assert round_to_grid(once, grid) == once
+        once = round_to_grid_index([p], grid)
+        assert round_to_grid_index(once / m, grid).tolist() == once.tolist()
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=2, max_value=50))
     def test_error_bound(self, p, m):
         grid = BinGrid(m)
-        err = abs(round_to_grid(p, grid) - p)
+        err = abs(round_to_grid_index([p], grid)[0] / m - p)
         if p >= 1 / (2 * m):
             assert err <= 1 / (2 * m) + 1e-12
         else:
@@ -106,7 +106,8 @@ class TestRoundToGrid:
         grid = BinGrid(20)
         scores = np.linspace(0, 1, 101)
         idx = round_to_grid_index(scores, grid)
-        np.testing.assert_allclose(idx / grid.m, round_to_grid(scores, grid))
+        assert idx.tolist() == [round_to_grid_index([p], grid)[0] for p in scores]
+        np.testing.assert_array_equal(idx / grid.m, [brute_nearest_grid(p, 20) for p in scores])
 
 
 def per_group_bincount(membership, cells, m, weights):

@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from codecal.binning import MAX_GRID_M, BinGrid, round_to_grid_index
 from codecal.calibrators import (
     TIKHONOV,
+    _apply_patch,
     _newton_fit,
     _ranked_regions,
+    _region,
     GcurModel,
     HistogramBinningModel,
     IterativePatchModel,
@@ -311,18 +313,25 @@ class TestIghb:
         assert model.converged
         assert model.patches == []
 
-    def test_stall_hits_iteration_cap(self):
+    def test_stall_stops_without_progress(self):
         # All mass at the lowest grid value with label 0: the shift clamps
-        # back onto the same cell forever.
+        # back onto the same cell, so the first patch would move nothing.
         p = np.full(4, 0.05)
         y = np.zeros(4)
         model = fit_ighb(p, y, ones_groups(4), BinGrid(20), alpha=1e-4, max_iters=5)
         assert not model.converged
-        assert model.stop_reason == "max_iters"
-        assert len(model.patches) == 5
-        assert model.patches[0] == {"group": 0, "cell": 1, "delta": pytest.approx(-0.05)}
+        assert model.stop_reason == "no_progress"
+        assert model.patches == []
         out = model.apply(p, np.ones((4, 1), dtype=int))
         np.testing.assert_allclose(out, 0.05, atol=1e-15)
+
+    def test_iteration_cap(self):
+        p = np.array([0.1, 0.1, 0.5, 0.5])
+        y = np.array([1, 1, 0, 0])
+        model = fit_ighb(p, y, ones_groups(4), BinGrid(10), alpha=1e-4, max_iters=1)
+        assert not model.converged
+        assert model.stop_reason == "max_iters"
+        assert len(model.patches) == 1
 
     def test_tied_groups_resolve_to_lowest_index(self):
         # Two disjoint groups with bitwise-identical residual stats.
@@ -671,7 +680,12 @@ def applied_model(kind):
     if kind == "gcur":
         return GcurModel(variant="linear", group_names=["a"], lambdas=[0.1])
     return IterativePatchModel(
-        method="ighb", grid_m=10, group_names=["a"], patches=[], converged=True, stop_reason=""
+        method="ighb",
+        grid_m=10,
+        group_names=["a"],
+        patches=[],
+        converged=True,
+        stop_reason="error_budget",
     )
 
 
@@ -751,25 +765,30 @@ def _serialized(model):
     return json.loads(model_to_json(model))
 
 
+NEWTON_RECORD = {"converged": True, "iterations": 6, "grad_norm": 1e-10}
+
+
 def _valid_payloads():
     ighb = IterativePatchModel(
         method="ighb", grid_m=10, group_names=["a", "b"],
-        patches=[{"group": 1, "cell": 3, "delta": 0.1}], converged=True, stop_reason="", alpha=0.1,
+        patches=[{"group": 1, "cell": 3, "delta": 0.1}], converged=True,
+        stop_reason="error_budget", alpha=0.1,
     )
     iglb = IterativePatchModel(
         method="iglb", grid_m=10, group_names=["a", "b"],
         patches=[{"group": 0, "bin": 4, "side": "le", "alpha": 0.2, "beta": 1.1}],
-        converged=True, stop_reason="", epsilon=0.05, ls_loss="ce",
+        converged=True, stop_reason="val_brier", epsilon=0.05, ls_loss="ce",
+    )
+    logistic = GcurModel(
+        variant="logistic", group_names=["a"], group_coefs=[0.3], convergence=NEWTON_RECORD
     )
     return {
-        "platt": _serialized(PlattModel(a=1.0, b=0.0)),
+        "platt": _serialized(PlattModel(a=1.0, b=0.0, convergence=NEWTON_RECORD)),
         "histogram": _serialized(HistogramBinningModel(grid_m=10, deltas=[0.0] * 10)),
         "gcur_linear": _serialized(
             GcurModel(variant="linear", group_names=["a", "b"], lambdas=[0.1, 0.2])
         ),
-        "gcur_logistic": _serialized(
-            GcurModel(variant="logistic", group_names=["a"], group_coefs=[0.3])
-        ),
+        "gcur_logistic": _serialized(logistic),
         "ighb": _serialized(ighb),
         "iglb": _serialized(iglb),
     }
@@ -785,14 +804,20 @@ def _set(path, value):
     return mutate
 
 
-def _drop_patch_group(payload):
-    del payload["params"]["patches"][0]["group"]
+def _drop(path):
+    def mutate(payload):
+        *head, last = path
+        for key in head:
+            payload = payload[key]
+        del payload[last]
+
+    return mutate
 
 
 MALFORMED_MODELS = {
     "patch group >= k": ("ighb", _set(("params", "patches", 0, "group"), 2)),
     "negative patch group": ("ighb", _set(("params", "patches", 0, "group"), -1)),
-    "patch without group": ("ighb", _drop_patch_group),
+    "patch without group": ("ighb", _drop(("params", "patches", 0, "group"))),
     "non-dict patch": ("ighb", _set(("params", "patches", 0), [1, 3, 0.1])),
     "patch cell outside the grid": ("ighb", _set(("params", "patches", 0, "cell"), 11)),
     "deltas shorter than grid_m": ("histogram", _set(("params", "deltas"), [0.0] * 9)),
@@ -808,6 +833,33 @@ MALFORMED_MODELS = {
     "boolean ighb alpha": ("ighb", _set(("params", "alpha"), True)),
     "infinite iglb epsilon": ("iglb", _set(("params", "epsilon"), math.inf)),
     "negative iglb epsilon": ("iglb", _set(("params", "epsilon"), -0.05)),
+    "string ighb converged": ("ighb", _set(("convergence", "converged"), "false")),
+    "null iglb converged": ("iglb", _set(("convergence", "converged"), None)),
+    "integer ighb stop_reason": ("ighb", _set(("convergence", "stop_reason"), 7)),
+    "empty ighb stop_reason": ("ighb", _set(("convergence", "stop_reason"), "")),
+    "iglb stop_reason on ighb": ("ighb", _set(("convergence", "stop_reason"), "val_brier")),
+    "ighb stop_reason on iglb": ("iglb", _set(("convergence", "stop_reason"), "no_progress")),
+    "ighb without convergence": ("ighb", _drop(("convergence",))),
+    "iglb without stop_reason": ("iglb", _drop(("convergence", "stop_reason"))),
+    "empty platt convergence": ("platt", _set(("convergence",), {})),
+    "platt convergence list": ("platt", _set(("convergence",), [True, 6, 1e-10])),
+    "integer platt converged": ("platt", _set(("convergence", "converged"), 1)),
+    "platt iterations above the cap": ("platt", _set(("convergence", "iterations"), 101)),
+    "negative platt iterations": ("platt", _set(("convergence", "iterations"), -1)),
+    "float gcur_logistic iterations": ("gcur_logistic", _set(("convergence", "iterations"), 6.0)),
+    "NaN gcur_logistic grad_norm": ("gcur_logistic", _set(("convergence", "grad_norm"), math.nan)),
+    "string gcur_logistic grad_norm": ("gcur_logistic", _set(("convergence", "grad_norm"), "0")),
+    "extra Newton field": ("gcur_logistic", _set(("convergence", "stop_reason"), "max_iters")),
+    "gcur_logistic without convergence": ("gcur_logistic", _drop(("convergence",))),
+    "string group_names": ("gcur_linear", _set(("group_names",), "ab")),
+    "string group_names of one": ("gcur_logistic", _set(("group_names",), "a")),
+    "integer group_names": ("ighb", _set(("group_names",), [0, 1])),
+    "duplicate group_names": ("gcur_linear", _set(("group_names",), ["a", "a"])),
+    "duplicate iglb group_names": ("iglb", _set(("group_names",), ["a", "a"])),
+    "string dropped_groups": ("iglb", _set(("dropped_groups",), "c")),
+    "integer dropped_groups": ("gcur_logistic", _set(("dropped_groups",), [3])),
+    "integer dependent_columns": ("gcur_linear", _set(("params", "dependent_columns"), [1])),
+    "string dependent_columns": ("gcur_linear", _set(("params", "dependent_columns"), "b")),
 }
 
 
@@ -866,3 +918,100 @@ class TestRoundTripProperty:
             else:
                 args = (p,)
             assert restored.apply(*args).tobytes() == model.apply(*args).tobytes()
+
+
+# Score distributions of synthgen blocks: constant, or uniform on [lo, lo + width].
+block_scores = st.one_of(
+    st.tuples(st.just("constant"), st.floats(0.01, 1.0)),
+    st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 0.3)).map(
+        lambda t: ("uniform", t[0], min(t[0] + t[1], 1.0))
+    ),
+)
+# (accuracy, scores) of one to four equally heavy blocks.
+planted_blocks = st.lists(st.tuples(st.floats(0.0, 1.0), block_scores), min_size=1, max_size=4)
+# Arguments of synth_split, and the grid size.
+synth_draws = dict(
+    blocks=planted_blocks, n=st.integers(10, 120), seed=st.integers(0, 2**16), m=st.integers(2, 50)
+)
+small_alphas = st.floats(-5.0, -1.0).map(lambda e: 10.0**e)
+# All mass at the lowest grid value with label 0: every shift clamps back
+# onto that cell, so ighb's first patch would move nothing.
+STALL = dict(blocks=[(0.0, ("constant", 0.05))], n=20, seed=0, m=20, alpha=1e-4)
+
+
+def synth_split(blocks, n, seed):
+    """Scores, labels and groups (ALL, then one per block) of a synthgen draw."""
+    spec = SynthSpec(
+        blocks=tuple(
+            Block(f"b{i}", 1 / len(blocks), acc, scores) for i, (acc, scores) in enumerate(blocks)
+        ),
+        n_samples=n,
+        seed=seed,
+    )
+    samples, block_groups = generate(spec)
+    p = np.array([math.exp(s.token_logprobs[0]) for s in samples])
+    y = np.array([s.label for s in samples], dtype=float)
+    return p, y, assemble([block_groups])
+
+
+class TestFitterProperties:
+    """The guarantees each grid fitter states, on small synthgen-style inputs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**synth_draws, alpha=small_alphas)
+    @example(**STALL)
+    def test_ighb_records_only_patches_that_move_a_training_row(self, blocks, n, seed, m, alpha):
+        p, y, groups = synth_split(blocks, n, seed)
+        grid = BinGrid(m)
+        model = fit_ighb(p, y, groups, grid, alpha)
+        g = groups.select(model.group_names).astype(bool)
+        cells = round_to_grid_index(p, grid)
+        for patch in model.patches:
+            moved = _apply_patch("ighb", cells, g, patch, grid)
+            assert np.any(moved != cells), patch
+            cells = moved
+
+    @settings(max_examples=60, deadline=None)
+    @given(**synth_draws, alpha=small_alphas)
+    def test_ighb_error_budget_holds_after_replay(self, blocks, n, seed, m, alpha):
+        p, y, groups = synth_split(blocks, n, seed)
+        model = fit_ighb(p, y, groups, BinGrid(m), alpha)
+        if model.stop_reason != "error_budget":
+            return
+        g = groups.select(model.group_names).astype(bool)
+        cells = np.rint(model.apply(p, g) * m).astype(int)
+        for member in g.T:
+            # Mass times gASCE on the rounded cells, from the definition.
+            weighted = 0.0
+            for cell in np.unique(cells[member]):
+                rows = member & (cells == cell)
+                delta = float(np.mean(y[rows] - cell / m))
+                weighted += rows.sum() / n * delta * delta
+            assert weighted <= alpha + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(**synth_draws, epsilon=st.floats(1e-3, 0.5))
+    def test_iglb_accepts_only_heavy_regions_that_lower_val_brier(self, blocks, n, seed, m, epsilon):
+        p, y, groups = synth_split(blocks, n, seed)
+        vp, vy, vgroups = synth_split(blocks, n, seed + 1)
+        grid = BinGrid(m)
+        model = fit_iglb(p, y, vp, vy, groups, vgroups, grid, epsilon=epsilon)
+        history = model.val_brier_history
+        assert len(history) == len(model.patches) + 1
+        assert all(b < a for a, b in zip(history, history[1:]))
+        g = groups.select(model.group_names).astype(bool)
+        cells = round_to_grid_index(p, grid)
+        for patch in model.patches:
+            assert _region(cells, g, patch).sum() / n >= epsilon
+            cells = _apply_patch("iglb", cells, g, patch, grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**synth_draws)
+    def test_histogram_matches_label_means_on_occupied_cells(self, blocks, n, seed, m):
+        p, y, _ = synth_split(blocks, n, seed)
+        grid = BinGrid(m)
+        calibrated = fit_histogram_binning(p, y, grid).apply(p)
+        cells = round_to_grid_index(p, grid)
+        for cell in np.unique(cells):
+            rows = cells == cell
+            assert abs(float(calibrated[rows].mean()) - float(y[rows].mean())) <= 1e-12

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import json
 import math
 import os
@@ -581,6 +582,42 @@ class TestFitEvalCommand:
         for row in rows[1:]:
             for cell in row[1:]:
                 assert cell == "-inf" or float(cell) == pytest.approx(float(cell))
+
+    def test_ighb_stops_when_its_patch_would_move_nothing(self, tmp_path):
+        # Half the samples score 0.1, the lowest grid value, and all are
+        # wrong: once the other half is patched, the worst cell's shift
+        # rounds back onto it.  A fit that repeats that patch until
+        # max_iters (1,000 patches) writes the report pinned below.
+        spec = SynthSpec(
+            blocks=(
+                Block("stuck", 0.5, 0.0, ("constant", 0.1)),
+                Block("off", 0.5, 0.8, ("constant", 0.5)),
+            ),
+            n_samples=200,
+            seed=3,
+        )
+        samples, _ = generate(spec)
+        records = tmp_path / "records.jsonl"
+        save_records(samples, str(records))
+        scored = tmp_path / "scored.jsonl"
+        run(["score", "--input", str(records), "--output", str(scored)])
+        splits = tmp_path / "splits"
+        run(["split", "--input", str(scored), "--output-dir", str(splits)])
+        outdir = tmp_path / "out"
+        flags = ("--methods", "ighb", "--grid-m", "10", "--alpha", "0.0005", "--no-language")
+        flags += ("--length-metrics", "none", "--complexity", "difficulty_label")
+        assert run(fit_eval_args(splits, outdir, flags)).exit_code == 0
+        model = json.loads((outdir / "model_ighb.json").read_text())
+        assert model["convergence"] == {
+            "converged": False,
+            "iterations": 1,
+            "stop_reason": "no_progress",
+        }
+        assert model["params"]["patches"] == [{"group": 0, "cell": 5, "delta": 0.30303030303030304}]
+        report = (outdir / "report_ighb.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == (
+            "ec7cd5e422c481cd45a1ff3ddc33f80cbb358d01b317b4424aefe20e691daca1"
+        )
 
     def test_method_subset_and_rerun_identical(self, pipeline, tmp_path):
         extra = ("--methods", "platt,histogram", "--grid-m", "10")

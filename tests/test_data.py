@@ -15,7 +15,6 @@ from codecal.data import (
     Sample,
     SplitSpec,
     assign_problem_splits,
-    extract_code_span,
     fork_tasks,
     load_records,
     parse_record,
@@ -23,7 +22,7 @@ from codecal.data import (
     read_ranges,
     save_records,
 )
-from codecal.errors import AlignmentError, RecordError, SplitError
+from codecal.errors import RecordError, SplitError
 
 
 def make_sample(i: int, problem: str = "p1", **kwargs) -> Sample:
@@ -473,55 +472,6 @@ class TestInvalidUtf8:
         path.write_bytes(record_line(0).encode() + b"\r\n\n" + b'{"a": "\xff"}\n')
         with pytest.raises(RecordError, match=r"line is not valid UTF-8 \[line 3\]"):
             load_records(str(path))
-
-
-class TestExtractCodeSpan:
-    TEXT = "intro\n```python\nreturn 1\n```\ntrailer\n"
-
-    @staticmethod
-    def char_tokens(text):
-        return [(i, i + 1) for i in range(len(text))]
-
-    def test_span_covers_block_content(self):
-        tokens = self.char_tokens(self.TEXT)
-        span = extract_code_span(self.TEXT, tokens)
-        start, end = span
-        block = self.TEXT[start:end]
-        assert block == "return 1\n"
-
-    def test_multichar_tokens(self):
-        text = "a\n```\ncode\n```\n"
-        tokens = [(0, 2), (2, 6), (6, 11), (11, 15)]
-        assert extract_code_span(text, tokens) == (2, 3)
-
-    def test_no_closing_fence(self):
-        text = "```python\nreturn 1\n"
-        assert extract_code_span(text, self.char_tokens(text)) is None
-
-    def test_no_fence_at_all(self):
-        text = "just prose"
-        assert extract_code_span(text, self.char_tokens(text)) is None
-
-    def test_first_block_wins(self):
-        text = "```\nfirst\n```\n```\nsecond\n```\n"
-        span = extract_code_span(text, self.char_tokens(text))
-        assert text[span[0]:span[1]] == "first\n"
-
-    def test_empty_block_absent(self):
-        text = "```\n```\n"
-        assert extract_code_span(text, self.char_tokens(text)) is None
-
-    def test_overlapping_offsets(self):
-        with pytest.raises(AlignmentError):
-            extract_code_span("abcd", [(0, 2), (1, 3)])
-
-    def test_descending_offsets(self):
-        with pytest.raises(AlignmentError):
-            extract_code_span("abcd", [(2, 1)])
-
-    def test_offsets_beyond_text(self):
-        with pytest.raises(AlignmentError):
-            extract_code_span("ab", [(0, 5)])
 
 
 class TestSplitSpec:

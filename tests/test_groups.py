@@ -79,9 +79,9 @@ class TestGroupSet:
 
     def test_column_lookup(self):
         gs = GroupSet(["a", "b"], np.array([[1, 0], [0, 1]]))
-        np.testing.assert_array_equal(gs.column("b"), [0, 1])
+        np.testing.assert_array_equal(gs.select(["b"])[:, 0], [0, 1])
         with pytest.raises(DataError):
-            gs.column("missing")
+            gs.select(["missing"])
 
 
 class TestNearestRankQuantile:
@@ -144,7 +144,7 @@ class TestLengthGroups:
         fit_on = self.fit_ds([7, 7, 7, 7])
         cfg = LENGTH_ONLY
         gs = GroupingModel.fit(fit_on, cfg).apply(fit_on)
-        assert gs.column("len_high").sum() == 4
+        assert gs.select(["len_high"])[:, 0].sum() == 4
         assert "len_low" in gs.degenerate
 
     def test_unknown_code_text(self):
@@ -152,8 +152,8 @@ class TestLengthGroups:
         target = GroupColumns.from_samples([make_sample(99)])
         cfg = LENGTH_ONLY
         gs = GroupingModel.fit(fit_on, cfg).apply(target)
-        np.testing.assert_array_equal(gs.column("len_unknown"), [1])
-        assert gs.column("len_low")[0] == 0 and gs.column("len_high")[0] == 0
+        np.testing.assert_array_equal(gs.select(["len_unknown"])[:, 0], [1])
+        assert gs.select(["len_low", "len_high"]).tolist() == [[0, 0]]
 
     def test_cutpoints_come_from_fit_on_only(self):
         fit_on = self.fit_ds([10, 20, 30, 40])
@@ -163,7 +163,7 @@ class TestLengthGroups:
         model2 = GroupingModel.fit(fit_on, cfg)
         assert model.length_cutpoints == model2.length_cutpoints
         gs = model.apply(other)
-        np.testing.assert_array_equal(gs.column("len_high"), [1, 1])
+        np.testing.assert_array_equal(gs.select(["len_high"])[:, 0], [1, 1])
 
 
 class TestBranchCount:
@@ -212,7 +212,7 @@ class TestComplexityGroups:
         cfg = replace(COMPLEXITY_ONLY, complexity_source="difficulty_label")
         gs = GroupingModel.fit(ds, cfg).apply(ds)
         assert gs.names == ["cx_easy", "cx_hard"]
-        np.testing.assert_array_equal(gs.column("cx_easy"), [1, 0, 1])
+        np.testing.assert_array_equal(gs.select(["cx_easy"])[:, 0], [1, 0, 1])
 
     def test_missing_difficulty_errors(self):
         ds = GroupColumns.from_samples([make_sample(0)])
@@ -233,7 +233,7 @@ class TestAssemble:
         b = GroupSet(["g2"], np.array([[0], [1]]))
         combined = assemble([a, b])
         assert combined.names == ["ALL", "g1", "g2"]
-        np.testing.assert_array_equal(combined.column("ALL"), [1, 1])
+        np.testing.assert_array_equal(combined.select(["ALL"])[:, 0], [1, 1])
 
     def test_row_count_mismatch(self):
         a = GroupSet(["g1"], np.array([[1], [0]]))

@@ -61,6 +61,45 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unraised_exceptions(errors_source: str, sources: list[str]) -> list[str]:
+    """Exception classes ``errors_source`` defines that ``sources`` never raise.
+
+    A class counts as raised when it, or a class derived from it, follows
+    a ``raise``, called or not.
+    """
+    bases = {
+        node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            while name in bases and name not in used:
+                used.add(name)
+                name = next((base for base in bases[name] if base in bases), None)
+    return sorted(bases.keys() - used)
+
+
+def test_checker_finds_unraised_exceptions():
+    errors = (
+        "class Base(Exception): ...\nclass Used(Base): ...\n"
+        "class Bare(Exception): ...\nclass Unused(Base): ...\nclass Never(Unused): ...\n"
+    )
+    sources = ["raise Used('x') from None\n", "def f():\n    raise errors.Bare\n"]
+    assert unraised_exceptions(errors, sources) == ["Never", "Unused"]
+
+
+def test_every_exception_class_is_raised():
+    """An error class that nothing raises is dead API, like a helper nothing calls."""
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    errors = (Path(codecal.__file__).parent / "errors.py").read_text(encoding="utf-8")
+    assert unraised_exceptions(errors, sources) == []
+
+
 # Where a JSON document may be decoded: the reader decoders of data.py,
 # which every record reader shares, and the config file's own reader.
 # Anywhere else a decode sits in a ``with schema_fields(...)`` block.

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from codecal.binning import BinGrid
-from codecal.errors import DataError, DegenerateGroupError
+from codecal.calibrators import fit_ighb
+from codecal.errors import DataError
 from codecal.groups import GroupSet
 from codecal.metrics import (
     NEG_INF,
@@ -17,8 +18,6 @@ from codecal.metrics import (
     brier_skill_score,
     ece,
     evaluate,
-    gasce,
-    multicalibration_check,
     reliability_table,
 )
 
@@ -105,6 +104,12 @@ class TestAccuracy:
         assert base_rate([1, 0, 1, 1]) == 0.75
 
 
+def gasce(scores, labels, members, grid):
+    """``evaluate``'s gASCE of the group of ``members`` (one 0/1 flag per sample)."""
+    group = GroupSet(["g"], np.asarray(members)[:, None])
+    return evaluate(scores, labels, grid, group).per_group_gasce["g"]
+
+
 class TestGasce:
     def test_two_bin_example(self):
         # Two bins of two samples each, residual means 0.1 and -0.3.
@@ -122,8 +127,10 @@ class TestGasce:
         assert gasce(scores, labels, members, BinGrid(20)) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_group_rejected(self):
-        with pytest.raises(DegenerateGroupError):
-            gasce([0.5], [1], [0], BinGrid(10))
+        # An empty group has nothing to average: it gets no gASCE entry.
+        report = evaluate([0.5], [1], BinGrid(10), GroupSet(["g"], [[0]]))
+        assert report.per_group_gasce == {}
+        assert report.group_summary["g"]["degenerate"] is True
 
     @pytest.mark.parametrize("value", [0.5, 257, np.nan])
     def test_refuses_values_a_cast_would_hide(self, value):
@@ -156,40 +163,39 @@ class TestBruteForceAgreement:
 
 
 class TestMulticalibrationCheck:
+    """The multicalibration check, ``P(g) * gASCE(g) <= alpha`` for every group.
+
+    It is ighb's stop rule, on the grid-rounded scores: a model that
+    stops at once with ``error_budget`` passed it.
+    """
+
     def test_threshold_rearrangement(self):
-        # Mass 0.1 group with gASCE 0.3 passes alpha 0.05: 0.1 * 0.3 < 0.05.
+        # Mass 0.1 group with gASCE 0.49 passes alpha 0.05: 0.1 * 0.49 <= 0.05.
         scores = np.array([0.3] * 10)
         labels = np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
         members = np.zeros((10, 1), dtype=int)
         members[0, 0] = 1
-        gs = GroupSet(["tiny"], members)
-        verdict = multicalibration_check(scores, labels, gs, BinGrid(10), alpha=0.05)
-        entry = verdict["tiny"]
-        assert entry["mass"] == pytest.approx(0.1)
-        assert entry["pass"] is True
+        model = fit_ighb(scores, labels, GroupSet(["tiny"], members), BinGrid(10), alpha=0.05)
+        assert (model.stop_reason, model.patches) == ("error_budget", [])
 
     def test_failing_group(self):
         scores = np.array([0.1] * 10)
         labels = np.array([1] * 10)
         gs = GroupSet(["ALL"], np.ones((10, 1), dtype=int))
-        verdict = multicalibration_check(scores, labels, gs, BinGrid(10), alpha=0.05)
-        assert verdict["ALL"]["pass"] is False
+        model = fit_ighb(scores, labels, gs, BinGrid(10), alpha=0.05)
+        assert model.patches[0] == {"group": 0, "cell": 1, "delta": pytest.approx(0.9)}
 
     @pytest.mark.parametrize("alpha", [0.0, math.nan, math.inf])
     def test_alpha_must_be_positive_and_finite(self, alpha):
         gs = GroupSet(["ALL"], np.ones((4, 1), dtype=int))
         with pytest.raises(DataError, match="alpha must be positive and finite"):
-            multicalibration_check([0.5] * 4, [1, 0, 1, 0], gs, BinGrid(10), alpha=alpha)
+            fit_ighb([0.5] * 4, [1, 0, 1, 0], gs, BinGrid(10), alpha=alpha)
 
     def test_degenerate_group_vacuous(self):
-        gs = GroupSet(["empty"], np.zeros((4, 1), dtype=int))
-        verdict = multicalibration_check([0.5] * 4, [1, 0, 1, 0], gs, BinGrid(10), alpha=0.05)
-        assert verdict["empty"] == {
-            "pass": True,
-            "vacuous": True,
-            "mass": 0.0,
-            "weighted_gasce": None,
-        }
+        gs = GroupSet(["ALL", "empty"], np.array([[1, 0]] * 4))
+        model = fit_ighb([0.5] * 4, [1, 0, 1, 0], gs, BinGrid(10), alpha=0.05)
+        assert (model.stop_reason, model.patches) == ("error_budget", [])
+        assert model.dropped_groups == ["empty"]
 
 
 class TestReliabilityTable:

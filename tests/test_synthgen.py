@@ -88,7 +88,7 @@ class TestGenerate:
             seed=11,
         )
         samples, groups = generate(spec)
-        mask = groups.column("sure").astype(bool)
+        mask = groups.select(["sure"])[:, 0].astype(bool)
         labels = np.array([s.label for s in samples])
         assert labels[mask].min() == 1
 
