@@ -155,7 +155,7 @@ def _kept_columns(groups: GroupSet, dtype, where: str = ""):
     kept = [name for name in groups.names if name not in dropped]
     if not kept:
         raise FitError(f"every group is empty{where}, nothing to fit")
-    return kept, dropped, groups.select(kept).astype(dtype)
+    return kept, dropped, groups.select(kept).astype(dtype, copy=False)
 
 
 @dataclass
@@ -350,7 +350,8 @@ def fit_gcur_logistic(scores, labels, groups: GroupSet) -> GcurModel:
         raise FitError(
             "all labels identical; a logistic fit is degenerate, use the base rate instead"
         )
-    kept, dropped, g = _kept_columns(groups, float)
+    # column_stack casts the 0/1 columns to float exactly, without a float copy of them.
+    kept, dropped, g = _kept_columns(groups, np.int8)
     X = np.column_stack([np.ones_like(p), clamped_logit(p), g])
     w, info = _newton_fit(X, y, loss="ce")
     return GcurModel(
@@ -388,14 +389,13 @@ def fit_ighb(
     if not 0.0 < alpha < np.inf:
         raise DataError(f"alpha must be positive and finite, got {alpha}")
     kept, dropped, g = _kept_columns(groups, bool)
-    pairs = member_pairs(g)
-    n = p.size
+    n, m = p.size, grid.m
     cells = round_to_grid_index(p, grid)
+    counts, rsums = cell_sums(cells, m, member_pairs(g), y - cells / m)
     patches: list[dict] = []
     converged = False
     reason = "max_iters"
     for _ in range(max_iters):
-        counts, rsums = cell_sums(cells, grid.m, pairs, y - cells / grid.m)
         deltas = rsums / np.maximum(counts, 1.0)
         weights = counts / n * deltas * deltas
         if weights.sum(axis=1).max() <= alpha:
@@ -405,13 +405,23 @@ def fit_ighb(
         # argmax walks row-major, so float ties resolve to the lowest
         # group index and then the lowest cell index.
         flat = int(np.argmax(weights))
-        j, cell0 = divmod(flat, grid.m)
+        j, cell0 = divmod(flat, m)
         patch = {"group": j, "cell": cell0 + 1, "delta": float(deltas[j, cell0])}
-        if _ighb_target(patch, grid) == patch["cell"]:
+        target = _ighb_target(patch, grid)
+        if target == patch["cell"]:
             reason = "no_progress"
             break
-        cells = _apply_patch("ighb", cells, g, patch, grid)
+        in_cell = cells == patch["cell"]
+        cells[g[:, j] & in_cell] = target
         patches.append(patch)
+        # Only the patched cell and its target change members.  Their rows
+        # are recounted in row order, as a full recount would add them, so
+        # the kept tables stay bit-equal to one.
+        rows = np.flatnonzero(in_cell | (cells == target))
+        sub = cell_sums(cells[rows], m, member_pairs(g[rows]), y[rows] - cells[rows] / m)
+        changed = [cell0, target - 1]
+        counts[:, changed] = sub[0][:, changed]
+        rsums[:, changed] = sub[1][:, changed]
     return IterativePatchModel(
         method="ighb",
         grid_m=grid.m,
@@ -582,19 +592,52 @@ def model_to_json(model) -> str:
             payload["params"]["skipped_regions"] = model.skipped_regions
     else:
         raise DataError(f"cannot serialize {type(model).__name__}")
-    return json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    # Only a document that reloads is written, such as one with a Newton record.
+    try:
+        model_from_json(text)
+    except DataError as exc:
+        raise DataError(f"cannot serialize this {model.method} model: {exc}") from None
+    return text
+
+
+def _located(entry, what: str, cell: str, k: int, m: int, sided: bool) -> dict:
+    """``entry``, checked to name one of k groups and one of m cells, and a side if ``sided``."""
+    for key, allowed in (("group", range(k)), (cell, range(1, m + 1))):
+        whole_number(entry[key], f"{what} {key}", allowed)
+    if sided and entry["side"] not in ("le", "ge"):
+        raise DataError(f"{what} side must be 'le' or 'ge', got {entry['side']!r}")
+    return entry
 
 
 def _patch(method: str, patch, k: int, m: int) -> dict:
     """An ighb or iglb patch that ``_apply_patch`` can replay on k groups and m cells."""
-    cell = "cell" if method == "ighb" else "bin"
-    for key, allowed in (("group", range(k)), (cell, range(1, m + 1))):
-        whole_number(patch[key], f"model patch {key}", allowed)
-    if method == "iglb" and patch["side"] not in ("le", "ge"):
-        raise DataError(f"model patch side must be 'le' or 'ge', got {patch['side']!r}")
-    keys = ("delta",) if method == "ighb" else ("alpha", "beta")
+    iglb = method == "iglb"
+    _located(patch, "model patch", "bin" if iglb else "cell", k, m, iglb)
+    keys = ("alpha", "beta") if iglb else ("delta",)
     finite_numbers([patch[key] for key in keys], f"model patch {' and '.join(keys)}", len(keys))
     return patch
+
+
+def _iglb_fields(params: dict, k: int, m: int, rounds: int) -> dict:
+    """The iglb-only fields of a model's ``params``, checked; ``rounds`` is the patch count + 1."""
+    if params["ls_loss"] not in ("ce", "brier"):
+        raise DataError(f"model ls_loss must be 'ce' or 'brier', got {params['ls_loss']!r}")
+    skips = params["skipped_regions"]
+    if not isinstance(skips, list):
+        raise DataError("model skipped_regions must be a list")
+    for skip in skips:
+        if not isinstance(skip, dict) or sorted(skip) != ["bin", "group", "iteration", "side"]:
+            raise DataError(f"model skipped region {skip!r} is not {{iteration, group, bin, side}}")
+        whole_number(skip["iteration"], "model skipped region iteration", range(rounds))
+        _located(skip, "model skipped region", "bin", k, m, True)
+    return {
+        "ls_loss": params["ls_loss"],
+        "val_brier_history": finite_numbers(
+            params["val_brier_history"], "model val_brier_history", rounds, unit=True
+        ),
+        "skipped_regions": skips,
+    }
 
 
 def _newton_record(info) -> dict:
@@ -662,17 +705,19 @@ def model_from_json(text: str):
             value = params.get(key)
             if value is not None and not finite_numbers([value], f"model {key}", 1)[0] > 0:
                 raise DataError(f"model {key} must be positive, got {value!r}")
+        patches = [_patch(method, patch, len(names), m) for patch in params["patches"]]
+        if method == "ighb":
+            extra = {"alpha": params.get("alpha")}
+        else:
+            extra = {"epsilon": params.get("epsilon")}
+            extra.update(_iglb_fields(params, len(names), m, len(patches) + 1))
         return IterativePatchModel(
             method=method,
             grid_m=m,
             group_names=names,
-            patches=[_patch(method, patch, len(names), m) for patch in params["patches"]],
+            patches=patches,
             converged=conv["converged"],
             stop_reason=conv["stop_reason"],
             dropped_groups=dropped,
-            alpha=params.get("alpha"),
-            epsilon=params.get("epsilon"),
-            ls_loss=params.get("ls_loss"),
-            val_brier_history=list(params.get("val_brier_history", [])),
-            skipped_regions=list(params.get("skipped_regions", [])),
+            **extra,
         )

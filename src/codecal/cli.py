@@ -286,9 +286,12 @@ def _fit_setup(ctx: click.Context, config_path: str | None, options: dict) -> tu
     return values, methods, grid, grouping
 
 
-def _load_splits(*paths: str) -> list:
-    """Load scored splits as columns; all must share one scoring method."""
-    splits = [load_scored(path) for path in paths]
+def _load_splits(grouping: "GroupingConfig", *paths: str) -> list:
+    """Load scored splits as columns, with the text features ``grouping`` reads.
+
+    All splits must share one scoring method.
+    """
+    splits = [load_scored(path, grouping) for path in paths]
     methods = sorted(set().union(*(split.methods for split in splits)))
     if len(methods) > 1:
         raise DataError(f"splits were scored by different methods: {', '.join(methods)}")
@@ -425,7 +428,7 @@ def fit_eval(
 ) -> None:
     """Fit requested calibrators on train and evaluate them on test."""
     values, method_list, grid, cfg = _fit_setup(ctx, config_path, options)
-    splits = _load_splits(train_path, val_path, test_path)
+    splits = _load_splits(cfg, train_path, val_path, test_path)
     test = splits[2]
     grouping, test_groups, results = _calibrate(values, grid, splits, cfg, method_list)
     os.makedirs(output_dir, exist_ok=True)
@@ -476,7 +479,8 @@ def ablate(
         subsets.extend(itertools.combinations(sorted(categories), size))
     subsets.sort(key=lambda subset: "+".join(subset))
 
-    splits = _load_splits(train_path, val_path, test_path)
+    # Every subset's grouping reads a part of what the base config reads.
+    splits = _load_splits(base_cfg, train_path, val_path, test_path)
     labels = splits[2].labels
     # Groupless methods give the same cell for every subset.
     groupless = {

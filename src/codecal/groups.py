@@ -13,11 +13,12 @@ and the calibrators' ``apply`` both call it.  :meth:`GroupSet.select`
 is the one way to pick columns by name: it returns them C-contiguous,
 in the order asked for.
 
-Grouping reads four per-sample fields, held column-wise in a
-:class:`GroupColumns` table that caches every feature derived from
-them, so several groupings fitted and applied to one split walk its
-code texts once.  Functions that group samples take such a table;
-:meth:`GroupColumns.from_samples` builds one from any samples.
+Grouping reads three per-sample fields and a few numbers measured on
+each sample's code text (:data:`TEXT_FEATURES`), held column-wise in a
+:class:`GroupColumns` table without the texts themselves.  Functions
+that group samples take such a table; :meth:`GroupColumns.from_samples`
+builds one from any samples, and :func:`~codecal.scoring.load_scored`
+measures each text as it reads it.
 """
 
 import json
@@ -38,6 +39,8 @@ __all__ = [
     "assemble",
     "nearest_rank_quantile",
     "branch_count",
+    "TEXT_FEATURES",
+    "text_features",
 ]
 
 ALL_GROUP = "ALL"
@@ -134,6 +137,12 @@ class GroupingConfig:
             if not 0.0 < q < 1.0:
                 raise DataError(f"quantile {q} outside (0, 1)")
 
+    @property
+    def text_features(self) -> tuple[str, ...]:
+        """Names of the :data:`TEXT_FEATURES` that grouping with this config reads."""
+        branches = ("branches",) if self.complexity_source == "branch_heuristic" else ()
+        return tuple(self.length_metrics) + branches
+
 
 def nearest_rank_quantile(values, q: float) -> float:
     """Nearest-rank quantile: the value at 1-based rank ``ceil(q * n)``."""
@@ -151,6 +160,21 @@ def branch_count(code_text: str) -> int:
     for sym in _BRANCH_SYMBOLS:
         count += code_text.count(sym)
     return count
+
+
+# What grouping measures of a code text, by feature name.
+TEXT_FEATURES = {"chars": len, "loc": lambda text: len(text.splitlines()), "branches": branch_count}
+
+
+def text_features(code_text: str | None, measures) -> tuple:
+    """``(known, *values)`` of one code text: whether there is one, then each measure of it.
+
+    ``measures`` are functions of the text, such as the values of
+    :data:`TEXT_FEATURES`; each value is 0 where ``code_text`` is None.
+    """
+    if code_text is None:
+        return (False,) + (0,) * len(measures)
+    return (True, *[measure(code_text) for measure in measures])
 
 
 def _band_names(prefix: str, n_bands: int) -> list[str]:
@@ -178,12 +202,15 @@ def _one_hot(indices: np.ndarray, n_cols: int) -> np.ndarray:
 
 
 class GroupColumns:
-    """The per-sample fields grouping reads, one list per field.
+    """The per-sample values grouping reads, one entry per sample in each.
 
-    ``difficulties`` and ``code_texts`` hold None where a sample lacks
-    the field.  Features derived from the fields (lengths, the
-    known-text mask, branch counts, category codes) are computed on
-    first use and cached, so each is computed at most once per table.
+    ``sample_ids``, ``languages`` and ``difficulties`` are lists;
+    ``difficulties`` holds None where a sample has no difficulty label.
+    ``known`` is a bool array, True where the sample has code_text.
+    ``features`` maps the name of each :data:`TEXT_FEATURES` entry held
+    to a float array of its value per sample, 0 where code_text is
+    missing.  The code texts themselves are not kept, so the table's
+    size does not grow with code length.
     """
 
     def __init__(
@@ -191,76 +218,69 @@ class GroupColumns:
         sample_ids: list[str],
         languages: list[str],
         difficulties: list[str | None],
-        code_texts: list[str | None],
+        known,
+        features: dict,
     ) -> None:
         n = len(sample_ids)
-        if not len(languages) == len(difficulties) == len(code_texts) == n:
+        columns = [languages, difficulties, known, *features.values()]
+        if any(len(column) != n for column in columns):
             raise DataError("group columns must hold one entry per sample")
         self.sample_ids = sample_ids
         self.languages = languages
         self.difficulties = difficulties
-        self.code_texts = code_texts
-        self._cache: dict = {}
+        self.known = np.array(known, dtype=bool)
+        self.features = {name: np.array(v, dtype=float) for name, v in features.items()}
+        self._codes: dict = {}
 
     @classmethod
     def from_samples(cls, samples) -> "GroupColumns":
-        """Columns of any iterable of Samples."""
+        """Columns of any iterable of Samples, with every text feature."""
         samples = list(samples)
+        measures = tuple(TEXT_FEATURES.values())
+        rows = [text_features(s.code_text, measures) for s in samples]
+        table = np.array(rows, dtype=float).reshape(len(rows), 1 + len(measures))
         return cls(
             [s.sample_id for s in samples],
             [s.language for s in samples],
             [s.difficulty for s in samples],
-            [s.code_text for s in samples],
+            table[:, 0],
+            dict(zip(TEXT_FEATURES, table[:, 1:].T)),
         )
 
     def __len__(self) -> int:
         return len(self.sample_ids)
 
-    def _cached(self, key: str, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
     def require(self, name: str, message: str) -> None:
-        """Raise RecordError naming the first sample whose field ``name`` is None."""
-        values = getattr(self, name)
-        if None in values:
-            raise RecordError(message, sample_id=self.sample_ids[values.index(None)])
+        """Raise RecordError naming the first sample lacking field ``name``.
+
+        ``name`` is ``"difficulties"`` (a difficulty label) or ``"known"``
+        (a code_text).
+        """
+        if name == "known":
+            first = int(np.argmin(self.known)) if not self.known.all() else None
+        else:
+            first = self.difficulties.index(None) if None in self.difficulties else None
+        if first is not None:
+            raise RecordError(message, sample_id=self.sample_ids[first])
 
     def codes(self, name: str) -> tuple[list, np.ndarray]:
         """(distinct values in first-seen order, per-sample index into them) of a field."""
-
-        def compute():
+        if name not in self._codes:
             index: dict = {}
             codes = [index.setdefault(v, len(index)) for v in getattr(self, name)]
-            return list(index), np.array(codes, dtype=np.intp)
+            self._codes[name] = list(index), np.array(codes, dtype=np.intp)
+        return self._codes[name]
 
-        return self._cached(name, compute)
-
-    @property
-    def known(self) -> np.ndarray:
-        """True where the sample has code_text."""
-        return self._cached(
-            "known", lambda: np.array([t is not None for t in self.code_texts], dtype=bool)
-        )
-
-    def length(self, metric: str) -> np.ndarray:
-        """Length of each code_text in characters or lines; 0 where it is missing."""
-
-        def compute():
-            size = len if metric == "chars" else lambda text: len(text.splitlines())
-            return np.array([0 if t is None else size(t) for t in self.code_texts], dtype=float)
-
-        return self._cached(metric, compute)
+    def feature(self, name: str) -> np.ndarray:
+        """The per-sample values of text feature ``name``."""
+        if name not in self.features:
+            raise DataError(f"group columns hold no {name!r} text feature")
+        return self.features[name]
 
     def branch_counts(self) -> np.ndarray:
         """:func:`branch_count` of each code_text; every sample must have one."""
-
-        def compute():
-            self.require("code_texts", "code_text required for the branch heuristic")
-            return np.array([branch_count(t) for t in self.code_texts], dtype=float)
-
-        return self._cached("branches", compute)
+        self.require("known", "code_text required for the branch heuristic")
+        return self.feature("branches")
 
 
 def _label_membership(columns: GroupColumns, name: str, labels: list) -> np.ndarray:
@@ -329,7 +349,7 @@ class GroupingModel:
                 raise DataError(
                     f"no sample in the fitting data has code_text, cannot cut {metric!r}"
                 )
-            values = columns.length(metric)[known]
+            values = columns.feature(metric)[known]
             model.length_cutpoints[metric] = [
                 nearest_rank_quantile(values, q) for q in config.length_quantiles
             ]
@@ -353,7 +373,7 @@ class GroupingModel:
         for metric in self.config.length_metrics:
             cuts = self.length_cutpoints[metric]
             prefix = "len" if metric == "chars" else "loc"
-            bands = np.where(columns.known, _band_membership(columns.length(metric), cuts), -1)
+            bands = np.where(columns.known, _band_membership(columns.feature(metric), cuts), -1)
             names.extend(_band_names(prefix, len(cuts) + 1))
             blocks.append(_one_hot(bands, len(cuts) + 1))
         if self.config.length_metrics:

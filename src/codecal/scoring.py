@@ -11,6 +11,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -153,8 +154,16 @@ def score_file(
     return sum(scored for scored, _ in counts), sum(skipped for _, skipped in counts)
 
 
+def _intern(value: str | None) -> str | None:
+    return value if value is None else sys.intern(value)
+
+
 def _scored_row(lineno: int, obj: dict, sample: Sample) -> tuple:
-    """What calibration reads of one scored record: p_hat, label, method and grouping fields."""
+    """p_hat, label, method, sample id, language and difficulty of one scored record.
+
+    Method, language and difficulty are interned, so rows share one
+    object per distinct value.
+    """
     p_hat = obj.get("p_hat")
     if type(p_hat) is bytes:
         p_hat = float(p_hat)
@@ -166,32 +175,43 @@ def _scored_row(lineno: int, obj: dict, sample: Sample) -> tuple:
     method = obj.get("method")
     if not isinstance(method, str):
         raise RecordError("missing method", line=lineno, sample_id=sample.sample_id)
-    grouping = (sample.sample_id, sample.language, sample.difficulty, sample.code_text)
-    return (p_hat, sample.label, method, *grouping)
+    language, difficulty = sys.intern(sample.language), _intern(sample.difficulty)
+    return (p_hat, sample.label, sys.intern(method), sample.sample_id, language, difficulty)
 
 
-def load_scored(path: str) -> ScoredSplit:
+def load_scored(path: str, grouping: "GroupingConfig | None" = None) -> ScoredSplit:
     """Load a file written by :func:`score_file` as columns.
 
     Every line is validated as a record and read by
     :func:`~codecal.data.read_columns` on every CPU, but only
-    ``p_hat``, the label and the grouping fields outlive it, so memory
-    does not grow with the number of tokens per record.  No token value
-    is read, so floats stay undecoded
+    ``p_hat``, the label, the grouping fields and the
+    :data:`~codecal.groups.TEXT_FEATURES` that ``grouping`` reads
+    (every one for None) outlive it.  Token arrays and code texts are
+    dropped as each line is read, so memory grows with neither the
+    number of tokens nor the length of the code.  No token value is
+    read, so floats stay undecoded
     (:func:`~codecal.data.loads_floats_as_bytes`) and token arrays are
     checked as text, with the same results.
     numpy and grouping load here, so ``score`` starts without them.
     """
     import numpy as np
 
-    from .groups import GroupColumns
+    from .groups import TEXT_FEATURES, GroupColumns, text_features
 
-    p_hats, labels, methods, ids, languages, difficulties, code_texts = read_columns(
-        path, _scored_row, 7, records=True, loads=loads_floats_as_bytes
+    names = tuple(TEXT_FEATURES) if grouping is None else grouping.text_features
+    measures = [TEXT_FEATURES[name] for name in names]
+
+    def row(lineno, obj, sample):
+        return _scored_row(lineno, obj, sample) + text_features(sample.code_text, measures)
+
+    p_hats, labels, methods, ids, languages, difficulties, known, *values = read_columns(
+        path, row, 7 + len(names), records=True, loads=loads_floats_as_bytes
     )
+    # Ranges read in other processes bring their own copy of each value.
+    shared = [_intern(v) for v in languages], [_intern(v) for v in difficulties]
     return ScoredSplit(
         p_hat=np.array(p_hats, dtype=float),
         labels=np.array(labels, dtype=np.int64),
         methods=tuple(sorted(set(methods))),
-        columns=GroupColumns(ids, languages, difficulties, code_texts),
+        columns=GroupColumns(ids, *shared, known, dict(zip(names, values))),
     )

@@ -7,6 +7,8 @@ with the library is meaningful evidence rather than a tautology.
 
 import math
 
+import numpy as np
+
 
 def brute_bin_of(p: float, m: int) -> int:
     """Interval membership by direct comparison, no index arithmetic."""
@@ -76,3 +78,37 @@ def brute_nearest_rank_quantile(values, q: float) -> float:
     rank = math.ceil(q * len(ordered))
     rank = min(max(rank, 1), len(ordered))
     return ordered[rank - 1]
+
+
+def reference_ighb(p, y, g, m: int, alpha: float, max_iters: int = 1000):
+    """Patches and stop reason of iterative group histogram binning, recounting every round.
+
+    ``g`` is a bool ``(n, k)`` membership whose groups all have members.
+    Every round rebuilds each (group, cell) count and residual sum from
+    scratch, adding the rows of each group in row order.  The stop rule
+    and the choice of patch read the tables with the same numpy
+    reductions as the fitter, so ties in weight are broken identically.
+    """
+    n, k = g.shape
+    cells = np.clip(np.floor(np.asarray(p, dtype=float) * m + 0.5).astype(int), 1, m)
+    patches = []
+    for _ in range(max_iters):
+        counts = np.zeros((k, m))
+        rsums = np.zeros((k, m))
+        for j in range(k):
+            for i in np.flatnonzero(g[:, j]):
+                counts[j, cells[i] - 1] += 1
+                rsums[j, cells[i] - 1] += y[i] - cells[i] / m
+        deltas = rsums / np.maximum(counts, 1.0)
+        weights = counts / n * deltas * deltas
+        if weights.sum(axis=1).max() <= alpha:
+            return patches, "error_budget"
+        j, cell0 = divmod(int(np.argmax(weights)), m)
+        cell, delta = cell0 + 1, float(deltas[j, cell0])
+        value = min(max(cell / m + delta, 1 / m), 1.0)
+        target = min(max(math.floor(value * m + 0.5), 1), m)
+        if target == cell:
+            return patches, "no_progress"
+        cells[g[:, j] & (cells == cell)] = target
+        patches.append({"group": j, "cell": cell, "delta": delta})
+    return patches, "max_iters"

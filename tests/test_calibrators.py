@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from codecal.binning import MAX_GRID_M, BinGrid, round_to_grid_index
 from codecal.calibrators import (
+    STOP_REASONS,
     TIKHONOV,
     _apply_patch,
     _newton_fit,
@@ -29,6 +30,7 @@ from codecal.calibrators import (
     model_to_json,
     sigmoid,
 )
+from codecal.cli import METHOD_NAMES
 from codecal.errors import DataError, FitError
 from codecal.groups import (
     GroupColumns,
@@ -39,6 +41,8 @@ from codecal.groups import (
     build_language_groups,
 )
 from codecal.synthgen import Block, SynthSpec, generate
+
+from oracles import reference_ighb
 
 
 def ones_groups(n):
@@ -649,7 +653,7 @@ class TestSerialization:
             model_from_json('{"schema_version": 2, "method": "platt", "params": {}}')
 
     def test_missing_param_is_data_error(self):
-        payload = json.loads(model_to_json(PlattModel(a=1.0, b=0.0)))
+        payload = json.loads(model_to_json(PlattModel(a=1.0, b=0.0, convergence=NEWTON_RECORD)))
         del payload["params"]["a"]
         with pytest.raises(DataError, match="missing field 'a'"):
             model_from_json(json.dumps(payload))
@@ -666,9 +670,12 @@ class TestSerialization:
 
     def test_grid_above_the_bound_is_data_error(self):
         m = MAX_GRID_M + 1
-        text = model_to_json(HistogramBinningModel(grid_m=m, deltas=[0.0] * m))
         with pytest.raises(DataError, match=f"from 2 to {MAX_GRID_M}, got {m}"):
-            model_from_json(text)
+            model_to_json(HistogramBinningModel(grid_m=m, deltas=[0.0] * m))
+        payload = json.loads(model_to_json(HistogramBinningModel(grid_m=10, deltas=[0.0] * 10)))
+        payload.update(grid_m=m, params={"deltas": [0.0] * m})
+        with pytest.raises(DataError, match=f"from 2 to {MAX_GRID_M}, got {m}"):
+            model_from_json(json.dumps(payload))
 
 
 def applied_model(kind):
@@ -722,8 +729,11 @@ def grouping_split(n, seed):
     rng = np.random.default_rng(seed)
     languages = rng.choice(["c", "go", "py", "rs"], n).tolist()
     difficulties = rng.choice(["easy", "mid", "hard"], n).tolist()
-    texts = ["x = 1\n" * int(k) for k in rng.integers(1, 40, n)]
-    columns = GroupColumns([f"s{i}" for i in range(n)], languages, difficulties, texts)
+    # Texts of k lines "x = 1", measured: 6k characters and k lines.
+    lines = rng.integers(1, 40, n)
+    features = {"chars": 6 * lines, "loc": lines}
+    ids = [f"s{i}" for i in range(n)]
+    columns = GroupColumns(ids, languages, difficulties, [True] * n, features)
     grouping = GroupingModel.fit(columns, GroupingConfig(complexity_source="difficulty_label"))
     shift = np.array([{"c": 0.1, "go": -0.1, "py": 0.05, "rs": 0.0}[lang] for lang in languages])
     p = np.clip(rng.uniform(0.05, 0.95, n) + shift, 0.01, 0.99)
@@ -778,6 +788,8 @@ def _valid_payloads():
         method="iglb", grid_m=10, group_names=["a", "b"],
         patches=[{"group": 0, "bin": 4, "side": "le", "alpha": 0.2, "beta": 1.1}],
         converged=True, stop_reason="val_brier", epsilon=0.05, ls_loss="ce",
+        val_brier_history=[0.25, 0.24],
+        skipped_regions=[{"iteration": 0, "group": 1, "bin": 9, "side": "ge"}],
     )
     logistic = GcurModel(
         variant="logistic", group_names=["a"], group_coefs=[0.3], convergence=NEWTON_RECORD
@@ -860,6 +872,28 @@ MALFORMED_MODELS = {
     "integer dropped_groups": ("gcur_logistic", _set(("dropped_groups",), [3])),
     "integer dependent_columns": ("gcur_linear", _set(("params", "dependent_columns"), [1])),
     "string dependent_columns": ("gcur_linear", _set(("params", "dependent_columns"), "b")),
+    "string val_brier_history": ("iglb", _set(("params", "val_brier_history"), "0.25")),
+    "val_brier_history as long as the patches": (
+        "iglb", _set(("params", "val_brier_history"), [0.25])
+    ),
+    "NaN in val_brier_history": ("iglb", _set(("params", "val_brier_history", 1), math.nan)),
+    "val_brier_history above 1": ("iglb", _set(("params", "val_brier_history", 1), 1.5)),
+    "iglb without val_brier_history": ("iglb", _drop(("params", "val_brier_history"))),
+    "string skipped_regions": ("iglb", _set(("params", "skipped_regions"), "xy")),
+    "skipped region as a list": ("iglb", _set(("params", "skipped_regions", 0), [0, 1, 9, "ge"])),
+    "skipped region after the last round": (
+        "iglb", _set(("params", "skipped_regions", 0, "iteration"), 2)
+    ),
+    "skipped region group >= k": ("iglb", _set(("params", "skipped_regions", 0, "group"), 2)),
+    "skipped region bin 0": ("iglb", _set(("params", "skipped_regions", 0, "bin"), 0)),
+    "skipped region side xx": ("iglb", _set(("params", "skipped_regions", 0, "side"), "xx")),
+    "skipped region with an extra field": (
+        "iglb", _set(("params", "skipped_regions", 0, "alpha"), 0.1)
+    ),
+    "iglb without skipped_regions": ("iglb", _drop(("params", "skipped_regions"))),
+    "integer ls_loss": ("iglb", _set(("params", "ls_loss"), 7)),
+    "unknown ls_loss": ("iglb", _set(("params", "ls_loss"), "mse")),
+    "iglb without ls_loss": ("iglb", _drop(("params", "ls_loss"))),
 }
 
 
@@ -894,6 +928,76 @@ def _all_fitted(p, y, groups, grid):
     ]
 
 
+# Values a model field might be given in code that no loader accepts.
+BAD_MODEL_VALUES = [math.nan, math.inf, True, None, "0.5", -1]
+
+
+@st.composite
+def models_built_in_code(draw):
+    """A calibrator model built field by field: half the time with every field valid,
+    otherwise with any field possibly out of range, mistyped or left at its default."""
+    kind = draw(st.sampled_from(METHOD_NAMES))
+    valid = draw(st.booleans())
+
+    def pick(good, *bad):
+        return good if valid else st.one_of(good, *bad)
+
+    number = pick(st.floats(0.01, 1.0), st.sampled_from(BAD_MODEL_VALUES))
+    m = draw(pick(st.integers(2, 5), st.sampled_from([1, True, 2.0])))
+    unique_names = st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)
+    names = draw(pick(unique_names, st.lists(st.sampled_from("ab"))))
+    k = max(len(names), 1)
+    record = st.fixed_dictionaries(
+        dict(converged=st.booleans(), iterations=st.integers(0, 100), grad_norm=st.floats(0.0, 1.0))
+    )
+    newton = pick(record, st.sampled_from([{}, {**NEWTON_RECORD, "converged": 1}]))
+    convergence = draw(pick(st.fixed_dictionaries({"convergence": newton}), st.just({})))
+    if kind == "platt":
+        return PlattModel(a=draw(number), b=draw(number), **convergence)
+    if kind == "histogram":
+        size = m if valid else draw(st.integers(0, 6))
+        deltas = draw(st.lists(number, min_size=size, max_size=size))
+        return HistogramBinningModel(grid_m=m, deltas=deltas)
+    coefs = st.lists(number, min_size=len(names), max_size=len(names) + (not valid))
+    if kind == "gcur_linear":
+        columns = draw(pick(st.lists(st.sampled_from(names or ["a"])), st.just([1])))
+        return GcurModel("linear", names, lambdas=draw(coefs), dependent_columns=columns)
+    if kind == "gcur_logistic":
+        fields = dict(intercept=draw(number), score_coef=draw(number), group_coefs=draw(coefs))
+        return GcurModel("logistic", names, **fields, **convergence)
+    where = dict(
+        group=pick(st.integers(0, k - 1), st.just(k)),
+        side=pick(st.sampled_from(["le", "ge"]), st.just("xx")),
+    )
+    cell = pick(st.integers(1, m), st.just(0))
+    if kind == "ighb":
+        patch = st.fixed_dictionaries(dict(group=where["group"], cell=cell, delta=number))
+        patches = draw(st.lists(patch, max_size=3))
+        extra = dict(alpha=draw(number))
+    else:
+        patch = st.fixed_dictionaries(dict(**where, bin=cell, alpha=number, beta=number))
+        patches = draw(st.lists(patch, max_size=3))
+        rounds = len(patches) + 1
+        skip = dict(**where, bin=cell, iteration=pick(st.integers(0, rounds - 1), st.just(rounds)))
+        history = st.lists(number, min_size=rounds, max_size=rounds + (not valid))
+        extra = dict(
+            epsilon=draw(number),
+            ls_loss=draw(pick(st.sampled_from(["ce", "brier"]), st.sampled_from(["mse", 7, None]))),
+            val_brier_history=draw(history),
+            skipped_regions=draw(st.lists(st.fixed_dictionaries(skip), max_size=2)),
+        )
+    return IterativePatchModel(
+        method=kind,
+        grid_m=m,
+        group_names=names,
+        patches=patches,
+        converged=draw(pick(st.booleans(), st.just("no"))),
+        stop_reason=draw(st.sampled_from(STOP_REASONS[kind] if valid else STOP_REASONS["iglb"])),
+        dropped_groups=draw(pick(st.lists(st.sampled_from("xy")), st.just("x"))),
+        **extra,
+    )
+
+
 class TestRoundTripProperty:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -918,6 +1022,27 @@ class TestRoundTripProperty:
             else:
                 args = (p,)
             assert restored.apply(*args).tobytes() == model.apply(*args).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=models_built_in_code())
+    def test_every_written_model_reloads(self, model):
+        try:
+            text = model_to_json(model)
+        except DataError:
+            return
+        assert model_to_json(model_from_json(text)) == text
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PlattModel(a=1.0, b=0.0),
+            GcurModel(variant="logistic", group_names=["a"], group_coefs=[0.3]),
+        ],
+    )
+    def test_newton_record_required_to_write(self, model):
+        with pytest.raises(DataError, match="is not a Newton record"):
+            model_to_json(model)
+
 
 
 # Score distributions of synthgen blocks: constant, or uniform on [lo, lo + width].
@@ -970,6 +1095,36 @@ class TestFitterProperties:
             moved = _apply_patch("ighb", cells, g, patch, grid)
             assert np.any(moved != cells), patch
             cells = moved
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        k=st.integers(1, 3),
+        duplicates=st.integers(0, 2),
+        m=st.integers(2, 12),
+        alpha=small_alphas,
+        on_grid=st.booleans(),
+    )
+    def test_ighb_matches_full_recount(self, seed, n, k, duplicates, m, alpha, on_grid):
+        """fit_ighb keeps its cell tables across rounds; a full recount picks the same patches."""
+        rng = np.random.default_rng(seed)
+        # Scores on the grid and duplicated group columns give exact ties in weight.
+        p = rng.integers(0, m + 1, n) / m if on_grid else rng.uniform(0.0, 1.0, n)
+        y = (rng.random(n) < 0.5).astype(float)
+        membership = (rng.random((n, k)) < 0.6).astype(np.int8)
+        membership = np.hstack([membership, membership[:, :duplicates]])
+        groups = GroupSet([f"g{j}" for j in range(membership.shape[1])], membership)
+        assume(membership.any())
+        model = fit_ighb(p, y, groups, BinGrid(m), alpha, max_iters=200)
+        g = groups.select(model.group_names).astype(bool)
+        patches, reason = reference_ighb(p, y, g, m, alpha, max_iters=200)
+        assert model.stop_reason == reason
+
+        def exact(patches):
+            return [(q["group"], q["cell"], q["delta"].hex()) for q in patches]
+
+        assert exact(model.patches) == exact(patches)
 
     @settings(max_examples=60, deadline=None)
     @given(**synth_draws, alpha=small_alphas)

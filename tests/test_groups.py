@@ -9,6 +9,7 @@ from codecal.data import Sample
 from codecal.errors import DataError, RecordError
 from codecal.groups import (
     ALL_GROUP,
+    TEXT_FEATURES,
     UNKNOWN_LENGTH_GROUP,
     GroupColumns,
     GroupingConfig,
@@ -195,8 +196,7 @@ class TestComplexityGroups:
                 )
             ]
         )
-        counts = [branch_count(text) for text in fit_on.code_texts]
-        assert counts == [0, 1, 3, 5, 9]
+        assert fit_on.feature("branches").tolist() == [0, 1, 3, 5, 9]
         target = GroupColumns.from_samples(
             [make_sample(99, code_text="if a:\n if b:\n  for c in d: pass")]
         )
@@ -519,26 +519,50 @@ class TestColumnGroupingMatchesReference:
 
 class TestGroupColumns:
     def test_features_computed_once(self, monkeypatch):
-        columns = GroupColumns.from_samples(
-            [make_sample(i, code_text="if a:\n  b", difficulty="easy") for i in range(4)]
-        )
         calls = []
 
         def counting(text):
             calls.append(text)
             return branch_count(text)
 
-        monkeypatch.setattr("codecal.groups.branch_count", counting)
+        monkeypatch.setitem(TEXT_FEATURES, "branches", counting)
+        columns = GroupColumns.from_samples(
+            [make_sample(i, code_text="if a:\n  b", difficulty="easy") for i in range(4)]
+        )
         cfg = GroupingConfig(complexity_source="branch_heuristic")
         model = GroupingModel.fit(columns, cfg)
         model.apply(columns)
         model.apply(columns)
         assert len(calls) == 4
-        assert columns.length("chars") is columns.length("chars")
+        assert columns.feature("chars") is columns.feature("chars")
 
     def test_columns_must_have_equal_lengths(self):
         with pytest.raises(DataError, match="one entry per sample"):
-            GroupColumns(["a", "b"], ["python"], [None, None], [None, None])
+            GroupColumns(["a", "b"], ["python"], [None, None], [False, False], {})
+        with pytest.raises(DataError, match="one entry per sample"):
+            GroupColumns(["a", "b"], ["py", "py"], [None, None], [False, False], {"loc": [0]})
+
+    def test_text_features_of_samples(self):
+        texts = [None, "", "if a:\n  b && c\n", "x\r\ny"]
+        samples = [make_sample(i, code_text=text) for i, text in enumerate(texts)]
+        columns = GroupColumns.from_samples(samples)
+        assert columns.known.tolist() == [False, True, True, True]
+        assert columns.feature("chars").tolist() == [0, 0, 15, 4]
+        assert columns.feature("loc").tolist() == [0, 0, 2, 2]
+        assert columns.feature("branches").tolist() == [0, 0, 2, 0]
+        assert not hasattr(columns, "code_texts")
+
+    def test_missing_feature_is_a_data_error(self):
+        columns = GroupColumns(["a"], ["py"], [None], [True], {"chars": [3]})
+        with pytest.raises(DataError, match="no 'loc' text feature"):
+            GroupingModel.fit(columns, GroupingConfig(length_metrics=("loc",)))
+
+    def test_config_names_the_features_it_reads(self):
+        assert GroupingConfig().text_features == ("chars", "loc")
+        cfg = GroupingConfig(length_metrics=("loc",), complexity_source="branch_heuristic")
+        assert cfg.text_features == ("loc", "branches")
+        cfg = GroupingConfig(length_metrics=(), complexity_source="difficulty_label")
+        assert cfg.text_features == ()
 
 
 def _grouping_payloads():

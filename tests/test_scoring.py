@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import codecal.data as data_module
-from codecal.data import Sample, parse_record, save_records
+from codecal.data import Sample, load_records, parse_record, save_records
 from codecal.errors import DataError, MissingCodeError, RecordError
+from codecal.groups import GroupColumns, GroupingConfig, GroupingModel, branch_count
 from codecal.scoring import (
     ConfidenceMethod,
     _scored_row,
@@ -125,11 +126,11 @@ class TestScoreDataset:
         assert loaded.p_hat.size == 5
         assert loaded.methods == ("avg_prob",)
         cols = loaded.columns
-        rows = zip(cols.sample_ids, cols.languages, cols.difficulties, cols.code_texts)
+        rows = zip(cols.sample_ids, cols.languages, cols.difficulties, cols.known)
         for sample, p_hat, label, row in zip(samples, loaded.p_hat, loaded.labels, rows, strict=True):
             assert score_sample(sample, method) == p_hat
             assert sample.label == label
-            assert (sample.sample_id, sample.language, sample.difficulty, sample.code_text) == row
+            assert (sample.sample_id, sample.language, sample.difficulty, False) == row
 
 
 class TestScoreFile:
@@ -379,7 +380,11 @@ class TestLoadScored:
         assert cols.sample_ids == [obj["sample_id"] for obj in objects]
         assert cols.languages == [obj["language"] for obj in objects]
         assert cols.difficulties == [obj["difficulty"] for obj in objects]
-        assert cols.code_texts == [obj["code_text"] for obj in objects]
+        texts = [obj["code_text"] for obj in objects]
+        assert cols.known.tolist() == [True] * len(objects)
+        assert cols.feature("chars").tolist() == [len(text) for text in texts]
+        assert cols.feature("loc").tolist() == [len(text.splitlines()) for text in texts]
+        assert cols.feature("branches").tolist() == [branch_count(text) for text in texts]
 
     def test_mixed_methods_listed(self, tmp_path):
         path = tmp_path / "scored.jsonl"
@@ -420,6 +425,108 @@ class TestLoadScored:
 
         # 200 records x 792 more tokens would hold about 5 MB as floats.
         assert held(800) - held(8) <= 64 * 1024
+
+    def test_memory_held_does_not_grow_with_code_length(self, tmp_path):
+        def held(lines):
+            path = tmp_path / f"scored{lines}.jsonl"
+            text = "if x:\n    y = 1\n" * lines
+            write_scored(path, [scored_record(i, 2, code_text=text) for i in range(200)])
+            tracemalloc.start()
+            try:
+                split = load_scored(str(path), GroupingConfig(complexity_source="branch_heuristic"))
+                current, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert split.columns.feature("loc").tolist() == [2 * lines] * 200
+            return current
+
+        # 200 texts 990 lines longer would hold about 3 MB.
+        assert held(500) - held(5) <= 64 * 1024
+
+
+# Code texts: missing, empty, or with keywords, operators and every line end.
+code_texts = st.one_of(
+    st.none(), st.just(""), st.text(alphabet="if or x&|?\n\r\x0b\u2028", max_size=30)
+)
+grouping_configs = st.builds(
+    GroupingConfig,
+    use_language=st.booleans(),
+    length_metrics=st.sampled_from([(), ("chars",), ("loc",), ("chars", "loc"), ("loc", "chars")]),
+    complexity_source=st.sampled_from(["none", "difficulty_label", "branch_heuristic"]),
+    always_on=st.booleans(),
+)
+
+
+def grouped(columns, fit_columns, config):
+    """The grouping fitted on ``fit_columns`` and the membership it gives ``columns``."""
+    try:
+        model = GroupingModel.fit(fit_columns, config)
+        groups = model.apply(columns)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return model.to_json(), groups.names, groups.membership.tobytes()
+
+
+class TestTextFeaturesInReader:
+    """load_scored keeps the text features its grouping config reads, not the texts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        config=grouping_configs,
+        records=st.lists(
+            st.tuples(
+                st.sampled_from(["python", "rust", "go"]),
+                st.one_of(st.none(), st.sampled_from(["easy", "hard"])),
+                code_texts,
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        parts=st.sampled_from([1, 3]),
+    )
+    def test_grouping_matches_columns_of_samples(self, config, records, parts):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scored.jsonl"
+            objects = []
+            for i, (language, difficulty, text) in enumerate(records):
+                obj = scored_record(i, 2, language=language, difficulty=difficulty, code_text=text)
+                objects.append({k: v for k, v in obj.items() if v is not None})
+            write_scored(path, objects)
+            with forced_parts(parts):
+                columns = load_scored(str(path), config).columns
+            reference = GroupColumns.from_samples(load_records(str(path)))
+        fit_half = GroupColumns.from_samples(load_records_of(objects[: len(objects) // 2 + 1]))
+        assert grouped(columns, columns, config) == grouped(reference, reference, config)
+        assert grouped(columns, fit_half, config) == grouped(reference, fit_half, config)
+        assert set(columns.features) == set(config.text_features)
+
+    def test_columns_hold_no_text_and_share_category_objects(self, tmp_path):
+        path = tmp_path / "scored.jsonl"
+        objects = [scored_record(i, 2, code_text=f"# text {i}\n") for i in range(40)]
+        write_scored(path, objects)
+        with forced_parts(3):
+            columns = load_scored(str(path)).columns
+        held = [v for value in vars(columns).values() if isinstance(value, list) for v in value]
+        assert not {obj["code_text"] for obj in objects} & set(held)
+        assert len({id(v) for v in columns.languages}) == len(set(columns.languages)) == 2
+        assert len({id(v) for v in columns.difficulties}) == len(set(columns.difficulties)) == 2
+
+    def test_branch_heuristic_names_first_sample_without_code(self, tmp_path):
+        path = tmp_path / "scored.jsonl"
+        objects = [scored_record(i, 2) for i in range(5)]
+        for i in (2, 4):
+            del objects[i]["code_text"]
+        write_scored(path, objects)
+        config = GroupingConfig(complexity_source="branch_heuristic")
+        columns = load_scored(str(path), config).columns
+        with pytest.raises(RecordError) as info:
+            GroupingModel.fit(columns, config)
+        assert str(info.value) == "code_text required for the branch heuristic [sample_id='s2']"
+
+
+def load_records_of(objects):
+    """Samples of scored record dicts, as load_records would read them."""
+    return [parse_record(obj, line=i + 1) for i, obj in enumerate(objects)]
 
 
 # JSON number literals that test the text check at its edges: zeros,
