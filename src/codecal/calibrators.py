@@ -54,6 +54,10 @@ RIDGE = 1e-6
 TIKHONOV = 1e-10
 GRAD_TOL = 1e-8
 NEWTON_MAX_ITER = 100
+# Newton adds its Hessian over blocks of this many rows, so the weighted
+# temporary is one block rather than a copy of X.  Every fit on at most
+# this many rows is still one product.
+HESSIAN_BLOCK_ROWS = 8192
 PATCH_MAX_ITERS = 1000
 # Why each iterative fitter may stop, as its model records it.
 STOP_REASONS = {
@@ -98,6 +102,16 @@ def _clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, LOGIT_CLAMP))
 
 
+def _weighted_gram(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``X.T @ diag(weights) @ X``, summed over blocks of ``HESSIAN_BLOCK_ROWS`` rows."""
+    rows = HESSIAN_BLOCK_ROWS
+    gram = (X[:rows].T * weights[:rows]) @ X[:rows]
+    for lo in range(rows, len(X), rows):
+        block = X[lo : lo + rows]
+        gram += (block.T * weights[lo : lo + rows]) @ block
+    return gram
+
+
 def _newton_fit(X: np.ndarray, y: np.ndarray, loss: str) -> tuple[np.ndarray, dict]:
     """Damped Newton minimizer for mean CE or mean squared error of sigmoid(Xw).
 
@@ -124,12 +138,12 @@ def _newton_fit(X: np.ndarray, y: np.ndarray, loss: str) -> tuple[np.ndarray, di
         s = mu * (1.0 - mu)
         if loss == "ce":
             grad = X.T @ (mu - y) / n + RIDGE * w
-            hess = (X.T * s) @ X / n + RIDGE * np.eye(d)
+            hess = _weighted_gram(X, s) / n + RIDGE * np.eye(d)
         else:
             r = mu - y
             grad = 2.0 * X.T @ (r * s) / n + RIDGE * w
             # Gauss-Newton curvature keeps the step direction descent-safe.
-            hess = 2.0 * (X.T * (s * s)) @ X / n + RIDGE * np.eye(d)
+            hess = 2.0 * _weighted_gram(X, s * s) / n + RIDGE * np.eye(d)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= GRAD_TOL:
             converged = True

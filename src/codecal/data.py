@@ -8,7 +8,6 @@ one of train/val/test.
 """
 
 import contextlib
-import hashlib
 import io
 import itertools
 import json
@@ -554,11 +553,6 @@ def atomic_outputs(*paths: str):
         raise
 
 
-def _hash64(seed: int, problem_id: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{problem_id}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def assign_problem_splits(problem_ids, spec: SplitSpec) -> dict[str, str]:
     """Map each unique problem id to "train", "val", or "test".
 
@@ -569,7 +563,14 @@ def assign_problem_splits(problem_ids, spec: SplitSpec) -> dict[str, str]:
     unique = sorted(set(problem_ids))
     if len(unique) < 3:
         raise SplitError(f"need at least 3 unique problem ids, got {len(unique)}")
-    ranked = sorted(unique, key=lambda pid: (_hash64(spec.seed, pid), pid))
+    # Imported here: only splitting hashes, so no other command loads OpenSSL.
+    from hashlib import sha256
+
+    def rank(pid: str) -> tuple[int, str]:
+        digest = sha256(f"{spec.seed}:{pid}".encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big"), pid
+
+    ranked = sorted(unique, key=rank)
     n = len(ranked)
     cut_train = int(n * spec.train)
     cut_val = int(n * (spec.train + spec.val))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from codecal.binning import MAX_GRID_M, BinGrid, round_to_grid_index
 from codecal.calibrators import (
+    GRAD_TOL,
+    HESSIAN_BLOCK_ROWS,
+    NEWTON_MAX_ITER,
+    RIDGE,
     STOP_REASONS,
     TIKHONOV,
     _apply_patch,
@@ -286,6 +291,84 @@ class TestGcurLogistic:
         )
         out = model.apply(np.linspace(0.0, 1.0, 21), np.ones((21, 1), dtype=int))
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def single_product_newton(X, y, loss):
+    """``_newton_fit`` as it was before its Hessian was summed in row blocks."""
+    n, d = X.shape
+    w = np.zeros(d)
+
+    def objective(wv):
+        z = X @ wv
+        if loss == "ce":
+            data_term = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        else:
+            data_term = float(np.mean((sigmoid(z) - y) ** 2))
+        return data_term + 0.5 * RIDGE * float(wv @ wv)
+
+    converged = False
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
+        mu = sigmoid(X @ w)
+        s = mu * (1.0 - mu)
+        if loss == "ce":
+            grad = X.T @ (mu - y) / n + RIDGE * w
+            hess = (X.T * s) @ X / n + RIDGE * np.eye(d)
+        else:
+            grad = 2.0 * X.T @ ((mu - y) * s) / n + RIDGE * w
+            hess = 2.0 * (X.T * (s * s)) @ X / n + RIDGE * np.eye(d)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= GRAD_TOL:
+            converged = True
+            iterations -= 1
+            break
+        step = np.linalg.solve(hess, grad)
+        current = objective(w)
+        t = 1.0
+        while t > 1e-12 and objective(w - t * step) >= current:
+            t *= 0.5
+        if t <= 1e-12:
+            break
+        w = w - t * step
+    return w, {"converged": converged, "iterations": iterations, "grad_norm": gnorm}
+
+
+def logistic_design(n, n_groups, seed):
+    """An intercept, a logit score and ``n_groups`` 0/1 group columns, with labels."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(0.0, 1.5, n)
+    groups = (rng.random((n, n_groups)) < 0.3).astype(float)
+    X = np.column_stack([np.ones(n), z, groups])
+    y = (rng.random(n) < sigmoid(0.8 * z + groups @ rng.normal(0.0, 0.5, n_groups))).astype(float)
+    return X, y
+
+
+class TestBlockedHessian:
+    @pytest.mark.parametrize("loss", ["ce", "squared"])
+    @pytest.mark.parametrize("n", [5, 1000, HESSIAN_BLOCK_ROWS])
+    def test_one_block_is_bit_identical(self, n, loss):
+        X, y = logistic_design(n, 6, n)
+        w, info = _newton_fit(X, y, loss)
+        want_w, want_info = single_product_newton(X, y, loss)
+        assert w.tobytes() == want_w.tobytes()
+        assert info == want_info
+
+    @pytest.mark.parametrize("loss", ["ce", "squared"])
+    def test_many_blocks_agree(self, loss):
+        X, y = logistic_design(3 * HESSIAN_BLOCK_ROWS + 17, 6, 7)
+        w, info = _newton_fit(X, y, loss)
+        want_w, want_info = single_product_newton(X, y, loss)
+        np.testing.assert_allclose(w, want_w, rtol=1e-12, atol=0.0)
+        assert info["converged"] == want_info["converged"]
+
+    def test_no_weighted_copy_of_the_design(self):
+        X, y = logistic_design(3 * HESSIAN_BLOCK_ROWS + 17, 24, 8)
+        tracemalloc.start()
+        try:
+            _newton_fit(X, y, "ce")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 2
 
 
 class TestIghb:

@@ -1,7 +1,8 @@
 """Each ``codecal`` module uses every name it imports and binds every name it exports.
 
 Importing the package, and every command that computes nothing, loads
-no numpy; the subprocess tests at the end check that.
+no numpy, and only ``split`` loads ``hashlib`` (so OpenSSL); the
+subprocess tests at the end check that.
 
 Package ``__init__.py`` files re-export names, so they are skipped by
 the import check; a name listed in a module's ``__all__`` counts as
@@ -175,15 +176,17 @@ def run_python(code: str, *args: str, env=None) -> subprocess.CompletedProcess:
 
 
 # Runs the command line as ``python -m codecal.cli`` does and ends its
-# output with its exit code and whether numpy was loaded by then.
-CLI_THEN_NUMPY = """
+# output with its exit code and whether ``module`` was loaded by then.
+CLI_THEN_LOADED = """
 import runpy, sys
 sys.argv = ["codecal", *sys.argv[1:]]
 try:
     runpy.run_module("codecal.cli", run_name="__main__")
 except SystemExit as exc:
-    print(exc.code or 0, "numpy" in sys.modules)
+    print(exc.code or 0, {module!r} in sys.modules)
 """
+CLI_THEN_NUMPY = CLI_THEN_LOADED.format(module="numpy")
+CLI_THEN_HASHLIB = CLI_THEN_LOADED.format(module="hashlib")
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +251,59 @@ def test_fit_eval_loads_numpy(inputs, monkeypatch):
     done = run_python(CLI_THEN_NUMPY, "fit-eval", *splits, "--output-dir", "fit")
     # Unscored splits exit 4, after numpy is loaded.
     assert done.stdout.splitlines()[-1] == "4 True"
+
+
+@pytest.fixture(scope="module")
+def scored_splits(inputs):
+    """Options naming the fixture records, scored and then split, for fit-eval and ablate."""
+    scored, splits = inputs / "scored.jsonl", inputs / "scored_splits"
+    records = inputs / "records.jsonl"
+    run_python(CLI_THEN_NUMPY, "score", "--input", str(records), "--output", str(scored))
+    run_python(CLI_THEN_NUMPY, "split", "--input", str(scored), "--output-dir", str(splits))
+    # The fixture records carry no code text, so nothing can be cut by length.
+    options = [f"--{name}={splits / name}.jsonl" for name in ("train", "val", "test")]
+    return [*options, "--length-metrics", "none"]
+
+
+@pytest.fixture(scope="module")
+def hashlib_not_preloaded():
+    if run_python("import sys; print('hashlib' in sys.modules)").stdout == "True\n":
+        pytest.skip("this interpreter loads hashlib before codecal is imported")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--help"],
+        ["score", "--input", "records.jsonl", "--output", "rescored.jsonl"],
+        ["report", "--report", "report.json", "--output-dir", "charts"],
+        ["convert-calibri", "--source", "raw.jsonl", "--output", "converted.jsonl"],
+        ["fit-eval", "--output-dir", "fit_hashless"],
+        ["ablate", "--output", "ablation.csv"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_commands_that_hash_nothing_load_no_openssl(
+    inputs, scored_splits, hashlib_not_preloaded, args, monkeypatch
+):
+    """``hashlib`` loads OpenSSL's libcrypto, and only ``split`` hashes."""
+    monkeypatch.chdir(inputs)
+    if args[0] in ("fit-eval", "ablate"):
+        args = [*args, *scored_splits]
+    assert run_python(CLI_THEN_HASHLIB, *args).stdout.splitlines()[-1] == "0 False"
+
+
+def test_split_loads_hashlib(inputs, monkeypatch):
+    """The check above can see hashlib.
+
+    Only ``hashlib`` is asserted: it may fall back to its builtin hashes
+    without loading ``_hashlib``.
+    """
+    monkeypatch.chdir(inputs)
+    done = run_python(
+        CLI_THEN_HASHLIB, "split", "--input", "records.jsonl", "--output-dir", "hashed"
+    )
+    assert done.stdout.splitlines()[-1] == "0 True"
 
 
 def test_package_names_resolve_without_numpy():
