@@ -33,17 +33,8 @@ _EXPORTS = {
     ),
     "data": ("Sample", "SplitSpec", "load_records", "save_records"),
     "errors": ("CodecalError", "DataError"),
-    "groups": ("GroupingConfig", "GroupingModel", "GroupSet", "assemble", "build_language_groups"),
-    "metrics": (
-        "accuracy_at_half",
-        "base_rate",
-        "brier",
-        "brier_reference",
-        "brier_skill_score",
-        "ece",
-        "evaluate",
-        "reliability_table",
-    ),
+    "groups": ("GroupingConfig", "GroupingModel", "GroupSet"),
+    "metrics": ("brier_skill_score", "evaluate"),
     "report": ("EvalReport",),
     "scoring": ("ConfidenceMethod", "score_sample"),
     "synthgen": ("Block", "SynthSpec", "generate"),

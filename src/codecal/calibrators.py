@@ -243,7 +243,6 @@ class IterativePatchModel:
     grid_m: int
     group_names: list[str]
     patches: list[dict]
-    converged: bool
     stop_reason: str
     dropped_groups: list[str] = field(default_factory=list)
     alpha: float | None = None
@@ -251,6 +250,11 @@ class IterativePatchModel:
     ls_loss: str | None = None
     val_brier_history: list[float] = field(default_factory=list)
     skipped_regions: list[dict] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        """Whether fitting met its stop rule, rather than running out of rounds or progress."""
+        return self.stop_reason not in ("max_iters", "no_progress")
 
     def apply(self, scores, membership=None) -> np.ndarray:
         grid = BinGrid(self.grid_m)
@@ -407,13 +411,11 @@ def fit_ighb(
     cells = round_to_grid_index(p, grid)
     counts, rsums = cell_sums(cells, m, member_pairs(g), y - cells / m)
     patches: list[dict] = []
-    converged = False
     reason = "max_iters"
     for _ in range(max_iters):
         deltas = rsums / np.maximum(counts, 1.0)
         weights = counts / n * deltas * deltas
         if weights.sum(axis=1).max() <= alpha:
-            converged = True
             reason = "error_budget"
             break
         # argmax walks row-major, so float ties resolve to the lowest
@@ -441,7 +443,6 @@ def fit_ighb(
         grid_m=grid.m,
         group_names=kept,
         patches=patches,
-        converged=converged,
         stop_reason=reason,
         dropped_groups=dropped,
         alpha=alpha,
@@ -512,7 +513,6 @@ def fit_iglb(
     patches: list[dict] = []
     skips: list[dict] = []
     history = [val_brier(vcells)]
-    converged = False
     reason = "max_iters"
     for iteration in range(max_iters):
         sums = cell_sums(tcells, grid.m, pairs, ty - tcells / grid.m, ty)
@@ -531,7 +531,6 @@ def fit_iglb(
                 break
             skips.append({"iteration": iteration, **region})
         if patch is None:
-            converged = True
             reason = stop
             break
         t_members = _region(tcells, gt, patch)
@@ -541,7 +540,6 @@ def fit_iglb(
         new_vcells = _apply_patch("iglb", vcells, gv, patch, grid)
         candidate_brier = val_brier(new_vcells)
         if candidate_brier >= history[-1]:
-            converged = True
             reason = "val_brier"
             break
         tcells = _apply_patch("iglb", tcells, gt, patch, grid)
@@ -553,7 +551,6 @@ def fit_iglb(
         grid_m=grid.m,
         group_names=kept,
         patches=patches,
-        converged=converged,
         stop_reason=reason,
         dropped_groups=dropped,
         epsilon=epsilon,
@@ -713,7 +710,7 @@ def model_from_json(text: str):
             )
         m = BinGrid(payload["grid_m"]).m
         conv = payload["convergence"]
-        if type(conv["converged"]) is not bool or conv["stop_reason"] not in STOP_REASONS[method]:
+        if conv["stop_reason"] not in STOP_REASONS[method]:
             raise DataError(f"malformed {method} model convergence {conv!r}")
         for key in ("alpha", "epsilon"):
             value = params.get(key)
@@ -725,13 +722,21 @@ def model_from_json(text: str):
         else:
             extra = {"epsilon": params.get("epsilon")}
             extra.update(_iglb_fields(params, len(names), m, len(patches) + 1))
-        return IterativePatchModel(
+        model = IterativePatchModel(
             method=method,
             grid_m=m,
             group_names=names,
             patches=patches,
-            converged=conv["converged"],
             stop_reason=conv["stop_reason"],
             dropped_groups=dropped,
             **extra,
         )
+        # model_to_json derives converged and iterations from the stop reason
+        # and the patches; == alone would take 1 for true and 1.0 for 1.
+        record = {**conv, "converged": model.converged, "iterations": len(patches)}
+        if conv != record or [type(conv[k]) for k in ("converged", "iterations")] != [bool, int]:
+            raise DataError(
+                f"{method} model convergence {conv!r} disagrees with its stop reason"
+                f" and its {len(patches)} patches"
+            )
+        return model

@@ -1,10 +1,11 @@
 """Binary group functions over samples.
 
 Groups drive the group-conditional calibrators: each column of a
-GroupSet is one binary membership indicator, and columns from different
-builders may overlap.  Anything fitted (length cutpoints, complexity
-terciles, the language list) is fitted on one dataset and can then be
-applied to another, so thresholds never leak out of the training split.
+GroupSet is one binary membership indicator, and columns of different
+families may overlap.  :class:`GroupingModel` builds them all.  Anything
+fitted (length cutpoints, complexity terciles, the language list) is
+fitted on one dataset and can then be applied to another, so
+thresholds never leak out of the training split.
 
 This module owns the membership contract.  :func:`check_membership`
 accepts a 2-d array only when every entry is 0 or 1 before any cast, so
@@ -35,8 +36,6 @@ __all__ = [
     "GroupingConfig",
     "GroupingModel",
     "check_membership",
-    "build_language_groups",
-    "assemble",
     "nearest_rank_quantile",
     "branch_count",
     "TEXT_FEATURES",
@@ -291,38 +290,6 @@ def _label_membership(columns: GroupColumns, name: str, labels: list) -> np.ndar
     return _one_hot(lookup[codes], len(labels))
 
 
-def build_language_groups(columns: GroupColumns, languages: list[str] | None = None) -> GroupSet:
-    """One group per language; defaults to the sorted distinct languages seen.
-
-    With an explicit ``languages`` list, samples in other languages get
-    all-zero rows, so a language fitted elsewhere never silently absorbs
-    strangers.
-    """
-    if languages is None:
-        languages = sorted(columns.codes("languages")[0])
-    return GroupSet(list(languages), _label_membership(columns, "languages", languages))
-
-
-def assemble(parts: list[GroupSet], always_on: bool = True) -> GroupSet:
-    """Concatenate group sets column-wise, optionally prepending an ALL group."""
-    if not parts:
-        raise DataError("no group sets to assemble")
-    n = parts[0].n_samples
-    for part in parts[1:]:
-        if part.n_samples != n:
-            raise DataError(
-                f"group sets cover different sample counts: {n} vs {part.n_samples}"
-            )
-    names = [name for part in parts for name in part.names]
-    return _stack(n, always_on, names, [part.membership for part in parts])
-
-
-def _stack(n: int, always_on: bool, names: list[str], blocks: list[np.ndarray]) -> GroupSet:
-    """The blocks' columns as one GroupSet, led by the ALL group when ``always_on``."""
-    lead = [ALL_GROUP] if always_on else []
-    return GroupSet(lead + names, np.hstack([np.ones((n, len(lead)), dtype=np.int8), *blocks]))
-
-
 @dataclass
 class GroupingModel:
     """A fitted grouping: everything needed to group new samples.
@@ -364,9 +331,9 @@ class GroupingModel:
         return model
 
     def apply(self, columns: GroupColumns) -> GroupSet:
-        """Group the samples of ``columns``."""
-        names: list[str] = []
-        blocks: list[np.ndarray] = []
+        """Group the samples of ``columns``, led by the ALL group when ``always_on``."""
+        names: list[str] = [ALL_GROUP] if self.config.always_on else []
+        blocks = [np.ones((len(columns), len(names)), dtype=np.int8)]
         if self.config.use_language:
             names.extend(self.languages)
             blocks.append(_label_membership(columns, "languages", self.languages))
@@ -389,7 +356,7 @@ class GroupingModel:
             bands = _band_membership(columns.branch_counts(), self.complexity_cutpoints)
             names.extend(_band_names("cx", len(self.complexity_cutpoints) + 1))
             blocks.append(_one_hot(bands, len(self.complexity_cutpoints) + 1))
-        return _stack(len(columns), self.config.always_on, names, blocks)
+        return GroupSet(names, np.hstack(blocks))
 
     def to_json(self) -> str:
         return json.dumps({"schema_version": 1, **asdict(self)}, sort_keys=True, indent=2)

@@ -1,10 +1,11 @@
-"""Calibration metrics, and :func:`evaluate`, which gathers them into an :class:`EvalReport`.
+"""Calibration metrics: :func:`evaluate` gathers every one into an :class:`EvalReport`.
 
-All metrics take parallel arrays of confidence scores in [0, 1] and
-binary outcome labels.  Binned quantities use the uniform grid from
-:mod:`codecal.binning`; empty bins contribute nothing.  The binned
-metrics read per-(group, bin) counts, residual sums ``sum(y - p)`` and
-label sums from :func:`binning.cell_sums`, one call for all groups.
+Metrics take parallel arrays of confidence scores in [0, 1] and binary
+outcome labels.  Binned quantities use the uniform grid from
+:mod:`codecal.binning`; empty bins contribute nothing.  They read
+per-(group, bin) counts, residual sums ``sum(y - p)`` and label sums
+from :func:`binning.cell_sums`: one call for all groups, and one for
+the whole sample.
 """
 
 import numpy as np
@@ -14,18 +15,8 @@ from .errors import DataError
 from .groups import GroupSet
 from .report import NEG_INF, EvalReport
 
-__all__ = [
-    "NEG_INF",
-    "ece",
-    "brier",
-    "base_rate",
-    "brier_reference",
-    "brier_skill_score",
-    "accuracy_at_half",
-    "reliability_table",
-    "EvalReport",
-    "evaluate",
-]
+__all__ = ["NEG_INF", "brier_skill_score", "EvalReport", "evaluate"]
+
 
 def _as_scores(scores, empty: str = "need at least one sample") -> np.ndarray:
     """Validated 1-d float array of scores in [0, 1]; ``empty`` is the message for none."""
@@ -59,110 +50,59 @@ def _as_scores_labels(
     return p, y
 
 
-def ece(scores, labels, grid: BinGrid) -> float:
-    """Expected calibration error.
+def _skill(brier: float, reference: float) -> float:
+    """Skill relative to the base-rate predictor: (B_ref - B) / B_ref.
 
-    Bins scores on the uniform grid and averages the absolute gap
-    between per-bin accuracy and per-bin mean confidence, weighted by
-    bin occupancy:
-
-        ECE = sum_b |B_b|/n * |acc(B_b) - conf(B_b)|
-
-    Empty bins contribute 0.
+    B_ref = rate * (1 - rate) is the Brier score of always predicting
+    the base rate.  On a degenerate reference (all labels equal, B_ref =
+    0) the skill is 1.0 for a perfect predictor and ``NEG_INF`` otherwise.
     """
-    p, y = _as_scores_labels(scores, labels)
-    # |B_b|/n * |acc - conf| is |sum of the residuals in b| / n.
-    _, rsums = cell_sums(assign_bins(p, grid), grid.m, None, y - p)
-    return float(np.sum(np.abs(rsums)) / p.size)
-
-
-def brier(scores, labels) -> float:
-    """Mean squared error between confidence and outcome.
-
-    0 for perfect confidence, 0.25 for a constant 0.5 on balanced
-    outcomes, 1 when confidently wrong everywhere.
-    """
-    p, y = _as_scores_labels(scores, labels)
-    return float(np.mean((p - y) ** 2))
-
-
-def base_rate(labels) -> float:
-    """Fraction of positive labels."""
-    y = np.asarray(labels, dtype=float)
-    if y.size == 0:
-        raise DataError("need at least one sample")
-    return float(y.mean())
-
-
-def brier_reference(labels) -> float:
-    """Brier score of always predicting the base rate: p_r * (1 - p_r)."""
-    rate = base_rate(labels)
-    return rate * (1.0 - rate)
+    if reference == 0.0:
+        return 1.0 if brier == 0.0 else NEG_INF
+    return (reference - brier) / reference
 
 
 def brier_skill_score(scores, labels) -> float:
-    """Skill relative to the base-rate predictor: (B_ref - B) / B_ref.
+    """The ``bss`` of :func:`evaluate`, without the rest of its report.
 
-    Positive means better than knowing only the base rate.  On a
-    degenerate reference (all labels equal, B_ref = 0) the score is 1.0
-    for a perfect predictor and ``NEG_INF`` otherwise.
+    Positive means better than knowing only the base rate.
     """
     p, y = _as_scores_labels(scores, labels)
-    b = brier(p, y)
-    ref = brier_reference(y)
-    if ref == 0.0:
-        return 1.0 if b == 0.0 else NEG_INF
-    return (ref - b) / ref
-
-
-def accuracy_at_half(scores, labels) -> float:
-    """Accuracy of thresholding confidence at 0.5 (0.5 itself predicts positive)."""
-    p, y = _as_scores_labels(scores, labels)
-    predicted = (p >= 0.5).astype(float)
-    return float(np.mean(predicted == y))
-
-
-def _gasce(counts, rsums) -> np.ndarray:
-    """Group-wise average squared calibration error per row of ``(k, m)`` cell sums.
-
-    Bins are weighted by their share of the group, and the squared mean
-    residual inside each bin is accumulated:
-
-        gASCE(g) = sum_b P(b | g) * mean(y - p | g, b)^2
-
-    Rows without members give 0.
-    """
-    delta = rsums / np.maximum(counts, 1)
-    share = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
-    return np.sum(share * delta * delta, axis=1)
-
-
-def reliability_table(scores, labels, grid: BinGrid) -> list[tuple[int, int, float, float]]:
-    """Rows ``(bin, count, conf, acc)`` for every occupied bin, ascending."""
-    p, y = _as_scores_labels(scores, labels)
-    sums = cell_sums(assign_bins(p, grid), grid.m, None, y - p, y)
-    counts, rsums, ysums = (table[0].tolist() for table in sums)
-    return [
-        (b, c, (sy - sr) / c, sy / c)
-        for b, c, sr, sy in zip(range(1, grid.m + 1), counts, rsums, ysums)
-        if c
-    ]
+    rate = float(y.mean())
+    return _skill(float(np.mean((p - y) ** 2)), rate * (1.0 - rate))
 
 
 def evaluate(scores, labels, grid: BinGrid, groups: GroupSet | None = None) -> EvalReport:
     """Compute the full report for one score vector.
 
+    Scores are binned once.  One groupless table of per-bin counts,
+    residual sums ``sum(y - p)`` and label sums gives both the ECE,
+
+        ECE = sum_b |B_b|/n * |acc(B_b) - conf(B_b)| = sum_b |sum of residuals in b| / n,
+
+    and the reliability rows ``(bin, count, conf, acc)`` of the occupied
+    bins; the Brier score is the mean squared error ``mean((p - y)^2)``
+    and the accuracy thresholds at 0.5, which predicts positive.  Each
+    group's gASCE, its group-wise average squared calibration error,
+    weights its bins by their share of the group:
+
+        gASCE(g) = sum_b P(b | g) * mean(y - p | g, b)^2
+
     Zero-mass groups are listed in the summary with a degenerate marker
     but contribute no gASCE entry.
     """
     p, y = _as_scores_labels(scores, labels, *([] if groups is None else [groups]))
+    bins = assign_bins(p, grid)
     per_group: dict[str, float] = {}
     summary: dict[str, dict] = {}
     if groups is not None:
         pairs = member_pairs(groups.membership)
-        counts, rsums, ysums = cell_sums(assign_bins(p, grid), grid.m, pairs, y - p, y)
+        counts, rsums, ysums = cell_sums(bins, grid.m, pairs, y - p, y)
+        delta = rsums / np.maximum(counts, 1)
+        share = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+        gasce = np.sum(share * delta * delta, axis=1)
         totals = zip(counts.sum(axis=1).tolist(), rsums.sum(axis=1), ysums.sum(axis=1))
-        for name, (count, rsum, ysum), err in zip(groups.names, totals, _gasce(counts, rsums)):
+        for name, (count, rsum, ysum), err in zip(groups.names, totals, gasce):
             if count == 0:
                 summary[name] = {"count": 0, "mean_conf": None, "accuracy": None, "degenerate": True}
                 continue
@@ -173,16 +113,21 @@ def evaluate(scores, labels, grid: BinGrid, groups: GroupSet | None = None) -> E
                 "accuracy": float(ysum / count),
                 "degenerate": False,
             }
+    counts, rsums, ysums = cell_sums(bins, grid.m, None, y - p, y)
+    brier = float(np.mean((p - y) ** 2))
+    rate = float(y.mean())
+    reference = rate * (1.0 - rate)
+    rows = zip(range(1, grid.m + 1), *(table[0].tolist() for table in (counts, rsums, ysums)))
     return EvalReport(
         n_samples=p.size,
         grid_m=grid.m,
-        ece=ece(p, y, grid),
-        brier=brier(p, y),
-        brier_ref=brier_reference(y),
-        bss=brier_skill_score(p, y),
-        accuracy=accuracy_at_half(p, y),
-        base_rate=base_rate(y),
+        ece=float(np.sum(np.abs(rsums)) / p.size),
+        brier=brier,
+        brier_ref=reference,
+        bss=_skill(brier, reference),
+        accuracy=float(np.mean((p >= 0.5) == y)),
+        base_rate=rate,
         per_group_gasce=per_group,
         group_summary=summary,
-        reliability=reliability_table(p, y, grid),
+        reliability=[(b, c, (sy - sr) / c, sy / c) for b, c, sr, sy in rows if c],
     )

@@ -64,7 +64,8 @@ class EvalReport:
             if values["bss"] != "-inf":
                 finite_numbers([values["bss"]], "report bss", 1)
             values["bss"] = float(values["bss"])
-            finite_numbers([*values["per_group_gasce"].values()], "report per_group_gasce values")
+            gasce = [*values["per_group_gasce"].values()]
+            finite_numbers(gasce, "report per_group_gasce values", unit=True)
             if any(len(row) != 4 for row in values["reliability"]):
                 raise DataError("report reliability rows must be [bin, count, conf, acc]")
             for b, count, conf, acc in values["reliability"]:
@@ -79,11 +80,18 @@ class EvalReport:
                     " with counts summing to n_samples"
                 )
             for name, stats in values["group_summary"].items():
-                whole_number(stats["count"], f"report group {name!r} count", range(n + 1))
+                count = whole_number(stats["count"], f"report group {name!r} count", range(n + 1))
                 rates = [stats["mean_conf"], stats["accuracy"]]
-                if rates != [None, None]:
+                empty = count == 0
+                if not empty:
                     what = f"report group {name!r} mean_conf and accuracy"
                     finite_numbers(rates, what, 2, unit=True)
+                if stats["degenerate"] is not empty or (empty and rates != [None, None]):
+                    what = "degenerate, with null rates, exactly when its count is 0"
+                    raise DataError(f"report group {name!r} must be {what}")
+            live = [name for name, stats in values["group_summary"].items() if stats["count"]]
+            if sorted(values["per_group_gasce"]) != sorted(live):
+                raise DataError("report per_group_gasce must list exactly the groups with members")
             return cls(**values)
 
     @classmethod

@@ -31,6 +31,19 @@ def brute_ece(scores, labels, m: int) -> float:
     return total
 
 
+def brute_reliability(scores, labels, m: int) -> list[tuple[int, int, float, float]]:
+    """Rows ``(bin, count, conf, acc)`` of the occupied bins, ascending."""
+    rows = []
+    for b in range(1, m + 1):
+        members = [i for i in range(len(scores)) if brute_bin_of(scores[i], m) == b]
+        if not members:
+            continue
+        conf = sum(scores[i] for i in members) / len(members)
+        acc = sum(labels[i] for i in members) / len(members)
+        rows.append((b, len(members), conf, acc))
+    return rows
+
+
 def brute_brier(scores, labels) -> float:
     return sum((p - y) ** 2 for p, y in zip(scores, labels)) / len(scores)
 

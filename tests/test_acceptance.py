@@ -28,13 +28,7 @@ from codecal.calibrators import (
 from codecal.cli import main
 from codecal.data import save_records
 from codecal.groups import GroupSet
-from codecal.metrics import (
-    NEG_INF,
-    brier,
-    brier_skill_score,
-    ece,
-    evaluate,
-)
+from codecal.metrics import NEG_INF, brier_skill_score, evaluate
 from codecal.scoring import ConfidenceMethod, score_sample
 from codecal.synthgen import Block, SynthSpec, generate
 
@@ -81,19 +75,16 @@ def test_criterion_1_metric_oracle_equivalence():
         members = rng.integers(0, 2, size=n)
         if members.sum() == 0:
             members[int(rng.integers(0, n))] = 1
-        grid = BinGrid(m)
         s, l = scores.tolist(), labels.tolist()
-        ok &= abs(ece(scores, labels, grid) - brute_ece(s, l, m)) <= 1e-12
-        ok &= abs(brier(scores, labels) - brute_brier(s, l)) <= 1e-12
-        lib_bss = brier_skill_score(scores, labels)
+        report = evaluate(scores, labels, BinGrid(m), GroupSet(["g"], members[:, None]))
+        ok &= abs(report.ece - brute_ece(s, l, m)) <= 1e-12
+        ok &= abs(report.brier - brute_brier(s, l)) <= 1e-12
         ref_bss = brute_bss(s, l)
         if ref_bss == float("-inf"):
-            ok &= lib_bss == NEG_INF
+            ok &= report.bss == NEG_INF
         else:
-            ok &= abs(lib_bss - ref_bss) <= 1e-12
-        group = GroupSet(["g"], members[:, None])
-        lib_gasce = evaluate(scores, labels, grid, group).per_group_gasce["g"]
-        ok &= abs(lib_gasce - brute_gasce(s, l, members.tolist(), m)) <= 1e-12
+            ok &= abs(report.bss - ref_bss) <= 1e-12
+        ok &= abs(report.per_group_gasce["g"] - brute_gasce(s, l, members.tolist(), m)) <= 1e-12
     elapsed = time.monotonic() - started
     ok &= elapsed < 5.0
     _report(1, "metric oracle equivalence, 500 instances", ok)
@@ -178,7 +169,7 @@ def test_criterion_5_iterative_logit_binning_beats_global_methods():
     history = model.val_brier_history
     strictly_decreasing = all(b < a for a, b in zip(history, history[1:]))
     calibrated = model.apply(sp, sg.select(model.group_names))
-    test_brier = brier(calibrated, sy)
+    test_brier = evaluate(calibrated, sy, grid).brier
     test_bss = brier_skill_score(calibrated, sy)
     bss_platt = brier_skill_score(fit_platt(tp, ty).apply(sp), sy)
     bss_hist = brier_skill_score(fit_histogram_binning(tp, ty, grid).apply(sp), sy)
@@ -194,7 +185,7 @@ def test_criterion_5_iterative_logit_binning_beats_global_methods():
 
 
 def test_criterion_6_known_value_spot_checks():
-    ok = brier([0.5, 0.5], [0, 1]) == pytest.approx(0.25, abs=1e-15)
+    ok = evaluate([0.5, 0.5], [0, 1], BinGrid(20)).brier == pytest.approx(0.25, abs=1e-15)
     ok &= brier_skill_score([1.0, 1.0], [1, 1]) == 1.0
     ok &= brier_skill_score([0.9, 1.0], [1, 1]) == NEG_INF
     ok &= assign_bins([1.0], BinGrid(20)).tolist() == [20]

@@ -37,17 +37,16 @@ from codecal.calibrators import (
 )
 from codecal.cli import METHOD_NAMES
 from codecal.errors import DataError, FitError
-from codecal.groups import (
-    GroupColumns,
-    GroupingConfig,
-    GroupingModel,
-    GroupSet,
-    assemble,
-    build_language_groups,
-)
+from codecal.groups import GroupColumns, GroupingConfig, GroupingModel, GroupSet
 from codecal.synthgen import Block, SynthSpec, generate
 
 from oracles import reference_ighb
+
+
+def led_by_all(names, *blocks):
+    """The int8 ``blocks`` side by side as named groups after an ALL group, as grouping puts it."""
+    n = blocks[0].shape[0]
+    return GroupSet(["ALL", *names], np.hstack([np.ones((n, 1), dtype=np.int8), *blocks]))
 
 
 def ones_groups(n):
@@ -597,8 +596,9 @@ def pinned_split(n, seed):
     samples, block_groups = generate(
         SynthSpec(blocks=blocks, n_samples=n, seed=seed, languages=languages)
     )
-    language_groups = build_language_groups(GroupColumns.from_samples(samples), list(languages))
-    groups = assemble([block_groups, language_groups])
+    codes = np.array([languages.index(s.language) for s in samples])
+    in_language = (codes[:, None] == np.arange(len(languages))).astype(np.int8)
+    groups = led_by_all([*block_groups.names, *languages], block_groups.membership, in_language)
     p = np.array([math.exp(s.token_logprobs[0]) for s in samples])
     y = np.array([s.label for s in samples], dtype=float)
     return p, y, groups
@@ -774,7 +774,6 @@ def applied_model(kind):
         grid_m=10,
         group_names=["a"],
         patches=[],
-        converged=True,
         stop_reason="error_budget",
     )
 
@@ -864,13 +863,12 @@ NEWTON_RECORD = {"converged": True, "iterations": 6, "grad_norm": 1e-10}
 def _valid_payloads():
     ighb = IterativePatchModel(
         method="ighb", grid_m=10, group_names=["a", "b"],
-        patches=[{"group": 1, "cell": 3, "delta": 0.1}], converged=True,
-        stop_reason="error_budget", alpha=0.1,
+        patches=[{"group": 1, "cell": 3, "delta": 0.1}], stop_reason="error_budget", alpha=0.1,
     )
     iglb = IterativePatchModel(
         method="iglb", grid_m=10, group_names=["a", "b"],
         patches=[{"group": 0, "bin": 4, "side": "le", "alpha": 0.2, "beta": 1.1}],
-        converged=True, stop_reason="val_brier", epsilon=0.05, ls_loss="ce",
+        stop_reason="val_brier", epsilon=0.05, ls_loss="ce",
         val_brier_history=[0.25, 0.24],
         skipped_regions=[{"iteration": 0, "group": 1, "bin": 9, "side": "ge"}],
     )
@@ -930,6 +928,17 @@ MALFORMED_MODELS = {
     "negative iglb epsilon": ("iglb", _set(("params", "epsilon"), -0.05)),
     "string ighb converged": ("ighb", _set(("convergence", "converged"), "false")),
     "null iglb converged": ("iglb", _set(("convergence", "converged"), None)),
+    "integer ighb converged": ("ighb", _set(("convergence", "converged"), 1)),
+    "converged beside no_progress": ("ighb", _set(("convergence", "stop_reason"), "no_progress")),
+    "ighb unconverged beside error_budget": ("ighb", _set(("convergence", "converged"), False)),
+    "iglb converged beside max_iters": ("iglb", _set(("convergence", "stop_reason"), "max_iters")),
+    "ighb iterations beyond the patches": ("ighb", _set(("convergence", "iterations"), 999)),
+    "iglb iterations short of the patches": ("iglb", _set(("convergence", "iterations"), 0)),
+    "string ighb iterations": ("ighb", _set(("convergence", "iterations"), "x")),
+    "float iglb iterations": ("iglb", _set(("convergence", "iterations"), 1.0)),
+    "boolean ighb iterations": ("ighb", _set(("convergence", "iterations"), True)),
+    "ighb without iterations": ("ighb", _drop(("convergence", "iterations"))),
+    "iglb without converged": ("iglb", _drop(("convergence", "converged"))),
     "integer ighb stop_reason": ("ighb", _set(("convergence", "stop_reason"), 7)),
     "empty ighb stop_reason": ("ighb", _set(("convergence", "stop_reason"), "")),
     "iglb stop_reason on ighb": ("ighb", _set(("convergence", "stop_reason"), "val_brier")),
@@ -1074,7 +1083,6 @@ def models_built_in_code(draw):
         grid_m=m,
         group_names=names,
         patches=patches,
-        converged=draw(pick(st.booleans(), st.just("no"))),
         stop_reason=draw(st.sampled_from(STOP_REASONS[kind] if valid else STOP_REASONS["iglb"])),
         dropped_groups=draw(pick(st.lists(st.sampled_from("xy")), st.just("x"))),
         **extra,
@@ -1159,7 +1167,7 @@ def synth_split(blocks, n, seed):
     samples, block_groups = generate(spec)
     p = np.array([math.exp(s.token_logprobs[0]) for s in samples])
     y = np.array([s.label for s in samples], dtype=float)
-    return p, y, assemble([block_groups])
+    return p, y, led_by_all(block_groups.names, block_groups.membership)
 
 
 class TestFitterProperties:

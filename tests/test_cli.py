@@ -1214,6 +1214,13 @@ def skipped_group(**stats):
     return dict(stats, degenerate=True)
 
 
+def group_a(gasce, **stats):
+    """Report fields with one group ``a``: all three samples of TestReportCommand's report
+    as fit-eval writes them, but for ``stats``; ``gasce`` is the per_group_gasce mapping."""
+    summary = {"count": 3, "mean_conf": 0.6, "accuracy": 2 / 3, "degenerate": False, **stats}
+    return {"group_summary": {"a": summary}, "per_group_gasce": gasce}
+
+
 class TestReportCommand:
     def test_writes_both_charts(self, pipeline, tmp_path):
         outdir = tmp_path / "fit"
@@ -1261,6 +1268,13 @@ class TestReportCommand:
         result = self.render_broken(tmp_path, json.dumps(payload))
         assert result.exit_code == 4
         assert "error: report reliability rows must be [bin, count, conf, acc]" in result.output
+
+    def test_groups_as_fit_eval_writes_them_load(self, tmp_path):
+        """``group_a``'s defaults are valid, so each case below is refused for its change."""
+        change = group_a({"a": 0.0})
+        change["group_summary"]["b"] = skipped_group(count=0, mean_conf=None, accuracy=None)
+        result = self.render_broken(tmp_path, json.dumps({**self.valid_report(), **change}))
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize(
         "change",
@@ -1311,6 +1325,19 @@ class TestReportCommand:
             {"reliability": [[2, 0, 0.2, 0.0], [3, 3, 0.2, 1.0]]},
             {"reliability": [[3, 2, 0.2, 0.0]]},
             {"reliability": []},
+            # Group summaries fit-eval never writes: degenerate is the JSON
+            # boolean count == 0, the rates are null exactly then, and
+            # per_group_gasce holds a value >= 0 for each other group.
+            group_a({"a": 0.0}, degenerate="no"),
+            group_a({"a": 0.0}, degenerate=0),
+            group_a({}, count=0),
+            group_a({}, count=0, degenerate=True),
+            group_a({}, degenerate=True, mean_conf=None, accuracy=None),
+            group_a({"a": 0.0}, mean_conf=None, accuracy=None),
+            group_a({"a": -0.01}),
+            group_a({}),
+            group_a({"a": 0.0, "b": 0.0}),
+            {"per_group_gasce": {"b": 0.01}},
         ],
     )
     def test_mistyped_values_are_data_errors(self, tmp_path, change):

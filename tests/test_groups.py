@@ -15,9 +15,7 @@ from codecal.groups import (
     GroupingConfig,
     GroupingModel,
     GroupSet,
-    assemble,
     branch_count,
-    build_language_groups,
     check_membership,
     nearest_rank_quantile,
 )
@@ -97,22 +95,8 @@ class TestNearestRankQuantile:
             assert nearest_rank_quantile(values, q) == brute_nearest_rank_quantile(values, q)
 
 
-class TestLanguageGroups:
-    def test_partition(self):
-        ds = GroupColumns.from_samples(
-            [make_sample(i, language=l) for i, l in enumerate("abacbc")]
-        )
-        gs = build_language_groups(ds)
-        assert gs.names == ["a", "b", "c"]
-        np.testing.assert_array_equal(gs.membership.sum(axis=1), np.ones(6))
-
-    def test_unseen_language_gets_zero_row(self):
-        ds = GroupColumns.from_samples([make_sample(0, language="lua")])
-        gs = build_language_groups(ds, languages=["python", "rust"])
-        np.testing.assert_array_equal(gs.membership, [[0, 0]])
-
-
-# One family at a time: no language groups and no ALL column.
+# One family at a time: no ALL column, and no language groups but in LANGUAGE_ONLY.
+LANGUAGE_ONLY = GroupingConfig(length_metrics=(), always_on=False)
 LENGTH_ONLY = GroupingConfig(use_language=False, length_metrics=("chars",), always_on=False)
 COMPLEXITY_ONLY = GroupingConfig(use_language=False, length_metrics=(), always_on=False)
 
@@ -227,24 +211,35 @@ class TestComplexityGroups:
             GroupingModel.fit(ds, cfg)
 
 
-class TestAssemble:
-    def test_always_on_column(self):
-        a = GroupSet(["g1"], np.array([[1], [0]]))
-        b = GroupSet(["g2"], np.array([[0], [1]]))
-        combined = assemble([a, b])
-        assert combined.names == ["ALL", "g1", "g2"]
-        np.testing.assert_array_equal(combined.select(["ALL"])[:, 0], [1, 1])
+class TestLanguageGroups:
+    def test_partition(self):
+        ds = GroupColumns.from_samples(
+            [make_sample(i, language=l) for i, l in enumerate("abacbc")]
+        )
+        gs = GroupingModel.fit(ds, LANGUAGE_ONLY).apply(ds)
+        assert gs.names == ["a", "b", "c"]
+        np.testing.assert_array_equal(gs.membership.sum(axis=1), np.ones(6))
 
-    def test_row_count_mismatch(self):
-        a = GroupSet(["g1"], np.array([[1], [0]]))
-        b = GroupSet(["g2"], np.array([[1]]))
-        with pytest.raises(DataError):
-            assemble([a, b])
+    def test_unseen_language_gets_zero_row(self):
+        ds = GroupColumns.from_samples([make_sample(0, language="lua")])
+        gs = GroupingModel(LANGUAGE_ONLY, languages=["python", "rust"]).apply(ds)
+        np.testing.assert_array_equal(gs.membership, [[0, 0]])
+
+
+class TestAssemble:
+    """``apply`` puts the ALL group first when ``always_on``, and only then."""
+
+    def test_always_on_column(self):
+        ds = GroupColumns.from_samples([make_sample(0, language="g1"), make_sample(1, "g2")])
+        gs = GroupingModel.fit(ds, replace(LANGUAGE_ONLY, always_on=True)).apply(ds)
+        assert gs.names == ["ALL", "g1", "g2"]
+        np.testing.assert_array_equal(gs.membership, [[1, 1, 0], [1, 0, 1]])
 
     def test_no_all_column(self):
-        a = GroupSet(["g1"], np.array([[1], [0]]))
-        combined = assemble([a], always_on=False)
-        assert combined.names == ["g1"]
+        ds = GroupColumns.from_samples([make_sample(0, language="g1"), make_sample(1, "g1")])
+        gs = GroupingModel.fit(ds, LANGUAGE_ONLY).apply(ds)
+        assert gs.names == ["g1"]
+        np.testing.assert_array_equal(gs.membership, [[1], [1]])
 
 
 class TestGroupingModel:

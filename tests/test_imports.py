@@ -1,5 +1,8 @@
 """Each ``codecal`` module uses every name it imports and binds every name it exports.
 
+Every name the package exports has a caller: its own modules, the
+benchmark scripts or the README's library example use it.
+
 Importing the package, and every command that computes nothing, loads
 no numpy, and only ``split`` loads ``hashlib`` (so OpenSSL); the
 subprocess tests at the end check that.
@@ -13,6 +16,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,6 +153,51 @@ def test_checker_finds_stray_json_decodes():
     assert stray_json_decodes(source, "data.py") == [3, 5, 11, 12]
 
 
+def referenced_names(source: str) -> set[str]:
+    """Names ``source`` reads, bare or as an attribute, outside their own definitions."""
+    found = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in defining:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defining:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def uncalled_exports(exports, sources: list[str], text: str) -> list[str]:
+    """Names of ``exports`` that no ``sources`` reads and ``text`` never mentions."""
+    used = set().union(*map(referenced_names, sources))
+    return sorted(
+        name for name in exports if name not in used and not re.search(rf"\b{name}\b", text)
+    )
+
+
+def test_checker_finds_uncalled_exports():
+    sources = [
+        "import x\nfrom y import imported\ndef f():\n    return f() + g\nclass C:\n    C.m\n",
+        "print(module.attr)\n",
+    ]
+    exports = ["f", "g", "C", "attr", "imported", "m", "x", "shown", "hidden"]
+    text = "Call `shown(1)`; hiddenly is another word."
+    assert uncalled_exports(exports, sources, text) == ["C", "f", "hidden", "imported", "x"]
+
+
+def test_every_exported_name_has_a_caller():
+    """An exported name nothing uses is dead API, like an exception nothing raises."""
+    sources = [path.read_text(encoding="utf-8") for path in (SRC / "codecal").glob("*.py")]
+    sources += [path.read_text(encoding="utf-8") for path in (SRC.parent / "bench").glob("*.py")]
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    library_use = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    assert uncalled_exports(codecal.__all__, sources, library_use) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_json_decoded_only_where_decode_failures_are_caught(path):
     """A new reader goes through a shared decoder, so it inherits its decode-failure rule."""
@@ -219,6 +268,7 @@ def inputs(tmp_path_factory):
         bss=0.2,
         accuracy=0.5,
         base_rate=0.5,
+        per_group_gasce={"g": 0.01},
         group_summary={"g": {"count": 2, "mean_conf": 0.4, "accuracy": 0.5, "degenerate": False}},
         reliability=[(1, 2, 0.4, 0.5)],
     )
@@ -312,7 +362,7 @@ def test_package_names_resolve_without_numpy():
         "assert 'numpy' not in sys.modules\n"
         "print(sorted(set(codecal.__all__) - set(dir(codecal))))\n"
         "print([name for name in codecal.__all__ if getattr(codecal, name) is None])\n"
-        "print(codecal.metrics.ece is codecal.ece)\n"
+        "print(codecal.metrics.evaluate is codecal.evaluate)\n"
     )
     assert run_python(code).stdout == "[]\n[]\nTrue\n"
 

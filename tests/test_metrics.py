@@ -8,18 +8,7 @@ from codecal.binning import BinGrid
 from codecal.calibrators import fit_ighb
 from codecal.errors import DataError
 from codecal.groups import GroupSet
-from codecal.metrics import (
-    NEG_INF,
-    EvalReport,
-    accuracy_at_half,
-    base_rate,
-    brier,
-    brier_reference,
-    brier_skill_score,
-    ece,
-    evaluate,
-    reliability_table,
-)
+from codecal.metrics import NEG_INF, EvalReport, brier_skill_score, evaluate
 
 from oracles import (
     brute_accuracy_at_half,
@@ -27,6 +16,7 @@ from oracles import (
     brute_bss,
     brute_ece,
     brute_gasce,
+    brute_reliability,
 )
 
 
@@ -40,68 +30,72 @@ def random_instance(rng, n_max=12):
     return scores, labels, members
 
 
+def report(scores, labels, m=10):
+    """``evaluate``'s groupless report on a grid of ``m`` bins."""
+    return evaluate(scores, labels, BinGrid(m))
+
+
 class TestEce:
     def test_two_sample_example(self):
-        assert ece([0.7, 0.7], [1, 0], BinGrid(10)) == pytest.approx(0.2, abs=1e-15)
+        assert report([0.7, 0.7], [1, 0]).ece == pytest.approx(0.2, abs=1e-15)
 
     def test_split_bins_example(self):
-        got = ece([0.7, 0.7, 0.1], [1, 0, 0], BinGrid(10))
+        got = report([0.7, 0.7, 0.1], [1, 0, 0]).ece
         # Bin with 2/3 of the mass gaps by 0.2, the other by 0.1.
         assert got == pytest.approx(2 / 3 * 0.2 + 1 / 3 * 0.1, abs=1e-15)
 
     def test_perfectly_calibrated_groups(self):
         scores = np.array([0.25] * 4 + [0.75] * 4)
         labels = np.array([1, 0, 0, 0, 1, 1, 1, 0])
-        assert ece(scores, labels, BinGrid(4)) == pytest.approx(0.0, abs=1e-15)
+        assert report(scores, labels, 4).ece == pytest.approx(0.0, abs=1e-15)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         scores, labels, _ = random_instance(rng, n_max=50)
         perm = rng.permutation(scores.size)
-        grid = BinGrid(7)
-        assert ece(scores, labels, grid) == pytest.approx(
-            ece(scores[perm], labels[perm], grid), abs=1e-14
+        assert report(scores, labels, 7).ece == pytest.approx(
+            report(scores[perm], labels[perm], 7).ece, abs=1e-14
         )
 
 
 class TestBrier:
     def test_constant_half(self):
         labels = [1, 0] * 10
-        assert brier([0.5] * 20, labels) == pytest.approx(0.25, abs=1e-15)
+        assert report([0.5] * 20, labels).brier == pytest.approx(0.25, abs=1e-15)
 
     def test_perfect(self):
-        assert brier([1.0, 1.0], [1, 1]) == 0.0
+        assert report([1.0, 1.0], [1, 1]).brier == 0.0
 
     def test_fully_wrong(self):
-        assert brier([1.0, 0.0], [0, 1]) == 1.0
+        assert report([1.0, 0.0], [0, 1]).brier == 1.0
 
 
 class TestBss:
     def test_reference_is_base_rate_variance(self):
         labels = [1, 1, 1, 0]
-        assert brier_reference(labels) == pytest.approx(0.75 * 0.25, abs=1e-15)
+        assert report([0.5] * 4, labels).brier_ref == pytest.approx(0.75 * 0.25, abs=1e-15)
 
     def test_degenerate_reference_perfect(self):
-        assert brier_skill_score([1.0, 1.0], [1, 1]) == 1.0
+        assert report([1.0, 1.0], [1, 1]).bss == 1.0
 
     def test_degenerate_reference_imperfect(self):
-        got = brier_skill_score([0.9, 1.0], [1, 1])
+        got = report([0.9, 1.0], [1, 1]).bss
         assert got == NEG_INF
         assert not np.isnan(got)
 
     def test_better_than_base_rate_is_positive(self):
         labels = np.array([1, 1, 1, 0, 0, 0])
         scores = np.array([0.9, 0.8, 0.9, 0.1, 0.2, 0.1])
-        assert brier_skill_score(scores, labels) > 0.0
+        assert report(scores, labels).bss > 0.0
 
 
 class TestAccuracy:
     def test_boundary_predicts_positive(self):
-        assert accuracy_at_half([0.5], [0]) == 0.0
-        assert accuracy_at_half([0.5], [1]) == 1.0
+        assert report([0.5], [0]).accuracy == 0.0
+        assert report([0.5], [1]).accuracy == 1.0
 
     def test_base_rate(self):
-        assert base_rate([1, 0, 1, 1]) == 0.75
+        assert report([0.5] * 4, [1, 0, 1, 1]).base_rate == 0.75
 
 
 def gasce(scores, labels, members, grid):
@@ -144,22 +138,25 @@ class TestBruteForceAgreement:
         for _ in range(200):
             scores, labels, members = random_instance(rng)
             m = int(rng.choice([2, 5, 20]))
-            grid = BinGrid(m)
             s, l = scores.tolist(), labels.tolist()
-            assert ece(scores, labels, grid) == pytest.approx(brute_ece(s, l, m), abs=1e-12)
-            assert brier(scores, labels) == pytest.approx(brute_brier(s, l), abs=1e-12)
-            bss_lib = brier_skill_score(scores, labels)
+            got = evaluate(scores, labels, BinGrid(m), GroupSet(["g"], members[:, None]))
+            assert got.ece == pytest.approx(brute_ece(s, l, m), abs=1e-12)
+            assert got.brier == pytest.approx(brute_brier(s, l), abs=1e-12)
             bss_ref = brute_bss(s, l)
-            if bss_ref == float("-inf"):
-                assert bss_lib == NEG_INF
-            else:
-                assert bss_lib == pytest.approx(bss_ref, abs=1e-12)
-            assert accuracy_at_half(scores, labels) == pytest.approx(
-                brute_accuracy_at_half(s, l), abs=1e-12
-            )
-            assert gasce(scores, labels, members, grid) == pytest.approx(
+            for bss_lib in (got.bss, brier_skill_score(scores, labels)):
+                if bss_ref == float("-inf"):
+                    assert bss_lib == NEG_INF
+                else:
+                    assert bss_lib == pytest.approx(bss_ref, abs=1e-12)
+            assert got.accuracy == pytest.approx(brute_accuracy_at_half(s, l), abs=1e-12)
+            assert got.per_group_gasce["g"] == pytest.approx(
                 brute_gasce(s, l, members.tolist(), m), abs=1e-12
             )
+            want = brute_reliability(s, l, m)
+            assert [row[:2] for row in got.reliability] == [row[:2] for row in want]
+            for (*_, conf, acc), (*_, want_conf, want_acc) in zip(got.reliability, want):
+                assert conf == pytest.approx(want_conf, abs=1e-12)
+                assert acc == pytest.approx(want_acc, abs=1e-12)
 
 
 class TestMulticalibrationCheck:
@@ -203,12 +200,12 @@ class TestReliabilityTable:
         rng = np.random.default_rng(11)
         scores = rng.random(100)
         labels = rng.integers(0, 2, size=100)
-        rows = reliability_table(scores, labels, BinGrid(10))
+        rows = report(scores, labels).reliability
         assert sum(row[1] for row in rows) == 100
         assert [row[0] for row in rows] == sorted(row[0] for row in rows)
 
     def test_empty_bins_absent(self):
-        rows = reliability_table([0.95, 0.97], [1, 1], BinGrid(10))
+        rows = report([0.95, 0.97], [1, 1]).reliability
         assert len(rows) == 1
         assert rows[0][0] == 10
 
@@ -250,4 +247,6 @@ class TestEvalReport:
 
     def test_mismatched_lengths(self):
         with pytest.raises(DataError):
-            brier([0.5, 0.5], [1])
+            report([0.5, 0.5], [1])
+        with pytest.raises(DataError):
+            brier_skill_score([0.5, 0.5], [1])
