@@ -5,6 +5,7 @@ flags reproduces output files byte for byte.  Exit statuses separate
 usage problems (2, from click), IO failures (3), and data errors (4).
 """
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -12,6 +13,8 @@ import json
 import os
 import stat
 import sys
+import tempfile
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,7 +36,14 @@ from .data import (
 from .errors import ConvertError, DataError, RecordError, schema_fields
 from .report import DEFAULT_EPSILON, MAX_GRID_M, NEG_INF, EvalReport
 from .scoring import METHOD_NAMES as SCORE_METHODS
-from .scoring import ConfidenceMethod, load_scored, score_file
+from .scoring import (
+    COLUMNS_SUFFIX,
+    ConfidenceMethod,
+    load_scored,
+    open_columns,
+    score_file,
+    write_columns,
+)
 from .svg import group_chart, reliability_chart
 
 METHOD_NAMES = ("platt", "histogram", "gcur_linear", "gcur_logistic", "ighb", "iglb")
@@ -233,36 +243,58 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     """Split records into train/val/test along problem boundaries.
 
     Lines pass through untouched, so already scored records keep their
-    extra fields.  The input is read twice, once for the problem ids and
-    once to copy its lines, so it must be a regular file, and the three
-    outputs replace their targets only when every line is written.
+    extra fields.  The problem ids come from the input's column file
+    where one matches it, and from a first read of the input otherwise;
+    the lines are then copied on a second read, so the input must be a
+    regular file.  With a column file, each split gets one too, holding
+    the rows of its lines.  The outputs replace their targets only when
+    every line is written.
     """
     spec = SplitSpec(train=train, val=val, test=test, seed=seed)
     if not stat.S_ISREG(os.stat(input_path).st_mode):
         raise DataError(f"{input_path} is not a regular file, and split reads its input twice")
-    # Only problem_id is read, so floats stay undecoded.
-    (problem_ids,) = read_columns(input_path, _problem_id, 1, loads=loads_floats_as_bytes)
-    assignment = assign_problem_splits(problem_ids, spec)
-    os.makedirs(output_dir, exist_ok=True)
     names = ("train", "val", "test")
-    counts = dict.fromkeys(names, 0)
     # Outputs replace their targets only at the end, so an input inside
     # --output-dir is never truncated while it is read.
     paths = [os.path.join(output_dir, f"{name}.jsonl") for name in names]
-    with atomic_outputs(*paths) as handles:
-        out = dict(zip(names, handles))
-        seen = 0
-        for _, line in iter_lines(input_path):
-            if seen < len(problem_ids):
-                name = assignment[problem_ids[seen]]
-                out[name].write(line.rstrip("\n") + "\n")
-                counts[name] += 1
-            seen += 1
-        if seen != len(problem_ids):
-            raise DataError(
-                f"{input_path} changed while it was being split: "
-                f"{len(problem_ids)} records on the first read, {seen} on the second"
-            )
+    with open_columns(input_path) as columns, contextlib.ExitStack() as stack:
+        if columns is None:
+            # Only problem_id is read, so floats stay undecoded.
+            (problem_ids,) = read_columns(input_path, _problem_id, 1, loads=loads_floats_as_bytes)
+        else:
+            problem_ids = columns.problem_ids()
+            rows = columns.rows()
+        assignment = assign_problem_splits(problem_ids, spec)
+        os.makedirs(output_dir, exist_ok=True)
+        counts = dict.fromkeys(names, 0)
+        # Each split's rows wait in a temporary file until its header is known.
+        routed = {}
+        for name in names if columns is not None else ():
+            routed[name] = stack.enter_context(tempfile.TemporaryFile(dir=output_dir))
+        crcs = dict.fromkeys(routed, 0)
+        column_paths = [f"{path}{COLUMNS_SUFFIX}" for path in paths if routed]
+        with atomic_outputs(*paths, *column_paths) as handles:
+            out = dict(zip(names, handles))
+            seen = 0
+            for _, line in iter_lines(input_path):
+                if seen < len(problem_ids):
+                    name = assignment[problem_ids[seen]]
+                    data = (line.rstrip("\n") + "\n").encode("utf-8")
+                    out[name].write(data)
+                    if routed:
+                        crcs[name] = zlib.crc32(data, crcs[name])
+                        routed[name].write(next(rows)[1])
+                    counts[name] += 1
+                seen += 1
+            if seen != len(problem_ids):
+                raise DataError(
+                    f"{input_path} changed while it was being split: "
+                    f"{len(problem_ids)} records on the first read, {seen} on the second"
+                )
+            for name, target in zip(routed, handles[len(names) :]):
+                method = columns.method if counts[name] else None
+                size = out[name].tell()
+                write_columns(target, [routed[name]], counts[name], size, crcs[name], method)
     click.echo(
         f"train={counts['train']} val={counts['val']} test={counts['test']}", err=True
     )

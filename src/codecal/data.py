@@ -531,7 +531,7 @@ def save_records(samples, path: str) -> None:
 
 @contextlib.contextmanager
 def atomic_outputs(*paths: str):
-    """Yield text files for writing that replace ``paths`` only if the block succeeds.
+    """Yield binary files for writing that replace ``paths`` only if the block succeeds.
 
     Each file is written beside its target under a temporary name and
     moved into place with ``os.replace`` once every file is closed; on
@@ -543,7 +543,7 @@ def atomic_outputs(*paths: str):
     ]
     try:
         with contextlib.ExitStack() as stack:
-            yield tuple(stack.enter_context(open(tmp, "w", encoding="utf-8")) for tmp in tmp_paths)
+            yield tuple(stack.enter_context(open(tmp, "wb")) for tmp in tmp_paths)
         for tmp, path in zip(tmp_paths, paths):
             os.replace(tmp, path)
     except BaseException:

@@ -87,6 +87,20 @@ def finite_numbers(values, what: str, size: int | None = None, unit: bool = Fals
     return values
 
 
+def exact_keys(obj, required, optional=(), what: str = "document") -> dict:
+    """``obj``, checked to be an object holding every key of ``required`` and no other
+    key outside ``optional``; raises ``DataError`` naming ``what`` otherwise."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{what} must be a JSON object")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise DataError(f"{what} is missing field {missing[0]!r}")
+    unknown = sorted(set(obj).difference(required, optional))
+    if unknown:
+        raise DataError(f"{what} has unknown field {unknown[0]!r}")
+    return obj
+
+
 def strings(values, what: str) -> list[str]:
     """``values``, checked to be a list of strings; raises ``DataError`` naming ``what``."""
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):

@@ -7,9 +7,12 @@ Nothing here imports numpy, so ``codecal report`` and every command's
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .errors import DataError, finite_numbers, schema_fields, whole_number
+from .errors import DataError, exact_keys, finite_numbers, schema_fields, whole_number
 
 __all__ = ["NEG_INF", "MAX_GRID_M", "DEFAULT_EPSILON", "EvalReport"]
+
+# The fields of each ``group_summary`` entry, as ``evaluate`` writes them.
+_GROUP_STATS = ("count", "mean_conf", "accuracy", "degenerate")
 
 # Sentinel for an undefined skill score on a degenerate reference.  Kept
 # as an actual float so comparisons work, but serialized as the string
@@ -51,7 +54,9 @@ class EvalReport:
         with schema_fields("report"):
             if payload.get("schema_version") != 1:
                 raise DataError(f"unsupported report schema version {payload.get('schema_version')!r}")
-            values = {f.name: payload[f.name] for f in fields(cls)}
+            names = [f.name for f in fields(cls)]
+            exact_keys(payload, ["schema_version", *names], what="report")
+            values = {name: payload[name] for name in names}
             values.update(
                 reliability=[tuple(row) for row in values["reliability"]],
                 per_group_gasce=dict(values["per_group_gasce"]),
@@ -80,6 +85,7 @@ class EvalReport:
                     " with counts summing to n_samples"
                 )
             for name, stats in values["group_summary"].items():
+                exact_keys(stats, _GROUP_STATS, what=f"report group {name!r}")
                 count = whole_number(stats["count"], f"report group {name!r} count", range(n + 1))
                 rates = [stats["mean_conf"], stats["accuracy"]]
                 empty = count == 0

@@ -1,9 +1,22 @@
-"""Raw confidence scores from token log probabilities.
+"""Raw confidence scores from token log probabilities, and scored files read as columns.
 
 The score for a sample is the geometric mean of its token
 probabilities, ``exp(mean(token_logprobs))``, computed over a selectable
 token window: the whole sequence, only the extracted code span, or only
 the trailing tokens.
+
+Beside each scored JSONL file, :func:`score_file` writes a column file
+that holds what :func:`load_scored` keeps of each record, so reading a
+scored split needs no JSON decoding.  It starts with a one-line JSON
+header: the format version, the row count, the byte size and
+``zlib.crc32`` of the JSONL file it describes, and the scoring method.
+One row per JSONL line follows, in line order: :data:`_ROW` (p_hat,
+label, flags for a difficulty and a code text, and the byte length of
+each of the five strings), then the UTF-8 bytes of the sample id,
+problem id, language, difficulty and code text.  Strings are encoded
+with ``surrogatepass``, since JSON escapes can hold lone surrogates.
+A column file is read only when its header matches its JSONL file's
+size and checksum, so a JSONL file edited afterwards is read as JSON.
 """
 
 import contextlib
@@ -11,8 +24,10 @@ import json
 import math
 import os
 import shutil
+import struct
 import sys
 import tempfile
+import zlib
 from dataclasses import dataclass
 
 from .data import (
@@ -23,7 +38,14 @@ from .data import (
     read_columns,
     read_ranges,
 )
-from .errors import DataError, MissingCodeError, RecordError
+from .errors import (
+    DataError,
+    MissingCodeError,
+    RecordError,
+    exact_keys,
+    schema_fields,
+    whole_number,
+)
 
 __all__ = [
     "ConfidenceMethod",
@@ -31,10 +53,26 @@ __all__ = [
     "score_sample",
     "score_file",
     "load_scored",
+    "COLUMNS_SUFFIX",
+    "write_columns",
+    "open_columns",
 ]
 
 METHOD_NAMES = ("avg_prob", "code_prob", "tail_prob")
 DEFAULT_TAIL_TOKENS = 40
+
+# The column file of ``scored.jsonl`` is ``scored.jsonl.cols``.
+COLUMNS_SUFFIX = ".cols"
+COLUMNS_VERSION = 1
+_HEADER_KEYS = ("codecal_columns", "jsonl_bytes", "jsonl_crc32", "method", "rows")
+# A longer first line is not a header.
+_MAX_HEADER_BYTES = 4096
+# p_hat, label, flags, and the byte lengths of the row's five strings.
+_ROW = struct.Struct("<dBB5I")
+_HAS_DIFFICULTY, _HAS_CODE = 1, 2
+# Small blocks keep what reading and copying hold in memory small.
+_BLOCK_BYTES = 1 << 16
+_BATCH_RECORDS = 64
 
 
 @dataclass(frozen=True)
@@ -86,15 +124,21 @@ def score_sample(sample: Sample, method: ConfidenceMethod) -> float:
     return math.exp(sum(window) / len(window))
 
 
-def _score_lines(records, out, method: ConfidenceMethod, skip_missing: bool) -> tuple[int, int]:
-    """Write the scored line of each record to ``out``; returns the scored and skipped counts.
+def _score_lines(records, lines, rows, method: ConfidenceMethod, skip_missing: bool) -> tuple:
+    """Write the scored line and the column-file row of each record.
 
     ``records`` yields ``(lineno, raw, obj, sample)`` as
-    :func:`~codecal.data.read_ranges` does with ``records``.  ``out`` is
-    flushed at the end, so its bytes can be copied from its binary buffer.
+    :func:`~codecal.data.read_ranges` does with ``records``.  The lines
+    go to binary file ``lines`` and the rows to ``rows``, both flushed
+    at the end, so a forked child leaves their bytes in place.  Returns
+    the scored and skipped counts and the crc32 of the lines.
     """
     name_json = json.dumps(method.name)
-    scored = skipped = 0
+    scored = skipped = crc = 0
+    # Lines and rows are written _BATCH_RECORDS at a time, and each row is
+    # made here, not in a function: this loop runs once per record.
+    texts, packed = [], []
+    pack = _ROW.pack
     for _, raw, obj, sample in records:
         try:
             p_hat = score_sample(sample, method)
@@ -105,13 +149,64 @@ def _score_lines(records, out, method: ConfidenceMethod, skip_missing: bool) -> 
             continue
         if "p_hat" in obj or "method" in obj:
             obj.update(p_hat=p_hat, method=method.name)
-            line = json.dumps(obj, sort_keys=True)
+            texts.append(json.dumps(obj, sort_keys=True))
         else:
-            line = f'{raw.rstrip()[:-1]}, "method": {name_json}, "p_hat": {p_hat!r}}}'
-        out.write(line + "\n")
+            texts.append(f'{raw.rstrip()[:-1]}, "method": {name_json}, "p_hat": {p_hat!r}}}')
+        sid, pid, language = sample.sample_id, sample.problem_id, sample.language
+        difficulty, code = sample.difficulty, sample.code_text
+        flags = _HAS_DIFFICULTY * (difficulty is not None) + _HAS_CODE * (code is not None)
+        difficulty, code = difficulty or "", code or ""
+        # One encode of the joined strings; each is measured apart only when one is not ASCII.
+        data = f"{sid}{pid}{language}{difficulty}{code}".encode("utf-8", "surrogatepass")
+        if data.isascii():
+            sizes = len(sid), len(pid), len(language), len(difficulty), len(code)
+        else:
+            strings = sid, pid, language, difficulty, code
+            sizes = [len(text.encode("utf-8", "surrogatepass")) for text in strings]
+        packed.append(pack(p_hat, sample.label, flags, *sizes))
+        packed.append(data)
         scored += 1
-    out.flush()
-    return scored, skipped
+        if len(texts) == _BATCH_RECORDS:
+            crc = _write_batch(lines, rows, texts, packed, crc)
+    crc = _write_batch(lines, rows, texts, packed, crc)
+    lines.flush()
+    rows.flush()
+    return scored, skipped, crc
+
+
+def _write_batch(lines, rows, texts: list, packed: list, crc: int) -> int:
+    """Write and clear a batch of lines and rows; returns ``crc`` carried over the lines' bytes."""
+    if texts:
+        data = "\n".join(texts).encode("utf-8") + b"\n"
+        lines.write(data)
+        rows.write(b"".join(packed))
+        crc = zlib.crc32(data, crc)
+    texts.clear()
+    packed.clear()
+    return crc
+
+
+def write_columns(
+    out, parts, rows: int, jsonl_bytes: int, jsonl_crc32: int, method: str | None
+) -> None:
+    """Write a column file to binary file ``out``: its header, then the rows of each of ``parts``.
+
+    ``parts`` are binary files holding ``rows`` rows in all, in line
+    order, for a JSONL file of ``jsonl_bytes`` bytes with crc32
+    ``jsonl_crc32`` whose records were all scored by ``method`` (None
+    when there are none).
+    """
+    header = {
+        "codecal_columns": COLUMNS_VERSION,
+        "jsonl_bytes": jsonl_bytes,
+        "jsonl_crc32": jsonl_crc32,
+        "method": method,
+        "rows": rows,
+    }
+    out.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+    for part in parts:
+        part.seek(0)
+        shutil.copyfileobj(part, out)
 
 
 def score_file(
@@ -124,34 +219,46 @@ def score_file(
     pass through untouched.  A line that already carries either key is
     re-encoded with both replaced.  A record :func:`score_sample`
     refuses (no usable code span, no tokens) fails the run, or with
-    ``skip_missing`` is left out and counted.  The output is written to
-    a temporary file beside ``output_path`` and moved into place only
-    when every line succeeded, so a failed run leaves ``output_path``
-    as it was.
+    ``skip_missing`` is left out and counted.  Beside the output goes
+    its column file, ``output_path + COLUMNS_SUFFIX``, which
+    :func:`load_scored` reads in place of the JSON.  Both are written
+    to temporary files beside ``output_path`` and moved into place only
+    when every line succeeded, so a failed run leaves both as they were.
 
     The input is read by :func:`~codecal.data.read_ranges`, so the
     output, the counts and the first error in line order do not depend
-    on the number of CPUs.  Each range read in a child is written to
-    its own unnamed temporary file beside ``output_path`` and appended
-    to the output in line order, so memory does not grow with the file.
+    on the number of CPUs.  The first range writes its lines straight
+    to the output; the other ranges' lines, and every range's rows, go
+    to unnamed temporary files beside ``output_path``, which are
+    appended to the outputs in line order, so memory does not grow with
+    the file.
     """
-    with atomic_outputs(output_path) as (out,), contextlib.ExitStack() as stack:
+    targets = output_path, output_path + COLUMNS_SUFFIX
+    with atomic_outputs(*targets) as (out, column_file), contextlib.ExitStack() as stack:
         bounds = line_ranges(input_path)
         folder = os.path.dirname(output_path) or "."
-        outs = [out]
-        for _ in bounds[1:]:
-            part = tempfile.TemporaryFile("w+", encoding="utf-8", dir=folder)
-            outs.append(stack.enter_context(part))
+
+        def part():
+            return stack.enter_context(tempfile.TemporaryFile(dir=folder))
+
+        lines = [out, *(part() for _ in bounds[1:])]
+        rows = [part() for _ in bounds]
 
         def read(k, records):
-            return _score_lines(records, outs[k], method, skip_missing)
+            return _score_lines(records, lines[k], rows[k], method, skip_missing)
 
         counts = read_ranges(input_path, bounds, read, records=True)
-        # _score_lines flushed range 0 into ``out``, so each part follows it.
-        for part in outs[1:]:
-            part.seek(0)
-            shutil.copyfileobj(part.buffer, out.buffer)
-    return sum(scored for scored, _ in counts), sum(skipped for _, skipped in counts)
+        # Range 0 wrote its lines to ``out``; every other range's lines follow them.
+        crc = counts[0][2]
+        for part_lines in lines[1:]:
+            part_lines.seek(0)
+            while block := part_lines.read(_BLOCK_BYTES):
+                crc = zlib.crc32(block, crc)
+                out.write(block)
+        scored = sum(count[0] for count in counts)
+        name = method.name if scored else None
+        write_columns(column_file, rows, scored, out.tell(), crc, name)
+    return scored, sum(count[1] for count in counts)
 
 
 def _intern(value: str | None) -> str | None:
@@ -179,16 +286,160 @@ def _scored_row(lineno: int, obj: dict, sample: Sample) -> tuple:
     return (p_hat, sample.label, sys.intern(method), sample.sample_id, language, difficulty)
 
 
+def _jsonl_crc32(path: str) -> int:
+    crc = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK_BYTES):
+            crc = zlib.crc32(block, crc)
+    return crc
+
+
+def _strings(head: tuple, row: bytes) -> tuple[str, ...]:
+    """The five strings of a column-file row, from its :data:`_ROW` fields and its bytes."""
+    _, _, _, a, b, c, d, _ = head
+    a += _ROW.size
+    b += a
+    c += b
+    d += c
+    # Written out, since this runs once per row read.
+    return (
+        row[_ROW.size : a].decode("utf-8", "surrogatepass"),
+        row[a:b].decode("utf-8", "surrogatepass"),
+        row[b:c].decode("utf-8", "surrogatepass"),
+        row[c:d].decode("utf-8", "surrogatepass"),
+        row[d:].decode("utf-8", "surrogatepass"),
+    )
+
+
+class ScoredColumns:
+    """An open column file whose header matches its JSONL file; see :func:`open_columns`."""
+
+    def __init__(self, fh, path: str, header: dict) -> None:
+        self.path = path
+        self.method = header["method"]
+        self.count = header["rows"]
+        self._fh = fh
+        self._start = fh.tell()
+
+    def rows(self):
+        """Yield ``(head, row)`` for each row, from the first: its :data:`_ROW` fields and bytes.
+
+        A file that ends before its last row, or runs on after it,
+        raises ``DataError`` naming the file.
+        """
+        self._fh.seek(self._start)
+        buf, pos = b"", 0
+        for _ in range(self.count):
+            if pos + _ROW.size > len(buf):
+                buf, pos = self._more(buf[pos:], _ROW.size), 0
+            head = _ROW.unpack_from(buf, pos)
+            end = pos + _ROW.size + sum(head[3:])
+            if end > len(buf):
+                buf, end, pos = self._more(buf[pos:], end - pos), end - pos, 0
+            yield head, buf[pos:end]
+            pos = end
+        if pos < len(buf) or self._fh.read(1):
+            raise DataError(f"column file {self.path} runs on after its {self.count} rows")
+
+    def _more(self, rest: bytes, need: int) -> bytes:
+        """``rest`` and the bytes that follow it, at least ``need`` bytes in all."""
+        data = rest + self._fh.read(max(_BLOCK_BYTES, need - len(rest)))
+        if len(data) < need:
+            raise DataError(f"column file {self.path} ends before its {self.count} rows")
+        return data
+
+    def problem_ids(self) -> list[str]:
+        """The problem id of each row."""
+        with schema_fields(f"column file {self.path}"):
+            return [
+                row[_ROW.size + sid : _ROW.size + sid + pid].decode("utf-8", "surrogatepass")
+                for (_, _, _, sid, pid, *_), row in self.rows()
+            ]
+
+    def table(self, measures) -> list[list]:
+        """p_hat, label, sample id, language, difficulty, then :func:`text_features`, per row.
+
+        Each column is a list, one entry per row.  Languages and
+        difficulties are interned, so rows share one object per
+        distinct value.  Each code text is measured and dropped.
+        """
+        p_hats, labels, ids, languages, difficulties, known = table = [[] for _ in range(6)]
+        features = [[] for _ in measures]
+        measured = [(column.append, measure) for column, measure in zip(features, measures)]
+        with schema_fields(f"column file {self.path}"):
+            for head, row in self.rows():
+                p_hat, label, flags = head[:3]
+                ok = 0.0 <= p_hat <= 1.0 and label <= 1 and flags <= _HAS_DIFFICULTY | _HAS_CODE
+                if not ok:
+                    raise DataError(f"column file {self.path} holds a row no scored record gives")
+                sid, _, language, difficulty, code = _strings(head, row)
+                p_hats.append(p_hat)
+                labels.append(label)
+                ids.append(sid)
+                languages.append(sys.intern(language))
+                difficulties.append(sys.intern(difficulty) if flags & _HAS_DIFFICULTY else None)
+                # As text_features measures a text, or None.
+                known.append(bool(flags & _HAS_CODE))
+                if flags & _HAS_CODE:
+                    for append, measure in measured:
+                        append(measure(code))
+                else:
+                    for column in features:
+                        column.append(0)
+        return table + features
+
+
+def _header(fh, path: str) -> dict:
+    """The checked header of the column file ``path``, open as ``fh``."""
+    what = f"column file {path}"
+    with schema_fields(what):
+        header = exact_keys(json.loads(fh.readline(_MAX_HEADER_BYTES)), _HEADER_KEYS, what=what)
+    if header["codecal_columns"] != COLUMNS_VERSION:
+        raise DataError(f"{what} has unsupported version {header['codecal_columns']!r}")
+    rows = whole_number(header["rows"], f"{what} row count", range(2**63))
+    whole_number(header["jsonl_bytes"], f"{what} JSONL size", range(2**63))
+    whole_number(header["jsonl_crc32"], f"{what} JSONL crc32", range(2**32))
+    method = header["method"]
+    if not (isinstance(method, str) if rows else method is None):
+        raise DataError(f"{what} must name its scoring method exactly when it has rows")
+    return header
+
+
+@contextlib.contextmanager
+def open_columns(path: str):
+    """Yield the column file beside scored JSONL ``path`` as :class:`ScoredColumns`, or None.
+
+    None stands for no column file, or one whose header does not match
+    ``path``'s byte size and crc32.  A column file whose header is
+    malformed raises ``DataError`` naming it.
+    """
+    columns_path = path + COLUMNS_SUFFIX
+    try:
+        fh = open(columns_path, "rb")
+    except FileNotFoundError:
+        yield None
+        return
+    with fh:
+        header = _header(fh, columns_path)
+        matches = header["jsonl_bytes"] == os.stat(path).st_size and (
+            header["jsonl_crc32"] == _jsonl_crc32(path)
+        )
+        yield ScoredColumns(fh, columns_path, header) if matches else None
+
+
 def load_scored(path: str, grouping: "GroupingConfig | None" = None) -> ScoredSplit:
     """Load a file written by :func:`score_file` as columns.
 
-    Every line is validated as a record and read by
-    :func:`~codecal.data.read_columns` on every CPU, but only
-    ``p_hat``, the label, the grouping fields and the
+    Only ``p_hat``, the label, the grouping fields and the
     :data:`~codecal.groups.TEXT_FEATURES` that ``grouping`` reads
-    (every one for None) outlive it.  Token arrays and code texts are
-    dropped as each line is read, so memory grows with neither the
-    number of tokens nor the length of the code.  No token value is
+    (every one for None) are kept.  Token arrays and code texts are
+    dropped as each record is read, so memory grows with neither the
+    number of tokens nor the length of the code.
+
+    Where a column file beside ``path`` matches it (:func:`open_columns`),
+    the records are read from there, with the same result.  Otherwise
+    every line is validated as a record and read by
+    :func:`~codecal.data.read_columns` on every CPU.  No token value is
     read, so floats stay undecoded
     (:func:`~codecal.data.loads_floats_as_bytes`) and token arrays are
     checked as text, with the same results.
@@ -204,14 +455,20 @@ def load_scored(path: str, grouping: "GroupingConfig | None" = None) -> ScoredSp
     def row(lineno, obj, sample):
         return _scored_row(lineno, obj, sample) + text_features(sample.code_text, measures)
 
-    p_hats, labels, methods, ids, languages, difficulties, known, *values = read_columns(
-        path, row, 7 + len(names), records=True, loads=loads_floats_as_bytes
-    )
-    # Ranges read in other processes bring their own copy of each value.
-    shared = [_intern(v) for v in languages], [_intern(v) for v in difficulties]
+    with open_columns(path) as columns:
+        if columns is not None:
+            methods = [] if columns.method is None else [columns.method]
+            p_hats, labels, ids, languages, difficulties, known, *values = columns.table(measures)
+    if columns is None:
+        p_hats, labels, methods, ids, languages, difficulties, known, *values = read_columns(
+            path, row, 7 + len(names), records=True, loads=loads_floats_as_bytes
+        )
+        # Ranges read in other processes bring their own copy of each value.
+        languages = [_intern(v) for v in languages]
+        difficulties = [_intern(v) for v in difficulties]
     return ScoredSplit(
         p_hat=np.array(p_hats, dtype=float),
         labels=np.array(labels, dtype=np.int64),
         methods=tuple(sorted(set(methods))),
-        columns=GroupColumns(ids, *shared, known, dict(zip(names, values))),
+        columns=GroupColumns(ids, languages, difficulties, known, dict(zip(names, values))),
     )

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import hashlib
 import json
@@ -19,15 +20,17 @@ import codecal
 from codecal.binning import MAX_GRID_M, BinGrid
 import codecal.cli as cli_module
 import codecal.data as data_module
+import codecal.scoring as scoring_module
 from codecal.cli import main
 from codecal.data import load_records, save_records
 from codecal.errors import DataError
 from codecal.groups import GroupSet
 from codecal.metrics import evaluate
-from codecal.scoring import load_scored
+from codecal.scoring import COLUMNS_SUFFIX, load_scored
 from codecal.synthgen import Block, SynthSpec, generate
 
 from malformed import edited, invalid_utf8, json_paths, json_prefixes, json_values, non_objects
+from test_scoring import assert_same_split, columns_of
 
 runner = CliRunner()
 
@@ -355,6 +358,33 @@ class TestSplitCommand:
             redirected = (tmp_path / "redirected" / f"{name}.jsonl").read_bytes()
             assert redirected == (tmp_path / "named" / f"{name}.jsonl").read_bytes()
 
+    def test_column_file_gives_problem_ids_and_is_split_too(self, pipeline, tmp_path):
+        """A scored input with a column file splits to the same lines, and each split gets one."""
+        scored = pipeline.parent / "scored.jsonl"
+        bare = tmp_path / "bare.jsonl"
+        bare.write_bytes(scored.read_bytes())
+        outputs = {}
+        for name, path in (("columns", scored), ("bare", bare)):
+            out = tmp_path / name
+            with contextlib.ExitStack() as stack:
+                if path == scored:  # the problem ids come from the column file
+                    stack.enter_context(
+                        mock.patch.object(cli_module, "read_columns", side_effect=AssertionError)
+                    )
+                result = run(["split", "--input", str(path), "--output-dir", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs[name] = result.output, {p.name: p.read_bytes() for p in out.glob("*.jsonl")}
+        assert outputs["columns"] == outputs["bare"]
+        names = ["test.jsonl", "train.jsonl", "val.jsonl"]
+        assert sorted(p.name for p in (tmp_path / "bare").iterdir()) == names
+        assert sorted(p.name for p in (tmp_path / "columns").iterdir()) == sorted(
+            [*names, *(f"{name}{COLUMNS_SUFFIX}" for name in names)]
+        )
+        for name in names:
+            got = load_scored(str(tmp_path / "columns" / name))
+            columns_of(tmp_path / "columns" / name).unlink()
+            assert_same_split(got, load_scored(str(tmp_path / "columns" / name)))
+
     def test_bad_fractions_rejected(self, tmp_path):
         records = tmp_path / "records.jsonl"
         write_synth(records, n=30)
@@ -501,20 +531,20 @@ CODE_SKIP = ("--method", "code_prob", "--skip-missing")
 
 
 class TestReaderPartCount:
-    def run_stages(self, pipeline, cwd, parts, records):
+    def run_stages(self, splits, cwd, parts, records):
         """stdout plus stderr of score, split, fit-eval and ablate, run with outputs in ``cwd``."""
         cwd.mkdir()
         env = cli_env()
         inputs = [
             x
             for name in ("train", "val", "test")
-            for x in (f"--{name}", str(pipeline / f"{name}.jsonl"))
+            for x in (f"--{name}", str(splits / f"{name}.jsonl"))
         ]
         fit = ("--complexity", "difficulty_label", "--grid-m", "10")
         stages = [
             ["score", "--input", str(records), "--output", "scored.jsonl"],
             ["score", "--input", str(records), "--output", "code.jsonl", *CODE_SKIP],
-            ["split", "--input", str(pipeline.parent / "scored.jsonl"), "--output-dir", "splits"],
+            ["split", "--input", str(splits / "scored.jsonl"), "--output-dir", "splits"],
             ["fit-eval", *inputs, *fit, "--output-dir", "fit"],
             ["ablate", *inputs, *fit, "--output", "ablation.csv"],
         ]
@@ -539,9 +569,12 @@ class TestReaderPartCount:
         for obj in objects[::3]:
             del obj["code_span"]
         records.write_text("".join(json.dumps(obj) + "\n" for obj in objects), encoding="utf-8")
+        # Inputs without column files, so split, fit-eval and ablate decode their JSON in parts.
+        bare = split_copy(pipeline, tmp_path / "bare", columns=False)
+        (bare / "scored.jsonl").write_bytes((pipeline.parent / "scored.jsonl").read_bytes())
         serial, forked = tmp_path / "serial", tmp_path / "forked"
-        errs = self.run_stages(pipeline, forked, 3, records)
-        assert errs == self.run_stages(pipeline, serial, 1, records)
+        errs = self.run_stages(bare, forked, 3, records)
+        assert errs == self.run_stages(bare, serial, 1, records)
         assert errs[1] == b"scored 400 samples, skipped 200\n"
         files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
         assert files == sorted(p.relative_to(forked) for p in forked.rglob("*") if p.is_file())
@@ -1093,6 +1126,95 @@ class TestAblateCommand:
         assert result.exit_code == 4
 
 
+def split_copy(pipeline, folder, columns=True):
+    """A copy of the pipeline's splits in ``folder``, with or without their column files."""
+    folder.mkdir()
+    for name in ("train", "val", "test"):
+        path = pipeline / f"{name}.jsonl"
+        (folder / path.name).write_bytes(path.read_bytes())
+        if columns:
+            (folder / f"{path.name}{COLUMNS_SUFFIX}").write_bytes(columns_of(path).read_bytes())
+    return folder
+
+
+class TestColumnFiles:
+    """fit-eval and ablate write and print the same bytes from column files as from JSON."""
+
+    FIT = ("--complexity", "branch_heuristic", "--grid-m", "10")
+
+    def fit_and_ablate(self, splits, cwd, json_read=True):
+        """Exit code and output of fit-eval and ablate over ``splits``, then every file they wrote.
+
+        Without ``json_read`` every split must come from its column file.
+        """
+        cwd.mkdir()
+        names = ("train", "val", "test")
+        inputs = [x for name in names for x in (f"--{name}", str(splits / f"{name}.jsonl"))]
+        commands = [
+            ["fit-eval", *inputs, *self.FIT, "--output-dir", str(cwd / "fit")],
+            ["ablate", *inputs, *self.FIT, "--output", str(cwd / "ablation.csv")],
+        ]
+        results = []
+        with contextlib.ExitStack() as stack:
+            if not json_read:
+                stack.enter_context(
+                    mock.patch.object(scoring_module, "read_columns", side_effect=AssertionError)
+                )
+            for args in commands:
+                result = runner.invoke(main, args, catch_exceptions=False)
+                output = result.output.replace(str(cwd), "<out>").replace(str(splits), "<in>")
+                results.append((result.exit_code, output))
+        files = {p.relative_to(cwd): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+        return results, files
+
+    def test_same_outputs_without_or_with_unmatched_column_files(self, pipeline, tmp_path):
+        splits = split_copy(pipeline, tmp_path / "splits")
+        want = self.fit_and_ablate(splits, tmp_path / "columns", json_read=False)
+        assert [code for code, _ in want[0]] == [0, 0]
+        assert len(want[1]) > 20
+        bare = split_copy(pipeline, tmp_path / "bare", columns=False)
+        assert self.fit_and_ablate(bare, tmp_path / "json") == want
+        # A header that describes another file.
+        stale = split_copy(pipeline, tmp_path / "stale")
+        other = columns_of(pipeline / "test.jsonl").read_bytes()
+        columns_of(stale / "val.jsonl").write_bytes(other)
+        assert self.fit_and_ablate(stale, tmp_path / "stale_out") == want
+
+    def test_jsonl_edited_in_place_is_read_as_json(self, pipeline, tmp_path):
+        """An edit that keeps the size changes only the checksum."""
+        edited = {}
+        for name, columns in (("edited", True), ("edited_bare", False)):
+            splits = split_copy(pipeline, tmp_path / name, columns)
+            test = splits / "test.jsonl"
+            text = test.read_bytes()
+            test.write_bytes(text.replace(b'"label": 1', b'"label": 0', 5))
+            assert len(test.read_bytes()) == len(text)
+            edited[name] = self.fit_and_ablate(splits, tmp_path / f"{name}_out")
+        assert edited["edited"] == edited["edited_bare"]
+        original = self.fit_and_ablate(split_copy(pipeline, tmp_path / "original"), tmp_path / "out")
+        assert edited["edited"][1] != original[1]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda text: text[:-7],
+            lambda text: b"{" + text,
+            lambda text: text.replace(b'"rows"', b'"rowz"', 1),
+        ],
+        ids=["truncated", "malformed-header", "unknown-header-key"],
+    )
+    @pytest.mark.parametrize("command", ["fit-eval", "ablate"])
+    def test_malformed_column_file_exits_4_naming_it(self, pipeline, tmp_path, change, command):
+        splits = split_copy(pipeline, tmp_path / "splits")
+        columns = columns_of(splits / "val.jsonl")
+        columns.write_bytes(change(columns.read_bytes()))
+        args = swapped_split_args(command, splits, tmp_path / "out", "val", splits / "val.jsonl")
+        result = run(args)
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("error: ") and f"column file {columns}" in result.output
+        assert not (tmp_path / "out").exists()
+
+
 def subset_name(cfg):
     """The ablate subset a grouping config stands for."""
     categories = ["complexity"] if cfg.complexity_source != "none" else []
@@ -1338,6 +1460,9 @@ class TestReportCommand:
             group_a({}),
             group_a({"a": 0.0, "b": 0.0}),
             {"per_group_gasce": {"b": 0.01}},
+            # Keys fit-eval never writes, at the top level and in a group summary.
+            {"bogus": 1},
+            group_a({"a": 0.0}, bogus=1),
         ],
     )
     def test_mistyped_values_are_data_errors(self, tmp_path, change):

@@ -282,15 +282,23 @@ def inputs(tmp_path_factory):
         ["--help"],
         ["score", "--input", "records.jsonl", "--output", "scored.jsonl"],
         ["split", "--input", "records.jsonl", "--output-dir", "splits"],
+        # The scored input's problem ids come from its column file.
+        pytest.param(
+            ["split", "--input", "scored.jsonl", "--output-dir", "resplit"], id="split-scored"
+        ),
         ["report", "--report", "report.json", "--output-dir", "charts"],
         ["convert-calibri", "--source", "raw.jsonl", "--output", "converted.jsonl"],
         ["fit-eval", "--help"],
     ],
     ids=lambda args: "-".join(args[:2]),
 )
-def test_commands_that_compute_nothing_load_no_numpy(inputs, args, monkeypatch):
+def test_commands_that_compute_nothing_load_no_numpy(inputs, scored_splits, args, monkeypatch):
     monkeypatch.chdir(inputs)
+    if args[:3] == ["split", "--input", "scored.jsonl"]:
+        assert (inputs / "scored.jsonl.cols").is_file()
     assert run_python(CLI_THEN_NUMPY, *args).stdout.splitlines()[-1] == "0 False"
+    if args[:3] == ["split", "--input", "scored.jsonl"]:
+        assert (inputs / "resplit" / "train.jsonl.cols").is_file()
 
 
 def test_fit_eval_loads_numpy(inputs, monkeypatch):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,13 +13,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import codecal.data as data_module
+import codecal.scoring as scoring_module
 from codecal.data import Sample, load_records, parse_record, save_records
 from codecal.errors import DataError, MissingCodeError, RecordError
 from codecal.groups import GroupColumns, GroupingConfig, GroupingModel, branch_count
 from codecal.scoring import (
+    COLUMNS_SUFFIX,
     ConfidenceMethod,
     _scored_row,
     load_scored,
+    open_columns,
     score_file,
     score_sample,
 )
@@ -271,7 +275,11 @@ def forced_parts(parts, block=data_module._BLOCK_BYTES):
 
 
 def score_in(directory, content, method, skip, parts, block=data_module._BLOCK_BYTES):
-    """Score ``content`` over an existing output; the result, output bytes and files left."""
+    """Score ``content`` over an existing output.
+
+    Returns the result, the output bytes, the files left and the column
+    file's bytes (None where there is none).
+    """
     folder = Path(directory)
     (folder / "in.jsonl").write_bytes(content)
     out = folder / "out.jsonl"
@@ -281,7 +289,9 @@ def score_in(directory, content, method, skip, parts, block=data_module._BLOCK_B
             result = "ok", score_file(str(folder / "in.jsonl"), str(out), method, skip)
         except Exception as exc:
             result = type(exc), str(exc)
-    return result, out.read_bytes(), sorted(os.listdir(folder))
+    columns = folder / f"out.jsonl{COLUMNS_SUFFIX}"
+    written = columns.read_bytes() if columns.exists() else None
+    return result, out.read_bytes(), sorted(os.listdir(folder)), written
 
 
 class TestScoreFileInParts:
@@ -310,7 +320,9 @@ class TestScoreFileInParts:
             got = score_in(tmp, content, method, skip, parts, block)
         with tempfile.TemporaryDirectory() as tmp:
             assert got == score_in(tmp, content, method, skip, 1)
-        assert got[2] == ["in.jsonl", "out.jsonl"]
+        # A successful run also writes the column file, a failed one writes nothing.
+        written = ["out.jsonl.cols"] if got[0][0] == "ok" else []
+        assert got[2] == ["in.jsonl", "out.jsonl", *written]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -329,7 +341,7 @@ class TestScoreFileInParts:
         bad = "{not json" if method is METHODS[0] else score_line(bad_line - 1, code_span=None)
         lines[bad_line - 1] = bad
         content = "\n".join(lines).encode() + b"\n"
-        result, output, files = score_in(tmp_path, content, method, False, 3)
+        result, output, files, _ = score_in(tmp_path, content, method, False, 3)
         assert result[0] is (RecordError if method is METHODS[0] else MissingCodeError)
         assert re.search(want, result[1])
         assert output == b"old output\n"
@@ -643,3 +655,180 @@ class TestTokensCheckedAsText:
         if got[0] == "ok":
             got = "ok", [(p, y) for p, y in zip(got[1].p_hat.tolist(), got[1].labels.tolist())]
         assert got == outcome(lambda: float_decoded_rows(text))
+
+
+# Strings a reader could cut or mistake: line ends, U+2028, lone
+# surrogates (JSON escapes such as "\\ud800"), quotes and escapes.
+odd_texts = st.text(
+    alphabet=["a", "é", "\n", "\r", "\u2028", "\ud800", "\udfff", '"', "\\"], max_size=5
+)
+
+
+@st.composite
+def record_files(draw):
+    """Bytes of a record JSONL file with odd strings in every string field.
+
+    Difficulty and code text are each missing, empty or a string; some
+    records lack a code span, and some are already scored, so scoring
+    re-encodes their lines.
+    """
+    lines = []
+    for i in range(draw(st.integers(0, 10))):
+        obj = {
+            "problem_id": "p" + draw(odd_texts),
+            "sample_id": f"s{i}" + draw(odd_texts),
+            "language": draw(st.sampled_from(["python", "é", "\ud800", "a\u2028b"])),
+            "token_logprobs": [-0.125 * (1 + (i + t) % 5) for t in range(3)],
+            "label": i % 2,
+        }
+        for key in ("difficulty", "code_text"):
+            value = draw(st.none() | odd_texts)
+            if value is not None:
+                obj[key] = value
+        if draw(st.booleans()):
+            obj["code_span"] = [1, 3]
+        if draw(st.booleans()):
+            obj["p_hat"] = 0.5
+        text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+        try:
+            lines.append(text.encode("utf-8"))
+        except UnicodeEncodeError:  # a lone surrogate must stay escaped
+            lines.append(json.dumps(obj).encode("ascii"))
+    return b"".join(line + b"\n" for line in lines)
+
+
+def assert_same_split(got, want):
+    """Every value of two ScoredSplits is equal, floats bit for bit."""
+    assert got.p_hat.dtype == want.p_hat.dtype and got.p_hat.tobytes() == want.p_hat.tobytes()
+    assert got.labels.dtype == want.labels.dtype and got.labels.tolist() == want.labels.tolist()
+    assert got.methods == want.methods
+    a, b = got.columns, want.columns
+    assert a.sample_ids == b.sample_ids
+    for name in ("languages", "difficulties"):
+        values = getattr(a, name)
+        assert values == getattr(b, name)
+        assert all(value is None or value is sys.intern(value) for value in values)
+    assert a.known.tolist() == b.known.tolist()
+    assert list(a.features) == list(b.features)
+    for name, values in a.features.items():
+        assert values.tobytes() == b.features[name].tobytes()
+
+
+def columns_of(path):
+    return Path(f"{path}{COLUMNS_SUFFIX}")
+
+
+# Where the text of a column file's row starts.
+TEXT_AT = scoring_module._ROW.size
+
+
+class TestColumnFile:
+    """load_scored reads a matching column file exactly as it reads the JSONL beside it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        content=record_files(),
+        config=st.none() | grouping_configs,
+        parts=st.sampled_from([1, 3]),
+        method=st.sampled_from(METHODS),
+        rescore=st.booleans(),
+    )
+    def test_same_split_as_the_json(self, content, config, parts, method, rescore):
+        """code_prob drops the records without a span; a rescored file is re-encoded."""
+        with tempfile.TemporaryDirectory() as tmp:
+            records, path = Path(tmp) / "records.jsonl", Path(tmp) / "scored.jsonl"
+            records.write_bytes(content)
+            with forced_parts(parts):
+                score_file(str(records), str(path), method, skip_missing=True)
+                if rescore:
+                    score_file(str(path), str(path), METHODS[2])
+                with mock.patch.object(scoring_module, "read_columns", side_effect=AssertionError):
+                    got = load_scored(str(path), config)
+                    with open_columns(str(path)) as columns:
+                        problem_ids = columns.problem_ids()
+                columns_of(path).unlink()
+                want = load_scored(str(path), config)
+            lines = path.read_bytes().splitlines()
+        assert_same_split(got, want)
+        assert problem_ids == [json.loads(line)["problem_id"] for line in lines]
+
+    def scored(self, tmp_path, n=6):
+        records, path = tmp_path / "records.jsonl", tmp_path / "scored.jsonl"
+        write_scored(records, [scored_record(i, 3) for i in range(n)])
+        score_file(str(records), str(path), METHODS[0])
+        return path
+
+    def test_unmatched_file_is_not_read(self, tmp_path):
+        """A JSONL file edited to the same size, or a header of another file, falls back to JSON."""
+        path = self.scored(tmp_path)
+        text = path.read_bytes()
+        want = load_scored(str(path))
+        edited = text.replace(b'"label": 1', b'"label": 0', 1)
+        assert len(edited) == len(text) and edited != text
+        path.write_bytes(edited)
+        assert_same_split(load_scored(str(path)), load_scored_without_columns(path))
+        assert want.labels.tolist() != load_scored(str(path)).labels.tolist()
+        path.write_bytes(text + text[:1] + b"\n")
+        with open_columns(str(path)) as columns:
+            assert columns is None
+
+    def test_memory_held_does_not_grow_with_code_length(self, tmp_path):
+        def held(lines):
+            records, path = tmp_path / f"records{lines}.jsonl", tmp_path / f"scored{lines}.jsonl"
+            text = "if x:\n    y = 1\n" * lines
+            write_scored(records, [scored_record(i, 2, code_text=text) for i in range(200)])
+            score_file(str(records), str(path), METHODS[0])
+            tracemalloc.start()
+            try:
+                with mock.patch.object(scoring_module, "read_columns", side_effect=AssertionError):
+                    split = load_scored(str(path))
+                current, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert split.columns.feature("loc").tolist() == [2 * lines] * 200
+            return current
+
+        # 200 texts 990 lines longer would hold about 3 MB.
+        assert held(500) - held(5) <= 64 * 1024
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda head, rows: (head, rows[:-1]), "ends before its 6 rows"),
+            (lambda head, rows: (head, rows + b"x"), "runs on after its 6 rows"),
+            (lambda head, rows: (head, b""), "ends before its 6 rows"),
+            (lambda head, rows: (head[:-2], rows), "malformed column file"),
+            (lambda head, rows: (b"", b""), "malformed column file"),
+            (lambda head, rows: (head.replace(b'"rows"', b'"extra": 0, "rows"'), rows),
+             "has unknown field 'extra'"),
+            (lambda head, rows: (head.replace(b'columns": 1', b'columns": 2'), rows),
+             "has unsupported version 2"),
+            (lambda head, rows: (head.replace(b'"avg_prob"', b"null"), rows),
+             "must name its scoring method exactly when it has rows"),
+            (lambda head, rows: (head, rows[:8] + b"\x02" + rows[9:]), "holds a row no scored record gives"),
+            (lambda head, rows: (head, rows[:TEXT_AT] + b"\xff" + rows[TEXT_AT + 1 :]),
+             "malformed column file"),
+        ],
+        ids=[
+            "truncated", "runs-on", "no-rows", "header-cut", "empty", "unknown-key",
+            "version", "method", "label", "utf8",
+        ],
+    )
+    def test_malformed_matching_file_names_it(self, tmp_path, change, message):
+        path = self.scored(tmp_path)
+        head, rows = columns_of(path).read_bytes().split(b"\n", 1)
+        head, rows = change(head + b"\n", rows)
+        columns_of(path).write_bytes(head + rows)
+        with pytest.raises(DataError, match=re.escape(message)) as info:
+            load_scored(str(path))
+        assert str(columns_of(path)) in str(info.value)
+
+
+def load_scored_without_columns(path):
+    """load_scored of ``path`` as JSON, its column file set aside for the call."""
+    aside = path.with_name("aside")
+    columns_of(path).rename(aside)
+    try:
+        return load_scored(str(path))
+    finally:
+        aside.rename(columns_of(path))
