@@ -247,8 +247,8 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     where one matches it, and from a first read of the input otherwise;
     the lines are then copied on a second read, so the input must be a
     regular file.  With a column file, each split gets one too, holding
-    the rows of its lines.  The outputs replace their targets only when
-    every line is written.
+    the heads and strings of its lines.  The outputs replace their
+    targets only when every line is written.
     """
     spec = SplitSpec(train=train, val=val, test=test, seed=seed)
     if not stat.S_ISREG(os.stat(input_path).st_mode):
@@ -267,10 +267,12 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
         assignment = assign_problem_splits(problem_ids, spec)
         os.makedirs(output_dir, exist_ok=True)
         counts = dict.fromkeys(names, 0)
-        # Each split's rows wait in a temporary file until its header is known.
-        routed = {}
-        for name in names if columns is not None else ():
-            routed[name] = stack.enter_context(tempfile.TemporaryFile(dir=output_dir))
+
+        def part():
+            return stack.enter_context(tempfile.TemporaryFile(dir=output_dir))
+
+        # Each split's heads and strings wait in temporary files until its header is known.
+        routed = {name: (part(), part()) for name in names} if columns is not None else {}
         crcs = dict.fromkeys(routed, 0)
         column_paths = [f"{path}{COLUMNS_SUFFIX}" for path in paths if routed]
         with atomic_outputs(*paths, *column_paths) as handles:
@@ -283,7 +285,10 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
                     out[name].write(data)
                     if routed:
                         crcs[name] = zlib.crc32(data, crcs[name])
-                        routed[name].write(next(rows)[1])
+                        _, head, strings = next(rows)
+                        heads_part, strings_part = routed[name]
+                        heads_part.write(head)
+                        strings_part.write(strings)
                     counts[name] += 1
                 seen += 1
             if seen != len(problem_ids):
@@ -294,7 +299,7 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
             for name, target in zip(routed, handles[len(names) :]):
                 method = columns.method if counts[name] else None
                 size = out[name].tell()
-                write_columns(target, [routed[name]], counts[name], size, crcs[name], method)
+                write_columns(target, routed[name], counts[name], size, crcs[name], method)
     click.echo(
         f"train={counts['train']} val={counts['val']} test={counts['test']}", err=True
     )

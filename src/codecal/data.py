@@ -567,7 +567,8 @@ def assign_problem_splits(problem_ids, spec: SplitSpec) -> dict[str, str]:
     from hashlib import sha256
 
     def rank(pid: str) -> tuple[int, str]:
-        digest = sha256(f"{spec.seed}:{pid}".encode("utf-8")).digest()
+        # A JSON escape can give an id a lone surrogate; ids without one hash their UTF-8.
+        digest = sha256(f"{spec.seed}:{pid}".encode("utf-8", "surrogatepass")).digest()
         return int.from_bytes(digest[:8], "big"), pid
 
     ranked = sorted(unique, key=rank)

@@ -15,20 +15,21 @@ is the one way to pick columns by name: it returns them C-contiguous,
 in the order asked for.
 
 Grouping reads three per-sample fields and a few numbers measured on
-each sample's code text (:data:`TEXT_FEATURES`), held column-wise in a
+each sample's code text (:data:`TEXT_FEATURES`, defined in the
+numpy-free :mod:`codecal.features`), held column-wise in a
 :class:`GroupColumns` table without the texts themselves.  Functions
 that group samples take such a table; :meth:`GroupColumns.from_samples`
 builds one from any samples, and :func:`~codecal.scoring.load_scored`
-measures each text as it reads it.
+reads one from a column file or measures each text as it reads it.
 """
 
 import json
-import re
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataError, RecordError, finite_numbers, schema_fields, strings
+from .errors import DataError, RecordError, exact_keys, finite_numbers, schema_fields, strings
+from .features import TEXT_FEATURES, branch_count, text_features
 
 __all__ = [
     "GroupColumns",
@@ -44,11 +45,6 @@ __all__ = [
 
 ALL_GROUP = "ALL"
 UNKNOWN_LENGTH_GROUP = "len_unknown"
-
-# Language-generic branching tokens counted by the complexity heuristic.
-_BRANCH_WORDS = ("if", "for", "while", "case", "catch")
-_BRANCH_SYMBOLS = ("&&", "||", "?")
-_BRANCH_WORD_RE = re.compile(r"\b(?:" + "|".join(_BRANCH_WORDS) + r")\b")
 
 
 def check_membership(membership, n_groups: int, n_samples: int | None = None) -> np.ndarray:
@@ -151,29 +147,6 @@ def nearest_rank_quantile(values, q: float) -> float:
     rank = int(np.ceil(q * v.size))
     rank = min(max(rank, 1), v.size)
     return float(v[rank - 1])
-
-
-def branch_count(code_text: str) -> int:
-    """Count of branching constructs in a code snippet."""
-    count = len(_BRANCH_WORD_RE.findall(code_text))
-    for sym in _BRANCH_SYMBOLS:
-        count += code_text.count(sym)
-    return count
-
-
-# What grouping measures of a code text, by feature name.
-TEXT_FEATURES = {"chars": len, "loc": lambda text: len(text.splitlines()), "branches": branch_count}
-
-
-def text_features(code_text: str | None, measures) -> tuple:
-    """``(known, *values)`` of one code text: whether there is one, then each measure of it.
-
-    ``measures`` are functions of the text, such as the values of
-    :data:`TEXT_FEATURES`; each value is 0 where ``code_text`` is None.
-    """
-    if code_text is None:
-        return (False,) + (0,) * len(measures)
-    return (True, *[measure(code_text) for measure in measures])
 
 
 def _band_names(prefix: str, n_bands: int) -> list[str]:
@@ -364,10 +337,13 @@ class GroupingModel:
     @classmethod
     def from_json(cls, text: str) -> "GroupingModel":
         with schema_fields("grouping"):
-            payload = json.loads(text)
-            if payload.get("schema_version") != 1:
-                raise DataError(f"unsupported grouping schema version {payload.get('schema_version')!r}")
-            cfg = {f.name: payload["config"][f.name] for f in fields(GroupingConfig)}
+            # Exactly the keys to_json writes, at the top level and in the config.
+            keys = ["schema_version", *(f.name for f in fields(cls))]
+            payload = exact_keys(json.loads(text), keys, what="grouping")
+            if payload["schema_version"] != 1:
+                raise DataError(f"unsupported grouping schema version {payload['schema_version']!r}")
+            keys = [f.name for f in fields(GroupingConfig)]
+            cfg = exact_keys(payload["config"], keys, what="grouping config")
             # JSON holds the config's tuples as lists.
             cfg = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
             model = cls(

@@ -10,9 +10,11 @@ that holds what :func:`load_scored` keeps of each record, so reading a
 scored split needs no JSON decoding.  It starts with a one-line JSON
 header: the format version, the row count, the byte size and
 ``zlib.crc32`` of the JSONL file it describes, and the scoring method.
-One row per JSONL line follows, in line order: :data:`_ROW` (p_hat,
-label, flags for a difficulty and a code text, and the byte length of
-each of the five strings), then the UTF-8 bytes of the sample id,
+Two sections follow, each in line order.  The heads section holds one
+fixed-width :data:`_HEAD` per row: p_hat, label, flags for a difficulty
+and a code text, the ``chars`` and ``loc`` of the code text (0 without
+one), and the byte length of each of the row's five strings.  The
+strings section then holds the UTF-8 bytes of each row's sample id,
 problem id, language, difficulty and code text.  Strings are encoded
 with ``surrogatepass``, since JSON escapes can hold lone surrogates.
 A column file is read only when its header matches its JSONL file's
@@ -20,6 +22,7 @@ size and checksum, so a JSONL file edited afterwards is read as JSON.
 """
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -46,6 +49,7 @@ from .errors import (
     schema_fields,
     whole_number,
 )
+from .features import TEXT_FEATURES, text_features
 
 __all__ = [
     "ConfidenceMethod",
@@ -63,16 +67,33 @@ DEFAULT_TAIL_TOKENS = 40
 
 # The column file of ``scored.jsonl`` is ``scored.jsonl.cols``.
 COLUMNS_SUFFIX = ".cols"
-COLUMNS_VERSION = 1
+COLUMNS_VERSION = 2
 _HEADER_KEYS = ("codecal_columns", "jsonl_bytes", "jsonl_crc32", "method", "rows")
 # A longer first line is not a header.
 _MAX_HEADER_BYTES = 4096
-# p_hat, label, flags, and the byte lengths of the row's five strings.
-_ROW = struct.Struct("<dBB5I")
+# A row's head: p_hat, label, flags, the chars and loc of its code text,
+# and the byte lengths of its five strings.  _HEAD_DTYPE is the same
+# packed layout as a numpy structured dtype.
+_HEAD = struct.Struct("<dBB7I")
+_HEAD_DTYPE = [
+    ("p_hat", "<f8"),
+    ("label", "u1"),
+    ("flags", "u1"),
+    ("chars", "<u4"),
+    ("loc", "<u4"),
+    ("lengths", "<u4", (5,)),
+]
 _HAS_DIFFICULTY, _HAS_CODE = 1, 2
+# The text features held in the heads; the others are measured on the code texts.
+_HEAD_FEATURES = ("chars", "loc")
 # Small blocks keep what reading and copying hold in memory small.
 _BLOCK_BYTES = 1 << 16
 _BATCH_RECORDS = 64
+# Rows whose strings load_scored decodes at a time.  Larger chunks leave
+# more of the heap in use: on the long-tokens benchmark (2 CPUs, Python
+# 3.11, numpy 2.4), fit-eval's peak RSS was 0.3 MB higher with 256 rows
+# and about 0.05 MB higher with 64.
+_CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -124,21 +145,22 @@ def score_sample(sample: Sample, method: ConfidenceMethod) -> float:
     return math.exp(sum(window) / len(window))
 
 
-def _score_lines(records, lines, rows, method: ConfidenceMethod, skip_missing: bool) -> tuple:
-    """Write the scored line and the column-file row of each record.
+def _score_lines(records, files, method: ConfidenceMethod, skip_missing: bool) -> tuple:
+    """Write the scored line and the column-file head and strings of each record.
 
     ``records`` yields ``(lineno, raw, obj, sample)`` as
-    :func:`~codecal.data.read_ranges` does with ``records``.  The lines
-    go to binary file ``lines`` and the rows to ``rows``, both flushed
-    at the end, so a forked child leaves their bytes in place.  Returns
-    the scored and skipped counts and the crc32 of the lines.
+    :func:`~codecal.data.read_ranges` does with ``records``.  ``files``
+    are the binary files for the lines, the heads and the strings, each
+    flushed at the end, so a forked child leaves their bytes in place.
+    Returns the scored and skipped counts and the crc32 of the lines.
     """
     name_json = json.dumps(method.name)
     scored = skipped = crc = 0
-    # Lines and rows are written _BATCH_RECORDS at a time, and each row is
-    # made here, not in a function: this loop runs once per record.
-    texts, packed = [], []
-    pack = _ROW.pack
+    # Lines, heads and strings are written _BATCH_RECORDS at a time, and each
+    # head is made here, not in a function: this loop runs once per record.
+    batch = texts, packed, joined = [], [], []
+    pack = _HEAD.pack
+    chars, loc = (TEXT_FEATURES[name] for name in _HEAD_FEATURES)
     for _, raw, obj, sample in records:
         try:
             p_hat = score_sample(sample, method)
@@ -155,6 +177,7 @@ def _score_lines(records, lines, rows, method: ConfidenceMethod, skip_missing: b
         sid, pid, language = sample.sample_id, sample.problem_id, sample.language
         difficulty, code = sample.difficulty, sample.code_text
         flags = _HAS_DIFFICULTY * (difficulty is not None) + _HAS_CODE * (code is not None)
+        # A missing text measures 0, as the empty text does.
         difficulty, code = difficulty or "", code or ""
         # One encode of the joined strings; each is measured apart only when one is not ASCII.
         data = f"{sid}{pid}{language}{difficulty}{code}".encode("utf-8", "surrogatepass")
@@ -163,38 +186,44 @@ def _score_lines(records, lines, rows, method: ConfidenceMethod, skip_missing: b
         else:
             strings = sid, pid, language, difficulty, code
             sizes = [len(text.encode("utf-8", "surrogatepass")) for text in strings]
-        packed.append(pack(p_hat, sample.label, flags, *sizes))
-        packed.append(data)
+        packed.append(pack(p_hat, sample.label, flags, chars(code), loc(code), *sizes))
+        joined.append(data)
         scored += 1
         if len(texts) == _BATCH_RECORDS:
-            crc = _write_batch(lines, rows, texts, packed, crc)
-    crc = _write_batch(lines, rows, texts, packed, crc)
-    lines.flush()
-    rows.flush()
+            crc = _write_batch(files, batch, crc)
+    crc = _write_batch(files, batch, crc)
+    for file in files:
+        file.flush()
     return scored, skipped, crc
 
 
-def _write_batch(lines, rows, texts: list, packed: list, crc: int) -> int:
-    """Write and clear a batch of lines and rows; returns ``crc`` carried over the lines' bytes."""
+def _write_batch(files, batch, crc: int) -> int:
+    """Write and clear a batch of lines, heads and strings to ``files``.
+
+    Returns ``crc`` carried over the lines' bytes.
+    """
+    texts, packed, joined = batch
     if texts:
         data = "\n".join(texts).encode("utf-8") + b"\n"
+        lines, heads, strings = files
         lines.write(data)
-        rows.write(b"".join(packed))
+        heads.write(b"".join(packed))
+        strings.write(b"".join(joined))
         crc = zlib.crc32(data, crc)
-    texts.clear()
-    packed.clear()
+    for part in batch:
+        part.clear()
     return crc
 
 
 def write_columns(
     out, parts, rows: int, jsonl_bytes: int, jsonl_crc32: int, method: str | None
 ) -> None:
-    """Write a column file to binary file ``out``: its header, then the rows of each of ``parts``.
+    """Write a column file to binary file ``out``: its header, then the bytes of each of ``parts``.
 
-    ``parts`` are binary files holding ``rows`` rows in all, in line
-    order, for a JSONL file of ``jsonl_bytes`` bytes with crc32
-    ``jsonl_crc32`` whose records were all scored by ``method`` (None
-    when there are none).
+    ``parts`` are binary files holding the heads of ``rows`` rows in
+    all, in line order, then their strings, for a JSONL file of
+    ``jsonl_bytes`` bytes with crc32 ``jsonl_crc32`` whose records were
+    all scored by ``method`` (None when there are none).
     """
     header = {
         "codecal_columns": COLUMNS_VERSION,
@@ -228,10 +257,10 @@ def score_file(
     The input is read by :func:`~codecal.data.read_ranges`, so the
     output, the counts and the first error in line order do not depend
     on the number of CPUs.  The first range writes its lines straight
-    to the output; the other ranges' lines, and every range's rows, go
-    to unnamed temporary files beside ``output_path``, which are
-    appended to the outputs in line order, so memory does not grow with
-    the file.
+    to the output; the other ranges' lines, and every range's heads and
+    strings, go to unnamed temporary files beside ``output_path``, which
+    are appended to the outputs in line order, so memory does not grow
+    with the file.
     """
     targets = output_path, output_path + COLUMNS_SUFFIX
     with atomic_outputs(*targets) as (out, column_file), contextlib.ExitStack() as stack:
@@ -242,10 +271,11 @@ def score_file(
             return stack.enter_context(tempfile.TemporaryFile(dir=folder))
 
         lines = [out, *(part() for _ in bounds[1:])]
-        rows = [part() for _ in bounds]
+        heads = [part() for _ in bounds]
+        strings = [part() for _ in bounds]
 
         def read(k, records):
-            return _score_lines(records, lines[k], rows[k], method, skip_missing)
+            return _score_lines(records, (lines[k], heads[k], strings[k]), method, skip_missing)
 
         counts = read_ranges(input_path, bounds, read, records=True)
         # Range 0 wrote its lines to ``out``; every other range's lines follow them.
@@ -257,7 +287,7 @@ def score_file(
                 out.write(block)
         scored = sum(count[0] for count in counts)
         name = method.name if scored else None
-        write_columns(column_file, rows, scored, out.tell(), crc, name)
+        write_columns(column_file, [*heads, *strings], scored, out.tell(), crc, name)
     return scored, sum(count[1] for count in counts)
 
 
@@ -294,99 +324,137 @@ def _jsonl_crc32(path: str) -> int:
     return crc
 
 
-def _strings(head: tuple, row: bytes) -> tuple[str, ...]:
-    """The five strings of a column-file row, from its :data:`_ROW` fields and its bytes."""
-    _, _, _, a, b, c, d, _ = head
-    a += _ROW.size
-    b += a
-    c += b
-    d += c
-    # Written out, since this runs once per row read.
-    return (
-        row[_ROW.size : a].decode("utf-8", "surrogatepass"),
-        row[a:b].decode("utf-8", "surrogatepass"),
-        row[b:c].decode("utf-8", "surrogatepass"),
-        row[c:d].decode("utf-8", "surrogatepass"),
-        row[d:].decode("utf-8", "surrogatepass"),
-    )
+def _pieces(chunk: bytes, text: str, bounds: list, field: int) -> list[str]:
+    """String ``field`` of each row of a strings chunk: 0 for the sample id, ... 4 for the code text.
+
+    ``text`` is ``chunk`` decoded, and ``bounds`` the offsets in
+    ``chunk`` where each string starts, then where the last one ends.
+    """
+    starts, ends = bounds[field::5], bounds[field + 1 :: 5]
+    if len(text) == len(chunk):  # ASCII: each character is one byte
+        return [text[a:b] for a, b in zip(starts, ends)]
+    return [chunk[a:b].decode("utf-8", "surrogatepass") for a, b in zip(starts, ends)]
 
 
 class ScoredColumns:
-    """An open column file whose header matches its JSONL file; see :func:`open_columns`."""
+    """An open column file whose header matches its JSONL file; see :func:`open_columns`.
+
+    A file too short for its heads raises ``DataError`` naming it.
+    """
 
     def __init__(self, fh, path: str, header: dict) -> None:
         self.path = path
         self.method = header["method"]
         self.count = header["rows"]
         self._fh = fh
-        self._start = fh.tell()
+        self._heads_at = fh.tell()
+        self._strings_at = self._heads_at + self.count * _HEAD.size
+        self._strings_size = os.fstat(fh.fileno()).st_size - self._strings_at
+        if self._strings_size < 0:
+            raise self._error(f"ends before its {self.count} rows")
+
+    def _error(self, problem: str) -> DataError:
+        return DataError(f"column file {self.path} {problem}")
+
+    def _unsummed(self) -> DataError:
+        return self._error("has string lengths that do not sum to the size of its strings section")
+
+    def _read(self, at: int, size: int) -> bytes:
+        self._fh.seek(at)
+        return self._fh.read(size)
 
     def rows(self):
-        """Yield ``(head, row)`` for each row, from the first: its :data:`_ROW` fields and bytes.
+        """Yield ``(fields, head, strings)`` for each row, from the first.
 
-        A file that ends before its last row, or runs on after it,
-        raises ``DataError`` naming the file.
+        ``fields`` are its :data:`_HEAD` fields, ``head`` their bytes and
+        ``strings`` the bytes of its five strings.  Heads and strings are
+        read in blocks of about ``_BLOCK_BYTES``.  String lengths that do
+        not sum to the size of the strings section raise ``DataError``
+        naming the file.
         """
-        self._fh.seek(self._start)
+        heads_at, strings_at = self._heads_at, self._strings_at
         buf, pos = b"", 0
-        for _ in range(self.count):
-            if pos + _ROW.size > len(buf):
-                buf, pos = self._more(buf[pos:], _ROW.size), 0
-            head = _ROW.unpack_from(buf, pos)
-            end = pos + _ROW.size + sum(head[3:])
-            if end > len(buf):
-                buf, end, pos = self._more(buf[pos:], end - pos), end - pos, 0
-            yield head, buf[pos:end]
-            pos = end
-        if pos < len(buf) or self._fh.read(1):
-            raise DataError(f"column file {self.path} runs on after its {self.count} rows")
-
-    def _more(self, rest: bytes, need: int) -> bytes:
-        """``rest`` and the bytes that follow it, at least ``need`` bytes in all."""
-        data = rest + self._fh.read(max(_BLOCK_BYTES, need - len(rest)))
-        if len(data) < need:
-            raise DataError(f"column file {self.path} ends before its {self.count} rows")
-        return data
+        per_block = _BLOCK_BYTES // _HEAD.size
+        for first in range(0, self.count, per_block):
+            size = min(per_block, self.count - first) * _HEAD.size
+            block = self._read(heads_at, size)
+            heads_at += size
+            if len(block) < size:
+                raise self._error(f"ends before its {self.count} rows")
+            for at, fields in zip(range(0, size, _HEAD.size), _HEAD.iter_unpack(block)):
+                end = pos + sum(fields[5:])
+                if end > len(buf):
+                    more = self._read(strings_at, max(_BLOCK_BYTES, end - len(buf)))
+                    strings_at += len(more)
+                    buf, end, pos = buf[pos:] + more, end - pos, 0
+                    if end > len(buf):
+                        raise self._unsummed()
+                yield fields, block[at : at + _HEAD.size], buf[pos:end]
+                pos = end
+        if pos < len(buf) or strings_at < self._strings_at + self._strings_size:
+            raise self._unsummed()
 
     def problem_ids(self) -> list[str]:
         """The problem id of each row."""
         with schema_fields(f"column file {self.path}"):
             return [
-                row[_ROW.size + sid : _ROW.size + sid + pid].decode("utf-8", "surrogatepass")
-                for (_, _, _, sid, pid, *_), row in self.rows()
+                strings[sid : sid + pid].decode("utf-8", "surrogatepass")
+                for (_, _, _, _, _, sid, pid, *_), _, strings in self.rows()
             ]
 
-    def table(self, measures) -> list[list]:
-        """p_hat, label, sample id, language, difficulty, then :func:`text_features`, per row.
+    def table(self, names) -> list:
+        """p_hat, label, sample id, language, difficulty, known, then each text feature of ``names``.
 
-        Each column is a list, one entry per row.  Languages and
-        difficulties are interned, so rows share one object per
-        distinct value.  Each code text is measured and dropped.
+        Each column holds one entry per row: p_hat, known and the
+        features are numpy arrays, the others lists.  The heads are
+        read at once and checked in bulk, then the strings of
+        ``_CHUNK_ROWS`` rows at a time.  Languages and difficulties are
+        interned, so rows share one object per distinct value.  The
+        ``chars`` and ``loc`` come from the heads; any other feature is
+        measured on each code text, which is then dropped.
         """
-        p_hats, labels, ids, languages, difficulties, known = table = [[] for _ in range(6)]
-        features = [[] for _ in measures]
-        measured = [(column.append, measure) for column, measure in zip(features, measures)]
+        import numpy as np
+
         with schema_fields(f"column file {self.path}"):
-            for head, row in self.rows():
-                p_hat, label, flags = head[:3]
-                ok = 0.0 <= p_hat <= 1.0 and label <= 1 and flags <= _HAS_DIFFICULTY | _HAS_CODE
-                if not ok:
-                    raise DataError(f"column file {self.path} holds a row no scored record gives")
-                sid, _, language, difficulty, code = _strings(head, row)
-                p_hats.append(p_hat)
-                labels.append(label)
-                ids.append(sid)
-                languages.append(sys.intern(language))
-                difficulties.append(sys.intern(difficulty) if flags & _HAS_DIFFICULTY else None)
-                # As text_features measures a text, or None.
-                known.append(bool(flags & _HAS_CODE))
-                if flags & _HAS_CODE:
-                    for append, measure in measured:
-                        append(measure(code))
-                else:
-                    for column in features:
-                        column.append(0)
-        return table + features
+            # Reading the heads leaves the file at the strings section, which follows them.
+            heads = self._read(self._heads_at, self._strings_at - self._heads_at)
+            heads = np.frombuffer(heads, _HEAD_DTYPE)
+            p_hat, flags, lengths = heads["p_hat"], heads["flags"], heads["lengths"]
+            # Each numpy loop run here for the first time in the process adds to
+            # peak RSS, so this method keeps to loops that calibrating runs anyway:
+            # no cast from uint8 to int64 and no integer cumsum.  Where flags are
+            # at most 3, a row has a code text exactly when flags >= 2.
+            known = flags >= _HAS_CODE
+            ok = (p_hat >= 0) & (p_hat <= 1) & (heads["label"] <= 1)
+            ok &= flags <= _HAS_DIFFICULTY | _HAS_CODE
+            ok &= known | ((heads["chars"] == 0) & (heads["loc"] == 0))
+            if not ok.all():
+                raise self._error("holds a row no scored record gives")
+            if int(lengths.sum(dtype=np.int64)) != self._strings_size:
+                raise self._unsummed()
+            measured = {name: [] for name in names if name not in _HEAD_FEATURES}
+            ids, languages, difficulties = [], [], []
+            for first in range(0, self.count, _CHUNK_ROWS):
+                rows = slice(first, first + _CHUNK_ROWS)
+                bounds = list(itertools.accumulate(lengths[rows].ravel().tolist(), initial=0))
+                chunk = self._fh.read(bounds[-1])
+                text = chunk.decode("utf-8", "surrogatepass")
+                ids += _pieces(chunk, text, bounds, 0)
+                languages += map(sys.intern, _pieces(chunk, text, bounds, 2))
+                pieces = _pieces(chunk, text, bounds, 3)
+                difficulties += [
+                    sys.intern(d) if f & _HAS_DIFFICULTY else None
+                    for d, f in zip(pieces, flags[rows].tolist())
+                ]
+                if measured:
+                    codes = _pieces(chunk, text, bounds, 4)
+                    for name, values in measured.items():
+                        values += map(TEXT_FEATURES[name], codes)
+        features = [
+            heads[name] if name in _HEAD_FEATURES else np.where(known, measured[name], 0)
+            for name in names
+        ]
+        return [p_hat, heads["label"].tolist(), ids, languages, difficulties, known, *features]
 
 
 def _header(fh, path: str) -> dict:
@@ -431,7 +499,7 @@ def load_scored(path: str, grouping: "GroupingConfig | None" = None) -> ScoredSp
     """Load a file written by :func:`score_file` as columns.
 
     Only ``p_hat``, the label, the grouping fields and the
-    :data:`~codecal.groups.TEXT_FEATURES` that ``grouping`` reads
+    :data:`~codecal.features.TEXT_FEATURES` that ``grouping`` reads
     (every one for None) are kept.  Token arrays and code texts are
     dropped as each record is read, so memory grows with neither the
     number of tokens nor the length of the code.
@@ -447,7 +515,7 @@ def load_scored(path: str, grouping: "GroupingConfig | None" = None) -> ScoredSp
     """
     import numpy as np
 
-    from .groups import TEXT_FEATURES, GroupColumns, text_features
+    from .groups import GroupColumns
 
     names = tuple(TEXT_FEATURES) if grouping is None else grouping.text_features
     measures = [TEXT_FEATURES[name] for name in names]
@@ -458,7 +526,7 @@ def load_scored(path: str, grouping: "GroupingConfig | None" = None) -> ScoredSp
     with open_columns(path) as columns:
         if columns is not None:
             methods = [] if columns.method is None else [columns.method]
-            p_hats, labels, ids, languages, difficulties, known, *values = columns.table(measures)
+            p_hats, labels, ids, languages, difficulties, known, *values = columns.table(names)
     if columns is None:
         p_hats, labels, methods, ids, languages, difficulties, known, *values = read_columns(
             path, row, 7 + len(names), records=True, loads=loads_floats_as_bytes

@@ -385,6 +385,38 @@ class TestSplitCommand:
             columns_of(tmp_path / "columns" / name).unlink()
             assert_same_split(got, load_scored(str(tmp_path / "columns" / name)))
 
+    def test_lone_surrogate_problem_id_splits(self, tmp_path):
+        """A JSON escape can give a problem id a lone surrogate; it is split like any other id.
+
+        The scored input's problem ids come from its column file, and
+        both inputs give the same assignment.
+        """
+        records = tmp_path / "records.jsonl"
+        objects = [
+            {
+                "problem_id": "p1\ud800" if i == 1 else f"p{i}",
+                "sample_id": f"s{i}",
+                "language": "python",
+                "token_logprobs": [-0.5],
+                "label": i % 2,
+            }
+            for i in range(6)
+        ]
+        records.write_text("".join(json.dumps(obj) + "\n" for obj in objects), encoding="ascii")
+        scored = tmp_path / "scored.jsonl"
+        assert run(["score", "--input", str(records), "--output", str(scored)]).exit_code == 0
+        assigned = {}
+        for path in (records, scored):
+            out = tmp_path / f"{path.stem}_splits"
+            result = run(["split", "--input", str(path), "--output-dir", str(out)])
+            assert result.exit_code == 0, result.output
+            assigned[path.stem] = {
+                name: [json.loads(line)["sample_id"] for line in (out / f"{name}.jsonl").open()]
+                for name in ("train", "val", "test")
+            }
+        assert assigned["records"] == assigned["scored"]
+        assert (tmp_path / "scored_splits" / f"train.jsonl{COLUMNS_SUFFIX}").is_file()
+
     def test_bad_fractions_rejected(self, tmp_path):
         records = tmp_path / "records.jsonl"
         write_synth(records, n=30)

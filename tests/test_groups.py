@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,24 @@ class TestBranchCount:
         assert branch_count("califormat = 1") == 0
         assert branch_count("x = a && b || c ? d : e") == 3
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.lists(
+            st.sampled_from(
+                # Keywords, parts of them, and what can stand next to one: ASCII and
+                # Unicode letters and digits, "_", combining marks, spaces and operators.
+                ["if", "for", "while", "case", "catch", "i", "f", "c", "a", "tch", "_", "x",
+                 "é", "ß", "9", "٣", "\u0301", "\u0308", " ", "\n", "&", "|", "?", "(", "."]
+            ),
+            max_size=12,
+        ).map("".join)
+    )
+    def test_counts_what_the_word_boundary_pattern_counts(self, text):
+        """The pattern without a leading \\b counts exactly the words \\b...\\b counts."""
+        words = len(re.findall(r"\b(?:if|for|while|case|catch)\b", text))
+        symbols = sum(text.count(sym) for sym in ("&&", "||", "?"))
+        assert branch_count(text) == words + symbols
+
 
 class TestComplexityGroups:
     def test_terciles_from_fit_on(self):
@@ -269,6 +288,32 @@ class TestGroupingModel:
         payload = json.loads(model.to_json())
         del payload["config"]
         with pytest.raises(DataError, match="missing field 'config'"):
+            GroupingModel.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "where, key, message",
+        [
+            (None, "schema_version", "grouping is missing field 'schema_version'"),
+            (None, "languages", "grouping is missing field 'languages'"),
+            ("config", "always_on", "grouping config is missing field 'always_on'"),
+            ("config", "complexity_quantiles", "grouping config is missing field 'complexity_quantiles'"),
+        ],
+    )
+    def test_missing_key_is_data_error(self, where, key, message):
+        payload = json.loads(GroupingModel.fit(self.make_ds(), GroupingConfig()).to_json())
+        del (payload if where is None else payload[where])[key]
+        with pytest.raises(DataError, match=re.escape(message)):
+            GroupingModel.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [(None, "grouping has unknown field 'bogus'"), ("config", "grouping config has unknown field 'bogus'")],
+    )
+    def test_unknown_key_is_data_error(self, where, message):
+        """A key the grouping would not write back is refused, so a loaded grouping replays exactly."""
+        payload = json.loads(GroupingModel.fit(self.make_ds(), GroupingConfig()).to_json())
+        (payload if where is None else payload[where])["bogus"] = 1
+        with pytest.raises(DataError, match=re.escape(message)):
             GroupingModel.from_json(json.dumps(payload))
 
     def test_missing_length_cutpoints_rejected_on_load(self):

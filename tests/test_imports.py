@@ -301,6 +301,20 @@ def test_commands_that_compute_nothing_load_no_numpy(inputs, scored_splits, args
         assert (inputs / "resplit" / "train.jsonl.cols").is_file()
 
 
+def test_text_features_are_defined_once_without_numpy():
+    """groups re-exports the numpy-free definitions that score measures code texts with."""
+    code = (
+        "import sys\n"
+        "import codecal.features as features\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import codecal.groups as groups\n"
+        "print(groups.TEXT_FEATURES is features.TEXT_FEATURES,"
+        " groups.branch_count is features.branch_count,"
+        " groups.text_features is features.text_features)\n"
+    )
+    assert run_python(code).stdout == "True True True\n"
+
+
 def test_fit_eval_loads_numpy(inputs, monkeypatch):
     """The check above can see numpy: the commands that compute load it."""
     monkeypatch.chdir(inputs)

@@ -16,6 +16,7 @@ import codecal.data as data_module
 import codecal.scoring as scoring_module
 from codecal.data import Sample, load_records, parse_record, save_records
 from codecal.errors import DataError, MissingCodeError, RecordError
+from codecal.features import text_features
 from codecal.groups import GroupColumns, GroupingConfig, GroupingModel, branch_count
 from codecal.scoring import (
     COLUMNS_SUFFIX,
@@ -657,10 +658,12 @@ class TestTokensCheckedAsText:
         assert got == outcome(lambda: float_decoded_rows(text))
 
 
-# Strings a reader could cut or mistake: line ends, U+2028, lone
-# surrogates (JSON escapes such as "\\ud800"), quotes and escapes.
+# Strings a reader could cut or mistake: line ends, what str.splitlines
+# also cuts at (\x0b, \x1c, U+2028), lone surrogates (JSON escapes such
+# as "\\ud800"), quotes and escapes.
 odd_texts = st.text(
-    alphabet=["a", "é", "\n", "\r", "\u2028", "\ud800", "\udfff", '"', "\\"], max_size=5
+    alphabet=["a", "é", "\n", "\r", "\x0b", "\x1c", "\u2028", "\ud800", "\udfff", '"', "\\"],
+    max_size=5,
 )
 
 
@@ -718,8 +721,9 @@ def columns_of(path):
     return Path(f"{path}{COLUMNS_SUFFIX}")
 
 
-# Where the text of a column file's row starts.
-TEXT_AT = scoring_module._ROW.size
+UNSUMMED = "has string lengths that do not sum to the size of its strings section"
+# Where the strings section of a column file of six rows starts, after the header line.
+STRINGS_AT = 6 * scoring_module._HEAD.size
 
 
 class TestColumnFile:
@@ -734,7 +738,11 @@ class TestColumnFile:
         rescore=st.booleans(),
     )
     def test_same_split_as_the_json(self, content, config, parts, method, rescore):
-        """code_prob drops the records without a span; a rescored file is re-encoded."""
+        """code_prob drops the records without a span; a rescored file is re-encoded.
+
+        The chars and loc that score wrote in the heads are those of
+        each record's code text in the JSON.
+        """
         with tempfile.TemporaryDirectory() as tmp:
             records, path = Path(tmp) / "records.jsonl", Path(tmp) / "scored.jsonl"
             records.write_bytes(content)
@@ -744,13 +752,26 @@ class TestColumnFile:
                     score_file(str(path), str(path), METHODS[2])
                 with mock.patch.object(scoring_module, "read_columns", side_effect=AssertionError):
                     got = load_scored(str(path), config)
+                    heads = load_scored(str(path), GroupingConfig()).columns
                     with open_columns(str(path)) as columns:
                         problem_ids = columns.problem_ids()
                 columns_of(path).unlink()
                 want = load_scored(str(path), config)
-            lines = path.read_bytes().splitlines()
+            objects = [json.loads(line) for line in path.read_bytes().splitlines()]
         assert_same_split(got, want)
-        assert problem_ids == [json.loads(line)["problem_id"] for line in lines]
+        assert problem_ids == [obj["problem_id"] for obj in objects]
+        texts = [obj.get("code_text") for obj in objects]
+        measured = [text_features(text, [len, lambda t: len(t.splitlines())]) for text in texts]
+        assert heads.known.tolist() == [known for known, _, _ in measured]
+        assert heads.feature("chars").tolist() == [chars for _, chars, _ in measured]
+        assert heads.feature("loc").tolist() == [loc for _, _, loc in measured]
+
+    def test_head_layouts_agree(self):
+        """The struct that score and split use and the dtype load_scored uses are one layout."""
+        fields = (0.375, 1, 3, 70000, 9, 1, 2, 3, 4, 2**32 - 1)
+        (head,) = np.frombuffer(scoring_module._HEAD.pack(*fields), scoring_module._HEAD_DTYPE)
+        names = [name for name, *_ in scoring_module._HEAD_DTYPE]
+        assert [head[name].tolist() for name in names] == [*fields[:5], list(fields[5:])]
 
     def scored(self, tmp_path, n=6):
         records, path = tmp_path / "records.jsonl", tmp_path / "scored.jsonl"
@@ -794,24 +815,28 @@ class TestColumnFile:
     @pytest.mark.parametrize(
         "change, message",
         [
-            (lambda head, rows: (head, rows[:-1]), "ends before its 6 rows"),
-            (lambda head, rows: (head, rows + b"x"), "runs on after its 6 rows"),
+            (lambda head, rows: (head, rows[:-1]), UNSUMMED),
+            (lambda head, rows: (head, rows + b"x"), UNSUMMED),
             (lambda head, rows: (head, b""), "ends before its 6 rows"),
             (lambda head, rows: (head[:-2], rows), "malformed column file"),
             (lambda head, rows: (b"", b""), "malformed column file"),
             (lambda head, rows: (head.replace(b'"rows"', b'"extra": 0, "rows"'), rows),
              "has unknown field 'extra'"),
-            (lambda head, rows: (head.replace(b'columns": 1', b'columns": 2'), rows),
-             "has unsupported version 2"),
+            (lambda head, rows: (head.replace(b'columns": 2', b'columns": 1'), rows),
+             "has unsupported version 1"),
             (lambda head, rows: (head.replace(b'"avg_prob"', b"null"), rows),
              "must name its scoring method exactly when it has rows"),
             (lambda head, rows: (head, rows[:8] + b"\x02" + rows[9:]), "holds a row no scored record gives"),
-            (lambda head, rows: (head, rows[:TEXT_AT] + b"\xff" + rows[TEXT_AT + 1 :]),
+            (lambda head, rows: (head, rows[:STRINGS_AT] + b"\xff" + rows[STRINGS_AT + 1 :]),
              "malformed column file"),
+            # The first row's flags say it has no code text, but its chars are not 0.
+            (lambda head, rows: (head, rows[:9] + b"\x00" + rows[10:]), "holds a row no scored record gives"),
+            # The first row's sample id is one byte longer than its strings.
+            (lambda head, rows: (head, rows[:18] + bytes([rows[18] + 1]) + rows[19:]), UNSUMMED),
         ],
         ids=[
             "truncated", "runs-on", "no-rows", "header-cut", "empty", "unknown-key",
-            "version", "method", "label", "utf8",
+            "version", "method", "label", "utf8", "chars-without-code", "lengths",
         ],
     )
     def test_malformed_matching_file_names_it(self, tmp_path, change, message):
