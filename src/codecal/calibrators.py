@@ -26,7 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binning import BinGrid, cell_sums, member_pairs, round_to_grid_index
-from .errors import DataError, FitError, finite_numbers, schema_fields, strings, whole_number
+from .errors import (
+    DataError,
+    FitError,
+    exact_keys,
+    finite_numbers,
+    schema_fields,
+    strings,
+    whole_number,
+)
 from .groups import GroupSet, check_membership
 from .metrics import _as_scores, _as_scores_labels
 from .report import DEFAULT_EPSILON
@@ -64,6 +72,24 @@ STOP_REASONS = {
     "ighb": ("error_budget", "max_iters", "no_progress"),
     "iglb": ("val_brier", "mass_threshold", "all_regions_skipped", "max_iters"),
 }
+# The keys model_to_json writes for each method: at the top level beside
+# schema_version, method and params, and in params.
+_PATCHED = ("grid_m", "group_names", "dropped_groups", "convergence")
+_MODEL_KEYS = {
+    "platt": (("convergence",), ("a", "b")),
+    "histogram": (("grid_m",), ("deltas",)),
+    "gcur_linear": (("group_names", "dropped_groups"), ("lambdas", "dependent_columns")),
+    "gcur_logistic": (
+        ("group_names", "dropped_groups", "convergence"),
+        ("intercept", "score_coef", "group_coefs"),
+    ),
+    "ighb": (_PATCHED, ("patches", "alpha")),
+    "iglb": (_PATCHED, ("patches", "epsilon", "ls_loss", "val_brier_history", "skipped_regions")),
+}
+_NEWTON_KEYS = ("converged", "grad_norm", "iterations")
+_STOP_KEYS = ("converged", "iterations", "stop_reason")
+_PATCH_KEYS = {"ighb": ("group", "cell", "delta"), "iglb": ("group", "bin", "side", "alpha", "beta")}
+_SKIP_KEYS = ("iteration", "group", "bin", "side")
 
 _check_scores_labels = functools.partial(_as_scores_labels, empty="need at least one sample to fit")
 _check_scores = functools.partial(_as_scores, empty="need at least one score to apply")
@@ -624,6 +650,7 @@ def _located(entry, what: str, cell: str, k: int, m: int, sided: bool) -> dict:
 def _patch(method: str, patch, k: int, m: int) -> dict:
     """An ighb or iglb patch that ``_apply_patch`` can replay on k groups and m cells."""
     iglb = method == "iglb"
+    exact_keys(patch, _PATCH_KEYS[method], what="model patch")
     _located(patch, "model patch", "bin" if iglb else "cell", k, m, iglb)
     keys = ("alpha", "beta") if iglb else ("delta",)
     finite_numbers([patch[key] for key in keys], f"model patch {' and '.join(keys)}", len(keys))
@@ -638,8 +665,7 @@ def _iglb_fields(params: dict, k: int, m: int, rounds: int) -> dict:
     if not isinstance(skips, list):
         raise DataError("model skipped_regions must be a list")
     for skip in skips:
-        if not isinstance(skip, dict) or sorted(skip) != ["bin", "group", "iteration", "side"]:
-            raise DataError(f"model skipped region {skip!r} is not {{iteration, group, bin, side}}")
+        exact_keys(skip, _SKIP_KEYS, what="model skipped region")
         whole_number(skip["iteration"], "model skipped region iteration", range(rounds))
         _located(skip, "model skipped region", "bin", k, m, True)
     return {
@@ -653,8 +679,8 @@ def _iglb_fields(params: dict, k: int, m: int, rounds: int) -> dict:
 
 def _newton_record(info) -> dict:
     """``info``, checked to be a convergence record of :func:`_newton_fit`."""
-    keys = ["converged", "grad_norm", "iterations"]
-    if not isinstance(info, dict) or sorted(info) != keys or type(info["converged"]) is not bool:
+    exact_keys(info, _NEWTON_KEYS, what="model Newton record")
+    if type(info["converged"]) is not bool:
         raise DataError(f"model convergence {info!r} is not a Newton record")
     whole_number(info["iterations"], "model Newton iterations", range(NEWTON_MAX_ITER + 1))
     finite_numbers([info["grad_norm"]], "model Newton grad_norm", 1)
@@ -666,13 +692,19 @@ def model_from_json(text: str):
 
     Every value ``apply`` reads is checked here, so a malformed model
     raises DataError when it is loaded rather than when it is applied.
+    Every object holds exactly the keys ``model_to_json`` writes, so a
+    model that loads writes the same document back.
     """
     with schema_fields("model"):
         payload = json.loads(text)
         if payload.get("schema_version") != 1:
             raise DataError(f"unsupported model schema version {payload.get('schema_version')!r}")
         method = payload.get("method")
-        params = payload.get("params", {})
+        if method not in _MODEL_KEYS:
+            raise DataError(f"unknown model method {method!r}")
+        top, inner = _MODEL_KEYS[method]
+        exact_keys(payload, ("schema_version", "method", "params", *top), what="model")
+        params = exact_keys(payload["params"], inner, what="model params")
         if method == "platt":
             a, b = finite_numbers([params["a"], params["b"]], "model a and b", 2)
             return PlattModel(a=a, b=b, convergence=_newton_record(payload["convergence"]))
@@ -680,21 +712,17 @@ def model_from_json(text: str):
             m = BinGrid(payload["grid_m"]).m
             deltas = finite_numbers(params["deltas"], "model deltas", m)
             return HistogramBinningModel(grid_m=m, deltas=deltas)
-        if method not in ("gcur_linear", "gcur_logistic", "ighb", "iglb"):
-            raise DataError(f"unknown model method {method!r}")
         names = strings(payload["group_names"], "model group_names")
         if len(set(names)) != len(names):
             raise DataError("model group_names must be unique")
-        dropped = strings(payload.get("dropped_groups", []), "model dropped_groups")
+        dropped = strings(payload["dropped_groups"], "model dropped_groups")
         if method == "gcur_linear":
             return GcurModel(
                 variant="linear",
                 group_names=names,
                 lambdas=finite_numbers(params["lambdas"], "model lambdas", len(names)),
                 dropped_groups=dropped,
-                dependent_columns=strings(
-                    params.get("dependent_columns", []), "model dependent_columns"
-                ),
+                dependent_columns=strings(params["dependent_columns"], "model dependent_columns"),
             )
         if method == "gcur_logistic":
             w = [params["intercept"], params["score_coef"], *params["group_coefs"]]
@@ -709,18 +737,16 @@ def model_from_json(text: str):
                 convergence=_newton_record(payload["convergence"]),
             )
         m = BinGrid(payload["grid_m"]).m
-        conv = payload["convergence"]
+        conv = exact_keys(payload["convergence"], _STOP_KEYS, what="model convergence")
         if conv["stop_reason"] not in STOP_REASONS[method]:
             raise DataError(f"malformed {method} model convergence {conv!r}")
-        for key in ("alpha", "epsilon"):
-            value = params.get(key)
-            if value is not None and not finite_numbers([value], f"model {key}", 1)[0] > 0:
-                raise DataError(f"model {key} must be positive, got {value!r}")
+        key = "alpha" if method == "ighb" else "epsilon"
+        value = params[key]
+        if value is not None and not finite_numbers([value], f"model {key}", 1)[0] > 0:
+            raise DataError(f"model {key} must be positive, got {value!r}")
         patches = [_patch(method, patch, len(names), m) for patch in params["patches"]]
-        if method == "ighb":
-            extra = {"alpha": params.get("alpha")}
-        else:
-            extra = {"epsilon": params.get("epsilon")}
+        extra = {key: value}
+        if method == "iglb":
             extra.update(_iglb_fields(params, len(names), m, len(patches) + 1))
         model = IterativePatchModel(
             method=method,

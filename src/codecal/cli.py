@@ -28,7 +28,6 @@ from .data import (
     atomic_outputs,
     fork_tasks,
     iter_lines,
-    loads_floats_as_bytes,
     parse_record,
     read_columns,
     save_records,
@@ -259,8 +258,7 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     paths = [os.path.join(output_dir, f"{name}.jsonl") for name in names]
     with open_columns(input_path) as columns, contextlib.ExitStack() as stack:
         if columns is None:
-            # Only problem_id is read, so floats stay undecoded.
-            (problem_ids,) = read_columns(input_path, _problem_id, 1, loads=loads_floats_as_bytes)
+            (problem_ids,) = read_columns(input_path, _problem_id, 1)
         else:
             problem_ids = columns.problem_ids()
             rows = columns.rows()

@@ -22,7 +22,6 @@ __all__ = [
     "Sample",
     "SplitSpec",
     "iter_lines",
-    "loads_floats_as_bytes",
     "line_ranges",
     "fork_tasks",
     "read_ranges",
@@ -38,10 +37,7 @@ _REQUIRED_KEYS = ("problem_id", "sample_id", "language", "token_logprobs", "labe
 PARALLEL_MIN_BYTES = 1 << 20
 _BLOCK_BYTES = 1 << 20
 _FLOAT = frozenset({float})
-_BYTES = frozenset({bytes})
 _FLOAT_OR_INT = frozenset({float, int})
-# Decodes each float literal to its bytes, a type no other JSON value decodes to.
-_decode_floats_as_bytes = json.JSONDecoder(parse_float=str.encode).decode
 
 
 @dataclass
@@ -94,22 +90,14 @@ class SplitSpec:
 
 
 def _token_logprobs(lps, line: int | None, sid: str) -> list:
-    """Validated copy of a record's ``token_logprobs`` value.
+    """Validated copy of a record's ``token_logprobs`` value, as a list of floats.
 
-    A list of float literals as bytes, from :func:`loads_floats_as_bytes`,
-    that :func:`_checked_as_text` accepts is returned as it is.  Other
-    bytes are converted with ``float()``, as ``json`` converts them.
-    Plain float/int lists are checked in bulk: a list whose maximum is
-    <= 0 and whose sum is finite holds no NaN, infinity or positive
-    value.  Any other list goes through the per-value checks, which
-    pick the error message.
+    Float/int lists are checked in bulk: a list whose maximum is <= 0
+    and whose sum is finite holds no NaN, infinity or positive value.
+    Any other list goes through the per-value checks, which pick the
+    error message.
     """
     kinds = set(map(type, lps)) if isinstance(lps, list) else None
-    if kinds and bytes in kinds:
-        if kinds == _BYTES and _checked_as_text(lps):
-            return lps
-        lps = [float(v) if type(v) is bytes else v for v in lps]
-        kinds = kinds - _BYTES | _FLOAT
     if kinds is None or not (
         kinds <= _FLOAT_OR_INT
         or all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in lps)
@@ -137,9 +125,7 @@ def parse_record(obj: dict, line: int | None = None) -> Sample:
     """Validate one decoded JSON object and build a Sample.
 
     Unknown keys are ignored so augmented records (for example scored
-    ones) can pass through.  An object from :func:`loads_floats_as_bytes`
-    meets the same checks and messages, but a token array that passes
-    the text check keeps its literals as bytes, unconverted.
+    ones) can pass through.
     """
     if not isinstance(obj, dict):
         raise RecordError("record is not a JSON object", line=line)
@@ -159,8 +145,6 @@ def parse_record(obj: dict, line: int | None = None) -> Sample:
     lps = _token_logprobs(obj["token_logprobs"], line, sid)
 
     label = obj["label"]
-    if type(label) is bytes:
-        label = float(label)
     if isinstance(label, bool) or label not in (0, 1):
         raise RecordError(f"label must be 0 or 1, got {label!r}", line=line, sample_id=sid)
 
@@ -237,44 +221,17 @@ def iter_lines(path: str):
         yield from _lines(fh)
 
 
-def loads_floats_as_bytes(line: str):
-    """``json.loads(line)``, but each float literal decodes to its bytes.
+def _json_lines(fh, lineno: int = 1, count: int | None = None):
+    """Yield ``(lineno, line, json.loads(line))`` for each line of :func:`_lines`.
 
-    No other JSON value decodes to bytes, so a number is still told from
-    a string, and a reader that reads no float skips converting them.
-    """
-    if line.startswith("\ufeff"):
-        return json.loads(line)  # raises json's error for a byte order mark
-    return _decode_floats_as_bytes(line)
-
-
-def _checked_as_text(lps: list) -> bool:
-    """Whether ``lps``, a non-empty list of float literals as bytes, holds only finite values <= 0.
-
-    ``lps`` comes from :func:`loads_floats_as_bytes`, so its bytes are
-    JSON float literals.  Each must start with ``-``.  One under 300
-    characters with no positive exponent is below 1e300 in magnitude, so
-    it is finite.
-    """
-    text = b"".join(lps)
-    return (
-        max(lps)[:1] == b"-"
-        and max(map(len, lps)) < 300
-        and b"E" not in text
-        and text.count(b"e") == text.count(b"e-")
-    )
-
-
-def _json_lines(fh, lineno: int = 1, count: int | None = None, loads=json.loads):
-    """Yield ``(lineno, line, loads(line))`` for each line of :func:`_lines`.
-
-    A line that does not decode raises :class:`RecordError` naming it:
-    malformed JSON, JSON nested too deeply, and an integer literal too
-    long to convert (every ``ValueError`` of ``loads``).
+    This is the one place a JSONL line is decoded.  A line that does not
+    decode raises :class:`RecordError` naming it: malformed JSON, JSON
+    nested too deeply, and an integer literal too long to convert (every
+    ``ValueError`` of ``json.loads``).
     """
     for lineno, line in _lines(fh, lineno, count):
         try:
-            obj = loads(line)
+            obj = json.loads(line)
         except RecursionError:
             raise RecordError("malformed JSON: nested too deeply", line=lineno) from None
         except ValueError as exc:
@@ -440,12 +397,12 @@ def fork_tasks(count: int, run, what: str):
             os.waitpid(pid, 0)
 
 
-def read_ranges(path: str, bounds: list, read, records: bool = False, loads=json.loads) -> list:
+def read_ranges(path: str, bounds: list, read, records: bool = False) -> list:
     """``read(k, lines)`` of every range ``k`` of a JSONL file in line order, one range per process.
 
     ``bounds`` comes from :func:`line_ranges`.  ``lines`` yields the
-    ``(lineno, raw, obj)`` of :func:`_json_lines` with ``loads`` for the
-    range, or with ``records`` the ``(lineno, raw, obj, sample)`` of :func:`_records`,
+    ``(lineno, raw, obj)`` of :func:`_json_lines` for the range, or with
+    ``records`` the ``(lineno, raw, obj, sample)`` of :func:`_records`,
     with line numbers counted from the start of the file and sample ids
     unique across the file.  The first error in line order is raised,
     with the same message as reading serially.
@@ -464,7 +421,7 @@ def read_ranges(path: str, bounds: list, read, records: bool = False, loads=json
         ids: dict[str, int] = {}
         try:
             with _open_text(path, start) as fh:
-                lines = _json_lines(fh, lineno, count, loads)
+                lines = _json_lines(fh, lineno, count)
                 if records:
                     lines = _records(lines, ids)
                 return ids, read(k, lines), None
@@ -485,13 +442,11 @@ def read_ranges(path: str, bounds: list, read, records: bool = False, loads=json
     return results
 
 
-def read_columns(
-    path: str, row, width: int, records: bool = False, loads=json.loads
-) -> list[list]:
+def read_columns(path: str, row, width: int, records: bool = False) -> list[list]:
     """Columns of the rows of every non-blank line of a JSONL file, decoded on every CPU.
 
     Without ``records`` the rows are ``row(lineno, obj)`` for the lines
-    of :func:`_json_lines` with ``loads``; with ``records`` they are
+    of :func:`_json_lines`; with ``records`` they are
     ``row(lineno, obj, sample)`` for the records of :func:`_records`.
     Each row is a tuple of ``width`` fields and the result holds one
     list per field.  The file is read by :func:`read_ranges`, so rows,
@@ -508,7 +463,7 @@ def read_columns(
                 append(value)
         return part
 
-    columns, *rest = read_ranges(path, line_ranges(path), read, records, loads)
+    columns, *rest = read_ranges(path, line_ranges(path), read, records)
     for part in rest:
         for column, values in zip(columns, part):
             column.extend(values)

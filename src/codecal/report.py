@@ -5,7 +5,7 @@ Nothing here imports numpy, so ``codecal report`` and every command's
 """
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import DataError, exact_keys, finite_numbers, schema_fields, whole_number
 
@@ -41,7 +41,8 @@ class EvalReport:
     reliability: list[tuple[int, int, float, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        payload = {"schema_version": 1, **asdict(self)}
+        """The report as its JSON payload; its dicts are the report's own, not copies."""
+        payload = {"schema_version": 1, **{f.name: getattr(self, f.name) for f in fields(self)}}
         payload["bss"] = "-inf" if self.bss == NEG_INF else self.bss
         payload["reliability"] = [list(row) for row in self.reliability]
         return payload

@@ -33,14 +33,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 
-from .data import (
-    Sample,
-    atomic_outputs,
-    line_ranges,
-    loads_floats_as_bytes,
-    read_columns,
-    read_ranges,
-)
+from .data import Sample, atomic_outputs, line_ranges, read_columns, read_ranges
 from .errors import (
     DataError,
     MissingCodeError,
@@ -75,6 +68,8 @@ _MAX_HEADER_BYTES = 4096
 # and the byte lengths of its five strings.  _HEAD_DTYPE is the same
 # packed layout as a numpy structured dtype.
 _HEAD = struct.Struct("<dBB7I")
+# The five string lengths, the last fields of a head.
+_LENGTHS = struct.Struct(f"<{_HEAD.size - 20}x5I")
 _HEAD_DTYPE = [
     ("p_hat", "<f8"),
     ("label", "u1"),
@@ -302,8 +297,6 @@ def _scored_row(lineno: int, obj: dict, sample: Sample) -> tuple:
     object per distinct value.
     """
     p_hat = obj.get("p_hat")
-    if type(p_hat) is bytes:
-        p_hat = float(p_hat)
     if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool):
         raise RecordError("missing or non-numeric p_hat", line=lineno, sample_id=sample.sample_id)
     p_hat = float(p_hat)
@@ -367,32 +360,20 @@ class ScoredColumns:
         """Yield ``(fields, head, strings)`` for each row, from the first.
 
         ``fields`` are its :data:`_HEAD` fields, ``head`` their bytes and
-        ``strings`` the bytes of its five strings.  Heads and strings are
-        read in blocks of about ``_BLOCK_BYTES``.  String lengths that do
-        not sum to the size of the strings section raise ``DataError``
-        naming the file.
+        ``strings`` the bytes of its five strings.  The heads are read at
+        once, and string lengths that do not sum to the size of the
+        strings section raise ``DataError`` naming the file before any
+        row is yielded.  Each row's strings are then one read.
         """
-        heads_at, strings_at = self._heads_at, self._strings_at
-        buf, pos = b"", 0
-        per_block = _BLOCK_BYTES // _HEAD.size
-        for first in range(0, self.count, per_block):
-            size = min(per_block, self.count - first) * _HEAD.size
-            block = self._read(heads_at, size)
-            heads_at += size
-            if len(block) < size:
-                raise self._error(f"ends before its {self.count} rows")
-            for at, fields in zip(range(0, size, _HEAD.size), _HEAD.iter_unpack(block)):
-                end = pos + sum(fields[5:])
-                if end > len(buf):
-                    more = self._read(strings_at, max(_BLOCK_BYTES, end - len(buf)))
-                    strings_at += len(more)
-                    buf, end, pos = buf[pos:] + more, end - pos, 0
-                    if end > len(buf):
-                        raise self._unsummed()
-                yield fields, block[at : at + _HEAD.size], buf[pos:end]
-                pos = end
-        if pos < len(buf) or strings_at < self._strings_at + self._strings_size:
+        size = self._strings_at - self._heads_at
+        heads = self._read(self._heads_at, size)
+        sizes = list(map(sum, _LENGTHS.iter_unpack(heads)))
+        if sum(sizes) != self._strings_size:
             raise self._unsummed()
+        # Reading the heads leaves the file at the strings section, which follows them.
+        read = self._fh.read
+        for at, fields, length in zip(range(0, size, _HEAD.size), _HEAD.iter_unpack(heads), sizes):
+            yield fields, heads[at : at + _HEAD.size], read(length)
 
     def problem_ids(self) -> list[str]:
         """The problem id of each row."""
@@ -506,11 +487,8 @@ def load_scored(path: str, grouping: "GroupingConfig | None" = None) -> ScoredSp
 
     Where a column file beside ``path`` matches it (:func:`open_columns`),
     the records are read from there, with the same result.  Otherwise
-    every line is validated as a record and read by
-    :func:`~codecal.data.read_columns` on every CPU.  No token value is
-    read, so floats stay undecoded
-    (:func:`~codecal.data.loads_floats_as_bytes`) and token arrays are
-    checked as text, with the same results.
+    every line is decoded and validated as a record by
+    :func:`~codecal.data.read_columns` on every CPU.
     numpy and grouping load here, so ``score`` starts without them.
     """
     import numpy as np
@@ -529,7 +507,7 @@ def load_scored(path: str, grouping: "GroupingConfig | None" = None) -> ScoredSp
             p_hats, labels, ids, languages, difficulties, known, *values = columns.table(names)
     if columns is None:
         p_hats, labels, methods, ids, languages, difficulties, known, *values = read_columns(
-            path, row, 7 + len(names), records=True, loads=loads_floats_as_bytes
+            path, row, 7 + len(names), records=True
         )
         # Ranges read in other processes bring their own copy of each value.
         languages = [_intern(v) for v in languages]

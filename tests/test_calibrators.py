@@ -40,6 +40,7 @@ from codecal.errors import DataError, FitError
 from codecal.groups import GroupColumns, GroupingConfig, GroupingModel, GroupSet
 from codecal.synthgen import Block, SynthSpec, generate
 
+from malformed import edited, json_paths, json_values
 from oracles import reference_ighb
 
 
@@ -986,7 +987,30 @@ MALFORMED_MODELS = {
     "integer ls_loss": ("iglb", _set(("params", "ls_loss"), 7)),
     "unknown ls_loss": ("iglb", _set(("params", "ls_loss"), "mse")),
     "iglb without ls_loss": ("iglb", _drop(("params", "ls_loss"))),
+    "unknown top-level field": ("ighb", _set(("bogus",), 1)),
+    "unknown ighb params field": ("ighb", _set(("params", "bogus"), 1)),
+    "unknown ighb convergence field": ("ighb", _set(("convergence", "extra"), 1)),
+    "ighb without alpha": ("ighb", _drop(("params", "alpha"))),
+    "ighb without dropped_groups": ("ighb", _drop(("dropped_groups",))),
+    "unknown platt params field": ("platt", _set(("params", "c"), 0.5)),
 }
+
+
+@st.composite
+def _model_with_an_extra_key(draw):
+    """JSON text of a valid model payload with one key added to one of its objects."""
+    payload = _valid_payloads()[draw(st.sampled_from(METHOD_NAMES))]
+
+    def value_at(path):
+        value = payload
+        for key in path:
+            value = value[key]
+        return value
+
+    objects = [path for path in [(), *json_paths(payload)] if isinstance(value_at(path), dict)]
+    path = draw(st.sampled_from(objects))
+    key = draw(st.text(max_size=6).filter(lambda key: key not in value_at(path)))
+    return edited(payload, (*path, key), draw(json_values))
 
 
 class TestMalformedModels:
@@ -1002,6 +1026,13 @@ class TestMalformedModels:
         mutate(payload)
         with pytest.raises(DataError):
             model_from_json(json.dumps(payload))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_model_with_an_extra_key())
+    def test_unknown_key_rejected_at_every_level(self, text):
+        """A key model_to_json never writes would not replay, so no object may hold one."""
+        with pytest.raises(DataError):
+            model_from_json(text)
 
 
 def _all_fitted(p, y, groups, grid):
@@ -1131,7 +1162,7 @@ class TestRoundTripProperty:
         ],
     )
     def test_newton_record_required_to_write(self, model):
-        with pytest.raises(DataError, match="is not a Newton record"):
+        with pytest.raises(DataError, match="Newton record is missing field 'converged'"):
             model_to_json(model)
 
 

@@ -105,14 +105,30 @@ def test_every_exception_class_is_raised():
     assert unraised_exceptions(errors, sources) == []
 
 
-# Where a JSON document may be decoded: the reader decoders of data.py,
+# Where a JSON document may be decoded: the JSONL line decoder of data.py,
 # which every record reader shares, and the config file's own reader.
 # Anywhere else a decode sits in a ``with schema_fields(...)`` block.
-JSON_DECODERS = {("data.py", "loads_floats_as_bytes"), ("cli.py", "_merge_config")}
+JSON_DECODERS = {("data.py", "_json_lines"), ("cli.py", "_merge_config")}
+# A decoder with rules of its own: built anywhere but in JSON_DECODERS, it is stray.
+DECODER_HOOKS = ("parse_float", "parse_int")
+
+
+def _json_call(call: ast.Call) -> str | None:
+    """The name of ``json`` function ``call`` makes, or None: ``loads`` for ``json.loads(...)``."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json":
+        return func.attr
+    return None
 
 
 def stray_json_decodes(source: str, filename: str) -> list[int]:
-    """Lines of ``json.load``/``json.loads`` calls outside the places that may decode."""
+    """Lines of JSON decodes outside the places that may decode.
+
+    A decode is a ``json.load``/``json.loads`` call, which a
+    ``schema_fields`` block also allows, or a ``json.JSONDecoder(...)``
+    or any call with a ``parse_float=``/``parse_int=`` hook, which only
+    the places that may decode may make.
+    """
     found = []
 
     def visit(node, function, guarded):
@@ -124,15 +140,11 @@ def stray_json_decodes(source: str, filename: str) -> list[int]:
                 isinstance(call, ast.Call) and getattr(call.func, "id", None) == "schema_fields"
                 for call in calls
             )
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and (node.func.value.id, node.func.attr) in (("json", "load"), ("json", "loads"))
-            and not guarded
-            and (filename, function) not in JSON_DECODERS
-        ):
-            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and (filename, function) not in JSON_DECODERS:
+            name = _json_call(node)
+            hooked = name == "JSONDecoder" or any(kw.arg in DECODER_HOOKS for kw in node.keywords)
+            if hooked or (name in ("load", "loads") and not guarded):
+                found.append(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, function, guarded)
 
@@ -148,9 +160,14 @@ def test_checker_finds_stray_json_decodes():
         "def guarded(text):\n    with schema_fields('x'):\n        return json.loads(text)\n"
         "def unguarded(text):\n    with open(text):\n        return json.load(text)\n"
         "loaded = json.loads('1')\n"
+        "decode = json.JSONDecoder(parse_float=str.encode).decode\n"
+        "def _json_lines(line):\n    return json.loads(line)\n"
+        "def hooked(text):\n    with schema_fields('x'):\n"
+        "        return json.loads(text, parse_int=str)\n"
+        "def decoder():\n    return functools.partial(json.load, parse_float=bytes)\n"
     )
-    assert stray_json_decodes(source, "cli.py") == [5, 11, 12]
-    assert stray_json_decodes(source, "data.py") == [3, 5, 11, 12]
+    assert stray_json_decodes(source, "cli.py") == [5, 11, 12, 13, 15, 18, 20]
+    assert stray_json_decodes(source, "data.py") == [3, 5, 11, 12, 13, 18, 20]
 
 
 def referenced_names(source: str) -> set[str]:

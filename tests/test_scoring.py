@@ -637,7 +637,13 @@ def float_decoded_rows(text):
 
 
 class TestTokensCheckedAsText:
-    """load_scored checks token arrays as text, and accepts and refuses what float decoding does."""
+    """load_scored's JSON fallback, read in forked ranges, gives what a serial read gives.
+
+    With no column file, load_scored reads the file in 1 or 3 ranges.
+    It must accept and refuse what ``json.loads``, ``parse_record`` and
+    ``_scored_row`` accept and refuse line by line, with the same rows
+    and the same first error.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(text=scored_lines(), parts=st.sampled_from([1, 3]))
