@@ -5,7 +5,6 @@ flags reproduces output files byte for byte.  Exit statuses separate
 usage problems (2, from click), IO failures (3), and data errors (4).
 """
 
-import contextlib
 import csv
 import functools
 import itertools
@@ -13,8 +12,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
-import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,7 +38,6 @@ from .scoring import (
     load_scored,
     open_columns,
     score_file,
-    write_columns,
 )
 from .svg import group_chart, reliability_chart
 
@@ -245,9 +241,10 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     extra fields.  The problem ids come from the input's column file
     where one matches it, and from a first read of the input otherwise;
     the lines are then copied on a second read, so the input must be a
-    regular file.  With a column file, each split gets one too, holding
-    the heads and strings of its lines.  The outputs replace their
-    targets only when every line is written.
+    regular file.  With a column file, each run of lines bound for one
+    split is copied as bytes, and each split gets a column file too,
+    holding the heads and strings of its lines.  The outputs replace
+    their targets only when every line is written.
     """
     spec = SplitSpec(train=train, val=val, test=test, seed=seed)
     if not stat.S_ISREG(os.stat(input_path).st_mode):
@@ -256,48 +253,34 @@ def split(input_path, output_dir, train, val, test, seed) -> None:
     # Outputs replace their targets only at the end, so an input inside
     # --output-dir is never truncated while it is read.
     paths = [os.path.join(output_dir, f"{name}.jsonl") for name in names]
-    with open_columns(input_path) as columns, contextlib.ExitStack() as stack:
+    with open_columns(input_path) as columns:
         if columns is None:
             (problem_ids,) = read_columns(input_path, _problem_id, 1)
         else:
             problem_ids = columns.problem_ids()
-            rows = columns.rows()
         assignment = assign_problem_splits(problem_ids, spec)
         os.makedirs(output_dir, exist_ok=True)
-        counts = dict.fromkeys(names, 0)
-
-        def part():
-            return stack.enter_context(tempfile.TemporaryFile(dir=output_dir))
-
-        # Each split's heads and strings wait in temporary files until its header is known.
-        routed = {name: (part(), part()) for name in names} if columns is not None else {}
-        crcs = dict.fromkeys(routed, 0)
-        column_paths = [f"{path}{COLUMNS_SUFFIX}" for path in paths if routed]
+        column_paths = [f"{path}{COLUMNS_SUFFIX}" for path in paths if columns is not None]
         with atomic_outputs(*paths, *column_paths) as handles:
             out = dict(zip(names, handles))
-            seen = 0
-            for _, line in iter_lines(input_path):
-                if seen < len(problem_ids):
-                    name = assignment[problem_ids[seen]]
-                    data = (line.rstrip("\n") + "\n").encode("utf-8")
-                    out[name].write(data)
-                    if routed:
-                        crcs[name] = zlib.crc32(data, crcs[name])
-                        _, head, strings = next(rows)
-                        heads_part, strings_part = routed[name]
-                        heads_part.write(head)
-                        strings_part.write(strings)
-                    counts[name] += 1
-                seen += 1
-            if seen != len(problem_ids):
-                raise DataError(
-                    f"{input_path} changed while it was being split: "
-                    f"{len(problem_ids)} records on the first read, {seen} on the second"
-                )
-            for name, target in zip(routed, handles[len(names) :]):
-                method = columns.method if counts[name] else None
-                size = out[name].tell()
-                write_columns(target, routed[name], counts[name], size, crcs[name], method)
+            if columns is not None:
+                dests = [assignment[pid] for pid in problem_ids]
+                column_out = dict(zip(names, handles[len(names) :]))
+                counts = columns.route(input_path, dests, out, column_out)
+            else:
+                counts = dict.fromkeys(names, 0)
+                seen = 0
+                for _, line in iter_lines(input_path):
+                    if seen < len(problem_ids):
+                        name = assignment[problem_ids[seen]]
+                        out[name].write((line.rstrip("\n") + "\n").encode("utf-8"))
+                        counts[name] += 1
+                    seen += 1
+                if seen != len(problem_ids):
+                    raise DataError(
+                        f"{input_path} changed while it was being split: "
+                        f"{len(problem_ids)} records on the first read, {seen} on the second"
+                    )
     click.echo(
         f"train={counts['train']} val={counts['val']} test={counts['test']}", err=True
     )

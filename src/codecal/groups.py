@@ -346,19 +346,19 @@ class GroupingModel:
             cfg = exact_keys(payload["config"], keys, what="grouping config")
             # JSON holds the config's tuples as lists.
             cfg = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
-            model = cls(
-                config=GroupingConfig(**cfg),
+            config = GroupingConfig(**cfg)
+            # fit writes cutpoints for exactly the configured length metrics.
+            cuts = exact_keys(
+                payload["length_cutpoints"], config.length_metrics, what="grouping length cutpoints"
+            )
+            return cls(
+                config=config,
                 languages=strings(payload["languages"], "grouping languages"),
                 length_cutpoints={
-                    k: finite_numbers(v, f"grouping length {k!r} cutpoints")
-                    for k, v in payload["length_cutpoints"].items()
+                    k: finite_numbers(v, f"grouping length {k!r} cutpoints") for k, v in cuts.items()
                 },
                 difficulty_labels=strings(payload["difficulty_labels"], "grouping difficulty labels"),
                 complexity_cutpoints=finite_numbers(
                     payload["complexity_cutpoints"], "grouping complexity cutpoints"
                 ),
             )
-            for metric in model.config.length_metrics:
-                if metric not in model.length_cutpoints:
-                    raise DataError(f"grouping has no length cutpoints for {metric!r}")
-            return model

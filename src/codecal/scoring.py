@@ -22,6 +22,7 @@ size and checksum, so a JSONL file edited afterwards is read as JSON.
 """
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -84,6 +85,9 @@ _HEAD_FEATURES = ("chars", "loc")
 # Small blocks keep what reading and copying hold in memory small.
 _BLOCK_BYTES = 1 << 16
 _BATCH_RECORDS = 64
+# The first UTF-8 byte of each character that str.strip() removes, but for
+# the line ends \n and \r: a line that starts with none of them is not blank.
+_SPACE_LEADS = b" \t\x0b\x0c\x1c\x1d\x1e\x1f\xc2\xe1\xe2\xe3"
 # Rows whose strings load_scored decodes at a time.  Larger chunks leave
 # more of the heap in use: on the long-tokens benchmark (2 CPUs, Python
 # 3.11, numpy 2.4), fit-eval's peak RSS was 0.3 MB higher with 256 rows
@@ -309,6 +313,21 @@ def _scored_row(lineno: int, obj: dict, sample: Sample) -> tuple:
     return (p_hat, sample.label, sys.intern(method), sample.sample_id, language, difficulty)
 
 
+def _put_lines(out, data: bytes, crc: int, done: int) -> int:
+    """Write whole lines ``data``, from row ``done`` on, to ``out``; returns ``crc`` carried on.
+
+    A line that is not UTF-8 raises ``RecordError`` naming it.
+    """
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = done + 1 + data.count(b"\n", 0, exc.start)
+            raise RecordError("line is not valid UTF-8", line=line) from None
+    out.write(data)
+    return zlib.crc32(data, crc)
+
+
 def _jsonl_crc32(path: str) -> int:
     crc = 0
     with open(path, "rb") as fh:
@@ -356,32 +375,93 @@ class ScoredColumns:
         self._fh.seek(at)
         return self._fh.read(size)
 
-    def rows(self):
-        """Yield ``(fields, head, strings)`` for each row, from the first.
+    @functools.cached_property
+    def _rows(self) -> tuple[bytes, list[int]]:
+        """The heads section, and where each row's strings start in the strings section.
 
-        ``fields`` are its :data:`_HEAD` fields, ``head`` their bytes and
-        ``strings`` the bytes of its five strings.  The heads are read at
-        once, and string lengths that do not sum to the size of the
-        strings section raise ``DataError`` naming the file before any
-        row is yielded.  Each row's strings are then one read.
+        The starts end with where the last row's strings end.  String
+        lengths that do not sum to the size of the strings section raise
+        ``DataError`` naming the file.
         """
-        size = self._strings_at - self._heads_at
-        heads = self._read(self._heads_at, size)
-        sizes = list(map(sum, _LENGTHS.iter_unpack(heads)))
-        if sum(sizes) != self._strings_size:
+        heads = self._read(self._heads_at, self._strings_at - self._heads_at)
+        starts = list(itertools.accumulate(map(sum, _LENGTHS.iter_unpack(heads)), initial=0))
+        if starts[-1] != self._strings_size:
             raise self._unsummed()
-        # Reading the heads leaves the file at the strings section, which follows them.
-        read = self._fh.read
-        for at, fields, length in zip(range(0, size, _HEAD.size), _HEAD.iter_unpack(heads), sizes):
-            yield fields, heads[at : at + _HEAD.size], read(length)
+        return heads, starts
 
     def problem_ids(self) -> list[str]:
-        """The problem id of each row."""
+        """The problem id of each row.
+
+        Each id is sliced out of a block of at least ``_BLOCK_BYTES``
+        read from where it starts, so code texts longer than a block are
+        skipped, not read.
+        """
+        heads, starts = self._rows
+        ids, block, base = [], b"", 0  # block holds the strings section from byte base on
         with schema_fields(f"column file {self.path}"):
-            return [
-                strings[sid : sid + pid].decode("utf-8", "surrogatepass")
-                for (_, _, _, _, _, sid, pid, *_), _, strings in self.rows()
-            ]
+            for start, (sid, pid, _, _, _) in zip(starts, _LENGTHS.iter_unpack(heads)):
+                at = start + sid - base
+                if at + pid > len(block):
+                    block = self._read(self._strings_at + start + sid, max(pid, _BLOCK_BYTES))
+                    base, at = start + sid, 0
+                ids.append(block[at : at + pid].decode("utf-8", "surrogatepass"))
+        return ids
+
+    def route(self, jsonl_path: str, dests: list, lines: dict, column_files: dict) -> dict:
+        """Copy row k's line of ``jsonl_path`` to ``lines[dests[k]]``; returns each file's rows.
+
+        ``jsonl_path`` is the JSONL file this column file matches.  Each
+        file of ``lines`` gets its column file written to the binary
+        file of ``column_files`` under the same key.  Each run of
+        consecutive rows bound for one file is copied as one block each
+        of lines, heads and strings, read in blocks of ``_BLOCK_BYTES``.
+        A JSONL file that does not hold one line per row, each ending
+        in ``\\n``, none blank and no ``\\r``, raises ``DataError`` naming
+        this file; a line that is not UTF-8 raises ``RecordError`` naming it.
+        """
+        heads, starts = self._rows
+        runs, first = [], 0
+        for dest, group in itertools.groupby(dests):
+            stop = first + len(list(group))
+            runs.append((dest, first, stop))
+            first = stop
+        counts, crcs = dict.fromkeys(lines, 0), dict.fromkeys(lines, 0)
+        unlike = self._error(f"does not describe {jsonl_path} line for line")
+        with open(jsonl_path, "rb") as fh:
+            # buf[start:pos] holds the whole lines not yet written, from row ``done`` on.
+            buf, start, pos, done = b"", 0, 0, 0
+            for dest, first, stop in runs:
+                out = lines[dest]
+                for row in range(first, stop):
+                    while (end := buf.find(b"\n", pos)) < 0:
+                        crcs[dest] = _put_lines(out, buf[start:pos], crcs[dest], done)
+                        # A line longer than a block doubles the read, so it is scanned once.
+                        block = fh.read(max(_BLOCK_BYTES, len(buf) - pos))
+                        if not block or b"\r" in block:
+                            raise unlike
+                        buf, start, pos, done = buf[pos:] + block, 0, 0, row
+                    if end == pos or (
+                        buf[pos] in _SPACE_LEADS
+                        and not buf[pos:end].decode("utf-8", "surrogateescape").strip()
+                    ):
+                        raise unlike
+                    pos = end + 1
+                crcs[dest] = _put_lines(out, buf[start:pos], crcs[dest], done)
+                start, done = pos, stop
+                counts[dest] += stop - first
+            if pos < len(buf) or fh.read(1):
+                raise unlike
+        for dest, out in column_files.items():
+            method = self.method if counts[dest] else None
+            write_columns(out, [], counts[dest], lines[dest].tell(), crcs[dest], method)
+            mine = [(first, stop) for key, first, stop in runs if key == dest]
+            for first, stop in mine:
+                out.write(heads[first * _HEAD.size : stop * _HEAD.size])
+            for first, stop in mine:
+                for at in range(starts[first], starts[stop], _BLOCK_BYTES):
+                    size = min(_BLOCK_BYTES, starts[stop] - at)
+                    out.write(self._read(self._strings_at + at, size))
+        return counts
 
     def table(self, names) -> list:
         """p_hat, label, sample id, language, difficulty, known, then each text feature of ``names``.

@@ -60,3 +60,17 @@ def edited(document, path, value=None, drop=False) -> str:
     else:
         parent[path[-1]] = value
     return json.dumps(copy)
+
+
+def with_an_extra_key(document):
+    """JSON texts of ``document`` with a new key, holding any JSON value, in one of its objects."""
+
+    def value_at(path):
+        return reduce(getitem, path, document)
+
+    objects = [path for path in [(), *json_paths(document)] if isinstance(value_at(path), dict)]
+    return st.sampled_from(objects).flatmap(
+        lambda path: st.tuples(
+            st.text(max_size=6).filter(lambda key: key not in value_at(path)), json_values
+        ).map(lambda added: edited(document, (*path, added[0]), added[1]))
+    )

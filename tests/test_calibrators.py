@@ -40,7 +40,7 @@ from codecal.errors import DataError, FitError
 from codecal.groups import GroupColumns, GroupingConfig, GroupingModel, GroupSet
 from codecal.synthgen import Block, SynthSpec, generate
 
-from malformed import edited, json_paths, json_values
+from malformed import with_an_extra_key
 from oracles import reference_ighb
 
 
@@ -996,21 +996,10 @@ MALFORMED_MODELS = {
 }
 
 
-@st.composite
-def _model_with_an_extra_key(draw):
+def _model_with_an_extra_key():
     """JSON text of a valid model payload with one key added to one of its objects."""
-    payload = _valid_payloads()[draw(st.sampled_from(METHOD_NAMES))]
-
-    def value_at(path):
-        value = payload
-        for key in path:
-            value = value[key]
-        return value
-
-    objects = [path for path in [(), *json_paths(payload)] if isinstance(value_at(path), dict)]
-    path = draw(st.sampled_from(objects))
-    key = draw(st.text(max_size=6).filter(lambda key: key not in value_at(path)))
-    return edited(payload, (*path, key), draw(json_values))
+    payloads = _valid_payloads()
+    return st.sampled_from(METHOD_NAMES).flatmap(lambda method: with_an_extra_key(payloads[method]))
 
 
 class TestMalformedModels:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -22,15 +23,24 @@ import codecal.cli as cli_module
 import codecal.data as data_module
 import codecal.scoring as scoring_module
 from codecal.cli import main
-from codecal.data import load_records, save_records
+from codecal.data import SplitSpec, assign_problem_splits, load_records, save_records
 from codecal.errors import DataError
-from codecal.groups import GroupSet
+from codecal.groups import GroupingModel, GroupSet
 from codecal.metrics import evaluate
+from codecal.report import EvalReport
 from codecal.scoring import COLUMNS_SUFFIX, load_scored
 from codecal.synthgen import Block, SynthSpec, generate
 
-from malformed import edited, invalid_utf8, json_paths, json_prefixes, json_values, non_objects
-from test_scoring import assert_same_split, columns_of
+from malformed import (
+    edited,
+    invalid_utf8,
+    json_paths,
+    json_prefixes,
+    json_values,
+    non_objects,
+    with_an_extra_key,
+)
+from test_scoring import assert_same_split, columns_of, forced_parts, record_files
 
 runner = CliRunner()
 
@@ -416,6 +426,118 @@ class TestSplitCommand:
             }
         assert assigned["records"] == assigned["scored"]
         assert (tmp_path / "scored_splits" / f"train.jsonl{COLUMNS_SUFFIX}").is_file()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        content=record_files(),
+        order=st.sampled_from(["by split", "interleaved", "shuffled"]),
+        shuffle=st.randoms(use_true_random=False),
+        indent=st.sampled_from(["", " ", "\t "]),
+        parts=st.sampled_from([1, 3]),
+        block=st.sampled_from([1, 7, 64, scoring_module._BLOCK_BYTES]),
+    )
+    def test_column_file_splits_as_the_json(
+        self, content, order, shuffle, indent, parts, block
+    ):
+        """Routing rows by their column file writes what splitting the JSON writes.
+
+        Rows are ordered so that runs bound for one split are as long as
+        they can be, or problems interleave, or in any order; lines may
+        start with whitespace; and the column-file reader's blocks may be
+        shorter than a line.  Each split's column file loads as its JSON.
+        """
+        lines = [indent.encode() + line for line in content.splitlines(keepends=True)]
+        pids = [json.loads(line)["problem_id"] for line in lines]
+        if order == "by split" and len(set(pids)) >= 3:
+            assignment = assign_problem_splits(pids, SplitSpec())
+            lines = [line for _, line in sorted(zip(pids, lines), key=lambda p: assignment[p[0]])]
+        elif order == "interleaved":
+            by_problem = {}
+            for pid, line in zip(pids, lines):
+                by_problem.setdefault(pid, []).append(line)
+            queues = list(by_problem.values())
+            lines = [queue[k] for k in range(len(lines)) for queue in queues if k < len(queue)]
+        else:
+            shuffle.shuffle(lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "records.jsonl").write_bytes(b"".join(lines))
+            scored, bare = tmp / "scored.jsonl", tmp / "bare.jsonl"
+            outputs = {}
+            with forced_parts(parts):
+                args = ["score", "--input", str(tmp / "records.jsonl"), "--output", str(scored)]
+                assert run(args).exit_code == 0
+                bare.write_bytes(scored.read_bytes())
+                for name, path in (("columns", scored), ("bare", bare)):
+                    with contextlib.ExitStack() as stack:
+                        if path == scored:
+                            patch = mock.patch.object
+                            stack.enter_context(patch(scoring_module, "_BLOCK_BYTES", block))
+                            stack.enter_context(
+                                patch(cli_module, "read_columns", side_effect=AssertionError)
+                            )
+                        result = run(["split", "--input", str(path), "--output-dir", str(tmp / name)])
+                    written = {p.name: p.read_bytes() for p in sorted((tmp / name).glob("*.jsonl"))}
+                    outputs[name] = result.exit_code, result.output, written
+            assert outputs["columns"] == outputs["bare"]
+            for name in outputs["columns"][2]:
+                path = tmp / "columns" / name
+                with mock.patch.object(scoring_module, "read_columns", side_effect=AssertionError):
+                    got = load_scored(str(path))
+                columns_of(path).unlink()
+                assert_same_split(got, load_scored(str(path)))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines.insert(5, b"\n"), None),
+            (lambda lines: lines.append(b"\n"), None),
+            (lambda lines: lines.__setitem__(5, lines[5][:-1] + b"\r\n"), None),
+            (lambda lines: lines.__delitem__(5), None),
+            (lambda lines: lines.insert(5, lines[5]), None),
+            (lambda lines: lines.__setitem__(5, "\u3000 \n".encode()), None),
+            (lambda lines: lines.__setitem__(-1, lines[-1][:-1]), None),
+            (
+                lambda lines: lines.__setitem__(2, lines[2][:-2] + b', "x": "\xff"}\n'),
+                "line is not valid UTF-8 [line 3]",
+            ),
+        ],
+        ids=[
+            "blank-line", "blank-last-line", "crlf", "line-removed", "line-duplicated",
+            "whitespace-line", "unterminated", "not-utf8",
+        ],
+    )
+    def test_column_file_unlike_its_jsonl_exits_4(self, tmp_path, edit, message):
+        """A column file whose header matches a JSONL file it does not describe line by line.
+
+        score and split never write such a pair, so it is refused, and
+        the outputs already in place are kept.
+        """
+        records, scored = tmp_path / "records.jsonl", tmp_path / "scored.jsonl"
+        write_synth(records, n=30)
+        assert run(["score", "--input", str(records), "--output", str(scored)]).exit_code == 0
+        lines = scored.read_bytes().splitlines(keepends=True)
+        edit(lines)
+        text = b"".join(lines)
+        scored.write_bytes(text)
+        header, rows = columns_of(scored).read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header.update(jsonl_bytes=len(text), jsonl_crc32=zlib.crc32(text))
+        columns_of(scored).write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rows)
+        out = tmp_path / "splits"
+        out.mkdir()
+        for name in ("train", "val", "test"):
+            (out / f"{name}.jsonl").write_text(f"old {name}\n", encoding="utf-8")
+        # Blocks shorter than a line, so the lines at fault are found across blocks.
+        with mock.patch.object(scoring_module, "_BLOCK_BYTES", 100):
+            result = run(["split", "--input", str(scored), "--output-dir", str(out)])
+        assert result.exit_code == 4
+        if message is None:
+            message = f"column file {columns_of(scored)} does not describe {scored} line for line"
+        assert result.output == f"error: {message}\n"
+        for name in ("train", "val", "test"):
+            assert (out / f"{name}.jsonl").read_text(encoding="utf-8") == f"old {name}\n"
+        assert len(list(out.iterdir())) == 3
 
     def test_bad_fractions_rejected(self, tmp_path):
         records = tmp_path / "records.jsonl"
@@ -896,6 +1018,45 @@ class TestMalformedInputProperty:
         """A value replaced anywhere in a report renders or exits 4."""
         result = self.render(edited(VALID_REPORT, path, value))
         assert result.exit_code in (0, 4), result.output
+
+
+@pytest.fixture(scope="module")
+def fit_documents(pipeline, tmp_path_factory):
+    """The grouping and reports fit-eval writes for the shared splits, decoded, by file name."""
+    outdir = tmp_path_factory.mktemp("fit_documents")
+    result = run(fit_eval_args(pipeline, outdir, ("--complexity", "difficulty_label")))
+    assert result.exit_code == 0, result.output
+    paths = [outdir / "grouping.json", *sorted(outdir.glob("report_*.json"))]
+    return {path.name: json.loads(path.read_bytes()) for path in paths}
+
+
+def load_document(name, text):
+    """Load the text of fit-eval's document ``name`` as its loader does."""
+    if name == "grouping.json":
+        return GroupingModel.from_json(text)
+    return EvalReport.from_dict(json.loads(text))
+
+
+class TestDocumentKeys:
+    """fit-eval's grouping and reports refuse any key they would not write back."""
+
+    def test_written_documents_load(self, fit_documents):
+        assert len(fit_documents) == 8
+        for name, payload in fit_documents.items():
+            load_document(name, json.dumps(payload))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_unknown_key_rejected_at_every_level(self, fit_documents, data):
+        """A key added to any object of a grouping or report is refused, whatever it holds.
+
+        Values are scalars or containers, so a list of cutpoints for a
+        length metric the config does not name is among them.
+        """
+        name = data.draw(st.sampled_from(sorted(fit_documents)))
+        text = data.draw(with_an_extra_key(fit_documents[name]))
+        with pytest.raises(DataError):
+            load_document(name, text)
 
 
 def nested(depth, kind):

@@ -297,6 +297,7 @@ class TestGroupingModel:
             (None, "languages", "grouping is missing field 'languages'"),
             ("config", "always_on", "grouping config is missing field 'always_on'"),
             ("config", "complexity_quantiles", "grouping config is missing field 'complexity_quantiles'"),
+            ("length_cutpoints", "loc", "grouping length cutpoints is missing field 'loc'"),
         ],
     )
     def test_missing_key_is_data_error(self, where, key, message):
@@ -306,13 +307,25 @@ class TestGroupingModel:
             GroupingModel.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize(
-        "where, message",
-        [(None, "grouping has unknown field 'bogus'"), ("config", "grouping config has unknown field 'bogus'")],
+        "where, key, value, message",
+        [
+            (None, "bogus", 1, "grouping has unknown field 'bogus'"),
+            ("config", "bogus", 1, "grouping config has unknown field 'bogus'"),
+            ("length_cutpoints", "bogus", [1.0], "grouping length cutpoints has unknown field 'bogus'"),
+            # fit writes cutpoints only for the configured length metrics.
+            ("config", "length_metrics", ["chars"], "grouping length cutpoints has unknown field 'loc'"),
+        ],
+        ids=[
+            "None-grouping has unknown field 'bogus'",
+            "config-grouping config has unknown field 'bogus'",
+            "length_cutpoints-bogus",
+            "config-length_metrics-chars",
+        ],
     )
-    def test_unknown_key_is_data_error(self, where, message):
+    def test_unknown_key_is_data_error(self, where, key, value, message):
         """A key the grouping would not write back is refused, so a loaded grouping replays exactly."""
         payload = json.loads(GroupingModel.fit(self.make_ds(), GroupingConfig()).to_json())
-        (payload if where is None else payload[where])["bogus"] = 1
+        (payload if where is None else payload[where])[key] = value
         with pytest.raises(DataError, match=re.escape(message)):
             GroupingModel.from_json(json.dumps(payload))
 
@@ -320,7 +333,7 @@ class TestGroupingModel:
         model = GroupingModel.fit(self.make_ds(), GroupingConfig())
         payload = json.loads(model.to_json())
         del payload["length_cutpoints"]["chars"]
-        with pytest.raises(DataError, match="no length cutpoints for 'chars'"):
+        with pytest.raises(DataError, match="grouping length cutpoints is missing field 'chars'"):
             GroupingModel.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("field", ["length_cutpoints", "complexity_cutpoints"])
