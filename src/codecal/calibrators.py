@@ -72,20 +72,6 @@ STOP_REASONS = {
     "ighb": ("error_budget", "max_iters", "no_progress"),
     "iglb": ("val_brier", "mass_threshold", "all_regions_skipped", "max_iters"),
 }
-# The keys model_to_json writes for each method: at the top level beside
-# schema_version, method and params, and in params.
-_PATCHED = ("grid_m", "group_names", "dropped_groups", "convergence")
-_MODEL_KEYS = {
-    "platt": (("convergence",), ("a", "b")),
-    "histogram": (("grid_m",), ("deltas",)),
-    "gcur_linear": (("group_names", "dropped_groups"), ("lambdas", "dependent_columns")),
-    "gcur_logistic": (
-        ("group_names", "dropped_groups", "convergence"),
-        ("intercept", "score_coef", "group_coefs"),
-    ),
-    "ighb": (_PATCHED, ("patches", "alpha")),
-    "iglb": (_PATCHED, ("patches", "epsilon", "ls_loss", "val_brier_history", "skipped_regions")),
-}
 _NEWTON_KEYS = ("converged", "grad_norm", "iterations")
 _STOP_KEYS = ("converged", "iterations", "stop_reason")
 _PATCH_KEYS = {"ighb": ("group", "cell", "delta"), "iglb": ("group", "bin", "side", "alpha", "beta")}
@@ -281,6 +267,15 @@ class IterativePatchModel:
     def converged(self) -> bool:
         """Whether fitting met its stop rule, rather than running out of rounds or progress."""
         return self.stop_reason not in ("max_iters", "no_progress")
+
+    @property
+    def convergence(self) -> dict:
+        """Whether fitting converged, after how many patches, and why it stopped."""
+        return {
+            "converged": self.converged,
+            "iterations": len(self.patches),
+            "stop_reason": self.stop_reason,
+        }
 
     def apply(self, scores, membership=None) -> np.ndarray:
         grid = BinGrid(self.grid_m)
@@ -586,49 +581,43 @@ def fit_iglb(
     )
 
 
+# Each method's model class, as a partial that binds the field telling
+# apart the methods of one class, and the keys of its document: at the top
+# level beside schema_version, method and params, and in params.  Every
+# key names the model attribute that holds its value.
+_PATCHED = ("grid_m", "group_names", "dropped_groups", "convergence")
+_MODEL_KEYS = {
+    "platt": (functools.partial(PlattModel), ("convergence",), ("a", "b")),
+    "histogram": (functools.partial(HistogramBinningModel), ("grid_m",), ("deltas",)),
+    "gcur_linear": (
+        functools.partial(GcurModel, "linear"),
+        ("group_names", "dropped_groups"),
+        ("lambdas", "dependent_columns"),
+    ),
+    "gcur_logistic": (
+        functools.partial(GcurModel, "logistic"),
+        ("group_names", "dropped_groups", "convergence"),
+        ("intercept", "score_coef", "group_coefs"),
+    ),
+    "ighb": (functools.partial(IterativePatchModel, "ighb"), _PATCHED, ("patches", "alpha")),
+    "iglb": (
+        functools.partial(IterativePatchModel, "iglb"),
+        _PATCHED,
+        ("patches", "epsilon", "ls_loss", "val_brier_history", "skipped_regions"),
+    ),
+}
+
+
 def model_to_json(model) -> str:
     """Serialize any fitted calibrator to a versioned JSON document."""
-    payload: dict = {"schema_version": 1, "method": model.method}
-    if isinstance(model, PlattModel):
-        payload["params"] = {"a": model.a, "b": model.b}
-        payload["convergence"] = model.convergence
-    elif isinstance(model, HistogramBinningModel):
-        payload["grid_m"] = model.grid_m
-        payload["params"] = {"deltas": model.deltas}
-    elif isinstance(model, GcurModel):
-        payload["group_names"] = model.group_names
-        payload["dropped_groups"] = model.dropped_groups
-        if model.variant == "linear":
-            payload["params"] = {
-                "lambdas": model.lambdas,
-                "dependent_columns": model.dependent_columns,
-            }
-        else:
-            payload["params"] = {
-                "intercept": model.intercept,
-                "score_coef": model.score_coef,
-                "group_coefs": model.group_coefs,
-            }
-            payload["convergence"] = model.convergence
-    elif isinstance(model, IterativePatchModel):
-        payload["grid_m"] = model.grid_m
-        payload["group_names"] = model.group_names
-        payload["dropped_groups"] = model.dropped_groups
-        payload["params"] = {"patches": model.patches}
-        payload["convergence"] = {
-            "converged": model.converged,
-            "iterations": len(model.patches),
-            "stop_reason": model.stop_reason,
-        }
-        if model.method == "ighb":
-            payload["params"]["alpha"] = model.alpha
-        else:
-            payload["params"]["epsilon"] = model.epsilon
-            payload["params"]["ls_loss"] = model.ls_loss
-            payload["params"]["val_brier_history"] = model.val_brier_history
-            payload["params"]["skipped_regions"] = model.skipped_regions
-    else:
+    entry = _MODEL_KEYS.get(getattr(model, "method", None))
+    if entry is None or not isinstance(model, entry[0].func):
         raise DataError(f"cannot serialize {type(model).__name__}")
+    _, top, inner = entry
+    payload = {key: getattr(model, key) for key in top}
+    payload.update(
+        schema_version=1, method=model.method, params={key: getattr(model, key) for key in inner}
+    )
     text = json.dumps(payload, sort_keys=True, indent=2)
     # Only a document that reloads is written, such as one with a Newton record.
     try:
@@ -638,53 +627,56 @@ def model_to_json(model) -> str:
     return text
 
 
-def _located(entry, what: str, cell: str, k: int, m: int, sided: bool) -> dict:
-    """``entry``, checked to name one of k groups and one of m cells, and a side if ``sided``."""
+def _located(entry, what: str, cell: str, k: int, m: int, sided: bool) -> None:
+    """Check that ``entry`` names one of k groups and one of m cells, and a side if ``sided``."""
     for key, allowed in (("group", range(k)), (cell, range(1, m + 1))):
         whole_number(entry[key], f"{what} {key}", allowed)
     if sided and entry["side"] not in ("le", "ge"):
         raise DataError(f"{what} side must be 'le' or 'ge', got {entry['side']!r}")
-    return entry
 
 
-def _patch(method: str, patch, k: int, m: int) -> dict:
-    """An ighb or iglb patch that ``_apply_patch`` can replay on k groups and m cells."""
+def _patch(method: str, patch, k: int, m: int) -> None:
+    """Check that ``_apply_patch`` can replay ``patch`` on k groups and m cells."""
     iglb = method == "iglb"
     exact_keys(patch, _PATCH_KEYS[method], what="model patch")
     _located(patch, "model patch", "bin" if iglb else "cell", k, m, iglb)
     keys = ("alpha", "beta") if iglb else ("delta",)
     finite_numbers([patch[key] for key in keys], f"model patch {' and '.join(keys)}", len(keys))
-    return patch
 
 
-def _iglb_fields(params: dict, k: int, m: int, rounds: int) -> dict:
-    """The iglb-only fields of a model's ``params``, checked; ``rounds`` is the patch count + 1."""
-    if params["ls_loss"] not in ("ce", "brier"):
-        raise DataError(f"model ls_loss must be 'ce' or 'brier', got {params['ls_loss']!r}")
-    skips = params["skipped_regions"]
-    if not isinstance(skips, list):
-        raise DataError("model skipped_regions must be a list")
-    for skip in skips:
-        exact_keys(skip, _SKIP_KEYS, what="model skipped region")
-        whole_number(skip["iteration"], "model skipped region iteration", range(rounds))
-        _located(skip, "model skipped region", "bin", k, m, True)
-    return {
-        "ls_loss": params["ls_loss"],
-        "val_brier_history": finite_numbers(
-            params["val_brier_history"], "model val_brier_history", rounds, unit=True
-        ),
-        "skipped_regions": skips,
-    }
-
-
-def _newton_record(info) -> dict:
-    """``info``, checked to be a convergence record of :func:`_newton_fit`."""
+def _newton_record(info) -> None:
+    """Check that ``info`` is a convergence record of :func:`_newton_fit`."""
     exact_keys(info, _NEWTON_KEYS, what="model Newton record")
     if type(info["converged"]) is not bool:
         raise DataError(f"model convergence {info!r} is not a Newton record")
     whole_number(info["iterations"], "model Newton iterations", range(NEWTON_MAX_ITER + 1))
     finite_numbers([info["grad_norm"]], "model Newton grad_norm", 1)
-    return info
+
+
+def _check_patch_fields(method: str, doc: dict, k: int, m: int) -> None:
+    """Check the fields of an ighb or iglb model on k groups and m cells."""
+    conv = exact_keys(doc["convergence"], _STOP_KEYS, what="model convergence")
+    if conv["stop_reason"] not in STOP_REASONS[method]:
+        raise DataError(f"malformed {method} model convergence {conv!r}")
+    key = "alpha" if method == "ighb" else "epsilon"
+    value = doc[key]
+    if value is not None and not finite_numbers([value], f"model {key}", 1)[0] > 0:
+        raise DataError(f"model {key} must be positive, got {value!r}")
+    for key in ("patches", "skipped_regions"):
+        if not isinstance(doc.get(key, []), list):
+            raise DataError(f"model {key} must be a list")
+    for patch in doc["patches"]:
+        _patch(method, patch, k, m)
+    if method == "ighb":
+        return
+    if doc["ls_loss"] not in ("ce", "brier"):
+        raise DataError(f"model ls_loss must be 'ce' or 'brier', got {doc['ls_loss']!r}")
+    rounds = len(doc["patches"]) + 1
+    finite_numbers(doc["val_brier_history"], "model val_brier_history", rounds, unit=True)
+    for skip in doc["skipped_regions"]:
+        exact_keys(skip, _SKIP_KEYS, what="model skipped region")
+        whole_number(skip["iteration"], "model skipped region iteration", range(rounds))
+        _located(skip, "model skipped region", "bin", k, m, True)
 
 
 def model_from_json(text: str):
@@ -702,67 +694,42 @@ def model_from_json(text: str):
         method = payload.get("method")
         if method not in _MODEL_KEYS:
             raise DataError(f"unknown model method {method!r}")
-        top, inner = _MODEL_KEYS[method]
+        build, top, inner = _MODEL_KEYS[method]
         exact_keys(payload, ("schema_version", "method", "params", *top), what="model")
-        params = exact_keys(payload["params"], inner, what="model params")
+        doc = {key: payload[key] for key in top}
+        doc.update(exact_keys(payload["params"], inner, what="model params"))
+        if "grid_m" in doc:
+            m = BinGrid(doc["grid_m"]).m
+        if "group_names" in doc:
+            names = strings(doc["group_names"], "model group_names")
+            if len(set(names)) != len(names):
+                raise DataError("model group_names must be unique")
+            strings(doc["dropped_groups"], "model dropped_groups")
+        if method in ("platt", "gcur_logistic"):
+            _newton_record(doc["convergence"])
         if method == "platt":
-            a, b = finite_numbers([params["a"], params["b"]], "model a and b", 2)
-            return PlattModel(a=a, b=b, convergence=_newton_record(payload["convergence"]))
-        if method == "histogram":
-            m = BinGrid(payload["grid_m"]).m
-            deltas = finite_numbers(params["deltas"], "model deltas", m)
-            return HistogramBinningModel(grid_m=m, deltas=deltas)
-        names = strings(payload["group_names"], "model group_names")
-        if len(set(names)) != len(names):
-            raise DataError("model group_names must be unique")
-        dropped = strings(payload["dropped_groups"], "model dropped_groups")
-        if method == "gcur_linear":
-            return GcurModel(
-                variant="linear",
-                group_names=names,
-                lambdas=finite_numbers(params["lambdas"], "model lambdas", len(names)),
-                dropped_groups=dropped,
-                dependent_columns=strings(params["dependent_columns"], "model dependent_columns"),
-            )
-        if method == "gcur_logistic":
-            w = [params["intercept"], params["score_coef"], *params["group_coefs"]]
-            finite_numbers(w, "model intercept, score_coef and group_coefs", len(names) + 2)
-            return GcurModel(
-                variant="logistic",
-                group_names=names,
-                intercept=w[0],
-                score_coef=w[1],
-                group_coefs=w[2:],
-                dropped_groups=dropped,
-                convergence=_newton_record(payload["convergence"]),
-            )
-        m = BinGrid(payload["grid_m"]).m
-        conv = exact_keys(payload["convergence"], _STOP_KEYS, what="model convergence")
-        if conv["stop_reason"] not in STOP_REASONS[method]:
-            raise DataError(f"malformed {method} model convergence {conv!r}")
-        key = "alpha" if method == "ighb" else "epsilon"
-        value = params[key]
-        if value is not None and not finite_numbers([value], f"model {key}", 1)[0] > 0:
-            raise DataError(f"model {key} must be positive, got {value!r}")
-        patches = [_patch(method, patch, len(names), m) for patch in params["patches"]]
-        extra = {key: value}
-        if method == "iglb":
-            extra.update(_iglb_fields(params, len(names), m, len(patches) + 1))
-        model = IterativePatchModel(
-            method=method,
-            grid_m=m,
-            group_names=names,
-            patches=patches,
-            stop_reason=conv["stop_reason"],
-            dropped_groups=dropped,
-            **extra,
-        )
-        # model_to_json derives converged and iterations from the stop reason
-        # and the patches; == alone would take 1 for true and 1.0 for 1.
-        record = {**conv, "converged": model.converged, "iterations": len(patches)}
-        if conv != record or [type(conv[k]) for k in ("converged", "iterations")] != [bool, int]:
+            finite_numbers([doc["a"], doc["b"]], "model a and b", 2)
+        elif method == "histogram":
+            finite_numbers(doc["deltas"], "model deltas", m)
+        elif method == "gcur_linear":
+            finite_numbers(doc["lambdas"], "model lambdas", len(names))
+            strings(doc["dependent_columns"], "model dependent_columns")
+        elif method == "gcur_logistic":
+            coefs = [doc["intercept"], doc["score_coef"]]
+            finite_numbers(coefs, "model intercept and score_coef", 2)
+            finite_numbers(doc["group_coefs"], "model group_coefs", len(names))
+        else:
+            _check_patch_fields(method, doc, len(names), m)
+        if method not in STOP_REASONS:
+            return build(**doc)
+        stored = doc.pop("convergence")
+        model = build(stop_reason=stored["stop_reason"], **doc)
+        # The record is derived from the stop reason and the patches; == alone
+        # would take 1 for true and 1.0 for 1.
+        derived = model.convergence
+        if stored != derived or any(type(stored[k]) is not type(v) for k, v in derived.items()):
             raise DataError(
-                f"{method} model convergence {conv!r} disagrees with its stop reason"
-                f" and its {len(patches)} patches"
+                f"{method} model convergence {stored!r} disagrees with its stop reason"
+                f" and its {len(doc['patches'])} patches"
             )
         return model

@@ -123,9 +123,11 @@ class GroupingConfig:
         for flag in ("use_language", "always_on"):
             if type(getattr(self, flag)) is not bool:
                 raise DataError(f"{flag} must be a boolean, got {getattr(self, flag)!r}")
-        for metric in self.length_metrics:
+        for i, metric in enumerate(self.length_metrics):
             if metric not in ("chars", "loc"):
                 raise DataError(f"unknown length metric {metric!r}")
+            if metric in self.length_metrics[:i]:
+                raise DataError(f"duplicate length metric {metric!r}")
         if self.complexity_source not in ("none", "difficulty_label", "branch_heuristic"):
             raise DataError(f"unknown complexity source {self.complexity_source!r}")
         for q in self.length_quantiles + self.complexity_quantiles:
@@ -263,6 +265,13 @@ def _label_membership(columns: GroupColumns, name: str, labels: list) -> np.ndar
     return _one_hot(lookup[codes], len(labels))
 
 
+def _cutpoints(values, what: str, count: int) -> list:
+    """``values``, checked to be a list of ``count`` finite numbers."""
+    if len(finite_numbers(values, what)) != count:
+        raise DataError(f"{what} must number {count}, got {len(values)}")
+    return values
+
+
 @dataclass
 class GroupingModel:
     """A fitted grouping: everything needed to group new samples.
@@ -347,18 +356,32 @@ class GroupingModel:
             # JSON holds the config's tuples as lists.
             cfg = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
             config = GroupingConfig(**cfg)
-            # fit writes cutpoints for exactly the configured length metrics.
+            # fit writes one cutpoint per quantile for exactly the configured
+            # length metrics, and leaves the families it does not build empty.
             cuts = exact_keys(
                 payload["length_cutpoints"], config.length_metrics, what="grouping length cutpoints"
             )
-            return cls(
+            n_cuts = len(config.length_quantiles)
+            branches = config.complexity_source == "branch_heuristic"
+            model = cls(
                 config=config,
                 languages=strings(payload["languages"], "grouping languages"),
                 length_cutpoints={
-                    k: finite_numbers(v, f"grouping length {k!r} cutpoints") for k, v in cuts.items()
+                    k: _cutpoints(v, f"grouping length {k!r} cutpoints", n_cuts)
+                    for k, v in cuts.items()
                 },
                 difficulty_labels=strings(payload["difficulty_labels"], "grouping difficulty labels"),
-                complexity_cutpoints=finite_numbers(
-                    payload["complexity_cutpoints"], "grouping complexity cutpoints"
+                complexity_cutpoints=_cutpoints(
+                    payload["complexity_cutpoints"],
+                    "grouping complexity cutpoints",
+                    len(config.complexity_quantiles) if branches else 0,
                 ),
             )
+            if model.languages and not config.use_language:
+                raise DataError("grouping languages must be empty when use_language is false")
+            if model.difficulty_labels and config.complexity_source != "difficulty_label":
+                raise DataError(
+                    "grouping difficulty labels must be empty unless complexity_source"
+                    " is difficulty_label"
+                )
+            return model

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import codecal
 from codecal.binning import MAX_GRID_M, BinGrid
+from codecal.calibrators import model_from_json, model_to_json
 import codecal.cli as cli_module
 import codecal.data as data_module
 import codecal.scoring as scoring_module
@@ -922,6 +923,18 @@ class TestFitEvalCommand:
         assert result.output == want
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["fit-eval", "ablate"])
+    def test_duplicate_length_metric_refused_before_loading(self, tmp_path, command):
+        # The splits do not exist: loading them would exit 3.
+        args = fit_eval_args(tmp_path / "missing", tmp_path / "out", ("--length-metrics", "loc,loc"))
+        args[0] = command
+        if command == "ablate":
+            args[args.index("--output-dir")] = "--output"
+        result = run(args)
+        assert result.exit_code == 4
+        assert result.output == "error: duplicate length metric 'loc'\n"
+        assert not (tmp_path / "out").exists()
+
 
 FIT_EVAL_KEYS = sorted(
     param.name
@@ -1020,35 +1033,55 @@ class TestMalformedInputProperty:
         assert result.exit_code in (0, 4), result.output
 
 
+# A grid other than fit-eval's default, so that replaying a report must use the run's.
+FIT_GRID_M = 12
+
+
 @pytest.fixture(scope="module")
-def fit_documents(pipeline, tmp_path_factory):
-    """The grouping and reports fit-eval writes for the shared splits, decoded, by file name."""
+def fit_run(pipeline, tmp_path_factory):
+    """The output directory of a fit-eval run of every method on the shared splits."""
     outdir = tmp_path_factory.mktemp("fit_documents")
-    result = run(fit_eval_args(pipeline, outdir, ("--complexity", "difficulty_label")))
+    flags = ("--complexity", "difficulty_label", "--grid-m", str(FIT_GRID_M))
+    result = run(fit_eval_args(pipeline, outdir, flags))
     assert result.exit_code == 0, result.output
-    paths = [outdir / "grouping.json", *sorted(outdir.glob("report_*.json"))]
-    return {path.name: json.loads(path.read_bytes()) for path in paths}
+    return outdir
+
+
+@pytest.fixture(scope="module")
+def fit_documents(fit_run):
+    """The grouping, models and reports of ``fit_run``, decoded, by file name."""
+    return {path.name: json.loads(path.read_bytes()) for path in sorted(fit_run.glob("*.json"))}
+
+
+# The loader and the writer of each document fit-eval writes, by file-name prefix.
+DOCUMENT_IO = {
+    "grouping": (GroupingModel.from_json, GroupingModel.to_json),
+    "model": (model_from_json, model_to_json),
+    "report": (lambda text: EvalReport.from_dict(json.loads(text)), EvalReport.to_json),
+}
+
+
+def document_io(name):
+    return DOCUMENT_IO[name.split(".")[0].split("_")[0]]
 
 
 def load_document(name, text):
     """Load the text of fit-eval's document ``name`` as its loader does."""
-    if name == "grouping.json":
-        return GroupingModel.from_json(text)
-    return EvalReport.from_dict(json.loads(text))
+    return document_io(name)[0](text)
 
 
 class TestDocumentKeys:
-    """fit-eval's grouping and reports refuse any key they would not write back."""
+    """fit-eval's grouping, models and reports refuse any key they would not write back."""
 
     def test_written_documents_load(self, fit_documents):
-        assert len(fit_documents) == 8
+        assert len(fit_documents) == 14
         for name, payload in fit_documents.items():
             load_document(name, json.dumps(payload))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_unknown_key_rejected_at_every_level(self, fit_documents, data):
-        """A key added to any object of a grouping or report is refused, whatever it holds.
+        """A key added to any object of a grouping, model or report is refused, whatever it holds.
 
         Values are scalars or containers, so a list of cutpoints for a
         length metric the config does not name is among them.
@@ -1057,6 +1090,35 @@ class TestDocumentKeys:
         text = data.draw(with_an_extra_key(fit_documents[name]))
         with pytest.raises(DataError):
             load_document(name, text)
+
+
+class TestDocumentReplay:
+    """The documents fit-eval writes replay exactly."""
+
+    def test_loaded_documents_write_back_their_bytes(self, fit_run):
+        paths = sorted(fit_run.glob("*.json"))
+        assert len(paths) == 14
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            load, write = document_io(path.name)
+            assert write(load(text)) + "\n" == text, path.name
+
+    def test_grouping_and_models_reproduce_the_reports(self, pipeline, fit_run):
+        grouping = GroupingModel.from_json((fit_run / "grouping.json").read_text(encoding="utf-8"))
+        test = load_scored(str(pipeline / "test.jsonl"), grouping.config)
+        groups = grouping.apply(test.columns)
+        replayed = {"uncalibrated": test.p_hat}
+        for path in sorted(fit_run.glob("model_*.json")):
+            model = model_from_json(path.read_text(encoding="utf-8"))
+            if hasattr(model, "group_names"):
+                replayed[model.method] = model.apply(test.p_hat, groups.select(model.group_names))
+            else:
+                replayed[model.method] = model.apply(test.p_hat)
+        assert len(replayed) == 7
+        for name, calibrated in replayed.items():
+            report = evaluate(calibrated, test.labels, BinGrid(FIT_GRID_M), groups)
+            want = (fit_run / f"report_{name}.json").read_text(encoding="utf-8")
+            assert report.to_json() + "\n" == want, name
 
 
 def nested(depth, kind):

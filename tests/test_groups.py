@@ -329,6 +329,43 @@ class TestGroupingModel:
         with pytest.raises(DataError, match=re.escape(message)):
             GroupingModel.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "source, where, key, value, message",
+        [
+            (
+                "none",
+                "length_cutpoints",
+                "chars",
+                [],
+                "grouping length 'chars' cutpoints must number 1, got 0",
+            ),
+            (
+                "difficulty_label",
+                None,
+                "complexity_cutpoints",
+                [3.0, 1.0, 4.0, 2.0],
+                "grouping complexity cutpoints must number 0, got 4",
+            ),
+            ("none", "config", "use_language", False, "grouping languages must be empty"),
+            ("none", None, "difficulty_labels", ["easy"], "grouping difficulty labels must be empty"),
+            ("none", "config", "length_metrics", ["chars", "chars"], "duplicate length metric 'chars'"),
+        ],
+        ids=[
+            "no-chars-cutpoints",
+            "cutpoints-beside-labels",
+            "languages-off",
+            "labels-off",
+            "metric-twice",
+        ],
+    )
+    def test_layout_fit_never_writes_is_data_error(self, source, where, key, value, message):
+        """Values fit would not write are refused, so no loaded grouping builds other groups."""
+        cfg = GroupingConfig(complexity_source=source)
+        payload = json.loads(GroupingModel.fit(self.make_ds(), cfg).to_json())
+        (payload if where is None else payload[where])[key] = value
+        with pytest.raises(DataError, match=re.escape(message)):
+            GroupingModel.from_json(json.dumps(payload))
+
     def test_missing_length_cutpoints_rejected_on_load(self):
         model = GroupingModel.fit(self.make_ds(), GroupingConfig())
         payload = json.loads(model.to_json())
