@@ -20,7 +20,7 @@ numpy-free :mod:`codecal.features`), held column-wise in a
 :class:`GroupColumns` table without the texts themselves.  Functions
 that group samples take such a table; :meth:`GroupColumns.from_samples`
 builds one from any samples, and :func:`~codecal.scoring.load_scored`
-reads one from a column file or measures each text as it reads it.
+reads one from a column file: a temporary one for a split without a matching file.
 """
 
 import json
@@ -384,4 +384,9 @@ class GroupingModel:
                     "grouping difficulty labels must be empty unless complexity_source"
                     " is difficulty_label"
                 )
+            # fit writes each list sorted and distinct, so the groups come in its order.
+            lists = {"languages": model.languages, "difficulty labels": model.difficulty_labels}
+            for what, labels in lists.items():
+                if labels != sorted(set(labels)):
+                    raise DataError(f"grouping {what} must be sorted and distinct")
             return model

@@ -18,7 +18,8 @@ strings section then holds the UTF-8 bytes of each row's sample id,
 problem id, language, difficulty and code text.  Strings are encoded
 with ``surrogatepass``, since JSON escapes can hold lone surrogates.
 A column file is read only when its header matches its JSONL file's
-size and checksum, so a JSONL file edited afterwards is read as JSON.
+size and checksum; any other scored JSONL file, such as one edited
+afterwards, is indexed into an unnamed temporary column file instead.
 """
 
 import contextlib
@@ -34,7 +35,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 
-from .data import Sample, atomic_outputs, line_ranges, read_columns, read_ranges
+from .data import Sample, atomic_outputs, line_ranges, read_ranges
 from .errors import (
     DataError,
     MissingCodeError,
@@ -43,7 +44,7 @@ from .errors import (
     schema_fields,
     whole_number,
 )
-from .features import TEXT_FEATURES, text_features
+from .features import TEXT_FEATURES
 
 __all__ = [
     "ConfidenceMethod",
@@ -144,35 +145,51 @@ def score_sample(sample: Sample, method: ConfidenceMethod) -> float:
     return math.exp(sum(window) / len(window))
 
 
-def _score_lines(records, files, method: ConfidenceMethod, skip_missing: bool) -> tuple:
+def _score_lines(records, files, method: ConfidenceMethod | None, skip_missing: bool) -> tuple:
     """Write the scored line and the column-file head and strings of each record.
 
     ``records`` yields ``(lineno, raw, obj, sample)`` as
     :func:`~codecal.data.read_ranges` does with ``records``.  ``files``
     are the binary files for the lines, the heads and the strings, each
     flushed at the end, so a forked child leaves their bytes in place.
-    Returns the scored and skipped counts and the crc32 of the lines.
+    With ``method`` None each record keeps its own p_hat and method,
+    checked here, and no line is written.  Returns the scored and
+    skipped counts, the crc32 of the lines and the set of methods.
     """
-    name_json = json.dumps(method.name)
+    name = method and method.name
+    name_json = json.dumps(name)
     scored = skipped = crc = 0
+    methods = set()
     # Lines, heads and strings are written _BATCH_RECORDS at a time, and each
     # head is made here, not in a function: this loop runs once per record.
     batch = texts, packed, joined = [], [], []
     pack = _HEAD.pack
-    chars, loc = (TEXT_FEATURES[name] for name in _HEAD_FEATURES)
-    for _, raw, obj, sample in records:
-        try:
-            p_hat = score_sample(sample, method)
-        except DataError:
-            if not skip_missing:
-                raise
-            skipped += 1
-            continue
-        if "p_hat" in obj or "method" in obj:
-            obj.update(p_hat=p_hat, method=method.name)
-            texts.append(json.dumps(obj, sort_keys=True))
+    chars, loc = (TEXT_FEATURES[feature] for feature in _HEAD_FEATURES)
+    for lineno, raw, obj, sample in records:
+        if method is None:
+            p_hat, name, problem = obj.get("p_hat"), obj.get("method"), None
+            if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool):
+                problem = "missing or non-numeric p_hat"
+            elif not 0.0 <= (p_hat := float(p_hat)) <= 1.0:  # NaN fails too
+                problem = f"p_hat {p_hat!r} outside [0, 1]"
+            elif not isinstance(name, str):
+                problem = "missing method"
+            if problem:
+                raise RecordError(problem, line=lineno, sample_id=sample.sample_id)
         else:
-            texts.append(f'{raw.rstrip()[:-1]}, "method": {name_json}, "p_hat": {p_hat!r}}}')
+            try:
+                p_hat = score_sample(sample, method)
+            except DataError:
+                if not skip_missing:
+                    raise
+                skipped += 1
+                continue
+            if "p_hat" in obj or "method" in obj:
+                obj.update(p_hat=p_hat, method=name)
+                texts.append(json.dumps(obj, sort_keys=True))
+            else:
+                texts.append(f'{raw.rstrip()[:-1]}, "method": {name_json}, "p_hat": {p_hat!r}}}')
+        methods.add(name)
         sid, pid, language = sample.sample_id, sample.problem_id, sample.language
         difficulty, code = sample.difficulty, sample.code_text
         flags = _HAS_DIFFICULTY * (difficulty is not None) + _HAS_CODE * (code is not None)
@@ -188,12 +205,12 @@ def _score_lines(records, files, method: ConfidenceMethod, skip_missing: bool) -
         packed.append(pack(p_hat, sample.label, flags, chars(code), loc(code), *sizes))
         joined.append(data)
         scored += 1
-        if len(texts) == _BATCH_RECORDS:
+        if len(packed) == _BATCH_RECORDS:
             crc = _write_batch(files, batch, crc)
     crc = _write_batch(files, batch, crc)
-    for file in files:
+    for file in filter(None, files):
         file.flush()
-    return scored, skipped, crc
+    return scored, skipped, crc, methods
 
 
 def _write_batch(files, batch, crc: int) -> int:
@@ -202,13 +219,13 @@ def _write_batch(files, batch, crc: int) -> int:
     Returns ``crc`` carried over the lines' bytes.
     """
     texts, packed, joined = batch
+    lines, heads, strings = files
     if texts:
         data = "\n".join(texts).encode("utf-8") + b"\n"
-        lines, heads, strings = files
         lines.write(data)
-        heads.write(b"".join(packed))
-        strings.write(b"".join(joined))
         crc = zlib.crc32(data, crc)
+    heads.write(b"".join(packed))
+    strings.write(b"".join(joined))
     for part in batch:
         part.clear()
     return crc
@@ -252,24 +269,34 @@ def score_file(
     :func:`load_scored` reads in place of the JSON.  Both are written
     to temporary files beside ``output_path`` and moved into place only
     when every line succeeded, so a failed run leaves both as they were.
-
-    The input is read by :func:`~codecal.data.read_ranges`, so the
-    output, the counts and the first error in line order do not depend
-    on the number of CPUs.  The first range writes its lines straight
-    to the output; the other ranges' lines, and every range's heads and
-    strings, go to unnamed temporary files beside ``output_path``, which
-    are appended to the outputs in line order, so memory does not grow
-    with the file.
     """
     targets = output_path, output_path + COLUMNS_SUFFIX
-    with atomic_outputs(*targets) as (out, column_file), contextlib.ExitStack() as stack:
+    with atomic_outputs(*targets) as (out, column_file):
+        return _index(input_path, column_file, method, skip_missing, out)[:2]
+
+
+def _index(input_path: str, column_file, method, skip_missing=False, out=None) -> tuple:
+    """Write the column file of records JSONL ``input_path`` to binary file ``column_file``.
+
+    Each record is scored by ``method`` and its line written to binary
+    file ``out``, as in :func:`score_file`; with both None, each keeps
+    its own p_hat and method and the header describes no JSONL bytes.
+    Returns the scored and skipped counts and the sorted methods.  The
+    input is read by :func:`~codecal.data.read_ranges`, so nothing here
+    depends on the number of CPUs.  Range 0 writes its lines straight to
+    ``out``; the other ranges' lines, and every range's heads and
+    strings, go to unnamed temporary files beside ``out`` (or in the
+    system's temporary folder), appended in line order, so memory does
+    not grow with the file.
+    """
+    folder = out and (os.path.dirname(out.name) or ".")
+    with contextlib.ExitStack() as stack:
         bounds = line_ranges(input_path)
-        folder = os.path.dirname(output_path) or "."
 
         def part():
             return stack.enter_context(tempfile.TemporaryFile(dir=folder))
 
-        lines = [out, *(part() for _ in bounds[1:])]
+        lines = [out, *(out and part() for _ in bounds[1:])]
         heads = [part() for _ in bounds]
         strings = [part() for _ in bounds]
 
@@ -279,38 +306,16 @@ def score_file(
         counts = read_ranges(input_path, bounds, read, records=True)
         # Range 0 wrote its lines to ``out``; every other range's lines follow them.
         crc = counts[0][2]
-        for part_lines in lines[1:]:
+        for part_lines in filter(None, lines[1:]):
             part_lines.seek(0)
             while block := part_lines.read(_BLOCK_BYTES):
                 crc = zlib.crc32(block, crc)
                 out.write(block)
         scored = sum(count[0] for count in counts)
-        name = method.name if scored else None
-        write_columns(column_file, [*heads, *strings], scored, out.tell(), crc, name)
-    return scored, sum(count[1] for count in counts)
-
-
-def _intern(value: str | None) -> str | None:
-    return value if value is None else sys.intern(value)
-
-
-def _scored_row(lineno: int, obj: dict, sample: Sample) -> tuple:
-    """p_hat, label, method, sample id, language and difficulty of one scored record.
-
-    Method, language and difficulty are interned, so rows share one
-    object per distinct value.
-    """
-    p_hat = obj.get("p_hat")
-    if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool):
-        raise RecordError("missing or non-numeric p_hat", line=lineno, sample_id=sample.sample_id)
-    p_hat = float(p_hat)
-    if not 0.0 <= p_hat <= 1.0 or not math.isfinite(p_hat):
-        raise RecordError(f"p_hat {p_hat!r} outside [0, 1]", line=lineno, sample_id=sample.sample_id)
-    method = obj.get("method")
-    if not isinstance(method, str):
-        raise RecordError("missing method", line=lineno, sample_id=sample.sample_id)
-    language, difficulty = sys.intern(sample.language), _intern(sample.difficulty)
-    return (p_hat, sample.label, sys.intern(method), sample.sample_id, language, difficulty)
+        methods = sorted(set().union(*(count[3] for count in counts)))
+        size = out.tell() if out else 0
+        write_columns(column_file, [*heads, *strings], scored, size, crc, min(methods, default=None))
+    return scored, sum(count[1] for count in counts), methods
 
 
 def _put_lines(out, data: bytes, crc: int, done: int) -> int:
@@ -557,18 +562,17 @@ def open_columns(path: str):
 
 
 def load_scored(path: str, grouping: "GroupingConfig | None" = None) -> ScoredSplit:
-    """Load a file written by :func:`score_file` as columns.
+    """Load a file written by :func:`score_file` as columns, through :meth:`ScoredColumns.table`.
 
     Only ``p_hat``, the label, the grouping fields and the
     :data:`~codecal.features.TEXT_FEATURES` that ``grouping`` reads
-    (every one for None) are kept.  Token arrays and code texts are
-    dropped as each record is read, so memory grows with neither the
+    (every one for None) are kept, so memory grows with neither the
     number of tokens nor the length of the code.
 
     Where a column file beside ``path`` matches it (:func:`open_columns`),
-    the records are read from there, with the same result.  Otherwise
-    every line is decoded and validated as a record by
-    :func:`~codecal.data.read_columns` on every CPU.
+    that file is read.  Otherwise every line is decoded and validated as
+    a scored record on every CPU, and what a column file would hold of
+    it is written to an unnamed temporary file, which is read instead.
     numpy and grouping load here, so ``score`` starts without them.
     """
     import numpy as np
@@ -576,25 +580,19 @@ def load_scored(path: str, grouping: "GroupingConfig | None" = None) -> ScoredSp
     from .groups import GroupColumns
 
     names = tuple(TEXT_FEATURES) if grouping is None else grouping.text_features
-    measures = [TEXT_FEATURES[name] for name in names]
-
-    def row(lineno, obj, sample):
-        return _scored_row(lineno, obj, sample) + text_features(sample.code_text, measures)
-
-    with open_columns(path) as columns:
-        if columns is not None:
+    with contextlib.ExitStack() as stack:
+        columns = stack.enter_context(open_columns(path))
+        if columns is None:
+            index = stack.enter_context(tempfile.TemporaryFile())
+            methods = _index(path, index, None)[2]
+            index.seek(0)
+            columns = ScoredColumns(index, path, _header(index, path))
+        else:
             methods = [] if columns.method is None else [columns.method]
-            p_hats, labels, ids, languages, difficulties, known, *values = columns.table(names)
-    if columns is None:
-        p_hats, labels, methods, ids, languages, difficulties, known, *values = read_columns(
-            path, row, 7 + len(names), records=True
-        )
-        # Ranges read in other processes bring their own copy of each value.
-        languages = [_intern(v) for v in languages]
-        difficulties = [_intern(v) for v in difficulties]
+        p_hats, labels, ids, languages, difficulties, known, *values = columns.table(names)
     return ScoredSplit(
         p_hat=np.array(p_hats, dtype=float),
         labels=np.array(labels, dtype=np.int64),
-        methods=tuple(sorted(set(methods))),
+        methods=tuple(methods),
         columns=GroupColumns(ids, languages, difficulties, known, dict(zip(names, values))),
     )

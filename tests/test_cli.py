@@ -483,7 +483,7 @@ class TestSplitCommand:
             assert outputs["columns"] == outputs["bare"]
             for name in outputs["columns"][2]:
                 path = tmp / "columns" / name
-                with mock.patch.object(scoring_module, "read_columns", side_effect=AssertionError):
+                with mock.patch.object(scoring_module, "read_ranges", side_effect=AssertionError):
                     got = load_scored(str(path))
                 columns_of(path).unlink()
                 assert_same_split(got, load_scored(str(path)))
@@ -883,12 +883,19 @@ class TestFitEvalCommand:
 
     @pytest.mark.parametrize("command", ["fit-eval", "ablate"])
     def test_mixed_scoring_methods_rejected(self, pipeline, tmp_path, command):
+        """A split scored by another method, or a split without a column file mixing two."""
         tail_test = tmp_path / "test.jsonl"
         rescore = ["score", "--input", str(pipeline / "test.jsonl"), "--output", str(tail_test)]
         assert run([*rescore, "--method", "tail_prob"]).exit_code == 0
-        result = run(swapped_split_args(command, pipeline, tmp_path / "out", "test", tail_test))
-        assert result.exit_code == 4
-        assert "different methods: avg_prob, tail_prob" in result.output
+        lines = (pipeline / "test.jsonl").read_bytes().splitlines(keepends=True)
+        for k in range(1, len(lines), 2):
+            lines[k] = lines[k].replace(b'"method": "avg_prob"', b'"method": "tail_prob"')
+        mixed_test = tmp_path / "mixed.jsonl"
+        mixed_test.write_bytes(b"".join(lines))
+        for path in (tail_test, mixed_test):
+            result = run(swapped_split_args(command, pipeline, tmp_path / "out", "test", path))
+            assert result.exit_code == 4
+            assert "different methods: avg_prob, tail_prob" in result.output
 
     @pytest.mark.parametrize("command", ["fit-eval", "ablate"])
     def test_invalid_record_names_line(self, pipeline, tmp_path, command):
@@ -1413,7 +1420,7 @@ class TestColumnFiles:
         with contextlib.ExitStack() as stack:
             if not json_read:
                 stack.enter_context(
-                    mock.patch.object(scoring_module, "read_columns", side_effect=AssertionError)
+                    mock.patch.object(scoring_module, "read_ranges", side_effect=AssertionError)
                 )
             for args in commands:
                 result = runner.invoke(main, args, catch_exceptions=False)

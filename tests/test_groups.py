@@ -349,6 +349,14 @@ class TestGroupingModel:
             ("none", "config", "use_language", False, "grouping languages must be empty"),
             ("none", None, "difficulty_labels", ["easy"], "grouping difficulty labels must be empty"),
             ("none", "config", "length_metrics", ["chars", "chars"], "duplicate length metric 'chars'"),
+            ("none", None, "languages", ["rust", "python"],
+             "grouping languages must be sorted and distinct"),
+            ("none", None, "languages", ["python", "python", "rust"],
+             "grouping languages must be sorted and distinct"),
+            ("difficulty_label", None, "difficulty_labels", ["hard", "easy"],
+             "grouping difficulty labels must be sorted and distinct"),
+            ("difficulty_label", None, "difficulty_labels", ["easy", "easy", "hard"],
+             "grouping difficulty labels must be sorted and distinct"),
         ],
         ids=[
             "no-chars-cutpoints",
@@ -356,6 +364,10 @@ class TestGroupingModel:
             "languages-off",
             "labels-off",
             "metric-twice",
+            "languages-reversed",
+            "language-twice",
+            "labels-reversed",
+            "label-twice",
         ],
     )
     def test_layout_fit_never_writes_is_data_error(self, source, where, key, value, message):

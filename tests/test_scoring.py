@@ -21,7 +21,6 @@ from codecal.groups import GroupColumns, GroupingConfig, GroupingModel, branch_c
 from codecal.scoring import (
     COLUMNS_SUFFIX,
     ConfidenceMethod,
-    _scored_row,
     load_scored,
     open_columns,
     score_file,
@@ -628,21 +627,30 @@ def outcome(fn):
 
 
 def float_decoded_rows(text):
-    """What load_scored must give: json.loads, parse_record and _scored_row line by line."""
+    """What load_scored must give: json.loads, parse_record, then the p_hat and method checks."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         obj = json.loads(line)
-        rows.append(_scored_row(lineno, obj, parse_record(obj, line=lineno)))
-    return [row[:2] for row in rows]
+        sample = parse_record(obj, line=lineno)
+        p_hat, where = obj.get("p_hat"), {"line": lineno, "sample_id": sample.sample_id}
+        if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool):
+            raise RecordError("missing or non-numeric p_hat", **where)
+        p_hat = float(p_hat)
+        if not 0.0 <= p_hat <= 1.0 or not math.isfinite(p_hat):
+            raise RecordError(f"p_hat {p_hat!r} outside [0, 1]", **where)
+        if not isinstance(obj.get("method"), str):
+            raise RecordError("missing method", **where)
+        rows.append((p_hat, sample.label))
+    return rows
 
 
 class TestTokensCheckedAsText:
-    """load_scored's JSON fallback, read in forked ranges, gives what a serial read gives.
+    """load_scored without a column file, read in forked ranges, gives what a serial read gives.
 
     With no column file, load_scored reads the file in 1 or 3 ranges.
     It must accept and refuse what ``json.loads``, ``parse_record`` and
-    ``_scored_row`` accept and refuse line by line, with the same rows
-    and the same first error.
+    the p_hat and method checks accept and refuse line by line, with the
+    same rows and the same first error.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -756,7 +764,7 @@ class TestColumnFile:
                 score_file(str(records), str(path), method, skip_missing=True)
                 if rescore:
                     score_file(str(path), str(path), METHODS[2])
-                with mock.patch.object(scoring_module, "read_columns", side_effect=AssertionError):
+                with mock.patch.object(scoring_module, "read_ranges", side_effect=AssertionError):
                     got = load_scored(str(path), config)
                     heads = load_scored(str(path), GroupingConfig()).columns
                     with open_columns(str(path)) as columns:
@@ -771,6 +779,30 @@ class TestColumnFile:
         assert heads.known.tolist() == [known for known, _, _ in measured]
         assert heads.feature("chars").tolist() == [chars for _, chars, _ in measured]
         assert heads.feature("loc").tolist() == [loc for _, _, loc in measured]
+
+    @pytest.mark.parametrize("matching", [True, False])
+    def test_every_split_is_read_by_the_table(self, tmp_path, matching):
+        """load_scored reads through ScoredColumns.table, with or without a matching column file.
+
+        Without one, the split's folder holds no new file, while the
+        table is read or after.
+        """
+        path = self.scored(tmp_path)
+        if not matching:
+            columns_of(path).unlink()
+        before = sorted(os.listdir(tmp_path))
+        listings = []
+        table = scoring_module.ScoredColumns.table
+
+        def spy(columns, names):
+            listings.append(sorted(os.listdir(tmp_path)))
+            return table(columns, names)
+
+        with mock.patch.object(scoring_module.ScoredColumns, "table", spy):
+            split = load_scored(str(path))
+        assert listings == [before] and sorted(os.listdir(tmp_path)) == before
+        assert split.columns.sample_ids == [f"s{i}" for i in range(6)]
+        assert split.methods == ("avg_prob",)
 
     def test_head_layouts_agree(self):
         """The struct that score and split use and the dtype load_scored uses are one layout."""
@@ -807,7 +839,7 @@ class TestColumnFile:
             score_file(str(records), str(path), METHODS[0])
             tracemalloc.start()
             try:
-                with mock.patch.object(scoring_module, "read_columns", side_effect=AssertionError):
+                with mock.patch.object(scoring_module, "read_ranges", side_effect=AssertionError):
                     split = load_scored(str(path))
                 current, _ = tracemalloc.get_traced_memory()
             finally:
