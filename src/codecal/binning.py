@@ -5,6 +5,9 @@ A grid with ``m`` bins partitions [0, 1] into half-open intervals
 score lands somewhere.  The grid values themselves are ``{i/m}`` for
 ``i = 1..m``: there is no zero point, so rounding never produces a
 confidence of exactly 0.
+
+:func:`cell_sums` counts and sums per (group, cell) over the member
+lists of a :class:`~codecal.groups.GroupSet`.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,6 @@ __all__ = [
     "BinGrid",
     "assign_bins",
     "round_to_grid_index",
-    "member_pairs",
     "cell_sums",
 ]
 
@@ -68,28 +70,21 @@ def round_to_grid_index(scores, grid: BinGrid) -> np.ndarray:
     return np.clip(idx, 1, grid.m)
 
 
-def member_pairs(membership) -> tuple[int, np.ndarray, np.ndarray]:
-    """``(k, group, row)`` for the nonzero entries of an ``(n, k)`` membership matrix.
-
-    Pairs are group-major and rows ascend within each group, so sums
-    built from them add every group's members in row order.
-    """
-    g = np.asarray(membership)
-    group, row = np.nonzero(g.T)
-    return g.shape[1], group, row
-
-
-def cell_sums(cells, m: int, pairs, *weights) -> tuple[np.ndarray, ...]:
+def cell_sums(cells, m: int, groups, *weights, among=None) -> tuple[np.ndarray, ...]:
     """Per-(group, cell) member counts, then one sum per per-row weight, each ``(k, m)``.
 
-    ``cells`` are 1-based; ``pairs`` comes from :func:`member_pairs`, and
-    ``None`` stands for one group holding every row.
+    ``cells`` are 1-based.  ``groups`` is a :class:`~codecal.groups.GroupSet`,
+    or ``None`` for one group holding every row; ``among`` counts only
+    those rows of ``groups``.  Every sum adds a group's members in row
+    order, so counting only the rows of some cells gives those cells'
+    sums bit for bit.
     """
     cells = np.asarray(cells)
-    if pairs is None:
+    if groups is None:
         k, flat, rows = 1, cells - 1, slice(None)
     else:
-        k, group, rows = pairs
+        k = len(groups.names)
+        group, rows = groups.pairs(among)
         flat = group * m + cells[rows] - 1
     tables = [np.bincount(flat, minlength=k * m)]
     for w in weights:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import BinGrid, cell_sums, member_pairs, round_to_grid_index
+from .binning import BinGrid, cell_sums, round_to_grid_index
 from .errors import (
     DataError,
     FitError,
@@ -35,7 +35,7 @@ from .errors import (
     strings,
     whole_number,
 )
-from .groups import GroupSet, check_membership
+from .groups import GroupSet
 from .metrics import _as_scores, _as_scores_labels
 from .report import DEFAULT_EPSILON
 
@@ -175,13 +175,20 @@ def _newton_fit(X: np.ndarray, y: np.ndarray, loss: str) -> tuple[np.ndarray, di
     return w, info
 
 
-def _kept_columns(groups: GroupSet, dtype, where: str = ""):
-    """Names of the groups with members, of those without, and the former's columns."""
+def _kept_groups(groups: GroupSet, where: str = ""):
+    """Names of the groups with members, of those without, and the former's GroupSet."""
     dropped = groups.degenerate
     kept = [name for name in groups.names if name not in dropped]
     if not kept:
         raise FitError(f"every group is empty{where}, nothing to fit")
-    return kept, dropped, groups.select(kept).astype(dtype, copy=False)
+    return kept, dropped, groups.select(kept)
+
+
+def _model_groups(model, groups, n: int) -> GroupSet:
+    """The groups ``model`` was fitted on, in its order, from ``groups`` over ``n`` samples."""
+    if not isinstance(groups, GroupSet) or groups.n_samples != n:
+        raise DataError(f"{model.method} needs a GroupSet over its {n} scores to apply")
+    return groups.select(model.group_names)
 
 
 @dataclass
@@ -193,7 +200,7 @@ class PlattModel:
     convergence: dict = field(default_factory=dict)
     method: str = "platt"
 
-    def apply(self, scores, membership=None) -> np.ndarray:
+    def apply(self, scores, groups=None) -> np.ndarray:
         p = _check_scores(scores)
         return sigmoid(self.a * _clamped_log(p) + self.b)
 
@@ -206,7 +213,7 @@ class HistogramBinningModel:
     deltas: list[float]
     method: str = "histogram"
 
-    def apply(self, scores, membership=None) -> np.ndarray:
+    def apply(self, scores, groups=None) -> np.ndarray:
         grid = BinGrid(self.grid_m)
         idx = round_to_grid_index(_check_scores(scores), grid)
         d = np.asarray(self.deltas, dtype=float)
@@ -232,11 +239,9 @@ class GcurModel:
     def method(self) -> str:
         return "gcur_linear" if self.variant == "linear" else "gcur_logistic"
 
-    def apply(self, scores, membership=None) -> np.ndarray:
+    def apply(self, scores, groups=None) -> np.ndarray:
         p = _check_scores(scores)
-        if membership is None:
-            raise DataError(f"{self.method} needs a membership matrix to apply")
-        g = check_membership(membership, len(self.group_names), p.size).astype(float)
+        g = _model_groups(self, groups, p.size).matrix().astype(float)
         if self.variant == "linear":
             return np.clip(p + g @ np.asarray(self.lambdas), 0.0, 1.0)
         z = self.intercept + self.score_coef * clamped_logit(p) + g @ np.asarray(self.group_coefs)
@@ -277,22 +282,21 @@ class IterativePatchModel:
             "stop_reason": self.stop_reason,
         }
 
-    def apply(self, scores, membership=None) -> np.ndarray:
+    def apply(self, scores, groups=None) -> np.ndarray:
         grid = BinGrid(self.grid_m)
         p = _check_scores(scores)
-        if membership is None:
-            raise DataError(f"{self.method} needs a membership matrix to apply")
-        g = check_membership(membership, len(self.group_names), p.size).astype(bool)
+        g = _model_groups(self, groups, p.size)
         cells = round_to_grid_index(p, grid)
         for patch in self.patches:
             cells = _apply_patch(self.method, cells, g, patch, grid)
         return cells / grid.m
 
 
-def _region(cells: np.ndarray, g: np.ndarray, patch: dict) -> np.ndarray:
-    """Rows an iglb patch refits: its group's cells on one side of its bin."""
-    side = cells <= patch["bin"] if patch["side"] == "le" else cells >= patch["bin"]
-    return g[:, patch["group"]] & side
+def _region(cells: np.ndarray, g: GroupSet, patch: dict) -> np.ndarray:
+    """Rows an iglb patch refits, ascending: its group's members on one side of its bin."""
+    members = g.members(patch["group"])
+    at = cells[members]
+    return members[at <= patch["bin"] if patch["side"] == "le" else at >= patch["bin"]]
 
 
 def _ighb_target(patch: dict, grid: BinGrid) -> int:
@@ -301,11 +305,12 @@ def _ighb_target(patch: dict, grid: BinGrid) -> int:
     return int(round_to_grid_index(value, grid)[()])
 
 
-def _apply_patch(method: str, cells: np.ndarray, g: np.ndarray, patch: dict, grid: BinGrid):
+def _apply_patch(method: str, cells: np.ndarray, g: GroupSet, patch: dict, grid: BinGrid):
     """Grid cells after one ighb or iglb patch; ``cells`` itself is left as it is."""
     out = cells.copy()
     if method == "ighb":
-        out[g[:, patch["group"]] & (cells == patch["cell"])] = _ighb_target(patch, grid)
+        members = g.members(patch["group"])
+        out[members[cells[members] == patch["cell"]]] = _ighb_target(patch, grid)
     else:
         members = _region(cells, g, patch)
         z = patch["alpha"] + patch["beta"] * clamped_logit(cells[members] / grid.m)
@@ -369,7 +374,8 @@ def fit_gcur_linear(scores, labels, groups: GroupSet) -> GcurModel:
     columns are solvable thanks to the damping and get reported.
     """
     p, y = _check_scores_labels(scores, labels, groups)
-    kept, dropped, g = _kept_columns(groups, float)
+    kept, dropped, g = _kept_groups(groups)
+    g = g.matrix().astype(float)
     cross = g.T @ g
     lam = np.linalg.solve(cross + TIKHONOV * np.eye(len(kept)), g.T @ (y - p))
     dependent = [kept[j] for j in _dependent_columns(cross)]
@@ -390,8 +396,8 @@ def fit_gcur_logistic(scores, labels, groups: GroupSet) -> GcurModel:
             "all labels identical; a logistic fit is degenerate, use the base rate instead"
         )
     # column_stack casts the 0/1 columns to float exactly, without a float copy of them.
-    kept, dropped, g = _kept_columns(groups, np.int8)
-    X = np.column_stack([np.ones_like(p), clamped_logit(p), g])
+    kept, dropped, g = _kept_groups(groups)
+    X = np.column_stack([np.ones_like(p), clamped_logit(p), g.matrix()])
     w, info = _newton_fit(X, y, loss="ce")
     return GcurModel(
         variant="logistic",
@@ -427,10 +433,11 @@ def fit_ighb(
         alpha = 1.0 / grid.m
     if not 0.0 < alpha < np.inf:
         raise DataError(f"alpha must be positive and finite, got {alpha}")
-    kept, dropped, g = _kept_columns(groups, bool)
+    kept, dropped, g = _kept_groups(groups)
     n, m = p.size, grid.m
     cells = round_to_grid_index(p, grid)
-    counts, rsums = cell_sums(cells, m, member_pairs(g), y - cells / m)
+    residuals = y - cells / m
+    counts, rsums = cell_sums(cells, m, g, residuals)
     patches: list[dict] = []
     reason = "max_iters"
     for _ in range(max_iters):
@@ -448,14 +455,16 @@ def fit_ighb(
         if target == patch["cell"]:
             reason = "no_progress"
             break
-        in_cell = cells == patch["cell"]
-        cells[g[:, j] & in_cell] = target
+        members = g.members(j)
+        moved = members[cells[members] == patch["cell"]]
+        cells[moved] = target
+        residuals[moved] = y[moved] - target / m
         patches.append(patch)
         # Only the patched cell and its target change members.  Their rows
         # are recounted in row order, as a full recount would add them, so
         # the kept tables stay bit-equal to one.
-        rows = np.flatnonzero(in_cell | (cells == target))
-        sub = cell_sums(cells[rows], m, member_pairs(g[rows]), y[rows] - cells[rows] / m)
+        rows = np.flatnonzero((cells == patch["cell"]) | (cells == target))
+        sub = cell_sums(cells, m, g, residuals, among=rows)
         changed = [cell0, target - 1]
         counts[:, changed] = sub[0][:, changed]
         rsums[:, changed] = sub[1][:, changed]
@@ -511,19 +520,16 @@ def fit_iglb(
     single label class are skipped for the round and recorded; selection
     stops when the chosen region's mass falls below ``epsilon``.
     """
-    tp, ty = _check_scores_labels(train_scores, train_labels)
-    vp, vy = _check_scores_labels(val_scores, val_labels)
-    if train_groups.n_samples != tp.size or val_groups.n_samples != vp.size:
-        raise DataError("group sets must cover the train and val samples")
+    tp, ty = _check_scores_labels(train_scores, train_labels, train_groups)
+    vp, vy = _check_scores_labels(val_scores, val_labels, val_groups)
     if train_groups.names != val_groups.names:
         raise DataError("train and val group sets must list the same groups")
     if not 0.0 < epsilon < 1.0:
         raise DataError(f"epsilon must be in (0, 1), got {epsilon}")
     if ls_loss not in ("ce", "brier"):
         raise DataError(f"ls_loss must be 'ce' or 'brier', got {ls_loss!r}")
-    kept, dropped, gt = _kept_columns(train_groups, bool, " on the training split")
-    gv = val_groups.select(kept).astype(bool)
-    pairs = member_pairs(gt)
+    kept, dropped, gt = _kept_groups(train_groups, " on the training split")
+    gv = val_groups.select(kept)
     n = tp.size
     tcells = round_to_grid_index(tp, grid)
     vcells = round_to_grid_index(vp, grid)
@@ -536,7 +542,7 @@ def fit_iglb(
     history = [val_brier(vcells)]
     reason = "max_iters"
     for iteration in range(max_iters):
-        sums = cell_sums(tcells, grid.m, pairs, ty - tcells / grid.m, ty)
+        sums = cell_sums(tcells, grid.m, gt, ty - tcells / grid.m, ty)
         order, counts, single = _ranked_regions(*sums, n)
         patch = None
         stop = "all_regions_skipped"

@@ -328,23 +328,8 @@ def _fit_one(name, grid, values, train, val, train_groups, val_groups):
         return fit_gcur_logistic(tp, ty, train_groups)
     if name == "ighb":
         return fit_ighb(tp, ty, train_groups, grid, alpha=values["alpha"])
-    return fit_iglb(
-        tp,
-        ty,
-        val.p_hat,
-        val.labels,
-        train_groups,
-        val_groups,
-        grid,
-        epsilon=values["epsilon"],
-        ls_loss=values["ls_loss"],
-    )
-
-
-def _apply_model(model, p, groups):
-    if model.method in GROUPLESS_METHODS:
-        return model.apply(p)
-    return model.apply(p, groups.select(model.group_names))
+    options = {"epsilon": values["epsilon"], "ls_loss": values["ls_loss"]}
+    return fit_iglb(tp, ty, val.p_hat, val.labels, train_groups, val_groups, grid, **options)
 
 
 def _fit_apply(name, grid, values, splits, groups):
@@ -358,7 +343,7 @@ def _fit_apply(name, grid, values, splits, groups):
     (train, val, test), (train_groups, val_groups, test_groups) = splits, groups
     try:
         model = _fit_one(name, grid, values, train, val, train_groups, val_groups)
-        return name, model, _apply_model(model, test.p_hat, test_groups)
+        return name, model, model.apply(test.p_hat, test_groups)
     except DataError as exc:
         return name, exc, None
 

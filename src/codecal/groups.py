@@ -1,18 +1,21 @@
-"""Binary group functions over samples.
+"""Groups of samples.
 
-Groups drive the group-conditional calibrators: each column of a
-GroupSet is one binary membership indicator, and columns of different
-families may overlap.  :class:`GroupingModel` builds them all.  Anything
-fitted (length cutpoints, complexity terciles, the language list) is
-fitted on one dataset and can then be applied to another, so
-thresholds never leak out of the training split.
+Groups drive the group-conditional calibrators.  A group is a set of
+samples, and groups of different families may overlap.
+:class:`GroupingModel` builds them all.  Anything fitted (length
+cutpoints, complexity terciles, the language list) is fitted on one
+dataset and can then be applied to another, so thresholds never leak
+out of the training split.
 
-This module owns the membership contract.  :func:`check_membership`
-accepts a 2-d array only when every entry is 0 or 1 before any cast, so
-0.5, 257 and NaN are refused rather than truncated; :class:`GroupSet`
-and the calibrators' ``apply`` both call it.  :meth:`GroupSet.select`
-is the one way to pick columns by name: it returns them C-contiguous,
-in the order asked for.
+This module owns the membership layout.  A :class:`GroupSet` holds
+each group's member rows, ascending, group after group, and no dense
+matrix: ``GroupingModel.apply`` builds them from each family's
+per-sample codes.  A dense 0/1 matrix enters only through
+:meth:`GroupSet.from_membership`, whose :func:`check_membership`
+accepts it only when every entry is 0 or 1 before any cast, so 0.5, 257
+and NaN are refused rather than truncated.  :meth:`GroupSet.select`
+picks groups by name, in the order asked for, and
+:meth:`GroupSet.matrix` gives the dense matrix back, C-contiguous.
 
 Grouping reads three per-sample fields and a few numbers measured on
 each sample's code text (:data:`TEXT_FEATURES`, defined in the
@@ -47,65 +50,148 @@ ALL_GROUP = "ALL"
 UNKNOWN_LENGTH_GROUP = "len_unknown"
 
 
-def check_membership(membership, n_groups: int, n_samples: int | None = None) -> np.ndarray:
-    """``membership`` as an array, checked to be (n_samples, n_groups) and all 0/1.
+def check_membership(membership, n_groups: int) -> np.ndarray:
+    """``membership`` as an array, checked to be (n, n_groups) and all 0/1.
 
-    Values are compared before any cast, so a caller casting the result
-    to int8 or bool cannot turn 0.5, 257 or NaN into a membership.
-    ``n_samples=None`` accepts any row count.
+    Values are compared before any cast, so 0.5, 257 or NaN never
+    become a membership.
     """
     g = np.asarray(membership)
-    wrong_rows = n_samples is not None and g.shape[:1] != (n_samples,)
-    if g.ndim != 2 or g.shape[1] != n_groups or wrong_rows:
-        rows = "n" if n_samples is None else n_samples
-        raise DataError(f"membership must have shape ({rows}, {n_groups}), got {g.shape}")
+    if g.ndim != 2 or g.shape[1] != n_groups:
+        raise DataError(f"membership must have shape (n, {n_groups}), got {g.shape}")
     if not np.all((g == 0) | (g == 1)):
         raise DataError("membership entries must be 0 or 1")
     return g
 
 
+def _offsets(counts) -> np.ndarray:
+    """Where each group's members start, then where the last one's end."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+
+
+def _stable_order(values: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of integers in [-bound, bound): a radix sort where they fit 16 bits."""
+    return np.argsort(values.astype(np.min_scalar_type(-bound)), kind="stable")
+
+
 @dataclass
 class GroupSet:
-    """Named binary membership columns over a fixed sample ordering."""
+    """Named groups over ``n_samples`` samples, each held as its member rows.
+
+    Group ``j``, named ``names[j]``, has the members
+    ``rows[starts[j]:starts[j + 1]]``, ascending, so ``rows`` (int32)
+    lists every membership group after group.
+    """
 
     names: list[str]
-    membership: np.ndarray
+    n_samples: int
+    rows: np.ndarray
+    starts: np.ndarray
+    # by_row sorts the positions in ``rows`` by row; row r's are by_row[at[r]:at[r + 1]].
+    _by_row: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        membership = check_membership(self.membership, len(self.names))
-        self.membership = membership.astype(np.int8, copy=False)
         if len(set(self.names)) != len(self.names):
             raise DataError("group names must be unique")
+        rows, starts, k = np.asarray(self.rows), np.asarray(self.starts), len(self.names)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu" or starts.dtype.kind not in "iu":
+            raise DataError("group rows and starts must be 1-d integer arrays")
+        if starts.shape != (k + 1,) or (starts[0], starts[-1]) != (0, rows.size):
+            raise DataError(f"group starts must run from 0 to {rows.size} over {k} groups")
+        if np.any(np.diff(starts) < 0):
+            raise DataError("group starts must not decrease")
+        if rows.size and not 0 <= rows.min() <= rows.max() < self.n_samples:
+            raise DataError(f"group rows must lie in [0, {self.n_samples})")
+        # Rows may fall back only where a group starts.
+        rises = np.diff(rows) > 0
+        rises[starts[(0 < starts) & (starts < rows.size)] - 1] = True
+        if not rises.all():
+            raise DataError("group rows must ascend within each group")
+        self.rows = rows.astype(np.int32, copy=False)
+        self.starts = starts.astype(np.intp, copy=False)
+
+    @classmethod
+    def from_membership(cls, names, membership) -> "GroupSet":
+        """The groups of a dense ``(n, k)`` 0/1 matrix, column ``j`` named ``names[j]``.
+
+        :func:`check_membership` refuses any entry but 0 and 1.
+        """
+        g = check_membership(membership, len(names))
+        group, rows = np.nonzero(g.T)
+        return cls(list(names), len(g), rows, _offsets(np.bincount(group, minlength=len(names))))
+
+    @classmethod
+    def from_codes(cls, n_samples: int, families) -> "GroupSet":
+        """Groups from per-sample codes, one family of groups after another.
+
+        Each family is ``(names, codes)``: sample ``i`` is in the group
+        ``names[codes[i]]``, or in none of the family's where that is -1.
+        """
+        names, rows, counts = [], [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.intp)]
+        for family, codes in families:
+            names += family
+            # A stable sort keeps each group's rows ascending; the -1s lead.
+            order = _stable_order(codes, len(family))
+            counts.append(np.bincount(codes[codes >= 0], minlength=len(family)))
+            rows.append(order[order.size - counts[-1].sum() :].astype(np.int32))
+        return cls(names, n_samples, np.concatenate(rows), _offsets(np.concatenate(counts)))
 
     @property
-    def n_samples(self) -> int:
-        return self.membership.shape[0]
+    def counts(self) -> np.ndarray:
+        """Members in each group."""
+        return np.diff(self.starts)
 
     @property
     def masses(self) -> np.ndarray:
         """Fraction of samples in each group."""
-        if self.membership.shape[0] == 0:
-            return np.zeros(len(self.names))
-        return self.membership.mean(axis=0)
+        return self.counts / max(self.n_samples, 1)
 
     @property
     def degenerate(self) -> list[str]:
         """Names of groups with zero mass."""
-        masses = self.masses
-        return [name for name, m in zip(self.names, masses) if m == 0.0]
+        return [name for name, count in zip(self.names, self.counts) if count == 0]
 
-    def select(self, names: list[str]) -> np.ndarray:
-        """C-contiguous int8 columns matching ``names``, in that order.
+    def members(self, j: int) -> np.ndarray:
+        """Rows of group ``j``, ascending."""
+        return self.rows[self.starts[j] : self.starts[j + 1]]
 
-        C order is part of the contract: BLAS rounding follows memory
-        layout, so every fitted float depends on it.  ``take`` keeps C
-        order where a fancy index ``[:, cols]`` would return F order.
+    def pairs(self, among=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(group, row)`` of each membership, in the order of ``rows``.
+
+        With ``among``, an array of distinct rows, only those rows' memberships.
         """
+        if among is None:
+            return np.repeat(np.arange(len(self.names)), self.counts), self.rows
+        if self._by_row is None:
+            at = _offsets(np.bincount(self.rows, minlength=self.n_samples))
+            self._by_row = _stable_order(self.rows, self.n_samples), at
+        by_row, at = self._by_row
+        lo, sizes = at[among], at[among + 1] - at[among]
+        # Entries lo .. lo + size - 1 of by_row for each row, then back in order.
+        gather = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        positions = np.sort(by_row[gather])
+        return np.searchsorted(self.starts, positions, side="right") - 1, self.rows[positions]
+
+    def select(self, names: list[str]) -> "GroupSet":
+        """The groups named ``names``, in that order."""
         index = {name: j for j, name in enumerate(self.names)}
         for name in names:
             if name not in index:
                 raise DataError(f"no group named {name!r}")
-        return self.membership.take([index[name] for name in names], axis=1)
+        picked = [index[name] for name in names]
+        rows = np.concatenate([self.rows[:0], *map(self.members, picked)])
+        return GroupSet(list(names), self.n_samples, rows, _offsets(self.counts[picked]))
+
+    def matrix(self) -> np.ndarray:
+        """The dense 0/1 matrix of these groups, one column per name in order.
+
+        It is C-contiguous int8, and that is part of the contract: BLAS
+        rounding follows memory layout, so every float fitted from it does.
+        """
+        out = np.zeros((self.n_samples, len(self.names)), dtype=np.int8)
+        group, rows = self.pairs()
+        out[rows, group] = 1
+        return out
 
 
 @dataclass(frozen=True)
@@ -151,28 +237,12 @@ def nearest_rank_quantile(values, q: float) -> float:
     return float(v[rank - 1])
 
 
-def _band_names(prefix: str, n_bands: int) -> list[str]:
-    if n_bands == 2:
-        return [f"{prefix}_low", f"{prefix}_high"]
-    if n_bands == 3:
-        return [f"{prefix}_low", f"{prefix}_mid", f"{prefix}_high"]
-    return [f"{prefix}_b{i}" for i in range(n_bands)]
-
-
-def _band_membership(values: np.ndarray, cutpoints: list[float]) -> np.ndarray:
-    """Band index per value; values at or above a cutpoint go to the upper band."""
-    bands = np.zeros(values.shape, dtype=int)
-    for cut in cutpoints:
-        bands += (values >= cut).astype(int)
-    return bands
-
-
-def _one_hot(indices: np.ndarray, n_cols: int) -> np.ndarray:
-    """int8 rows with a 1 at each index; a negative index gives an all-zero row."""
-    out = np.zeros((indices.size, n_cols), dtype=np.int8)
-    rows = np.flatnonzero(indices >= 0)
-    out[rows, indices[rows]] = 1
-    return out
+def _band_family(prefix: str, values: np.ndarray, cuts: list) -> tuple[list[str], np.ndarray]:
+    """The names of the bands ``cuts`` makes, and each value's band: the cuts it is at or above."""
+    n_bands = len(cuts) + 1
+    bands = {2: ["low", "high"], 3: ["low", "mid", "high"]}.get(n_bands)
+    names = [f"{prefix}_{band}" for band in bands or (f"b{i}" for i in range(n_bands))]
+    return names, (values[:, None] >= np.array(cuts, dtype=float)).sum(axis=1)
 
 
 class GroupColumns:
@@ -257,12 +327,12 @@ class GroupColumns:
         return self.feature("branches")
 
 
-def _label_membership(columns: GroupColumns, name: str, labels: list) -> np.ndarray:
-    """One column per label; a sample whose field value is not a label gets a zero row."""
+def _label_family(columns: GroupColumns, name: str, labels: list, prefix: str = "") -> tuple:
+    """One group per label, named with ``prefix``, holding the samples whose field is that label."""
     vocab, codes = columns.codes(name)
     position = {label: j for j, label in enumerate(labels)}
     lookup = np.array([position.get(v, -1) for v in vocab], dtype=np.intp)
-    return _one_hot(lookup[codes], len(labels))
+    return [prefix + label for label in labels], lookup[codes]
 
 
 def _cutpoints(values, what: str, count: int) -> list:
@@ -314,31 +384,24 @@ class GroupingModel:
 
     def apply(self, columns: GroupColumns) -> GroupSet:
         """Group the samples of ``columns``, led by the ALL group when ``always_on``."""
-        names: list[str] = [ALL_GROUP] if self.config.always_on else []
-        blocks = [np.ones((len(columns), len(names)), dtype=np.int8)]
-        if self.config.use_language:
-            names.extend(self.languages)
-            blocks.append(_label_membership(columns, "languages", self.languages))
-        for metric in self.config.length_metrics:
-            cuts = self.length_cutpoints[metric]
-            prefix = "len" if metric == "chars" else "loc"
-            bands = np.where(columns.known, _band_membership(columns.feature(metric), cuts), -1)
-            names.extend(_band_names(prefix, len(cuts) + 1))
-            blocks.append(_one_hot(bands, len(cuts) + 1))
-        if self.config.length_metrics:
+        n, config = len(columns), self.config
+        families = [([ALL_GROUP], np.zeros(n, dtype=np.intp))] if config.always_on else []
+        if config.use_language:
+            families.append(_label_family(columns, "languages", self.languages))
+        for metric in config.length_metrics:
+            prefix, cuts = "len" if metric == "chars" else "loc", self.length_cutpoints[metric]
+            names, bands = _band_family(prefix, columns.feature(metric), cuts)
+            families.append((names, np.where(columns.known, bands, -1)))
+        if config.length_metrics:
             # Single shared home for samples without code_text, kept even
             # when empty so the group list is identical across splits.
-            names.append(UNKNOWN_LENGTH_GROUP)
-            blocks.append((~columns.known).astype(np.int8)[:, None])
-        if self.config.complexity_source == "difficulty_label":
+            families.append(([UNKNOWN_LENGTH_GROUP], np.where(columns.known, -1, 0)))
+        if config.complexity_source == "difficulty_label":
             columns.require("difficulties", "difficulty label required for complexity groups")
-            names.extend(f"cx_{label}" for label in self.difficulty_labels)
-            blocks.append(_label_membership(columns, "difficulties", self.difficulty_labels))
-        elif self.config.complexity_source == "branch_heuristic":
-            bands = _band_membership(columns.branch_counts(), self.complexity_cutpoints)
-            names.extend(_band_names("cx", len(self.complexity_cutpoints) + 1))
-            blocks.append(_one_hot(bands, len(self.complexity_cutpoints) + 1))
-        return GroupSet(names, np.hstack(blocks))
+            families.append(_label_family(columns, "difficulties", self.difficulty_labels, "cx_"))
+        elif config.complexity_source == "branch_heuristic":
+            families.append(_band_family("cx", columns.branch_counts(), self.complexity_cutpoints))
+        return GroupSet.from_codes(n, families)
 
     def to_json(self) -> str:
         return json.dumps({"schema_version": 1, **asdict(self)}, sort_keys=True, indent=2)

@@ -10,7 +10,7 @@ the whole sample.
 
 import numpy as np
 
-from .binning import BinGrid, assign_bins, cell_sums, member_pairs
+from .binning import BinGrid, assign_bins, cell_sums
 from .errors import DataError
 from .groups import GroupSet
 from .report import NEG_INF, EvalReport
@@ -96,8 +96,7 @@ def evaluate(scores, labels, grid: BinGrid, groups: GroupSet | None = None) -> E
     per_group: dict[str, float] = {}
     summary: dict[str, dict] = {}
     if groups is not None:
-        pairs = member_pairs(groups.membership)
-        counts, rsums, ysums = cell_sums(bins, grid.m, pairs, y - p, y)
+        counts, rsums, ysums = cell_sums(bins, grid.m, groups, y - p, y)
         delta = rsums / np.maximum(counts, 1)
         share = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
         gasce = np.sum(share * delta * delta, axis=1)

@@ -170,12 +170,13 @@ def _score_lines(records, files, method: ConfidenceMethod | None, skip_missing: 
             p_hat, name, problem = obj.get("p_hat"), obj.get("method"), None
             if not isinstance(p_hat, (int, float)) or isinstance(p_hat, bool):
                 problem = "missing or non-numeric p_hat"
-            elif not 0.0 <= (p_hat := float(p_hat)) <= 1.0:  # NaN fails too
+            elif not 0 <= p_hat <= 1:  # NaN fails too; an int is compared before float() overflows
                 problem = f"p_hat {p_hat!r} outside [0, 1]"
             elif not isinstance(name, str):
                 problem = "missing method"
             if problem:
                 raise RecordError(problem, line=lineno, sample_id=sample.sample_id)
+            p_hat = float(p_hat)
         else:
             try:
                 p_hat = score_sample(sample, method)

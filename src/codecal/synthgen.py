@@ -78,7 +78,7 @@ def generate(spec: SynthSpec) -> tuple[list[Sample], GroupSet]:
     the block's distribution, and its label from Bernoulli(block
     accuracy).  The block name is stamped into the difficulty field so
     label-based complexity groups work on synthetic data too.  The
-    returned GroupSet marks block membership.
+    returned GroupSet holds one group per block.
     """
     rng = np.random.default_rng(spec.seed)
     masses = np.array([b.mass for b in spec.blocks])
@@ -112,6 +112,5 @@ def generate(spec: SynthSpec) -> tuple[list[Sample], GroupSet]:
                 difficulty=block.name,
             )
         )
-    membership = np.zeros((spec.n_samples, len(spec.blocks)), dtype=np.int8)
-    membership[np.arange(spec.n_samples), block_idx] = 1
-    return samples, GroupSet([b.name for b in spec.blocks], membership)
+    names = [b.name for b in spec.blocks]
+    return samples, GroupSet.from_codes(spec.n_samples, [(names, block_idx)])

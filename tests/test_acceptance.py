@@ -76,7 +76,8 @@ def test_criterion_1_metric_oracle_equivalence():
         if members.sum() == 0:
             members[int(rng.integers(0, n))] = 1
         s, l = scores.tolist(), labels.tolist()
-        report = evaluate(scores, labels, BinGrid(m), GroupSet(["g"], members[:, None]))
+        groups = GroupSet.from_membership(["g"], members[:, None])
+        report = evaluate(scores, labels, BinGrid(m), groups)
         ok &= abs(report.ece - brute_ece(s, l, m)) <= 1e-12
         ok &= abs(report.brier - brute_brier(s, l)) <= 1e-12
         ref_bss = brute_bss(s, l)
@@ -129,17 +130,17 @@ def test_criterion_3_linear_group_unbiasedness():
     languages = np.array([s.language for s in samples])
     columns = np.column_stack(
         [
-            block_groups.select(["clean", "messy"]),
+            block_groups.select(["clean", "messy"]).matrix(),
             (languages == "python").astype(int),
             (languages == "cpp").astype(int),
         ]
     )
-    groups = GroupSet(["clean", "messy", "lang_python", "lang_cpp"], columns)
+    groups = GroupSet.from_membership(["clean", "messy", "lang_python", "lang_cpp"], columns)
     model = fit_gcur_linear(p, y, groups)
     calibrated = model.apply(p, groups.select(model.group_names))
     worst = max(
         abs(float(np.mean(y[member] - calibrated[member])))
-        for member in groups.membership.T.astype(bool)
+        for member in groups.matrix().T.astype(bool)
     )
     _report(3, "linear recalibration group unbiasedness", worst <= 1e-8)
 

@@ -8,10 +8,10 @@ from codecal.binning import (
     BinGrid,
     assign_bins,
     cell_sums,
-    member_pairs,
     round_to_grid_index,
 )
 from codecal.errors import DataError
+from codecal.groups import GroupSet
 
 from oracles import brute_bin_of, brute_nearest_grid
 
@@ -141,7 +141,9 @@ class TestCellSums:
     @given(memberships())
     def test_matches_per_group_bincount(self, case):
         membership, cells, m, weights = case
-        counts, *sums = cell_sums(cells, m, member_pairs(membership), *weights)
+        names = [f"g{j}" for j in range(membership.shape[1])]
+        groups = GroupSet.from_membership(names, membership)
+        counts, *sums = cell_sums(cells, m, groups, *weights)
         ref_counts, ref_sums = per_group_bincount(membership, cells, m, weights)
         assert counts.shape == (membership.shape[1], m)
         assert np.array_equal(counts, ref_counts)
@@ -153,13 +155,31 @@ class TestCellSums:
         _, cells, m, weights = case
         everyone = np.ones((cells.size, 1), dtype=np.int8)
         got = cell_sums(cells, m, None, *weights)
-        want = cell_sums(cells, m, member_pairs(everyone), *weights)
+        want = cell_sums(cells, m, GroupSet.from_membership(["ALL"], everyone), *weights)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
     def test_pairs_are_group_major(self):
-        membership = np.array([[1, 1], [0, 1], [1, 0]])
-        k, group, row = member_pairs(membership)
-        assert k == 2
+        groups = GroupSet.from_membership(["a", "b"], np.array([[1, 1], [0, 1], [1, 0]]))
+        assert groups.rows.tolist() == [0, 2, 0, 1]
+        assert groups.starts.tolist() == [0, 2, 4]
+        group, row = groups.pairs()
         assert group.tolist() == [0, 0, 1, 1]
         assert row.tolist() == [0, 2, 0, 1]
+
+    @given(memberships(), st.data())
+    def test_rows_of_some_cells_give_their_sums(self, case, data):
+        """Counting only the rows in some cells gives those cells' full tables bit for bit."""
+        membership, cells, m, weights = case
+        groups = GroupSet.from_membership([f"g{j}" for j in range(membership.shape[1])], membership)
+        chosen = data.draw(st.lists(st.integers(1, m), max_size=3))
+        rows = np.flatnonzero(np.isin(cells, chosen))
+        group, row = groups.pairs()
+        picked = np.isin(row, rows)
+        got_group, got_row = groups.pairs(among=rows)
+        assert np.array_equal(got_group, group[picked]) and np.array_equal(got_row, row[picked])
+        cols = np.array(chosen, dtype=int) - 1
+        full = cell_sums(cells, m, groups, *weights)
+        sub = cell_sums(cells, m, groups, *weights, among=rows)
+        for whole, part in zip(full, sub):
+            assert np.array_equal(whole[:, cols], part[:, cols])

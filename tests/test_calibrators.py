@@ -47,18 +47,19 @@ from oracles import reference_ighb
 def led_by_all(names, *blocks):
     """The int8 ``blocks`` side by side as named groups after an ALL group, as grouping puts it."""
     n = blocks[0].shape[0]
-    return GroupSet(["ALL", *names], np.hstack([np.ones((n, 1), dtype=np.int8), *blocks]))
+    dense = np.hstack([np.ones((n, 1), dtype=np.int8), *blocks])
+    return GroupSet.from_membership(["ALL", *names], dense)
 
 
-def ones_groups(n):
-    return GroupSet(["ALL"], np.ones((n, 1), dtype=int))
+def ones_groups(n, name="ALL"):
+    return GroupSet.from_membership([name], np.ones((n, 1), dtype=int))
 
 
 def two_block_groups(n_first, n_second):
     cols = np.zeros((n_first + n_second, 2), dtype=int)
     cols[:n_first, 0] = 1
     cols[n_first:, 1] = 1
-    return GroupSet(["a", "b"], cols)
+    return GroupSet.from_membership(["a", "b"], cols)
 
 
 class TestSigmoidLogit:
@@ -169,9 +170,9 @@ class TestGcurLinear:
                 (np.arange(n) % 2 == 0).astype(int),
             ]
         )
-        groups = GroupSet(["ALL", "head", "even"], cols)
+        groups = GroupSet.from_membership(["ALL", "head", "even"], cols)
         model = fit_gcur_linear(p, y, groups)
-        q = model.apply(p, cols)
+        q = model.apply(p, groups)
         for j in range(3):
             mask = cols[:, j].astype(bool)
             assert abs(float(np.mean(y[mask] - q[mask]))) <= 1e-8
@@ -186,13 +187,13 @@ class TestGcurLinear:
                 np.ones(20, dtype=int),
             ]
         )
-        model = fit_gcur_linear(p, y, GroupSet(["a", "b", "ALL"], cols))
+        model = fit_gcur_linear(p, y, GroupSet.from_membership(["a", "b", "ALL"], cols))
         assert model.dependent_columns == ["ALL"]
         assert np.all(np.isfinite(model.lambdas))
 
     def test_degenerate_group_dropped_and_recorded(self):
         cols = np.column_stack([np.ones(10, dtype=int), np.zeros(10, dtype=int)])
-        groups = GroupSet(["ALL", "ghost"], cols)
+        groups = GroupSet.from_membership(["ALL", "ghost"], cols)
         y = np.array([1, 0] * 5, dtype=float)
         model = fit_gcur_linear(np.full(10, 0.5), y, groups)
         assert model.group_names == ["ALL"]
@@ -200,7 +201,7 @@ class TestGcurLinear:
 
     def test_apply_clamps(self):
         model = GcurModel(variant="linear", group_names=["ALL"], lambdas=[0.1])
-        out = model.apply(np.array([0.85, 0.95]), np.ones((2, 1), dtype=int))
+        out = model.apply(np.array([0.85, 0.95]), ones_groups(2))
         assert out[0] == pytest.approx(0.95, abs=1e-12)
         assert out[1] == 1.0
 
@@ -237,17 +238,17 @@ def memberships_with_dependencies(draw):
             b = cols[draw(st.integers(0, len(cols) - 1))]
             cols.append(a | b if not np.any(a & b) else a.copy())
     membership = np.column_stack(cols)
-    return GroupSet([f"g{j}" for j in range(membership.shape[1])], membership)
+    return GroupSet.from_membership([f"g{j}" for j in range(membership.shape[1])], membership)
 
 
 class TestDependentColumns:
     @given(memberships_with_dependencies())
     def test_matches_rank_reference(self, groups):
-        assume(groups.membership.any())
+        assume(groups.matrix().any())
         n = groups.n_samples
         model = fit_gcur_linear(np.full(n, 0.5), np.arange(n) % 2, groups)
         kept = model.group_names
-        want = rank_dependent_columns(groups.select(kept), kept)
+        want = rank_dependent_columns(groups.select(kept).matrix(), kept)
         assert model.dependent_columns == (want if len(kept) > 1 else [])
 
     def test_independent_column_after_copies(self):
@@ -258,7 +259,7 @@ class TestDependentColumns:
         base[[4, 7, 8, 9, 12, 13, 14, 15, 16, 19, 22, 23]] = 1
         near = base.copy()
         near[3] = 1
-        groups = GroupSet(list("abcdef"), np.column_stack([base] * 5 + [near]))
+        groups = GroupSet.from_membership(list("abcdef"), np.column_stack([base] * 5 + [near]))
         model = fit_gcur_linear(np.full(24, 0.5), np.arange(24) % 2, groups)
         assert model.dependent_columns == list("bcde")
 
@@ -271,7 +272,7 @@ class TestGcurLogistic:
         p = sigmoid(z)
         member = (rng.random(n) < 0.5).astype(int).reshape(-1, 1)
         y = (rng.random(n) < sigmoid(z + member[:, 0])).astype(float)
-        model = fit_gcur_logistic(p, y, GroupSet(["boost"], member))
+        model = fit_gcur_logistic(p, y, GroupSet.from_membership(["boost"], member))
         assert model.convergence["converged"]
         assert model.intercept == pytest.approx(0.0, abs=0.1)
         assert model.score_coef == pytest.approx(1.0, abs=0.1)
@@ -289,7 +290,7 @@ class TestGcurLogistic:
             score_coef=3.0,
             group_coefs=[-4.0],
         )
-        out = model.apply(np.linspace(0.0, 1.0, 21), np.ones((21, 1), dtype=int))
+        out = model.apply(np.linspace(0.0, 1.0, 21), ones_groups(21, "a"))
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -390,7 +391,7 @@ class TestIghb:
         assert patch["group"] == 0
         assert patch["cell"] == 10
         assert patch["delta"] == pytest.approx(0.15, abs=1e-12)
-        out = model.apply(np.array([0.5]), np.ones((1, 1), dtype=int))
+        out = model.apply(np.array([0.5]), ones_groups(1))
         assert out[0] == pytest.approx(0.65, abs=1e-15)
 
     def test_already_within_budget(self):
@@ -409,7 +410,7 @@ class TestIghb:
         assert not model.converged
         assert model.stop_reason == "no_progress"
         assert model.patches == []
-        out = model.apply(p, np.ones((4, 1), dtype=int))
+        out = model.apply(p, ones_groups(4))
         np.testing.assert_allclose(out, 0.05, atol=1e-15)
 
     def test_iteration_cap(self):
@@ -433,10 +434,10 @@ class TestIghb:
         p = rng.random(300)
         y = rng.integers(0, 2, size=300)
         cols = np.column_stack([np.ones(300, dtype=int), (p < 0.5).astype(int)])
-        groups = GroupSet(["ALL", "low"], cols)
+        groups = GroupSet.from_membership(["ALL", "low"], cols)
         model = fit_ighb(p, y, groups, BinGrid(10))
-        first = model.apply(p, cols)
-        second = model.apply(p, cols)
+        first = model.apply(p, groups)
+        second = model.apply(p, groups)
         np.testing.assert_array_equal(first, second)
         assert first.min() >= 0.1 - 1e-15 and first.max() <= 1.0
 
@@ -459,7 +460,7 @@ class TestIglb:
         assert patch["bin"] == 1
         assert patch["alpha"] == pytest.approx(np.log(4.0), abs=1e-3)
         assert patch["beta"] == 0.0
-        out = model.apply(np.array([0.5]), np.ones((1, 1), dtype=int))
+        out = model.apply(np.array([0.5]), ones_groups(1))
         assert out[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_val_brier_history_strictly_decreasing(self):
@@ -499,7 +500,7 @@ class TestIglb:
 
     def test_group_name_mismatch_rejected(self):
         p, y, groups = self.fixture()
-        other = GroupSet(["other"], np.ones((10, 1), dtype=int))
+        other = GroupSet.from_membership(["other"], np.ones((10, 1), dtype=int))
         with pytest.raises(DataError):
             fit_iglb(p, y, p.copy(), y.copy(), groups, other, BinGrid(10))
 
@@ -599,7 +600,7 @@ def pinned_split(n, seed):
     )
     codes = np.array([languages.index(s.language) for s in samples])
     in_language = (codes[:, None] == np.arange(len(languages))).astype(np.int8)
-    groups = led_by_all([*block_groups.names, *languages], block_groups.membership, in_language)
+    groups = led_by_all([*block_groups.names, *languages], block_groups.matrix(), in_language)
     p = np.array([math.exp(s.token_logprobs[0]) for s in samples])
     y = np.array([s.label for s in samples], dtype=float)
     return p, y, groups
@@ -691,14 +692,9 @@ class TestPinnedPatchSequences:
 
 
 class TestSerialization:
-    def roundtrip(self, model, scores, membership=None):
+    def roundtrip(self, model, scores, groups=None):
         restored = model_from_json(model_to_json(model))
-        if membership is None:
-            np.testing.assert_array_equal(model.apply(scores), restored.apply(scores))
-        else:
-            np.testing.assert_array_equal(
-                model.apply(scores, membership), restored.apply(scores, membership)
-            )
+        np.testing.assert_array_equal(model.apply(scores, groups), restored.apply(scores, groups))
         assert model_to_json(restored) == model_to_json(model)
 
     def test_all_methods_round_trip(self):
@@ -707,26 +703,26 @@ class TestSerialization:
         p = rng.uniform(0.05, 0.95, n)
         y = (rng.random(n) < p).astype(float)
         cols = np.column_stack([np.ones(n, dtype=int), (p > 0.5).astype(int)])
-        groups = GroupSet(["ALL", "high"], cols)
+        groups = GroupSet.from_membership(["ALL", "high"], cols)
         grid = BinGrid(10)
         half = n // 2
         train = slice(0, half)
         val = slice(half, n)
-        tg = GroupSet(["ALL", "high"], cols[train])
-        vg = GroupSet(["ALL", "high"], cols[val])
+        tg = GroupSet.from_membership(["ALL", "high"], cols[train])
+        vg = GroupSet.from_membership(["ALL", "high"], cols[val])
         self.roundtrip(fit_platt(p, y), p)
         self.roundtrip(fit_histogram_binning(p, y, grid), p)
-        self.roundtrip(fit_gcur_linear(p, y, groups), p, cols)
-        self.roundtrip(fit_gcur_logistic(p, y, groups), p, cols)
-        self.roundtrip(fit_ighb(p, y, groups, grid), p, cols)
+        self.roundtrip(fit_gcur_linear(p, y, groups), p, groups)
+        self.roundtrip(fit_gcur_logistic(p, y, groups), p, groups)
+        self.roundtrip(fit_ighb(p, y, groups, grid), p, groups)
         self.roundtrip(
-            fit_iglb(p[train], y[train], p[val], y[val], tg, vg, grid), p, cols
+            fit_iglb(p[train], y[train], p[val], y[val], tg, vg, grid), p, groups
         )
 
     def test_membership_arity_mismatch(self):
         model = GcurModel(variant="linear", group_names=["a", "b"], lambdas=[0.1, 0.2])
         with pytest.raises(DataError):
-            model.apply(np.array([0.5]), np.ones((1, 1), dtype=int))
+            model.apply(np.array([0.5]), ones_groups(1, "a"))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DataError):
@@ -763,7 +759,7 @@ class TestSerialization:
 
 
 def applied_model(kind):
-    """(model, membership) with a one-group membership matrix where the model reads one."""
+    """A model of ``kind``; the grouped ones read one group, named "a"."""
     if kind == "platt":
         return PlattModel(a=1.0, b=0.0)
     if kind == "histogram":
@@ -788,23 +784,23 @@ class TestApplyScoreCheck:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_empty_scores(self, kind):
         with pytest.raises(DataError, match="need at least one score to apply"):
-            applied_model(kind).apply(np.array([]), np.ones((0, 1), dtype=int))
+            applied_model(kind).apply(np.array([]), ones_groups(0, "a"))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_two_dimensional_scores(self, kind):
         with pytest.raises(DataError, match=r"scores must be a 1-d array, got shape \(2, 2\)"):
-            applied_model(kind).apply(np.full((2, 2), 0.5), np.ones((2, 1), dtype=int))
+            applied_model(kind).apply(np.full((2, 2), 0.5), ones_groups(2, "a"))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_scores_outside_unit_interval(self, kind):
         with pytest.raises(DataError, match=r"scores must lie in \[0, 1\]"):
-            applied_model(kind).apply(np.array([0.5, 1.5]), np.ones((2, 1), dtype=int))
+            applied_model(kind).apply(np.array([0.5, 1.5]), ones_groups(2, "a"))
 
     @pytest.mark.parametrize("kind", ["gcur", "ighb"])
     @pytest.mark.parametrize("value", [0.5, 257, float("nan")])
     def test_group_models_refuse_non_binary_membership(self, kind, value):
         with pytest.raises(DataError, match="membership entries must be 0 or 1"):
-            applied_model(kind).apply(np.array([0.5]), np.array([[value]]))
+            applied_model(kind).apply(np.array([0.5]), GroupSet.from_membership(["a"], [[value]]))
 
 
 def grouping_split(n, seed):
@@ -834,7 +830,7 @@ class TestGroupColumnLayout:
 
     def reference_columns(self, groups):
         kept = [name for name in groups.names if name not in groups.degenerate]
-        cols = [groups.membership[:, groups.names.index(name)] for name in kept]
+        cols = [groups.matrix()[:, groups.names.index(name)] for name in kept]
         return kept, np.column_stack(cols).astype(float)
 
     def test_gcur_linear_lambdas(self):
@@ -1026,7 +1022,7 @@ class TestMalformedModels:
 
 def _all_fitted(p, y, groups, grid):
     half = p.size // 2
-    names, g = groups.names, groups.membership
+    names, g = groups.names, groups.matrix()
     return [
         fit_platt(p, y),
         fit_histogram_binning(p, y, grid),
@@ -1035,7 +1031,9 @@ def _all_fitted(p, y, groups, grid):
         fit_ighb(p, y, groups, grid),
         fit_iglb(
             p[:half], y[:half], p[half:], y[half:],
-            GroupSet(names, g[:half]), GroupSet(names, g[half:]), grid,
+            GroupSet.from_membership(names, g[:half]),
+            GroupSet.from_membership(names, g[half:]),
+            grid,
         ),
     ]
 
@@ -1124,7 +1122,7 @@ class TestRoundTripProperty:
         assume(0 < y.sum() < n)
         membership = (rng.random((n, k)) < 0.5).astype(np.int8)
         membership[:, 0] = 1
-        groups = GroupSet([f"g{j}" for j in range(k)], membership)
+        groups = GroupSet.from_membership([f"g{j}" for j in range(k)], membership)
         for model in _all_fitted(p, y, groups, BinGrid(m)):
             restored = model_from_json(model_to_json(model))
             assert model_to_json(restored) == model_to_json(model)
@@ -1187,7 +1185,7 @@ def synth_split(blocks, n, seed):
     samples, block_groups = generate(spec)
     p = np.array([math.exp(s.token_logprobs[0]) for s in samples])
     y = np.array([s.label for s in samples], dtype=float)
-    return p, y, led_by_all(block_groups.names, block_groups.membership)
+    return p, y, led_by_all(block_groups.names, block_groups.matrix())
 
 
 class TestFitterProperties:
@@ -1200,7 +1198,7 @@ class TestFitterProperties:
         p, y, groups = synth_split(blocks, n, seed)
         grid = BinGrid(m)
         model = fit_ighb(p, y, groups, grid, alpha)
-        g = groups.select(model.group_names).astype(bool)
+        g = groups.select(model.group_names)
         cells = round_to_grid_index(p, grid)
         for patch in model.patches:
             moved = _apply_patch("ighb", cells, g, patch, grid)
@@ -1225,10 +1223,10 @@ class TestFitterProperties:
         y = (rng.random(n) < 0.5).astype(float)
         membership = (rng.random((n, k)) < 0.6).astype(np.int8)
         membership = np.hstack([membership, membership[:, :duplicates]])
-        groups = GroupSet([f"g{j}" for j in range(membership.shape[1])], membership)
+        groups = GroupSet.from_membership([f"g{j}" for j in range(membership.shape[1])], membership)
         assume(membership.any())
         model = fit_ighb(p, y, groups, BinGrid(m), alpha, max_iters=200)
-        g = groups.select(model.group_names).astype(bool)
+        g = groups.select(model.group_names).matrix().astype(bool)
         patches, reason = reference_ighb(p, y, g, m, alpha, max_iters=200)
         assert model.stop_reason == reason
 
@@ -1244,8 +1242,8 @@ class TestFitterProperties:
         model = fit_ighb(p, y, groups, BinGrid(m), alpha)
         if model.stop_reason != "error_budget":
             return
-        g = groups.select(model.group_names).astype(bool)
-        cells = np.rint(model.apply(p, g) * m).astype(int)
+        g = groups.select(model.group_names).matrix().astype(bool)
+        cells = np.rint(model.apply(p, groups) * m).astype(int)
         for member in g.T:
             # Mass times gASCE on the rounded cells, from the definition.
             weighted = 0.0
@@ -1265,10 +1263,10 @@ class TestFitterProperties:
         history = model.val_brier_history
         assert len(history) == len(model.patches) + 1
         assert all(b < a for a, b in zip(history, history[1:]))
-        g = groups.select(model.group_names).astype(bool)
+        g = groups.select(model.group_names)
         cells = round_to_grid_index(p, grid)
         for patch in model.patches:
-            assert _region(cells, g, patch).sum() / n >= epsilon
+            assert _region(cells, g, patch).size / n >= epsilon
             cells = _apply_patch("iglb", cells, g, patch, grid)
 
     @settings(max_examples=60, deadline=None)

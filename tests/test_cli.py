@@ -980,7 +980,7 @@ VALID_REPORT = json.loads(
         [0.2, 0.7, 0.9, 0.4],
         [0, 1, 1, 1],
         BinGrid(10),
-        GroupSet(["ALL", "a", "b"], [[1, 1, 0], [1, 0, 1], [1, 1, 0], [1, 0, 0]]),
+        GroupSet.from_membership(["ALL", "a", "b"], [[1, 1, 0], [1, 0, 1], [1, 1, 0], [1, 0, 0]]),
     ).to_json()
 )
 

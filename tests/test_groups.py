@@ -1,10 +1,12 @@
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from codecal.data import Sample
 from codecal.errors import DataError, RecordError
@@ -17,7 +19,6 @@ from codecal.groups import (
     GroupingModel,
     GroupSet,
     branch_count,
-    check_membership,
     nearest_rank_quantile,
 )
 
@@ -39,47 +40,89 @@ def make_sample(i, language="python", code_text=None, difficulty=None):
 
 class TestGroupSet:
     def test_masses(self):
-        gs = GroupSet(["a", "b"], np.array([[1, 0], [1, 0], [0, 0]]))
+        gs = GroupSet.from_membership(["a", "b"], np.array([[1, 0], [1, 0], [0, 0]]))
         np.testing.assert_allclose(gs.masses, [2 / 3, 0.0])
         assert gs.degenerate == ["b"]
 
     def test_rejects_non_binary(self):
         with pytest.raises(DataError):
-            GroupSet(["a"], np.array([[2], [0]]))
+            GroupSet.from_membership(["a"], np.array([[2], [0]]))
 
     @pytest.mark.parametrize("value", [0.5, 257, float("nan")])
     def test_refuses_values_a_cast_would_hide(self, value):
         # int8 would turn these into 0, 1 and 0; they are checked before any cast.
         with pytest.raises(DataError, match="membership entries must be 0 or 1"):
-            GroupSet(["a"], np.array([[value]]))
+            GroupSet.from_membership(["a"], np.array([[value]]))
 
     @pytest.mark.parametrize("dtype", [bool, int, float])
     def test_accepts_binary_of_any_dtype(self, dtype):
-        gs = GroupSet(["a", "b"], np.array([[1, 0], [0, 1]], dtype=dtype))
-        assert gs.membership.dtype == np.int8
-        np.testing.assert_array_equal(gs.membership, [[1, 0], [0, 1]])
+        gs = GroupSet.from_membership(["a", "b"], np.array([[1, 0], [0, 1]], dtype=dtype))
+        assert gs.matrix().dtype == np.int8
+        np.testing.assert_array_equal(gs.matrix(), [[1, 0], [0, 1]])
 
     def test_rejects_wrong_column_count(self):
         with pytest.raises(DataError, match=r"membership must have shape \(n, 2\), got \(2, 1\)"):
-            GroupSet(["a", "b"], np.ones((2, 1)))
+            GroupSet.from_membership(["a", "b"], np.ones((2, 1)))
 
     def test_select_is_c_contiguous_in_requested_order(self):
         membership = np.asfortranarray(np.array([[1, 0, 1], [0, 1, 1]]))
-        gs = GroupSet(["a", "b", "c"], membership)
-        picked = gs.select(["c", "a"])
+        gs = GroupSet.from_membership(["a", "b", "c"], membership)
+        picked = gs.select(["c", "a"]).matrix()
         assert picked.flags.c_contiguous and picked.dtype == np.int8
         np.testing.assert_array_equal(picked, [[1, 1], [1, 0]])
-        assert gs.select([]).shape == (2, 0)
+        assert gs.select([]).matrix().shape == (2, 0)
         with pytest.raises(DataError, match="no group named 'z'"):
             gs.select(["a", "z"])
 
     def test_rejects_duplicate_names(self):
         with pytest.raises(DataError):
-            GroupSet(["a", "a"], np.zeros((2, 2)))
+            GroupSet.from_membership(["a", "a"], np.zeros((2, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dense_round_trip(self, data):
+        """Member lists give back the dense matrix, its masses and its empty groups bit for bit."""
+        n, k = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 6))
+        dense = data.draw(arrays(np.int8, (n, k), elements=st.integers(0, 1)))
+        dtype = data.draw(st.sampled_from([bool, np.int8, np.int64, float]))
+        names = [f"g{j}" for j in range(k)]
+        gs = GroupSet.from_membership(names, dense.astype(dtype))
+        cols = data.draw(st.permutations(range(k)))[: data.draw(st.integers(0, k))]
+        picked = gs.select([names[j] for j in cols]).matrix()
+        assert picked.flags.c_contiguous and picked.dtype == np.int8
+        assert picked.tobytes() == dense.take(cols, axis=1).tobytes()
+        assert picked.shape == (n, len(cols))
+        masses = np.zeros(k) if n == 0 else dense.mean(axis=0)
+        assert gs.masses.tobytes() == masses.tobytes()
+        assert gs.degenerate == [name for name, mass in zip(names, masses) if mass == 0.0]
+        assert gs.rows.dtype == np.int32
+        for j in range(k):
+            assert gs.members(j).tolist() == np.flatnonzero(dense[:, j]).tolist()
+
+    @pytest.mark.parametrize(
+        "rows, starts, message",
+        [
+            ([0, 3], [0, 1, 2], r"rows must lie in \[0, 3\)"),
+            ([-1], [0, 1, 1], r"rows must lie in \[0, 3\)"),
+            ([1, 0], [0, 2, 2], "rows must ascend within each group"),
+            ([1, 1], [0, 2, 2], "rows must ascend within each group"),
+            ([0, 1], [0, 1, 1], "starts must run from 0 to 2 over 2 groups"),
+            ([0, 1], [0, 2, 1, 2], "starts must not decrease"),
+            ([0.0], [0, 1, 1], "must be 1-d integer arrays"),
+        ],
+    )
+    def test_rejects_malformed_member_lists(self, rows, starts, message):
+        names = [f"g{j}" for j in range(len(starts) - 1)]
+        with pytest.raises(DataError, match=message):
+            GroupSet(names, 3, np.array(rows), np.array(starts))
+
+    def test_groups_may_overlap_in_any_order(self):
+        gs = GroupSet(["a", "b"], 3, np.array([2, 0, 1, 2]), np.array([0, 1, 4]))
+        assert gs.matrix().tolist() == [[0, 1], [0, 1], [1, 1]]
 
     def test_column_lookup(self):
-        gs = GroupSet(["a", "b"], np.array([[1, 0], [0, 1]]))
-        np.testing.assert_array_equal(gs.select(["b"])[:, 0], [0, 1])
+        gs = GroupSet.from_membership(["a", "b"], np.array([[1, 0], [0, 1]]))
+        np.testing.assert_array_equal(gs.select(["b"]).matrix()[:, 0], [0, 1])
         with pytest.raises(DataError):
             gs.select(["missing"])
 
@@ -114,7 +157,7 @@ class TestLengthGroups:
         cfg = LENGTH_ONLY
         gs = GroupingModel.fit(fit_on, cfg).apply(target)
         assert gs.names == ["len_low", "len_high", "len_unknown"]
-        np.testing.assert_array_equal(gs.membership, [[0, 1, 0]])
+        np.testing.assert_array_equal(gs.matrix(), [[0, 1, 0]])
 
     def test_loc_cut(self):
         fit_on = GroupColumns.from_samples(
@@ -124,13 +167,13 @@ class TestLengthGroups:
         cfg = replace(LENGTH_ONLY, length_metrics=("loc",))
         gs = GroupingModel.fit(fit_on, cfg).apply(target)
         assert gs.names == ["loc_low", "loc_high", "len_unknown"]
-        np.testing.assert_array_equal(gs.membership, [[0, 1, 0]])
+        np.testing.assert_array_equal(gs.matrix(), [[0, 1, 0]])
 
     def test_all_equal_lengths_degenerate_low(self):
         fit_on = self.fit_ds([7, 7, 7, 7])
         cfg = LENGTH_ONLY
         gs = GroupingModel.fit(fit_on, cfg).apply(fit_on)
-        assert gs.select(["len_high"])[:, 0].sum() == 4
+        assert gs.select(["len_high"]).matrix()[:, 0].sum() == 4
         assert "len_low" in gs.degenerate
 
     def test_unknown_code_text(self):
@@ -138,8 +181,8 @@ class TestLengthGroups:
         target = GroupColumns.from_samples([make_sample(99)])
         cfg = LENGTH_ONLY
         gs = GroupingModel.fit(fit_on, cfg).apply(target)
-        np.testing.assert_array_equal(gs.select(["len_unknown"])[:, 0], [1])
-        assert gs.select(["len_low", "len_high"]).tolist() == [[0, 0]]
+        np.testing.assert_array_equal(gs.select(["len_unknown"]).matrix()[:, 0], [1])
+        assert gs.select(["len_low", "len_high"]).matrix().tolist() == [[0, 0]]
 
     def test_cutpoints_come_from_fit_on_only(self):
         fit_on = self.fit_ds([10, 20, 30, 40])
@@ -149,7 +192,7 @@ class TestLengthGroups:
         model2 = GroupingModel.fit(fit_on, cfg)
         assert model.length_cutpoints == model2.length_cutpoints
         gs = model.apply(other)
-        np.testing.assert_array_equal(gs.select(["len_high"])[:, 0], [1, 1])
+        np.testing.assert_array_equal(gs.select(["len_high"]).matrix()[:, 0], [1, 1])
 
 
 class TestBranchCount:
@@ -206,7 +249,7 @@ class TestComplexityGroups:
         cfg = replace(COMPLEXITY_ONLY, complexity_source="branch_heuristic")
         gs = GroupingModel.fit(fit_on, cfg).apply(target)
         assert gs.names == ["cx_low", "cx_mid", "cx_high"]
-        np.testing.assert_array_equal(gs.membership, [[0, 1, 0]])
+        np.testing.assert_array_equal(gs.matrix(), [[0, 1, 0]])
 
     def test_difficulty_labels(self):
         ds = GroupColumns.from_samples(
@@ -215,7 +258,7 @@ class TestComplexityGroups:
         cfg = replace(COMPLEXITY_ONLY, complexity_source="difficulty_label")
         gs = GroupingModel.fit(ds, cfg).apply(ds)
         assert gs.names == ["cx_easy", "cx_hard"]
-        np.testing.assert_array_equal(gs.select(["cx_easy"])[:, 0], [1, 0, 1])
+        np.testing.assert_array_equal(gs.select(["cx_easy"]).matrix()[:, 0], [1, 0, 1])
 
     def test_missing_difficulty_errors(self):
         ds = GroupColumns.from_samples([make_sample(0)])
@@ -237,12 +280,12 @@ class TestLanguageGroups:
         )
         gs = GroupingModel.fit(ds, LANGUAGE_ONLY).apply(ds)
         assert gs.names == ["a", "b", "c"]
-        np.testing.assert_array_equal(gs.membership.sum(axis=1), np.ones(6))
+        np.testing.assert_array_equal(gs.matrix().sum(axis=1), np.ones(6))
 
     def test_unseen_language_gets_zero_row(self):
         ds = GroupColumns.from_samples([make_sample(0, language="lua")])
         gs = GroupingModel(LANGUAGE_ONLY, languages=["python", "rust"]).apply(ds)
-        np.testing.assert_array_equal(gs.membership, [[0, 0]])
+        np.testing.assert_array_equal(gs.matrix(), [[0, 0]])
 
 
 class TestAssemble:
@@ -252,13 +295,13 @@ class TestAssemble:
         ds = GroupColumns.from_samples([make_sample(0, language="g1"), make_sample(1, "g2")])
         gs = GroupingModel.fit(ds, replace(LANGUAGE_ONLY, always_on=True)).apply(ds)
         assert gs.names == ["ALL", "g1", "g2"]
-        np.testing.assert_array_equal(gs.membership, [[1, 1, 0], [1, 0, 1]])
+        np.testing.assert_array_equal(gs.matrix(), [[1, 1, 0], [1, 0, 1]])
 
     def test_no_all_column(self):
         ds = GroupColumns.from_samples([make_sample(0, language="g1"), make_sample(1, "g1")])
         gs = GroupingModel.fit(ds, LANGUAGE_ONLY).apply(ds)
         assert gs.names == ["g1"]
-        np.testing.assert_array_equal(gs.membership, [[1], [1]])
+        np.testing.assert_array_equal(gs.matrix(), [[1], [1]])
 
 
 class TestGroupingModel:
@@ -281,7 +324,7 @@ class TestGroupingModel:
         a = model.apply(ds)
         b = restored.apply(ds)
         assert a.names == b.names
-        np.testing.assert_array_equal(a.membership, b.membership)
+        np.testing.assert_array_equal(a.matrix(), b.matrix())
 
     def test_missing_config_is_data_error(self):
         model = GroupingModel.fit(self.make_ds(), GroupingConfig())
@@ -403,18 +446,23 @@ class TestGroupingModel:
         with pytest.raises(DataError, match=f"{flag} must be a boolean, got {value!r}"):
             GroupingModel.from_json(json.dumps(payload))
 
-    def test_apply_builds_one_group_set(self, monkeypatch):
-        ds = self.make_ds()
-        model = GroupingModel.fit(ds, GroupingConfig(complexity_source="difficulty_label"))
-        checked = []
-
-        def counting(membership, *args):
-            checked.append(np.shape(membership))
-            return check_membership(membership, *args)
-
-        monkeypatch.setattr("codecal.groups.check_membership", counting)
-        gs = model.apply(ds)
-        assert checked == [(4, len(gs.names))]
+    def test_apply_allocates_less_than_a_dense_matrix(self):
+        n = 20_000
+        rng = np.random.default_rng(0)
+        languages = [f"lang{i:03d}" for i in rng.integers(0, 400, n)]
+        features = {"chars": rng.integers(1, 500, n).astype(float)}
+        features["loc"] = features["chars"] // 20
+        ids = [f"s{i}" for i in range(n)]
+        columns = GroupColumns(ids, languages, [None] * n, [True] * n, features)
+        model = GroupingModel.fit(columns, GroupingConfig())
+        tracemalloc.start()
+        try:
+            gs = model.apply(columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(gs.names) == 406
+        assert peak < n * len(gs.names)
 
     def test_same_group_list_across_datasets(self):
         ds = self.make_ds()
@@ -615,8 +663,8 @@ class TestColumnGroupingMatchesReference:
                 continue
             names, membership = expected
             assert applied.names == names
-            assert np.array_equal(applied.membership, membership)
-            assert applied.membership.dtype == np.int8
+            assert np.array_equal(applied.matrix(), membership)
+            assert applied.matrix().dtype == np.int8
 
 
 class TestGroupColumns:

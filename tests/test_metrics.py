@@ -100,7 +100,7 @@ class TestAccuracy:
 
 def gasce(scores, labels, members, grid):
     """``evaluate``'s gASCE of the group of ``members`` (one 0/1 flag per sample)."""
-    group = GroupSet(["g"], np.asarray(members)[:, None])
+    group = GroupSet.from_membership(["g"], np.asarray(members)[:, None])
     return evaluate(scores, labels, grid, group).per_group_gasce["g"]
 
 
@@ -122,7 +122,7 @@ class TestGasce:
 
     def test_empty_group_rejected(self):
         # An empty group has nothing to average: it gets no gASCE entry.
-        report = evaluate([0.5], [1], BinGrid(10), GroupSet(["g"], [[0]]))
+        report = evaluate([0.5], [1], BinGrid(10), GroupSet.from_membership(["g"], [[0]]))
         assert report.per_group_gasce == {}
         assert report.group_summary["g"]["degenerate"] is True
 
@@ -139,7 +139,8 @@ class TestBruteForceAgreement:
             scores, labels, members = random_instance(rng)
             m = int(rng.choice([2, 5, 20]))
             s, l = scores.tolist(), labels.tolist()
-            got = evaluate(scores, labels, BinGrid(m), GroupSet(["g"], members[:, None]))
+            groups = GroupSet.from_membership(["g"], members[:, None])
+            got = evaluate(scores, labels, BinGrid(m), groups)
             assert got.ece == pytest.approx(brute_ece(s, l, m), abs=1e-12)
             assert got.brier == pytest.approx(brute_brier(s, l), abs=1e-12)
             bss_ref = brute_bss(s, l)
@@ -172,24 +173,25 @@ class TestMulticalibrationCheck:
         labels = np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
         members = np.zeros((10, 1), dtype=int)
         members[0, 0] = 1
-        model = fit_ighb(scores, labels, GroupSet(["tiny"], members), BinGrid(10), alpha=0.05)
+        groups = GroupSet.from_membership(["tiny"], members)
+        model = fit_ighb(scores, labels, groups, BinGrid(10), alpha=0.05)
         assert (model.stop_reason, model.patches) == ("error_budget", [])
 
     def test_failing_group(self):
         scores = np.array([0.1] * 10)
         labels = np.array([1] * 10)
-        gs = GroupSet(["ALL"], np.ones((10, 1), dtype=int))
+        gs = GroupSet.from_membership(["ALL"], np.ones((10, 1), dtype=int))
         model = fit_ighb(scores, labels, gs, BinGrid(10), alpha=0.05)
         assert model.patches[0] == {"group": 0, "cell": 1, "delta": pytest.approx(0.9)}
 
     @pytest.mark.parametrize("alpha", [0.0, math.nan, math.inf])
     def test_alpha_must_be_positive_and_finite(self, alpha):
-        gs = GroupSet(["ALL"], np.ones((4, 1), dtype=int))
+        gs = GroupSet.from_membership(["ALL"], np.ones((4, 1), dtype=int))
         with pytest.raises(DataError, match="alpha must be positive and finite"):
             fit_ighb([0.5] * 4, [1, 0, 1, 0], gs, BinGrid(10), alpha=alpha)
 
     def test_degenerate_group_vacuous(self):
-        gs = GroupSet(["ALL", "empty"], np.array([[1, 0]] * 4))
+        gs = GroupSet.from_membership(["ALL", "empty"], np.array([[1, 0]] * 4))
         model = fit_ighb([0.5] * 4, [1, 0, 1, 0], gs, BinGrid(10), alpha=0.05)
         assert (model.stop_reason, model.patches) == ("error_budget", [])
         assert model.dropped_groups == ["empty"]
@@ -215,7 +217,7 @@ class TestEvalReport:
         rng = np.random.default_rng(5)
         scores = rng.random(50)
         labels = rng.integers(0, 2, size=50)
-        gs = GroupSet(
+        gs = GroupSet.from_membership(
             ["ALL", "half", "empty"],
             np.column_stack(
                 [

@@ -412,6 +412,8 @@ class TestLoadScored:
             ({"method": 3}, "missing method"),
             ({"token_logprobs": [-0.1, 0.5]}, "token logprob 0.5 must be finite and <= 0"),
             ({"label": 2}, "label must be 0 or 1, got 2"),
+            # float() of this int overflows, so it is compared as an int.
+            ({"p_hat": 10**400}, f"p_hat {10**400} outside [0, 1]"),
         ],
     )
     def test_errors_name_line_and_sample(self, tmp_path, change, message):
@@ -476,7 +478,7 @@ def grouped(columns, fit_columns, config):
         groups = model.apply(columns)
     except DataError as exc:
         return type(exc), str(exc)
-    return model.to_json(), groups.names, groups.membership.tobytes()
+    return model.to_json(), groups.names, groups.matrix().tobytes()
 
 
 class TestTextFeaturesInReader:

@@ -10,7 +10,7 @@ def small_report():
     scores = np.array([0.72, 0.68, 0.71, 0.25])
     labels = np.array([1, 0, 1, 0])
     cols = np.column_stack([np.ones(4, dtype=int), np.zeros(4, dtype=int)])
-    groups = GroupSet(["ALL", "empty & unused"], cols)
+    groups = GroupSet.from_membership(["ALL", "empty & unused"], cols)
     return evaluate(scores, labels, BinGrid(10), groups)
 
 
@@ -44,6 +44,6 @@ class TestGroupChart:
     def test_group_label_escaped(self):
         scores = np.array([0.5, 0.5])
         labels = np.array([1, 0])
-        groups = GroupSet(["len<40"], np.ones((2, 1), dtype=int))
+        groups = GroupSet.from_membership(["len<40"], np.ones((2, 1), dtype=int))
         svg = group_chart(evaluate(scores, labels, BinGrid(10), groups))
         assert "len&lt;40" in svg

@@ -75,8 +75,8 @@ class TestGenerate:
 
     def test_membership_is_one_hot(self):
         _, groups = generate(three_block_spec(1000, 3))
-        assert groups.membership.shape == (1000, 3)
-        np.testing.assert_array_equal(groups.membership.sum(axis=1), 1)
+        assert groups.matrix().shape == (1000, 3)
+        np.testing.assert_array_equal(groups.matrix().sum(axis=1), 1)
 
     def test_perfect_block_has_all_positive_labels(self):
         spec = SynthSpec(
@@ -88,7 +88,7 @@ class TestGenerate:
             seed=11,
         )
         samples, groups = generate(spec)
-        mask = groups.select(["sure"])[:, 0].astype(bool)
+        mask = groups.select(["sure"]).matrix()[:, 0].astype(bool)
         labels = np.array([s.label for s in samples])
         assert labels[mask].min() == 1
 
@@ -104,7 +104,7 @@ class TestGenerate:
 
     def test_difficulty_carries_block_name(self):
         samples, groups = generate(three_block_spec(100, 1))
-        for sample, row in zip(samples, groups.membership):
+        for sample, row in zip(samples, groups.matrix()):
             assert sample.difficulty == groups.names[int(np.argmax(row))]
 
     def test_languages_drawn_from_list(self):
