@@ -1,10 +1,9 @@
 """What grouping measures of a code text, without numpy.
 
 :data:`TEXT_FEATURES` names each number grouping reads of a sample's
-code text.  ``score`` measures ``chars`` and ``loc`` as it writes a
-column file, and grouping reads them from there, so this module loads
-nothing but the standard library; :mod:`codecal.groups` re-exports its
-names.
+code text.  ``score`` measures every one once, into the column file,
+and grouping reads them from there, so this module loads nothing but
+the standard library; :mod:`codecal.groups` re-exports its names.
 """
 
 import re

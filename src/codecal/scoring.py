@@ -9,17 +9,18 @@ Beside each scored JSONL file, :func:`score_file` writes a column file
 that holds what :func:`load_scored` keeps of each record, so reading a
 scored split needs no JSON decoding.  It starts with a one-line JSON
 header: the format version, the row count, the byte size and
-``zlib.crc32`` of the JSONL file it describes, and the scoring method.
-Two sections follow, each in line order.  The heads section holds one
-fixed-width :data:`_HEAD` per row: p_hat, label, flags for a difficulty
-and a code text, the ``chars`` and ``loc`` of the code text (0 without
-one), and the byte length of each of the row's five strings.  The
-strings section then holds the UTF-8 bytes of each row's sample id,
-problem id, language, difficulty and code text.  Strings are encoded
-with ``surrogatepass``, since JSON escapes can hold lone surrogates.
-A column file is read only when its header matches its JSONL file's
-size and checksum; any other scored JSONL file, such as one edited
-afterwards, is indexed into an unnamed temporary column file instead.
+``zlib.crc32`` of the JSONL file it describes, the scoring method, and
+``body_crc32``, the crc32 of the two sections that follow, each in line
+order.  The heads section holds one fixed-width :data:`_HEAD` per row:
+p_hat, label, flags for a difficulty and a code text, each
+:data:`~codecal.features.TEXT_FEATURES` entry of the code text (0
+without one), and the byte length of each of the row's four strings.
+The strings section holds each row's sample id, problem id, language
+and difficulty in UTF-8, with ``surrogatepass`` for the lone
+surrogates JSON escapes can hold.  A column file is read only when its
+header matches its JSONL file's size and checksum; any other scored
+JSONL file, such as one edited afterwards, is indexed into an unnamed
+temporary column file instead.
 """
 
 import contextlib
@@ -28,7 +29,6 @@ import itertools
 import json
 import math
 import os
-import shutil
 import struct
 import sys
 import tempfile
@@ -44,7 +44,7 @@ from .errors import (
     schema_fields,
     whole_number,
 )
-from .features import TEXT_FEATURES
+from .features import TEXT_FEATURES, text_features
 
 __all__ = [
     "ConfidenceMethod",
@@ -62,27 +62,24 @@ DEFAULT_TAIL_TOKENS = 40
 
 # The column file of ``scored.jsonl`` is ``scored.jsonl.cols``.
 COLUMNS_SUFFIX = ".cols"
-COLUMNS_VERSION = 2
-_HEADER_KEYS = ("codecal_columns", "jsonl_bytes", "jsonl_crc32", "method", "rows")
+COLUMNS_VERSION = 3
+_HEADER_KEYS = ("body_crc32", "codecal_columns", "jsonl_bytes", "jsonl_crc32", "method", "rows")
 # A longer first line is not a header.
 _MAX_HEADER_BYTES = 4096
-# A row's head: p_hat, label, flags, the chars and loc of its code text,
-# and the byte lengths of its five strings.  _HEAD_DTYPE is the same
-# packed layout as a numpy structured dtype.
+# A row's head: p_hat, label, flags, the three TEXT_FEATURES of its code
+# text, and the byte lengths of its four strings.  _HEAD_DTYPE is the
+# same packed layout as a numpy structured dtype.
 _HEAD = struct.Struct("<dBB7I")
-# The five string lengths, the last fields of a head.
-_LENGTHS = struct.Struct(f"<{_HEAD.size - 20}x5I")
+# The four string lengths, the last fields of a head.
+_LENGTHS = struct.Struct(f"<{_HEAD.size - 16}x4I")
 _HEAD_DTYPE = [
     ("p_hat", "<f8"),
     ("label", "u1"),
     ("flags", "u1"),
-    ("chars", "<u4"),
-    ("loc", "<u4"),
-    ("lengths", "<u4", (5,)),
+    *((name, "<u4") for name in TEXT_FEATURES),
+    ("lengths", "<u4", (4,)),
 ]
 _HAS_DIFFICULTY, _HAS_CODE = 1, 2
-# The text features held in the heads; the others are measured on the code texts.
-_HEAD_FEATURES = ("chars", "loc")
 # Small blocks keep what reading and copying hold in memory small.
 _BLOCK_BYTES = 1 << 16
 _BATCH_RECORDS = 64
@@ -164,7 +161,7 @@ def _score_lines(records, files, method: ConfidenceMethod | None, skip_missing: 
     # head is made here, not in a function: this loop runs once per record.
     batch = texts, packed, joined = [], [], []
     pack = _HEAD.pack
-    chars, loc = (TEXT_FEATURES[feature] for feature in _HEAD_FEATURES)
+    measures = tuple(TEXT_FEATURES.values())
     for lineno, raw, obj, sample in records:
         if method is None:
             p_hat, name, problem = obj.get("p_hat"), obj.get("method"), None
@@ -191,19 +188,16 @@ def _score_lines(records, files, method: ConfidenceMethod | None, skip_missing: 
             else:
                 texts.append(f'{raw.rstrip()[:-1]}, "method": {name_json}, "p_hat": {p_hat!r}}}')
         methods.add(name)
-        sid, pid, language = sample.sample_id, sample.problem_id, sample.language
-        difficulty, code = sample.difficulty, sample.code_text
-        flags = _HAS_DIFFICULTY * (difficulty is not None) + _HAS_CODE * (code is not None)
-        # A missing text measures 0, as the empty text does.
-        difficulty, code = difficulty or "", code or ""
+        strings = sample.sample_id, sample.problem_id, sample.language, sample.difficulty or ""
+        known, *features = text_features(sample.code_text, measures)
+        flags = _HAS_DIFFICULTY * (sample.difficulty is not None) + _HAS_CODE * known
         # One encode of the joined strings; each is measured apart only when one is not ASCII.
-        data = f"{sid}{pid}{language}{difficulty}{code}".encode("utf-8", "surrogatepass")
+        data = "".join(strings).encode("utf-8", "surrogatepass")
         if data.isascii():
-            sizes = len(sid), len(pid), len(language), len(difficulty), len(code)
+            sizes = map(len, strings)
         else:
-            strings = sid, pid, language, difficulty, code
             sizes = [len(text.encode("utf-8", "surrogatepass")) for text in strings]
-        packed.append(pack(p_hat, sample.label, flags, chars(code), loc(code), *sizes))
+        packed.append(pack(p_hat, sample.label, flags, *features, *sizes))
         joined.append(data)
         scored += 1
         if len(packed) == _BATCH_RECORDS:
@@ -233,16 +227,18 @@ def _write_batch(files, batch, crc: int) -> int:
 
 
 def write_columns(
-    out, parts, rows: int, jsonl_bytes: int, jsonl_crc32: int, method: str | None
+    out, body, rows: int, jsonl_bytes: int, jsonl_crc32: int, method: str | None
 ) -> None:
-    """Write a column file to binary file ``out``: its header, then the bytes of each of ``parts``.
+    """Write a column file to binary file ``out``: its header, then its body.
 
-    ``parts`` are binary files holding the heads of ``rows`` rows in
-    all, in line order, then their strings, for a JSONL file of
-    ``jsonl_bytes`` bytes with crc32 ``jsonl_crc32`` whose records were
-    all scored by ``method`` (None when there are none).
+    ``body()`` yields the bytes of the heads of ``rows`` rows in all, in
+    line order, then their strings; it is called once for the header's
+    ``body_crc32`` and once more to write them.  The file describes a
+    JSONL file of ``jsonl_bytes`` bytes with crc32 ``jsonl_crc32`` whose
+    records were all scored by ``method`` (None when there are none).
     """
     header = {
+        "body_crc32": _crc32(body()),
         "codecal_columns": COLUMNS_VERSION,
         "jsonl_bytes": jsonl_bytes,
         "jsonl_crc32": jsonl_crc32,
@@ -250,9 +246,8 @@ def write_columns(
         "rows": rows,
     }
     out.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-    for part in parts:
-        part.seek(0)
-        shutil.copyfileobj(part, out)
+    for block in body():
+        out.write(block)
 
 
 def score_file(
@@ -287,8 +282,9 @@ def _index(input_path: str, column_file, method, skip_missing=False, out=None) -
     depends on the number of CPUs.  Range 0 writes its lines straight to
     ``out``; the other ranges' lines, and every range's heads and
     strings, go to unnamed temporary files beside ``out`` (or in the
-    system's temporary folder), appended in line order, so memory does
-    not grow with the file.
+    system's temporary folder).  These are read back in line order, in
+    blocks, once for the column file's ``body_crc32`` and once to copy
+    them, so memory does not grow with the file.
     """
     folder = out and (os.path.dirname(out.name) or ".")
     with contextlib.ExitStack() as stack:
@@ -307,15 +303,14 @@ def _index(input_path: str, column_file, method, skip_missing=False, out=None) -
         counts = read_ranges(input_path, bounds, read, records=True)
         # Range 0 wrote its lines to ``out``; every other range's lines follow them.
         crc = counts[0][2]
-        for part_lines in filter(None, lines[1:]):
-            part_lines.seek(0)
-            while block := part_lines.read(_BLOCK_BYTES):
-                crc = zlib.crc32(block, crc)
-                out.write(block)
+        for block in _blocks(*filter(None, lines[1:])):
+            crc = zlib.crc32(block, crc)
+            out.write(block)
         scored = sum(count[0] for count in counts)
         methods = sorted(set().union(*(count[3] for count in counts)))
         size = out.tell() if out else 0
-        write_columns(column_file, [*heads, *strings], scored, size, crc, min(methods, default=None))
+        body = functools.partial(_blocks, *heads, *strings)
+        write_columns(column_file, body, scored, size, crc, min(methods, default=None))
     return scored, sum(count[1] for count in counts), methods
 
 
@@ -334,21 +329,32 @@ def _put_lines(out, data: bytes, crc: int, done: int) -> int:
     return zlib.crc32(data, crc)
 
 
-def _jsonl_crc32(path: str) -> int:
-    crc = 0
-    with open(path, "rb") as fh:
+def _blocks(*files):
+    """The bytes of each binary file of ``files`` from its start, in blocks of ``_BLOCK_BYTES``."""
+    for fh in files:
+        fh.seek(0)
         while block := fh.read(_BLOCK_BYTES):
-            crc = zlib.crc32(block, crc)
+            yield block
+
+
+def _crc32(blocks, crc: int = 0) -> int:
+    for block in blocks:
+        crc = zlib.crc32(block, crc)
     return crc
 
 
+def _jsonl_crc32(path: str) -> int:
+    with open(path, "rb") as fh:
+        return _crc32(_blocks(fh))
+
+
 def _pieces(chunk: bytes, text: str, bounds: list, field: int) -> list[str]:
-    """String ``field`` of each row of a strings chunk: 0 for the sample id, ... 4 for the code text.
+    """String ``field`` of each row of a strings chunk: 0 is the sample id, 3 the difficulty.
 
     ``text`` is ``chunk`` decoded, and ``bounds`` the offsets in
     ``chunk`` where each string starts, then where the last one ends.
     """
-    starts, ends = bounds[field::5], bounds[field + 1 :: 5]
+    starts, ends = bounds[field::4], bounds[field + 1 :: 4]
     if len(text) == len(chunk):  # ASCII: each character is one byte
         return [text[a:b] for a, b in zip(starts, ends)]
     return [chunk[a:b].decode("utf-8", "surrogatepass") for a, b in zip(starts, ends)]
@@ -364,6 +370,7 @@ class ScoredColumns:
         self.path = path
         self.method = header["method"]
         self.count = header["rows"]
+        self._body_crc32 = header["body_crc32"]
         self._fh = fh
         self._heads_at = fh.tell()
         self._strings_at = self._heads_at + self.count * _HEAD.size
@@ -377,41 +384,39 @@ class ScoredColumns:
     def _unsummed(self) -> DataError:
         return self._error("has string lengths that do not sum to the size of its strings section")
 
+    def _check_body(self, crc: int) -> None:
+        if crc != self._body_crc32:
+            raise self._error("has heads or strings that do not match its body_crc32")
+
     def _read(self, at: int, size: int) -> bytes:
         self._fh.seek(at)
         return self._fh.read(size)
 
     @functools.cached_property
-    def _rows(self) -> tuple[bytes, list[int]]:
-        """The heads section, and where each row's strings start in the strings section.
+    def _rows(self) -> tuple[bytes, bytes, list[int]]:
+        """The heads and strings sections, and where each row's strings start in the strings.
 
-        The starts end with where the last row's strings end.  String
-        lengths that do not sum to the size of the strings section raise
-        ``DataError`` naming the file.
+        The starts end with where the last row's strings end.  Sections
+        that do not match ``body_crc32``, or string lengths that do not
+        sum to the size of the strings section, raise ``DataError``
+        naming the file.
         """
         heads = self._read(self._heads_at, self._strings_at - self._heads_at)
+        strings = self._fh.read()
+        self._check_body(zlib.crc32(strings, zlib.crc32(heads)))
         starts = list(itertools.accumulate(map(sum, _LENGTHS.iter_unpack(heads)), initial=0))
-        if starts[-1] != self._strings_size:
+        if starts[-1] != len(strings):
             raise self._unsummed()
-        return heads, starts
+        return heads, strings, starts
 
     def problem_ids(self) -> list[str]:
-        """The problem id of each row.
-
-        Each id is sliced out of a block of at least ``_BLOCK_BYTES``
-        read from where it starts, so code texts longer than a block are
-        skipped, not read.
-        """
-        heads, starts = self._rows
-        ids, block, base = [], b"", 0  # block holds the strings section from byte base on
+        """The problem id of each row, sliced out of the strings section."""
+        heads, strings, starts = self._rows
         with schema_fields(f"column file {self.path}"):
-            for start, (sid, pid, _, _, _) in zip(starts, _LENGTHS.iter_unpack(heads)):
-                at = start + sid - base
-                if at + pid > len(block):
-                    block = self._read(self._strings_at + start + sid, max(pid, _BLOCK_BYTES))
-                    base, at = start + sid, 0
-                ids.append(block[at : at + pid].decode("utf-8", "surrogatepass"))
-        return ids
+            return [
+                strings[start + sid : start + sid + pid].decode("utf-8", "surrogatepass")
+                for start, (sid, pid, _, _) in zip(starts, _LENGTHS.iter_unpack(heads))
+            ]
 
     def route(self, jsonl_path: str, dests: list, lines: dict, column_files: dict) -> dict:
         """Copy row k's line of ``jsonl_path`` to ``lines[dests[k]]``; returns each file's rows.
@@ -420,12 +425,14 @@ class ScoredColumns:
         file of ``lines`` gets its column file written to the binary
         file of ``column_files`` under the same key.  Each run of
         consecutive rows bound for one file is copied as one block each
-        of lines, heads and strings, read in blocks of ``_BLOCK_BYTES``.
+        of lines, read in blocks of ``_BLOCK_BYTES``, and of heads and
+        strings, sliced out of the sections held in memory.
         A JSONL file that does not hold one line per row, each ending
         in ``\\n``, none blank and no ``\\r``, raises ``DataError`` naming
         this file; a line that is not UTF-8 raises ``RecordError`` naming it.
         """
-        heads, starts = self._rows
+        heads, strings, starts = self._rows
+        heads, strings = memoryview(heads), memoryview(strings)  # slices without copies
         runs, first = [], 0
         for dest, group in itertools.groupby(dests):
             stop = first + len(list(group))
@@ -458,15 +465,11 @@ class ScoredColumns:
             if pos < len(buf) or fh.read(1):
                 raise unlike
         for dest, out in column_files.items():
-            method = self.method if counts[dest] else None
-            write_columns(out, [], counts[dest], lines[dest].tell(), crcs[dest], method)
             mine = [(first, stop) for key, first, stop in runs if key == dest]
-            for first, stop in mine:
-                out.write(heads[first * _HEAD.size : stop * _HEAD.size])
-            for first, stop in mine:
-                for at in range(starts[first], starts[stop], _BLOCK_BYTES):
-                    size = min(_BLOCK_BYTES, starts[stop] - at)
-                    out.write(self._read(self._strings_at + at, size))
+            body = [heads[first * _HEAD.size : stop * _HEAD.size] for first, stop in mine]
+            body += [strings[starts[first] : starts[stop]] for first, stop in mine]
+            method = self.method if counts[dest] else None
+            write_columns(out, lambda: body, counts[dest], lines[dest].tell(), crcs[dest], method)
         return counts
 
     def table(self, names) -> list:
@@ -475,16 +478,17 @@ class ScoredColumns:
         Each column holds one entry per row: p_hat, known and the
         features are numpy arrays, the others lists.  The heads are
         read at once and checked in bulk, then the strings of
-        ``_CHUNK_ROWS`` rows at a time.  Languages and difficulties are
-        interned, so rows share one object per distinct value.  The
-        ``chars`` and ``loc`` come from the heads; any other feature is
-        measured on each code text, which is then dropped.
+        ``_CHUNK_ROWS`` rows at a time, and ``body_crc32`` is carried
+        over both.  Languages and difficulties are interned, so rows
+        share one object per distinct value.  Every text feature comes
+        from the heads, where ``score`` measured it.
         """
         import numpy as np
 
         with schema_fields(f"column file {self.path}"):
             # Reading the heads leaves the file at the strings section, which follows them.
             heads = self._read(self._heads_at, self._strings_at - self._heads_at)
+            crc = zlib.crc32(heads)
             heads = np.frombuffer(heads, _HEAD_DTYPE)
             p_hat, flags, lengths = heads["p_hat"], heads["flags"], heads["lengths"]
             # Each numpy loop run here for the first time in the process adds to
@@ -494,17 +498,18 @@ class ScoredColumns:
             known = flags >= _HAS_CODE
             ok = (p_hat >= 0) & (p_hat <= 1) & (heads["label"] <= 1)
             ok &= flags <= _HAS_DIFFICULTY | _HAS_CODE
-            ok &= known | ((heads["chars"] == 0) & (heads["loc"] == 0))
+            for name in TEXT_FEATURES:  # a row without a code text measures 0
+                ok &= known | (heads[name] == 0)
             if not ok.all():
                 raise self._error("holds a row no scored record gives")
             if int(lengths.sum(dtype=np.int64)) != self._strings_size:
                 raise self._unsummed()
-            measured = {name: [] for name in names if name not in _HEAD_FEATURES}
             ids, languages, difficulties = [], [], []
             for first in range(0, self.count, _CHUNK_ROWS):
                 rows = slice(first, first + _CHUNK_ROWS)
                 bounds = list(itertools.accumulate(lengths[rows].ravel().tolist(), initial=0))
                 chunk = self._fh.read(bounds[-1])
+                crc = zlib.crc32(chunk, crc)
                 text = chunk.decode("utf-8", "surrogatepass")
                 ids += _pieces(chunk, text, bounds, 0)
                 languages += map(sys.intern, _pieces(chunk, text, bounds, 2))
@@ -513,14 +518,8 @@ class ScoredColumns:
                     sys.intern(d) if f & _HAS_DIFFICULTY else None
                     for d, f in zip(pieces, flags[rows].tolist())
                 ]
-                if measured:
-                    codes = _pieces(chunk, text, bounds, 4)
-                    for name, values in measured.items():
-                        values += map(TEXT_FEATURES[name], codes)
-        features = [
-            heads[name] if name in _HEAD_FEATURES else np.where(known, measured[name], 0)
-            for name in names
-        ]
+        self._check_body(crc)
+        features = [heads[name] for name in names]
         return [p_hat, heads["label"].tolist(), ids, languages, difficulties, known, *features]
 
 
@@ -532,6 +531,7 @@ def _header(fh, path: str) -> dict:
     if header["codecal_columns"] != COLUMNS_VERSION:
         raise DataError(f"{what} has unsupported version {header['codecal_columns']!r}")
     rows = whole_number(header["rows"], f"{what} row count", range(2**63))
+    whole_number(header["body_crc32"], f"{what} body crc32", range(2**32))
     whole_number(header["jsonl_bytes"], f"{what} JSONL size", range(2**63))
     whole_number(header["jsonl_crc32"], f"{what} JSONL crc32", range(2**32))
     method = header["method"]

@@ -1476,6 +1476,51 @@ class TestColumnFiles:
         assert result.output.startswith("error: ") and f"column file {columns}" in result.output
         assert not (tmp_path / "out").exists()
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_one_byte_of_the_body_changed_exits_4(self, pipeline, data):
+        """split, fit-eval and ablate each refuse a column file with any one body byte changed.
+
+        Its header still matches its JSONL file; crc32 detects every
+        change confined to one byte.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            splits = split_copy(pipeline, tmp / "splits")
+            val, columns = splits / "val.jsonl", columns_of(splits / "val.jsonl")
+            header, body = columns.read_bytes().split(b"\n", 1)
+            at = data.draw(st.integers(0, len(body) - 1), label="at")
+            byte = body[at] ^ data.draw(st.integers(1, 255), label="xor")
+            columns.write_bytes(header + b"\n" + body[:at] + bytes([byte]) + body[at + 1 :])
+            runs = [["split", "--input", str(val), "--output-dir", str(tmp / "out")]]
+            for command in ("fit-eval", "ablate"):
+                runs.append(swapped_split_args(command, splits, tmp / "out", "val", val))
+            for args in runs:
+                result = run(args)
+                assert result.exit_code == 4, (args[0], result.output)
+                assert result.output.startswith("error: ")
+                assert f"column file {columns}" in result.output
+                assert not (tmp / "out").exists()
+
+    def test_flipped_labels_exit_4(self, tmp_path):
+        """A test split's column file with 200 labels flipped, its header matching its JSONL."""
+        records, scored, splits = (tmp_path / name for name in ("in.jsonl", "scored.jsonl", "s"))
+        write_synth(records, n=1200, seed=11)
+        assert run(["score", "--input", str(records), "--output", str(scored)]).exit_code == 0
+        assert run(["split", "--input", str(scored), "--output-dir", str(splits)]).exit_code == 0
+        test, columns = splits / "test.jsonl", columns_of(splits / "test.jsonl")
+        header, body = columns.read_bytes().split(b"\n", 1)
+        body = bytearray(body)
+        assert json.loads(header)["rows"] >= 200
+        for row in range(200):
+            body[row * scoring_module._HEAD.size + 8] ^= 1  # the label follows p_hat's 8 bytes
+        columns.write_bytes(header + b"\n" + body)
+        fit = run(fit_eval_args(splits, tmp_path / "out", ("--methods", "platt")))
+        split = run(["split", "--input", str(test), "--output-dir", str(tmp_path / "t")])
+        problem = "has heads or strings that do not match its body_crc32"
+        assert (fit.exit_code, fit.output) == (4, f"error: column file {columns} {problem}\n")
+        assert (split.exit_code, split.output) == (fit.exit_code, fit.output)
+
 
 def subset_name(cfg):
     """The ablate subset a grouping config stands for."""

@@ -16,7 +16,7 @@ import codecal.data as data_module
 import codecal.scoring as scoring_module
 from codecal.data import Sample, load_records, parse_record, save_records
 from codecal.errors import DataError, MissingCodeError, RecordError
-from codecal.features import text_features
+from codecal.features import TEXT_FEATURES, text_features
 from codecal.groups import GroupColumns, GroupingConfig, GroupingModel, branch_count
 from codecal.scoring import (
     COLUMNS_SUFFIX,
@@ -756,8 +756,8 @@ class TestColumnFile:
     def test_same_split_as_the_json(self, content, config, parts, method, rescore):
         """code_prob drops the records without a span; a rescored file is re-encoded.
 
-        The chars and loc that score wrote in the heads are those of
-        each record's code text in the JSON.
+        The chars, loc and branches that score wrote in the heads are
+        those of each record's code text in the JSON, 0 without one.
         """
         with tempfile.TemporaryDirectory() as tmp:
             records, path = Path(tmp) / "records.jsonl", Path(tmp) / "scored.jsonl"
@@ -768,7 +768,7 @@ class TestColumnFile:
                     score_file(str(path), str(path), METHODS[2])
                 with mock.patch.object(scoring_module, "read_ranges", side_effect=AssertionError):
                     got = load_scored(str(path), config)
-                    heads = load_scored(str(path), GroupingConfig()).columns
+                    heads = load_scored(str(path)).columns
                     with open_columns(str(path)) as columns:
                         problem_ids = columns.problem_ids()
                 columns_of(path).unlink()
@@ -777,10 +777,12 @@ class TestColumnFile:
         assert_same_split(got, want)
         assert problem_ids == [obj["problem_id"] for obj in objects]
         texts = [obj.get("code_text") for obj in objects]
-        measured = [text_features(text, [len, lambda t: len(t.splitlines())]) for text in texts]
-        assert heads.known.tolist() == [known for known, _, _ in measured]
-        assert heads.feature("chars").tolist() == [chars for _, chars, _ in measured]
-        assert heads.feature("loc").tolist() == [loc for _, _, loc in measured]
+        measures = [len, lambda t: len(t.splitlines()), branch_count]
+        measured = [text_features(text, measures) for text in texts]
+        assert heads.known.tolist() == [known for known, *_ in measured]
+        assert heads.feature("chars").tolist() == [chars for _, chars, _, _ in measured]
+        assert heads.feature("loc").tolist() == [loc for _, _, loc, _ in measured]
+        assert heads.feature("branches").tolist() == [branches for *_, branches in measured]
 
     @pytest.mark.parametrize("matching", [True, False])
     def test_every_split_is_read_by_the_table(self, tmp_path, matching):
@@ -808,10 +810,11 @@ class TestColumnFile:
 
     def test_head_layouts_agree(self):
         """The struct that score and split use and the dtype load_scored uses are one layout."""
-        fields = (0.375, 1, 3, 70000, 9, 1, 2, 3, 4, 2**32 - 1)
+        fields = (0.375, 1, 3, 70000, 9, 5, 1, 2, 3, 2**32 - 1)
         (head,) = np.frombuffer(scoring_module._HEAD.pack(*fields), scoring_module._HEAD_DTYPE)
         names = [name for name, *_ in scoring_module._HEAD_DTYPE]
-        assert [head[name].tolist() for name in names] == [*fields[:5], list(fields[5:])]
+        assert names[3:6] == list(TEXT_FEATURES)
+        assert [head[name].tolist() for name in names] == [*fields[:6], list(fields[6:])]
 
     def scored(self, tmp_path, n=6):
         records, path = tmp_path / "records.jsonl", tmp_path / "scored.jsonl"
@@ -847,10 +850,13 @@ class TestColumnFile:
             finally:
                 tracemalloc.stop()
             assert split.columns.feature("loc").tolist() == [2 * lines] * 200
-            return current
+            return current, len(columns_of(path).read_bytes().split(b"\n", 1)[1])
 
         # 200 texts 990 lines longer would hold about 3 MB.
-        assert held(500) - held(5) <= 64 * 1024
+        (long_held, long_body), (short_held, short_body) = held(500), held(5)
+        assert long_held - short_held <= 64 * 1024
+        # The column files hold no code text: only their headers' JSONL sizes and crcs differ.
+        assert long_body == short_body
 
     @pytest.mark.parametrize(
         "change, message",
@@ -862,8 +868,8 @@ class TestColumnFile:
             (lambda head, rows: (b"", b""), "malformed column file"),
             (lambda head, rows: (head.replace(b'"rows"', b'"extra": 0, "rows"'), rows),
              "has unknown field 'extra'"),
-            (lambda head, rows: (head.replace(b'columns": 2', b'columns": 1'), rows),
-             "has unsupported version 1"),
+            (lambda head, rows: (head.replace(b'columns": 3', b'columns": 2'), rows),
+             "has unsupported version 2"),
             (lambda head, rows: (head.replace(b'"avg_prob"', b"null"), rows),
              "must name its scoring method exactly when it has rows"),
             (lambda head, rows: (head, rows[:8] + b"\x02" + rows[9:]), "holds a row no scored record gives"),
@@ -872,11 +878,14 @@ class TestColumnFile:
             # The first row's flags say it has no code text, but its chars are not 0.
             (lambda head, rows: (head, rows[:9] + b"\x00" + rows[10:]), "holds a row no scored record gives"),
             # The first row's sample id is one byte longer than its strings.
-            (lambda head, rows: (head, rows[:18] + bytes([rows[18] + 1]) + rows[19:]), UNSUMMED),
+            (lambda head, rows: (head, rows[:22] + bytes([rows[22] + 1]) + rows[23:]), UNSUMMED),
+            # The first row's label flipped: a row a scored record gives, but not this file's.
+            (lambda head, rows: (head, rows[:8] + bytes([1 - rows[8]]) + rows[9:]),
+             "has heads or strings that do not match its body_crc32"),
         ],
         ids=[
             "truncated", "runs-on", "no-rows", "header-cut", "empty", "unknown-key",
-            "version", "method", "label", "utf8", "chars-without-code", "lengths",
+            "version", "method", "label", "utf8", "chars-without-code", "lengths", "label-flipped",
         ],
     )
     def test_malformed_matching_file_names_it(self, tmp_path, change, message):
